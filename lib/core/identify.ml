@@ -140,20 +140,64 @@ let iter f t = Hashtbl.iter f t.table
 
 (* Incidental-PMC discovery for Algorithm 2 line 26: PMCs (other than
    those already under test) whose write side appears among one thread's
-   accesses and whose read side appears among the other thread's. *)
+   accesses and whose read side appears among the other thread's.
+
+   Cheapest test first: the write range (most PMCs indexed under a live
+   write's pc miss it), then the read side, a binary search over [reads]
+   sorted by pc, then [exclude], the caller's scan of the PMCs under test.
+   The tests are pure, so their order does not change the result. *)
+
+(* Insertion sort by pc: [reads] holds a few dozen accesses, and this
+   allocates nothing, unlike [Array.sort]. *)
+let sort_by_pc (rd : Trace.access array) =
+  for i = 1 to Array.length rd - 1 do
+    let x = rd.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && rd.(!j).Trace.pc > x.Trace.pc do
+      rd.(!j + 1) <- rd.(!j);
+      decr j
+    done;
+    rd.(!j + 1) <- x
+  done
+
+(* Does an access of [rd] (sorted by pc) perform [pmc]'s read? *)
+let read_seen (rd : Trace.access array) (pmc : Pmc.t) =
+  let ins = pmc.Pmc.read.Pmc.ins in
+  let n = Array.length rd in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if rd.(mid).Trace.pc < ins then lo := mid + 1 else hi := mid
+  done;
+  let i = ref !lo and seen = ref false in
+  while (not !seen) && !i < n && rd.(!i).Trace.pc = ins do
+    seen := Pmc.matches_read pmc rd.(!i);
+    incr i
+  done;
+  !seen
+
+let rec scan_pmcs (w : Trace.access) rd exclude found = function
+  | [] -> found
+  | pmc :: rest ->
+      let found =
+        if Pmc.matches_write pmc w && read_seen rd pmc && not (exclude pmc)
+        then pmc :: found
+        else found
+      in
+      scan_pmcs w rd exclude found rest
+
+let rec scan_writes t rd exclude found = function
+  | [] -> found
+  | (w : Trace.access) :: rest ->
+      let found =
+        match Hashtbl.find t.write_index w.Trace.pc with
+        | pmcs -> scan_pmcs w rd exclude found !pmcs
+        | exception Not_found -> found
+      in
+      scan_writes t rd exclude found rest
+
 let find_incidental t ~(writes : Trace.access list) ~(reads : Trace.access list)
     ~(exclude : Pmc.t -> bool) =
-  let found = ref [] in
-  List.iter
-    (fun (w : Trace.access) ->
-      match Hashtbl.find_opt t.write_index w.Trace.pc with
-      | None -> ()
-      | Some pmcs ->
-          List.iter
-            (fun pmc ->
-              if (not (exclude pmc)) && Pmc.matches_write pmc w
-                 && List.exists (fun r -> Pmc.matches_read pmc r) reads
-              then found := pmc :: !found)
-            !pmcs)
-    writes;
-  !found
+  let rd = Array.of_list reads in
+  sort_by_pc rd;
+  scan_writes t rd exclude [] writes

@@ -45,4 +45,12 @@ val find_incidental :
   Pmc.t list
 (** Incidental-PMC discovery for Algorithm 2 line 26: identified PMCs,
     not excluded, whose write side matches one of [writes] and whose read
-    side matches one of [reads]. *)
+    side matches one of [reads].
+
+    Order and multiplicity are part of the contract, because a caller
+    draws from the list by index: a PMC appears once per write in
+    [writes] it matches (so a write repeated in [writes] repeats its
+    PMCs), and the list is the reverse of the enumeration [writes] in
+    order, then, for each write, its pc's PMCs in [write_index] order.
+    [exclude] must be pure; it is consulted only for PMCs that pass both
+    match tests. *)

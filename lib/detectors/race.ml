@@ -2,9 +2,11 @@
 
    Plays the role of the paper's stock race detector (DataCollider / the
    SKI runtime detector).  The executor serializes the kernel threads, so
-   true simultaneity never occurs; instead we maintain FastTrack-style
-   vector clocks over [nthreads] threads and report conflicting accesses
-   that are not ordered by synchronization:
+   true simultaneity never occurs; instead every one of [nthreads]
+   threads carries a full vector clock, and every shared guest byte keeps
+   its last write and, per thread, its last read, each with the clock,
+   marked flag, pc and attributed function of the access.  Conflicting
+   accesses that are not ordered by synchronization are reported:
 
    - marked (atomic) store -> marked load of the same cell creates a
      release/acquire edge.  This covers spinlocks (CAS acquire loops and
@@ -14,7 +16,20 @@
    - conflicting accesses (overlapping ranges, at least one write) that
      are unordered AND not both marked are data races, mirroring the
      kernel's KCSAN convention that marked-vs-marked conflicts are
-     intentional. *)
+     intentional.
+
+   Reads keep one entry per thread (not FastTrack's adaptive read epoch),
+   so a write is checked against every thread's last read, in thread
+   order, which fixes the [other_pc] each report names.
+
+   Byte state lives in a flat open-addressed table keyed by the byte's
+   8-byte granule, one array per field, with a generation stamp per slot
+   so that starting a detector empties the table in O(1).  Each domain
+   caches one table and lends it to one detector at a time; [reports]
+   ends the detector's feed and hands the table back to the domain that
+   built it.  A detector that finds the cached table still lent out
+   (another live detector, or one abandoned mid-trial) builds a private
+   table, which then replaces the cached one. *)
 
 module Trace = Vmm.Trace
 
@@ -27,153 +42,331 @@ type report = {
   other_ctx : string;
 }
 
-(* Vector clocks over [nthreads] threads (the paper tests two; the
-   three-thread extension of section 6 needs more). *)
-type clock = int array
+(* A slot's write epoch packs (clock, thread, marked) and a read epoch
+   (clock, marked) into one int each; 0 means "no such access yet", since
+   a thread's own clock starts at 1. *)
+let write_epoch ~clk ~tid ~marked =
+  (clk lsl 8) lor (tid lsl 1) lor Bool.to_int marked
 
-let clock_get (c : clock) tid = c.(tid)
+let read_epoch ~clk ~marked = (clk lsl 1) lor Bool.to_int marked
 
-let clock_set (c : clock) tid v = c.(tid) <- v
+let write_clk e = e lsr 8
 
-let clock_join (dst : clock) (src : clock) =
-  for i = 0 to Array.length dst - 1 do
-    if src.(i) > dst.(i) then dst.(i) <- src.(i)
-  done
+let write_tid e = (e lsr 1) land 0x7f
 
-type byte_state = {
-  mutable w_tid : int;
-  mutable w_clk : int;
-  mutable w_atomic : bool;
-  mutable w_pc : int;
-  mutable w_ctx : string;
-  (* last read per thread *)
-  mutable r_clk : int array;
-  mutable r_atomic : bool array;
+let read_clk e = e lsr 1
+
+let marked e = e land 1 = 1
+
+(* The table a domain lends out, if any. *)
+type cache = { mutable cached : table option }
+
+and table = {
+  nth : int;
+  home : cache;  (* the creating domain's: the only cache it may enter *)
+  vcs : int array;  (* per-thread vector clocks, row [tid] at [tid * nth] *)
+  mutable busy : bool;  (* lent to a detector that has not finished *)
+  mutable gen : int;  (* a slot is live iff its stamp equals [gen] *)
+  mutable shift : int;  (* 63 - log2 [cap]: the hash keeps the top bits *)
+  mutable cap : int;  (* slots, a power of two *)
+  mutable used : int;  (* live slots *)
+  mutable stamp : int array;
+  mutable key : int array;  (* granule: byte address / 8 *)
+  (* per-byte fields: byte [addr] of slot [s] at [b = 8 s + addr mod 8] *)
+  mutable w_ep : int array;  (* last write: epoch, pc, function id *)
+  mutable w_pc : int array;
+  mutable w_fn : int array;
+  (* per-byte, per-thread fields: thread [j] of byte [b] at [b nth + j] *)
+  mutable r_ep : int array;  (* last read by each thread *)
   mutable r_pc : int array;
-  mutable r_ctx : string array;
+  mutable r_fn : int array;
+  mutable rel : int array;  (* release clock (marked stores), 0 if none *)
+  mutable fns : string array;  (* function id -> attributed function *)
+  mutable nfns : int;
 }
 
+(* A slot holds the 8-byte granule around a byte: kernel accesses are
+   mostly aligned words, so one probe serves all bytes of an access and
+   their state shares cache lines.  An untouched byte of a claimed
+   granule reads as a byte with no accesses, which it is. *)
+let initial_cap = 128
+
+(* Tables that grew past this are not cached: a campaign trial touches
+   at most ~110 granules, which [max_kept_cap] holds at the 3/4 load
+   bound; a larger table would only pin memory. *)
+let max_kept_cap = 256
+
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
+let alloc_slots tb cap =
+  let bytes = 8 * cap and n = tb.nth in
+  tb.cap <- cap;
+  tb.shift <- 63 - log2 cap;
+  tb.used <- 0;
+  tb.stamp <- Array.make cap 0;
+  tb.key <- Array.make cap 0;
+  tb.w_ep <- Array.make bytes 0;
+  tb.w_pc <- Array.make bytes 0;
+  tb.w_fn <- Array.make bytes 0;
+  tb.r_ep <- Array.make (bytes * n) 0;
+  tb.r_pc <- Array.make (bytes * n) 0;
+  tb.r_fn <- Array.make (bytes * n) 0;
+  tb.rel <- Array.make (bytes * n) 0
+
+let cache = Domain.DLS.new_key (fun () -> { cached = None })
+
+let new_table nth =
+  let tb =
+    {
+      nth;
+      home = Domain.DLS.get cache;
+      vcs = Array.make (nth * nth) 0;
+      busy = false;
+      gen = 1;
+      shift = 0;
+      cap = 0;
+      used = 0;
+      stamp = [||];
+      key = [||];
+      w_ep = [||];
+      w_pc = [||];
+      w_fn = [||];
+      r_ep = [||];
+      r_pc = [||];
+      r_fn = [||];
+      rel = [||];
+      fns = Array.make 32 "";
+      nfns = 0;
+    }
+  in
+  alloc_slots tb initial_cap;
+  tb
+
+let hash tb g = (g * 0x2545F4914F6CDD1D) lsr tb.shift
+
+(* Linear probing: the slot holding granule [g], or the free slot where
+   it would go.  The 3/4 load bound guarantees a free slot. *)
+let probe tb g =
+  let mask = tb.cap - 1 in
+  let i = ref (hash tb g) in
+  while tb.stamp.(!i) = tb.gen && tb.key.(!i) <> g do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* The slot holding granule [g], or -1 if none of its bytes has state. *)
+let find tb g =
+  let s = probe tb g in
+  if tb.stamp.(s) = tb.gen then s else -1
+
+let rec grow tb =
+  (* a shallow copy keeps the old arrays while [tb] gets new ones *)
+  let old = { tb with cap = tb.cap } in
+  let n8 = 8 * tb.nth in
+  alloc_slots tb (2 * old.cap);
+  for s = 0 to old.cap - 1 do
+    if old.stamp.(s) = tb.gen then begin
+      let d = claim tb old.key.(s) in
+      Array.blit old.w_ep (8 * s) tb.w_ep (8 * d) 8;
+      Array.blit old.w_pc (8 * s) tb.w_pc (8 * d) 8;
+      Array.blit old.w_fn (8 * s) tb.w_fn (8 * d) 8;
+      Array.blit old.r_ep (n8 * s) tb.r_ep (n8 * d) n8;
+      Array.blit old.r_pc (n8 * s) tb.r_pc (n8 * d) n8;
+      Array.blit old.r_fn (n8 * s) tb.r_fn (n8 * d) n8;
+      Array.blit old.rel (n8 * s) tb.rel (n8 * d) n8
+    end
+  done
+
+(* The slot holding granule [g], claimed (no byte with any access) if it
+   is new; grows the table past 3/4 load. *)
+and claim tb g =
+  let s = probe tb g in
+  if tb.stamp.(s) = tb.gen then s
+  else if 4 * (tb.used + 1) > 3 * tb.cap then begin
+    grow tb;
+    claim tb g
+  end
+  else begin
+    tb.stamp.(s) <- tb.gen;
+    tb.key.(s) <- g;
+    tb.used <- tb.used + 1;
+    for b = 8 * s to (8 * s) + 7 do
+      tb.w_ep.(b) <- 0
+    done;
+    let n8 = 8 * tb.nth in
+    for k = n8 * s to (n8 * s) + n8 - 1 do
+      tb.r_ep.(k) <- 0;
+      tb.rel.(k) <- 0
+    done;
+    s
+  end
+
 type t = {
-  nthreads : int;
-  vcs : clock array;  (* per-thread vector clock *)
-  rel : (int, clock) Hashtbl.t;  (* per-byte release clock (marked stores) *)
-  bytes : (int, byte_state) Hashtbl.t;
-  mutable reports : report list;
-  seen : (int * int, unit) Hashtbl.t;  (* dedup by (write pc, other pc) *)
+  tb : table;
+  mutable live : bool;  (* false once [reports] has run *)
+  mutable reports : report list;  (* newest first *)
+  mutable last_ctx : string;  (* the last function interned, and its id *)
+  mutable last_fn : int;
 }
 
 let create ?(nthreads = 2) () =
-  {
-    nthreads;
-    vcs =
-      Array.init nthreads (fun i ->
-          Array.init nthreads (fun j -> if i = j then 1 else 0));
-    rel = Hashtbl.create 256;
-    bytes = Hashtbl.create 1024;
-    reports = [];
-    seen = Hashtbl.create 64;
-  }
+  if nthreads < 1 || nthreads > 0x7f then invalid_arg "Race.create: nthreads";
+  let tb =
+    match (Domain.DLS.get cache).cached with
+    | Some tb when (not tb.busy) && tb.nth = nthreads ->
+        tb.gen <- tb.gen + 1;
+        tb.used <- 0;
+        tb.nfns <- 0;
+        tb
+    | _ -> new_table nthreads
+  in
+  tb.busy <- true;
+  for i = 0 to nthreads - 1 do
+    for j = 0 to nthreads - 1 do
+      tb.vcs.((i * nthreads) + j) <- (if i = j then 1 else 0)
+    done
+  done;
+  { tb; live = true; reports = []; last_ctx = ""; last_fn = -1 }
 
-let fresh_byte n =
-  {
-    w_tid = -1;
-    w_clk = 0;
-    w_atomic = false;
-    w_pc = 0;
-    w_ctx = "";
-    r_clk = Array.make n 0;
-    r_atomic = Array.make n false;
-    r_pc = Array.make n 0;
-    r_ctx = Array.make n "";
-  }
-
-let byte_state t addr =
-  match Hashtbl.find_opt t.bytes addr with
-  | Some b -> b
-  | None ->
-      let b = fresh_byte t.nthreads in
-      Hashtbl.replace t.bytes addr b;
-      b
-
-let add_report t ~addr ~write_pc ~other_pc ~other_kind ~write_ctx ~other_ctx =
-  let key = (write_pc, other_pc) in
-  if not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key ();
-    t.reports <-
-      { addr; write_pc; other_pc; other_kind; write_ctx; other_ctx } :: t.reports
+(* Byte state names functions by small ids, so that recording an access
+   stores ints only.  Attributed names are shared strings, so physical
+   equality finds a function's id; a fresh copy of a name just gets a
+   second id, which resolves to the same text. *)
+let fn_id t ctx =
+  if ctx == t.last_ctx && t.last_fn >= 0 then t.last_fn
+  else begin
+    let tb = t.tb in
+    let i = ref 0 in
+    while !i < tb.nfns && tb.fns.(!i) != ctx do
+      incr i
+    done;
+    if !i = tb.nfns then begin
+      if tb.nfns = Array.length tb.fns then begin
+        let fns = Array.make (2 * tb.nfns) "" in
+        Array.blit tb.fns 0 fns 0 tb.nfns;
+        tb.fns <- fns
+      end;
+      tb.fns.(!i) <- ctx;
+      tb.nfns <- tb.nfns + 1
+    end;
+    t.last_ctx <- ctx;
+    t.last_fn <- !i;
+    !i
   end
+
+let rec reported ~write_pc ~other_pc = function
+  | [] -> false
+  | r :: rest ->
+      (r.write_pc = write_pc && r.other_pc = other_pc)
+      || reported ~write_pc ~other_pc rest
+
+(* Reports are deduplicated by (write pc, other pc); a trial yields a
+   handful, so a scan of the list beats hashing the pair. *)
+let add_report t ~addr ~write_pc ~other_pc ~other_kind ~write_ctx ~other_ctx =
+  if not (reported ~write_pc ~other_pc t.reports) then
+    t.reports <-
+      { addr; write_pc; other_pc; other_kind; write_ctx; other_ctx }
+      :: t.reports
 
 (* Feed one shared kernel access (with its attributed function). *)
 let on_access t (a : Trace.access) ~ctx =
+  if not t.live then invalid_arg "Race.on_access: reports already taken";
   if Trace.is_shared a then begin
+    let tb = t.tb in
+    let n = tb.nth in
     let tid = a.Trace.thread in
-    let vc = t.vcs.(tid) in
+    let vc = tid * n in
+    let vcs = tb.vcs in
+    let mk = a.Trace.atomic in
+    let write = a.Trace.kind = Trace.Write in
+    let fn = fn_id t ctx in
+    let fns = tb.fns in
+    let first = a.Trace.addr and last = a.Trace.addr + a.Trace.size - 1 in
     (* acquire edge: marked read joins the cell's release clock *)
-    if a.Trace.atomic && a.Trace.kind = Trace.Read then
-      for i = 0 to a.Trace.size - 1 do
-        match Hashtbl.find_opt t.rel (a.Trace.addr + i) with
-        | Some rc -> clock_join vc rc
-        | None -> ()
+    if mk && not write then
+      for addr = first to last do
+        let s = find tb (addr lsr 3) in
+        if s >= 0 then begin
+          let rb = ((8 * s) + (addr land 7)) * n in
+          for j = 0 to n - 1 do
+            let r = tb.rel.(rb + j) in
+            if r > vcs.(vc + j) then vcs.(vc + j) <- r
+          done
+        end
       done;
-    let my_clk = clock_get vc tid in
-    for i = 0 to a.Trace.size - 1 do
-      let addr = a.Trace.addr + i in
-      let b = byte_state t addr in
-      (match a.Trace.kind with
-      | Trace.Write ->
-          (* conflicts with every other thread's last write and reads *)
+    let my_clk = vcs.(vc + tid) in
+    (* an access spans at most two granules: probe once per granule *)
+    let s = ref (claim tb (first lsr 3)) in
+    for addr = first to last do
+      if addr land 7 = 0 && addr <> first then s := claim tb (addr lsr 3);
+      let b = (8 * !s) + (addr land 7) in
+      let rb = b * n in
+      (* the last write, if another thread's, unordered and not both
+         marked, conflicts with this access whatever its kind *)
+      let w = tb.w_ep.(b) in
+      let w_races =
+        w <> 0
+        && write_tid w <> tid
+        && write_clk w > vcs.(vc + write_tid w)
+        && not (mk && marked w)
+      in
+      if write then begin
+        if w_races then
+          add_report t ~addr ~write_pc:a.Trace.pc ~other_pc:tb.w_pc.(b)
+            ~other_kind:Trace.Write ~write_ctx:ctx
+            ~other_ctx:fns.(tb.w_fn.(b));
+        for other = 0 to n - 1 do
+          let r = tb.r_ep.(rb + other) in
           if
-            b.w_tid >= 0 && b.w_tid <> tid
-            && b.w_clk > clock_get vc b.w_tid
-            && not (a.Trace.atomic && b.w_atomic)
+            other <> tid
+            && read_clk r > vcs.(vc + other)
+            && not (mk && marked r)
           then
-            add_report t ~addr ~write_pc:a.Trace.pc ~other_pc:b.w_pc
-              ~other_kind:Trace.Write ~write_ctx:ctx ~other_ctx:b.w_ctx;
-          for other = 0 to t.nthreads - 1 do
-            if
-              other <> tid
-              && b.r_clk.(other) > clock_get vc other
-              && not (a.Trace.atomic && b.r_atomic.(other))
-            then
-              add_report t ~addr ~write_pc:a.Trace.pc ~other_pc:b.r_pc.(other)
-                ~other_kind:Trace.Read ~write_ctx:ctx ~other_ctx:b.r_ctx.(other)
-          done;
-          b.w_tid <- tid;
-          b.w_clk <- my_clk;
-          b.w_atomic <- a.Trace.atomic;
-          b.w_pc <- a.Trace.pc;
-          b.w_ctx <- ctx
-      | Trace.Read ->
-          if
-            b.w_tid >= 0 && b.w_tid <> tid
-            && b.w_clk > clock_get vc b.w_tid
-            && not (a.Trace.atomic && b.w_atomic)
-          then
-            add_report t ~addr ~write_pc:b.w_pc ~other_pc:a.Trace.pc
-              ~other_kind:Trace.Read ~write_ctx:b.w_ctx ~other_ctx:ctx;
-          b.r_clk.(tid) <- my_clk;
-          b.r_atomic.(tid) <- a.Trace.atomic;
-          b.r_pc.(tid) <- a.Trace.pc;
-          b.r_ctx.(tid) <- ctx)
+            add_report t ~addr ~write_pc:a.Trace.pc
+              ~other_pc:tb.r_pc.(rb + other) ~other_kind:Trace.Read
+              ~write_ctx:ctx ~other_ctx:fns.(tb.r_fn.(rb + other))
+        done;
+        tb.w_ep.(b) <- write_epoch ~clk:my_clk ~tid ~marked:mk;
+        tb.w_pc.(b) <- a.Trace.pc;
+        tb.w_fn.(b) <- fn
+      end
+      else begin
+        if w_races then
+          add_report t ~addr ~write_pc:tb.w_pc.(b) ~other_pc:a.Trace.pc
+            ~other_kind:Trace.Read ~write_ctx:fns.(tb.w_fn.(b))
+            ~other_ctx:ctx;
+        tb.r_ep.(rb + tid) <- read_epoch ~clk:my_clk ~marked:mk;
+        tb.r_pc.(rb + tid) <- a.Trace.pc;
+        tb.r_fn.(rb + tid) <- fn
+      end
     done;
     (* release edge: marked write deposits the thread's clock on the cell *)
-    if a.Trace.atomic && a.Trace.kind = Trace.Write then begin
-      for i = 0 to a.Trace.size - 1 do
-        let addr = a.Trace.addr + i in
-        let rc =
-          match Hashtbl.find_opt t.rel addr with
-          | Some rc -> rc
-          | None ->
-              let rc = Array.make t.nthreads 0 in
-              Hashtbl.replace t.rel addr rc;
-              rc
-        in
-        clock_join rc vc
+    if mk && write then begin
+      for addr = first to last do
+        let rb = ((8 * find tb (addr lsr 3)) + (addr land 7)) * n in
+        for j = 0 to n - 1 do
+          let v = vcs.(vc + j) in
+          if v > tb.rel.(rb + j) then tb.rel.(rb + j) <- v
+        done
       done;
-      clock_set vc tid (clock_get vc tid + 1)
+      vcs.(vc + tid) <- vcs.(vc + tid) + 1
     end
   end
 
-let reports t = List.rev t.reports
+let reports t =
+  if t.live then begin
+    t.live <- false;
+    let tb = t.tb in
+    tb.busy <- false;
+    let c = tb.home in
+    if c == Domain.DLS.get cache then
+      match c.cached with
+      | Some cached when cached == tb ->
+          if tb.cap > max_kept_cap then c.cached <- None
+      | _ -> if tb.cap <= max_kept_cap then c.cached <- Some tb
+  end;
+  List.rev t.reports
 
 let num_reports t = List.length t.reports

@@ -2,12 +2,21 @@
     (the role of the paper's stock detectors, DataCollider / SKI's
     runtime detector).
 
-    Vector clocks specialised to two threads; synchronisation edges come
-    from marked (atomic) store -> marked load pairs on the same cell,
-    which covers spinlocks (CAS acquire / marked release store), RCU
-    publish/subscribe and READ_ONCE/WRITE_ONCE pairs.  Conflicting
-    accesses (overlap, at least one write) that are unordered and not
-    both marked are data races - the kernel's KCSAN convention. *)
+    Each of [nthreads] threads (two for a concurrent test, three for the
+    section 6 chain extension) carries a full vector clock.  Each shared
+    guest byte keeps its last write and, per thread, its last read, with
+    the clock, marked flag, pc and attributed function of each, plus a
+    release clock.  Synchronisation edges come from marked (atomic)
+    store -> marked load pairs on the same cell, which covers spinlocks
+    (CAS acquire / marked release store), RCU publish/subscribe and
+    READ_ONCE/WRITE_ONCE pairs.  Conflicting accesses (overlap, at least
+    one write) that are unordered and not both marked are data races -
+    the kernel's KCSAN convention.
+
+    The byte state lives in a table each domain lends to one detector at
+    a time, so a detector must be finished with {!reports} before its
+    table can serve the next one.  An unfinished detector costs only
+    speed: the next {!create} builds a private table. *)
 
 type report = {
   addr : int;  (** first racing byte *)
@@ -21,13 +30,18 @@ type report = {
 type t
 
 val create : ?nthreads:int -> unit -> t
-(** Fresh detector state; one per concurrent trial. *)
+(** Fresh detector state for one concurrent trial over threads
+    [0 .. nthreads - 1] (default 2).  Raises [Invalid_argument] unless
+    [1 <= nthreads <= 127]. *)
 
 val on_access : t -> Vmm.Trace.access -> ctx:string -> unit
 (** Feed one access with its attributed function.  Non-shared accesses
-    (stack, user space) are ignored. *)
+    (stack, user space) are ignored.  Raises [Invalid_argument] once
+    {!reports} has been called: the detector no longer owns its table. *)
 
 val reports : t -> report list
-(** Reports in detection order, deduplicated by (write pc, other pc). *)
+(** Reports in detection order, deduplicated by (write pc, other pc).
+    The first call ends the detector's feed and hands its table back for
+    reuse; later calls return the same list. *)
 
 val num_reports : t -> int

@@ -55,6 +55,20 @@ type result = {
          all trials; [] when the profiler is disabled *)
 }
 
+let is_write (a : Trace.access) = a.Trace.kind = Trace.Write
+
+let is_read (a : Trace.access) = a.Trace.kind = Trace.Read
+
+(* Did a read performing [pmc]'s read see a value other than the
+   profiled one? *)
+let observes pmc (a : Trace.access) =
+  Core.Pmc.matches_read pmc a
+  && a.Trace.value <> pmc.Core.Pmc.read.Core.Pmc.value
+
+let rec under_test p = function
+  | [] -> false
+  | q :: rest -> Core.Pmc.equal p q || under_test p rest
+
 (* Did the hinted communication happen?  The write side must occur in the
    writer thread and a matching read in the reader thread must observe a
    value different from its sequential profile - a conservative proxy for
@@ -68,13 +82,7 @@ let channel_exercised hint (res : Exec.conc_result) =
           (fun a -> Core.Pmc.matches_write pmc a)
           res.Exec.cc_accesses.(0)
       in
-      let read_changed =
-        List.exists
-          (fun a ->
-            Core.Pmc.matches_read pmc a
-            && a.Trace.value <> pmc.Core.Pmc.read.Core.Pmc.value)
-          res.Exec.cc_accesses.(1)
-      in
+      let read_changed = List.exists (observes pmc) res.Exec.cc_accesses.(1) in
       wrote && read_changed
 
 (* Why did a hinted trial miss?  Classified from the same per-thread
@@ -227,27 +235,19 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
        (* incidental PMC discovery (Algorithm 2 lines 26-27).  The set of
           incidental PMCs also feeds the accuracy statistics: a trial
           "observed" a PMC when the write and read occurred in opposite
-          threads, whether hinted or not. *)
+          threads, whether hinted or not.  Only Snowboard adopts PMCs, so
+          the other kinds stop searching once the statistic is settled. *)
        (match ident with
-       | Some ident ->
-           let exclude p =
-             List.exists (Core.Pmc.equal p) st.Policies.current_pmcs
-           in
-           let writes tid =
-             List.filter
-               (fun a -> a.Trace.kind = Trace.Write)
-               res.Exec.cc_accesses.(tid)
-           in
-           let reads tid =
-             List.filter
-               (fun a -> a.Trace.kind = Trace.Read)
-               res.Exec.cc_accesses.(tid)
-           in
+       | Some ident when kind = Snowboard || not !any_pmc_observed ->
+           let exclude p = under_test p st.Policies.current_pmcs in
+           let w0 = List.filter is_write res.Exec.cc_accesses.(0)
+           and r0 = List.filter is_read res.Exec.cc_accesses.(0)
+           and w1 = List.filter is_write res.Exec.cc_accesses.(1)
+           and r1 = List.filter is_read res.Exec.cc_accesses.(1) in
            let incidental =
-             Core.Identify.find_incidental ident ~writes:(writes 0)
-               ~reads:(reads 1) ~exclude
-             @ Core.Identify.find_incidental ident ~writes:(writes 1)
-                 ~reads:(reads 0) ~exclude
+             Core.Identify.find_incidental ident ~writes:w0 ~reads:r1 ~exclude
+             @ Core.Identify.find_incidental ident ~writes:w1 ~reads:r0
+                 ~exclude
            in
            (match incidental with
            | [] -> ()
@@ -255,16 +255,13 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
                (* for the accuracy statistic, require the communication
                   to have happened: some matching read observed a value
                   different from its sequential profile *)
-               let all_reads = reads 0 @ reads 1 in
                if
-                 List.exists
-                   (fun p ->
-                     List.exists
-                       (fun a ->
-                         Core.Pmc.matches_read p a
-                         && a.Trace.value <> p.Core.Pmc.read.Core.Pmc.value)
-                       all_reads)
-                   l
+                 (not !any_pmc_observed)
+                 && List.exists
+                      (fun p ->
+                        List.exists (observes p) r0
+                        || List.exists (observes p) r1)
+                      l
                then any_pmc_observed := true;
                if kind = Snowboard then begin
                  let p = List.nth l (Random.State.int rng (List.length l)) in
@@ -274,7 +271,7 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
                        Core.Pmc.pp p);
                  Policies.add_pmc st p
                end)
-       | None -> ())
+       | _ -> ())
      done
    with Exit -> ());
   {
