@@ -1137,7 +1137,7 @@ let exec_bench () =
         Vmm.Asm.emit a (Br (Lt, r0, Imm max_int, "hot_loop")));
     let img = Vmm.Asm.link a in
     let vm = Vmm.Vm.create img in
-    (vm, Vmm.Tcode.for_image img, Vmm.Asm.entry img "hot_spin")
+    (vm, Vmm.Tcode.of_image img, Vmm.Asm.entry img "hot_spin")
   in
   let hot_vm_d, hot_tc_d, hot_entry_d = hot_build ~events:false in
   let hot_vm_e, hot_tc_e, hot_entry_e = hot_build ~events:true in

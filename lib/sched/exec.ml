@@ -6,16 +6,20 @@
    after every instruction, and a thread that spins (Pause) is forcibly
    descheduled - the is_live heuristic of Algorithm 2.
 
-   Execution is allocation-free in the steady state: the interpreter
-   writes each instruction's events into a caller-owned [Vm.sink]
-   instead of returning lists, and sequential profiling retires plain
-   instructions in [Vm.run_block] batches, only surfacing at
-   trace-relevant events (the SKI/QEMU-style batched guest execution the
-   paper's scale depends on, section 4.4).  Concurrent execution keeps
-   per-instruction policy consultation so every schedule, replay trace
-   and flight-recorder stream is byte-identical to the legacy
-   list-returning path, which is kept as [run_seq_step] - the
-   observational-equivalence oracle and benchmark baseline.
+   The interpreter writes each instruction's events into a [Vm.sink]
+   (one per domain, see [sink_key]) instead of returning lists and
+   allocates nothing per instruction, loads and stores included;
+   sequential profiling retires plain instructions in [Vm.run_block]
+   batches, only surfacing at trace-relevant events (the SKI/QEMU-style
+   batched guest execution the paper's scale depends on, section 4.4).
+   What a run allocates is what it reports: a Trace.access record and a
+   list cell per reported access, the final [List.rev], the result
+   record (and, above this module, the policy's recorder buffer).
+   Concurrent execution keeps per-instruction policy consultation so
+   every schedule, replay trace and flight-recorder stream is
+   byte-identical to the legacy list-returning path, which is kept as
+   [run_seq_step] - the observational-equivalence oracle and benchmark
+   baseline.
 
    The executor also maintains a per-thread shadow call stack from the
    VM's call/return events.  Each access is attributed to the innermost
@@ -130,8 +134,16 @@ let make_env cfg =
     vm;
     snap;
     attr = attr_of_image kern.Kernel.image;
-    tcode = Tcode.for_image kern.Kernel.image;
+    tcode = Tcode.of_image kern.Kernel.image;
   }
+
+(* The sink every runner below executes into: one per domain, reused
+   across runs instead of a fresh [Vm.make_sink] (seven access arrays
+   plus the record, ~254 words) per run.  Runners never nest on one
+   domain, and every interpreter entry point clears the sink before
+   writing to it, so a run aborted mid-way (watchdog, injected crash)
+   leaves nothing the next run can observe. *)
+let sink_key = Domain.DLS.new_key Vm.make_sink
 
 (* Process-wide warm pools of booted environments, one per kernel
    configuration.  Every run restores [env.snap] before touching the
@@ -230,7 +242,7 @@ let with_setup env (setup : Fuzzer.Prog.t) =
   Vm.restore vm env.snap;
   install_buffers vm 0 setup;
   let retvals = Array.make (List.length setup) (-1) in
-  let sink = Vm.make_sink () in
+  let sink = Domain.DLS.get sink_key in
   (try
      List.iteri
        (fun i (c : Fuzzer.Prog.call) ->
@@ -298,7 +310,7 @@ let run_seq env ~tid (prog : Fuzzer.Prog.t) =
   let accesses = ref [] in
   let steps = ref 0 in
   let blocks = ref 0 in
-  let sink = Vm.make_sink () in
+  let sink = Domain.DLS.get sink_key in
   (try
      List.iteri
        (fun i c ->
@@ -339,7 +351,7 @@ let run_seq_threaded env ~tid (prog : Fuzzer.Prog.t) =
   let accesses = ref [] in
   let steps = ref 0 in
   let blocks = ref 0 in
-  let sink = Vm.make_sink () in
+  let sink = Domain.DLS.get sink_key in
   (try
      List.iteri
        (fun i c ->
@@ -383,7 +395,7 @@ let run_seq_shared env ~tid (prog : Fuzzer.Prog.t) =
   let accesses = ref [] in
   let steps = ref 0 in
   let blocks = ref 0 in
-  let sink = Vm.make_sink () in
+  let sink = Domain.DLS.get sink_key in
   (* Guest profiler: a block never crosses a Call/Ret ([Vm.run_block]
      stops at every singleton event), so attributing all of a block's
      retired instructions to the function at its starting pc is exact. *)
@@ -447,7 +459,7 @@ let run_seq_sink env ~tid (prog : Fuzzer.Prog.t) =
   let retvals = seq_prologue env ~tid prog in
   let accesses = ref [] in
   let steps = ref 0 in
-  let sink = Vm.make_sink () in
+  let sink = Domain.DLS.get sink_key in
   (try
      List.iteri
        (fun i c ->
@@ -567,10 +579,10 @@ let injected_timeout_horizon = 192
    were skipped (the recorder appends that many '0's, keeping replay
    traces byte-identical).  Policies that step-count ([event_only =
    false], e.g. PCT's change points, or a trace replayer) get the
-   per-instruction [Vm.step_sink] loop.  Either way there is no per-step
-   event-list allocation, and a Trace.access record is materialised only
-   for *shared* accesses (the ones result lists and observers actually
-   consume). *)
+   per-instruction [Vm.step_sink] loop.  Either way nothing is allocated
+   per step, and a Trace.access record (plus its list cell) is
+   materialised only for *shared* accesses, the ones result lists and
+   observers actually consume. *)
 let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     ?(observer = default_observer) ?watchdog ?(fault = Fault.No_fault)
     ?(prof = Obs.Profguest.null_collector) () =
@@ -590,8 +602,13 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
   if n < 1 || n > Vmm.Layout.max_threads then
     invalid_arg "exec: unsupported thread count";
   (* virtual clock for the flight recorder: guest instructions retired,
-     monotonic across runs and a pure function of the seed *)
-  Obs.Event.set_clock (Some (fun () -> Vm.steps env.vm));
+     monotonic across runs and a pure function of the seed.  Installed
+     only while recording, so an unrecorded trial neither allocates the
+     closure nor leaves the process-global clock holding its env; it is
+     not reset afterwards, because [Explore.run]'s miss diagnostics
+     stamp their event after the run returns. *)
+  if Obs.Event.enabled () then
+    Obs.Event.set_clock (Some (fun () -> Vm.steps env.vm));
   let ev_on () = Obs.Event.enabled () in
   let emit tid kind = observer.on_event kind ~tid in
   Vm.restore env.vm env.snap;
@@ -608,7 +625,7 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
   in
   let threads = Array.map mk progs in
   let accesses = Array.init n (fun _ -> ref []) in
-  let sink = Vm.make_sink () in
+  let sink = Domain.DLS.get sink_key in
   let steps = ref 0 in
   let switches = ref 0 in
   let sched_points = ref 0 in  (* switch requests issued by the policy *)

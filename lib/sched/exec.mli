@@ -2,11 +2,15 @@
     sequential tests for profiling and fuzzing, and concurrent tests
     under a pluggable scheduling policy, all from the boot snapshot.
 
-    Execution is allocation-free in the steady state: the interpreter
-    writes events into a caller-owned {!Vmm.Vm.sink}, and sequential
-    profiling retires plain instructions in {!Vmm.Vm.run_block} batches.
-    The legacy list-returning path is kept as {!run_seq_step}, the
-    observational-equivalence oracle and benchmark baseline.
+    The interpreter writes events into a {!Vmm.Vm.sink} (one per domain,
+    shared by every runner) and allocates nothing per instruction,
+    memory-touching ones included; sequential profiling retires plain
+    instructions in {!Vmm.Vm.run_block} batches.  What a run does
+    allocate is its product: one {!Vmm.Trace.access} record and list
+    cell per access it reports (every access for [run_seq], the shared
+    ones for the other runners), the final [List.rev], and the result
+    record.  The legacy list-returning path is kept as {!run_seq_step},
+    the observational-equivalence oracle and benchmark baseline.
 
     The executor also maintains per-thread shadow call stacks and
     attributes every access to the innermost non-helper kernel function,
@@ -45,9 +49,9 @@ type env = {
   snap : Vmm.Vm.snap;
   attr : attr;  (** attribution cache for [kern]'s image *)
   tcode : Vmm.Tcode.t;
-      (** threaded-code form of [kern]'s image, decoded once per image
-          via {!Vmm.Tcode.for_image} (cached on image identity alongside
-          [attr]) *)
+      (** threaded-code form of [kern]'s image, decoded once by
+          {!make_env} via {!Vmm.Tcode.of_image}; it lives and dies with
+          the env *)
 }
 
 val make_env : Kernel.Config.t -> env
@@ -209,7 +213,15 @@ val run_multi :
     provably-"no switch" consultations — schedules, replay traces and
     flight-recorder streams are byte-identical to per-step stepping.
     Other policies step one instruction per {!Vmm.Vm.step_sink} call.
-    Either way there are no per-step allocations.
+    Either way the executor allocates nothing per step; per shared
+    access it allocates the {!Vmm.Trace.access} record and list cell
+    that [cc_accesses] and [observer.on_access] receive, and per trial
+    the thread records, shadow stacks and result.  (The policy and
+    recorder are the caller's: Snowboard's and the naive policy's
+    [decide] allocate nothing, and {!Replay.record} appends a byte per
+    decision to a growing buffer.)  The flight recorder's clock is
+    installed only while {!Obs.Event.enabled}, so an unrecorded trial
+    leaves no reference to [env] behind.
 
     [watchdog] is a per-trial step budget: exceeding it raises
     {!Fault.Watchdog_timeout} (unlike [conc_budget], which merely flags

@@ -17,21 +17,25 @@
 
    Policies read the executor's sink frame directly: the per-instruction
    accesses live in the sink's parallel arrays and are matched on their
-   raw fields, so deciding never allocates.  RNG draw order is identical
-   to the legacy event-list policies (one potential draw per matching
-   access, in program order), which keeps recorded schedules and replay
-   traces byte-stable across the sink rewrite. *)
+   raw fields.  [snowboard] and [naive] allocate nothing per decision
+   (the tests pin this with [Gc.minor_words]); only learning a new flag
+   grows the flags table.  RNG draw order is identical to the legacy
+   event-list policies (one potential draw per matching access, in
+   program order), which keeps recorded schedules and replay traces
+   byte-stable across the sink rewrite. *)
 
 module Vm = Vmm.Vm
 module Trace = Vmm.Trace
 
 (* Mutable state Algorithm 2 persists across the trials of one concurrent
    test: the PMCs under test (line 6, grown by incidental discovery at
-   line 27) and the flags set (line 20). *)
+   line 27) and the flags set (line 20).  Flags and [last_access] hold
+   access signatures packed into one int (see [signature]), so neither
+   a lookup nor remembering the last access allocates. *)
 type snowboard_state = {
   mutable current_pmcs : Core.Pmc.t list;
-  flags : (int * Trace.kind * int, unit) Hashtbl.t;
-  last_access : (int * Trace.kind * int) option array;
+  flags : (int, unit) Hashtbl.t;
+  last_access : int array;  (* per thread; -1 for none *)
   mutable windows_seen : int;
       (* pmc_access_coming windows entered; miss diagnostics read the
          per-trial delta *)
@@ -41,7 +45,7 @@ let snowboard_state ?(nthreads = 2) hint =
   {
     current_pmcs = (match hint with Some p -> [ p ] | None -> []);
     flags = Hashtbl.create 64;
-    last_access = Array.make nthreads None;
+    last_access = Array.make nthreads (-1);
     windows_seen = 0;
   }
 
@@ -49,7 +53,24 @@ let add_pmc st pmc =
   if not (List.exists (Core.Pmc.equal pmc) st.current_pmcs) then
     st.current_pmcs <- pmc :: st.current_pmcs
 
-let signature (a : Trace.access) = (a.Trace.pc, a.Trace.kind, a.Trace.addr)
+(* (pc, kind, addr) packed as [pc lsl 32 lor addr lsl 1 lor write]:
+   injective for 0 <= pc < 2^30 and 0 <= addr < 2^31, which holds for
+   every shared access (its address lies below [Layout.kmem_size]), and
+   never -1. *)
+let[@inline] key ~pc ~write ~addr =
+  (pc lsl 32) lor (addr lsl 1) lor Bool.to_int write
+
+let signature (a : Trace.access) =
+  key ~pc:a.Trace.pc ~write:(a.Trace.kind = Trace.Write) ~addr:a.Trace.addr
+
+(* performed_pmc_access over the PMCs under test, as a plain recursion:
+   a [List.exists] closure would capture the access fields, one
+   allocation per shared access. *)
+let rec matches_any ~pc ~addr ~size ~write = function
+  | [] -> false
+  | p :: rest ->
+      Core.Pmc.matches_at p ~pc ~addr ~size ~write
+      || matches_any ~pc ~addr ~size ~write rest
 
 let snowboard rng (st : snowboard_state) : Exec.policy =
   let decide tid (s : Vm.sink) =
@@ -58,8 +79,7 @@ let snowboard rng (st : snowboard_state) : Exec.policy =
          branch can fire, so no coin is tossed and no flag is recorded.
          The only observable effect of the full scan is that
          [last_access] ends up holding the final shared access, so
-         record just that one and skip the per-access signature
-         allocation and flag lookup. *)
+         record just that one and skip the flag lookups. *)
       let last = ref (-1) in
       for k = 0 to s.Vm.sk_n_acc - 1 do
         if
@@ -69,9 +89,9 @@ let snowboard rng (st : snowboard_state) : Exec.policy =
       done;
       (if !last >= 0 then
          let k = !last in
-         let kind = if s.Vm.sk_acc_write.(k) then Trace.Write else Trace.Read in
          st.last_access.(tid) <-
-           Some (s.Vm.sk_acc_pc.(k), kind, s.Vm.sk_acc_addr.(k)));
+           key ~pc:s.Vm.sk_acc_pc.(k) ~write:s.Vm.sk_acc_write.(k)
+             ~addr:s.Vm.sk_acc_addr.(k));
       false
     end
     else begin
@@ -82,18 +102,12 @@ let snowboard rng (st : snowboard_state) : Exec.policy =
         let pc = s.Vm.sk_acc_pc.(k)
         and size = s.Vm.sk_acc_size.(k)
         and write = s.Vm.sk_acc_write.(k) in
-        let kind = if write then Trace.Write else Trace.Read in
-        let siga = (pc, kind, addr) in
-        if
-          List.exists
-            (fun p -> Core.Pmc.matches_at p ~pc ~addr ~size ~write)
-            st.current_pmcs
-        then begin
+        let siga = key ~pc ~write ~addr in
+        if matches_any ~pc ~addr ~size ~write st.current_pmcs then begin
           (* performed_pmc_access: remember the preceding access as a
              flag for future trials, then maybe reschedule *)
-          (match st.last_access.(tid) with
-          | Some s -> Hashtbl.replace st.flags s ()
-          | None -> ());
+          let prev = st.last_access.(tid) in
+          if prev >= 0 then Hashtbl.replace st.flags prev ();
           if Obs.Event.enabled () then
             Obs.Event.emit ~tid (Obs.Event.Hint_hit { write; pc; addr });
           if Random.State.bool rng then switch := true
@@ -105,7 +119,7 @@ let snowboard rng (st : snowboard_state) : Exec.policy =
             Obs.Event.emit ~tid (Obs.Event.Hint_window { pc; addr });
           if Random.State.bool rng then switch := true
         end;
-        st.last_access.(tid) <- Some siga
+        st.last_access.(tid) <- siga
       end
     done;
     !switch

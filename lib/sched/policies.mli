@@ -4,9 +4,12 @@
 type snowboard_state = {
   mutable current_pmcs : Core.Pmc.t list;
       (** PMCs under test; grown by incidental discovery across trials *)
-  flags : (int * Vmm.Trace.kind * int, unit) Hashtbl.t;
-      (** signatures of accesses observed right before a PMC access *)
-  last_access : (int * Vmm.Trace.kind * int) option array;
+  flags : (int, unit) Hashtbl.t;
+      (** signatures ({!signature}) of accesses observed right before a
+          PMC access *)
+  last_access : int array;
+      (** per thread, the signature of its last shared access; -1 for
+          none *)
   mutable windows_seen : int;
       (** running count of pmc_access_coming windows entered; miss
           diagnostics read the per-trial delta *)
@@ -17,7 +20,10 @@ val snowboard_state : ?nthreads:int -> Core.Pmc.t option -> snowboard_state
 
 val add_pmc : snowboard_state -> Core.Pmc.t -> unit
 
-val signature : Vmm.Trace.access -> int * Vmm.Trace.kind * int
+val signature : Vmm.Trace.access -> int
+(** An access's (pc, kind, addr) packed into one int, the key of
+    [flags].  Injective for [0 <= pc < 2^30] and [0 <= addr < 2^31],
+    which every shared access satisfies. *)
 
 val snowboard : Random.State.t -> snowboard_state -> Exec.policy
 (** Algorithm 2: non-deterministic switches after performed_pmc_access

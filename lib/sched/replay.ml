@@ -8,7 +8,10 @@
    exactly - under a debugger, with extra observers, or against a
    patched kernel to confirm a fix. *)
 
-type trace = { t_first : int; t_decisions : bool array }
+type trace = { t_first : int; t_decisions : string }
+(* [t_decisions] holds one '0' (no switch) or '1' (switch) per decision,
+   the body of [to_string]: a recorder finishes a trace with one copy of
+   its buffer. *)
 
 type recorder = { policy : Exec.policy; finish : unit -> trace }
 
@@ -41,11 +44,7 @@ let record (inner : Exec.policy) =
       };
     finish =
       (fun () ->
-        let s = Buffer.contents buf in
-        {
-          t_first = inner.Exec.first;
-          t_decisions = Array.init (String.length s) (fun i -> s.[i] = '1');
-        });
+        { t_first = inner.Exec.first; t_decisions = Buffer.contents buf });
   }
 
 (* Re-apply a captured trace.  Decisions beyond the trace length default
@@ -57,8 +56,8 @@ let record (inner : Exec.policy) =
 let replay (t : trace) : Exec.policy =
   let idx = ref 0 in
   let decide _tid _evs =
-    if !idx < Array.length t.t_decisions then begin
-      let d = t.t_decisions.(!idx) in
+    if !idx < String.length t.t_decisions then begin
+      let d = t.t_decisions.[!idx] = '1' in
       incr idx;
       d
     end
@@ -66,30 +65,22 @@ let replay (t : trace) : Exec.policy =
   in
   { Exec.first = t.t_first; decide; event_only = false; on_plain = ignore }
 
-let length t = Array.length t.t_decisions
+let length t = String.length t.t_decisions
 
 let num_switches t =
-  Array.fold_left (fun n d -> if d then n + 1 else n) 0 t.t_decisions
+  let n = ref 0 in
+  String.iter (fun c -> if c = '1' then incr n) t.t_decisions;
+  !n
 
 (* Serialise for storage alongside a bug report. *)
-let to_string t =
-  Printf.sprintf "%d:%s" t.t_first
-    (String.init (Array.length t.t_decisions) (fun i ->
-         if t.t_decisions.(i) then '1' else '0'))
+let to_string t = Printf.sprintf "%d:%s" t.t_first t.t_decisions
 
 let of_string s =
   match String.index_opt s ':' with
   | None -> None
-  | Some i ->
-      let first = int_of_string_opt (String.sub s 0 i) in
+  | Some i -> (
       let body = String.sub s (i + 1) (String.length s - i - 1) in
-      if
-        first <> None
-        && String.for_all (fun c -> c = '0' || c = '1') body
-      then
-        Some
-          {
-            t_first = Option.get first;
-            t_decisions = Array.init (String.length body) (fun j -> body.[j] = '1');
-          }
-      else None
+      match int_of_string_opt (String.sub s 0 i) with
+      | Some t_first when String.for_all (fun c -> c = '0' || c = '1') body ->
+          Some { t_first; t_decisions = body }
+      | _ -> None)

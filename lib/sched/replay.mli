@@ -2,7 +2,9 @@
     is deterministic, so capturing a policy's switch decisions is enough
     to re-execute a bug-triggering interleaving exactly. *)
 
-type trace = { t_first : int; t_decisions : bool array }
+type trace = { t_first : int; t_decisions : string }
+(** [t_decisions] holds one ['0'] (no switch) or ['1'] (switch) per
+    decision, in order: exactly the body of {!to_string}. *)
 
 type recorder = { policy : Exec.policy; finish : unit -> trace }
 

@@ -42,6 +42,8 @@ let stack_range_of_sp esp =
   let base = esp land lnot (stack_size - 1) in
   (base, base + stack_size)
 
+(* The same range test without building the pair: this runs for every
+   access the shared-access filter sees. *)
 let in_stack_of_sp esp addr =
-  let lo, hi = stack_range_of_sp esp in
-  addr >= lo && addr < hi
+  let lo = esp land lnot (stack_size - 1) in
+  addr >= lo && addr < lo + stack_size

@@ -36,4 +36,5 @@ val stack_range_of_sp : int -> int * int
 
 val in_stack_of_sp : int -> int -> bool
 (** [in_stack_of_sp esp addr] is true when [addr] falls inside the stack
-    that [esp] points into. *)
+    that [esp] points into: the range {!stack_range_of_sp} returns,
+    tested without allocating the pair. *)

@@ -18,11 +18,13 @@
    executes correctly and the fused arm reads the second half's operands
    from its own pc.
 
-   Decoded arrays are cached per image *identity* ([==], the same key
-   the attribution cache uses): images are immutable once linked, and
-   structural equality over a whole program would cost more than
-   decoding.  [Vm.run_tblock] re-checks that identity on every call and
-   rejects stale threaded code with a descriptive [Invalid_argument]. *)
+   Each decode remembers its image by *identity* ([==]): images are
+   immutable once linked, and structural equality over a whole program
+   would cost more than decoding.  [Vm.run_tblock] re-checks that
+   identity on every call and rejects stale threaded code with a
+   descriptive [Invalid_argument].  There is no decode cache: the owner
+   of an image (e.g. [Sched.Exec.env]) decodes it once and keeps the
+   result alongside it, so both are freed together. *)
 
 type t = {
   image : Asm.image;  (* the image these arrays were decoded from *)
@@ -350,24 +352,3 @@ let length t = Array.length t.ops - 1
 let fused_pairs t = t.fused_pairs
 
 let same_image t img = t.image == img
-
-(* Per-image cache, keyed on physical identity like [Exec.attr]'s cache:
-   every [Kernel.build] links a fresh image, each decoded exactly once.
-   Entries are retained for the process lifetime, matching the warm VM
-   pool's retention of the environments that own the images. *)
-let cache : (Asm.image * t) list ref = ref []
-let cache_lock = Mutex.create ()
-
-let for_image (img : Asm.image) =
-  Mutex.lock cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_lock)
-    (fun () ->
-      match List.find_opt (fun (i, _) -> i == img) !cache with
-      | Some (_, tc) -> tc
-      | None ->
-          let tc = of_image img in
-          cache := (img, tc) :: !cache;
-          tc)
-
-let cache_entries () = List.length !cache

@@ -89,12 +89,8 @@ val is_plain : int -> bool
 
 val of_image : Asm.image -> t
 (** Decode an image.  Raises [Invalid_argument] if the image contains a
-    register index or access size the ISA rules out. *)
-
-val for_image : Asm.image -> t
-(** Decode-once cache keyed on image {e identity} ([==], the same key
-    the attribution cache uses — images are immutable once linked).
-    Thread-safe; safe to call from worker domains. *)
+    register index or access size the ISA rules out.  Nothing is cached:
+    decode once per image and keep the result next to it. *)
 
 val image : t -> Asm.image
 (** The image [t] was decoded from. *)
@@ -108,7 +104,3 @@ val length : t -> int
 
 val fused_pairs : t -> int
 (** Number of superop sites the peephole pass installed. *)
-
-val cache_entries : unit -> int
-(** Number of images currently held by the {!for_image} cache
-    (observability/test hook). *)

@@ -173,18 +173,10 @@ let mark_page t p =
     t.n_dirty <- t.n_dirty + 1
   end
 
-(* Called after [translate] succeeded, so [addr .. addr+size-1] is a
-   valid kernel or user range.  A write can straddle two pages. *)
-let mark_write t tid addr size =
+(* Mark the pages of a written range, given as its first and last
+   global page index (a write of up to 8 bytes spans at most two). *)
+let mark_range t first last =
   if t.tracking then begin
-    let first, last =
-      if Layout.is_kernel addr then
-        (addr lsr page_bits, (addr + size - 1) lsr page_bits)
-      else
-        let off = addr - Layout.user_base in
-        let base = kpages + (tid * upages) in
-        (base + (off lsr page_bits), base + ((off + size - 1) lsr page_bits))
-    in
     mark_page t first;
     if last <> first then mark_page t last
   end
@@ -298,19 +290,6 @@ let size_mask = function
   | 8 -> -1
   | _ -> invalid_arg "vm: bad access size"
 
-(* Address translation: returns the backing buffer and offset, faulting on
-   the NULL guard page and on any unmapped address. *)
-let translate t tid addr size =
-  if addr < Layout.null_guard_end then raise (Fault addr)
-  else if Layout.is_kernel addr then
-    if addr + size <= Layout.kmem_size then (t.kmem, addr) else raise (Fault addr)
-  else if Layout.is_user addr then begin
-    let off = addr - Layout.user_base in
-    if off + size <= Layout.user_size then (t.umem.(tid), off)
-    else raise (Fault addr)
-  end
-  else raise (Fault addr)
-
 let raw_read buf off size =
   match size with
   | 1 -> Char.code (Bytes.get buf off)
@@ -327,14 +306,42 @@ let raw_write buf off size v =
   | 8 -> Bytes.set_int64_le buf off (Int64.of_int v)
   | _ -> invalid_arg "vm: bad access size"
 
+(* Guest memory access.  The NULL guard page and every address outside
+   the kernel segment and the thread's user segment fault with
+   [Fault addr]; a write marks the pages it touches.  The kernel segment
+   is tested first, since nearly every guest access lands there, as
+   [null_guard_end <= addr <= kmem_size - size]: the naive
+   [addr + size <= kmem_size] wraps for an [addr] near [max_int] and
+   would read kernel memory instead of faulting.  Branching on the
+   segment instead of returning a (buffer, offset) pair keeps both
+   paths allocation-free.  Sizes are the ISA's 1, 2, 4 and 8. *)
 let mem_read t tid addr size =
-  let buf, off = translate t tid addr size in
-  raw_read buf off size
+  if addr >= Layout.null_guard_end && addr <= Layout.kmem_size - size then
+    raw_read t.kmem addr size
+  else if
+    addr >= Layout.user_base && addr - Layout.user_base <= Layout.user_size - size
+  then raw_read t.umem.(tid) (addr - Layout.user_base) size
+  else raise (Fault addr)
 
 let mem_write t tid addr size v =
-  let buf, off = translate t tid addr size in
-  mark_write t tid addr size;
-  raw_write buf off size (v land size_mask size)
+  if addr >= Layout.null_guard_end && addr <= Layout.kmem_size - size then begin
+    mark_range t (addr lsr page_bits) ((addr + size - 1) lsr page_bits);
+    raw_write t.kmem addr size (v land size_mask size)
+  end
+  else if
+    addr >= Layout.user_base && addr - Layout.user_base <= Layout.user_size - size
+  then begin
+    (* index [umem] first: it bounds-checks [tid] before [mark_range]'s
+       unchecked page writes *)
+    let buf = t.umem.(tid) in
+    let off = addr - Layout.user_base in
+    let base = kpages + (tid * upages) in
+    mark_range t
+      (base + (off lsr page_bits))
+      (base + ((off + size - 1) lsr page_bits));
+    raw_write buf off size (v land size_mask size)
+  end
+  else raise (Fault addr)
 
 (* Host-side helpers for the executor: peek/poke guest memory without
    producing trace events (used to install syscall argument buffers and to
@@ -527,8 +534,8 @@ let access t tid c ~addr ~size ~kind ~value ~atomic =
    A data fault kills the thread and reports the same console lines a real
    kernel oops would produce, which is what the console checker greps.
 
-   This list-returning interpreter is the *oracle*: the allocation-free
-   sink interpreter below ([exec_sink]/[step_sink]/[run_block]) must stay
+   This list-returning interpreter is the *oracle*: the sink interpreters
+   below ([exec_sink]/[step_sink]/[run_block], [run_tcode]) must stay
    observationally identical to it, and the equivalence is proved by
    qcheck over random programs (the same role [restore_full] plays for
    the dirty-page restore).  Any change to guest semantics must be made
@@ -693,14 +700,18 @@ let step t tid =
     [ Efault addr; Econsole line; Epanic line ]
 
 (* ------------------------------------------------------------------ *)
-(* The zero-allocation event sink.                                     *)
+(* The event sink.                                                     *)
 
 (* [step] allocates an event list (plus a Trace.access record per memory
    instruction) for every instruction retired - the dominant cost of the
    interpreter now that snapshot restore is cheap.  The sink is a
-   caller-owned mutable frame the interpreter writes into instead: the
-   executor allocates one per run and reads fields straight out of it,
-   so the steady state allocates nothing per instruction.
+   caller-owned mutable frame the interpreter writes into instead (the
+   executor keeps one per domain and reads fields straight out of it).
+   Together with the pair-free memory arms ([mem_read]/[mem_write]) this
+   makes the sink interpreters allocate nothing per instruction, loads
+   and stores included; what still allocates is a console or panic line
+   (the formatted string), a fault (the exception and the oops line) and
+   the first recording of a coverage edge.
 
    An instruction produces at most two memory accesses (Cas and Faa:
    read then write), at most one control event of each remaining kind,
@@ -1003,9 +1014,9 @@ let exec_traced t tid sink c pc i =
         Rdead
     | Isa.Hyper h -> (
         c.pc <- next;
-        let args = [| c.regs.(0); c.regs.(1); c.regs.(2) |] in
         match h with
         | Isa.Hconsole id ->
+            let args = [| c.regs.(0); c.regs.(1); c.regs.(2) |] in
             let line = format_msg t.image.Asm.msgs.(id) args in
             add_console t line;
             sink.sk_has_console <- true;
@@ -1013,6 +1024,7 @@ let exec_traced t tid sink c pc i =
             t.events_sunk <- t.events_sunk + 1;
             Revent
         | Isa.Hpanic id ->
+            let args = [| c.regs.(0); c.regs.(1); c.regs.(2) |] in
             let line = format_msg t.image.Asm.msgs.(id) args in
             add_console t line;
             t.panicked <- true;
@@ -1252,7 +1264,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
   if not (tc.Tcode.image == t.image) then
     invalid_arg
       "vm: stale threaded code: decoded from a different image (rebuild \
-       via Tcode.for_image)";
+       via Tcode.of_image)";
   sink_clear sink;
   let c = t.cpus.(tid) in
   if c.mode <> Kernel then invalid_arg "vm: stepping a non-kernel thread";
@@ -1266,7 +1278,10 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
   let regs = c.regs in
   let len = Array.length ops - 1 (* guest code length; ops.(len) = oob *) in
   (* All of the loop state lives in non-escaping refs, which compile to
-     stack slots — the call allocates nothing.  [c.pc] is synced only
+     stack slots, and the memory arms return no pair, so neither the call
+     nor a memory-touching instruction allocates (console and panic
+     lines, faults and first-seen coverage edges aside; the tests pin a
+     whole system call at 0 words).  [c.pc] is synced only
      at event arms — which need it for [sink_acc]'s pc-recording
      semantics and for the fault handler — and at exits.  [fault_rem]
      snapshots [rem] right before any operation that can raise [Fault],

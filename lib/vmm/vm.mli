@@ -95,15 +95,19 @@ val step : t -> int -> event list
 
     This is the legacy list-returning interpreter, kept as the
     observational-equivalence oracle and benchmark baseline for the
-    allocation-free {!step_sink}/{!run_block} paths below (the same role
-    {!restore_full} plays for the dirty-page restore). *)
+    sink paths below ({!step_sink}, {!run_block}, {!run_tblock},
+    {!run_tblock_conc}), which allocate nothing per instruction (the
+    same role {!restore_full} plays for the dirty-page restore). *)
 
-(** {2 Zero-allocation event sink}
+(** {2 Event sink}
 
     [step] heap-allocates an event list (plus a [Trace.access] record per
     memory instruction) for every instruction retired.  The sink is a
     caller-owned mutable frame the interpreter writes into instead: an
-    executor allocates one per run and reads fields straight out of it.
+    executor keeps one per domain and reads fields straight out of it.
+    With the sink, the interpreters below allocate nothing per
+    instruction, memory accesses included; only console and panic
+    lines, faults and a coverage edge's first recording allocate.
     An instruction produces at most two memory accesses (Cas/Faa: read
     then write) and at most one control event of each kind, so the fixed
     frame below represents any event list [step] can return.  The access
@@ -192,7 +196,7 @@ val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
     edges and fault handling; the qcheck 4-way equivalence property
     enforces it.  Raises [Invalid_argument] if [tc] was decoded from a
     different image than this VM runs (threaded code is keyed on image
-    identity; rebuild via {!Tcode.for_image}). *)
+    identity; rebuild via {!Tcode.of_image}). *)
 
 val run_tblock_conc :
   t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
@@ -203,11 +207,19 @@ val run_tblock_conc :
     cadence — only runs of plain instructions are batched between
     decision points. *)
 
+exception Fault of int
+(** A guest data fault at the given address: the NULL guard page, or any
+    range not inside the kernel segment or the thread's user segment.
+    The interpreters turn it into an oops; {!peek} and {!poke} raise it. *)
+
 val peek : t -> int -> int -> int -> int
-(** [peek t tid addr size] reads guest memory without tracing (host use). *)
+(** [peek t tid addr size] reads guest memory without tracing (host use).
+    Goes through the same memory arm as every interpreter, and allocates
+    nothing. *)
 
 val poke : t -> int -> int -> int -> int -> unit
-(** [poke t tid addr size v] writes guest memory without tracing. *)
+(** [poke t tid addr size v] writes guest memory without tracing, marking
+    the written pages dirty.  Allocates nothing. *)
 
 val console_lines : t -> string list
 (** Console output, oldest first. *)

@@ -260,7 +260,12 @@ let gen_trace =
   QCheck.Gen.(
     map2
       (fun first decisions ->
-        { Replay.t_first = first; t_decisions = Array.of_list decisions })
+        {
+          Replay.t_first = first;
+          t_decisions =
+            String.concat ""
+              (List.map (fun d -> if d then "1" else "0") decisions);
+        })
       (int_range 0 7)
       (list_size (int_range 0 300) bool))
 
@@ -325,7 +330,8 @@ let test_replay_of_string_cases () =
   (match Replay.of_string "5:01" with
   | Some t ->
       checkb "first" true (t.Replay.t_first = 5);
-      checkb "decisions" true (t.Replay.t_decisions = [| false; true |])
+      checkb "decisions" true (t.Replay.t_decisions = "01");
+      checkb "switches" true (Replay.num_switches t = 1)
   | None -> Alcotest.fail "5:01 must parse");
   match Replay.of_string ":" with
   | Some _ -> Alcotest.fail "empty first field must not parse"

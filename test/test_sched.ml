@@ -187,7 +187,8 @@ let test_snowboard_flags_learned () =
   ignore (policy.Exec.decide 0 (sink_of_access (acc ~pc:10 ~addr:0x100 Trace.Write)));
   checki "flag recorded" 1 (Hashtbl.length st.Policies.flags);
   checkb "flag is the preceding access" true
-    (Hashtbl.mem st.Policies.flags (7, Trace.Read, 0x500))
+    (Hashtbl.mem st.Policies.flags
+       (Policies.signature (acc ~pc:7 ~addr:0x500 Trace.Read)))
 
 let test_explore_trial_count () =
   let e = Lazy.force env in

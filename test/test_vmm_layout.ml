@@ -71,12 +71,38 @@ let prop_project_byte =
       let a = mk ~addr:0 ~size:8 ~value () in
       Trace.project_value a ~lo:i ~hi:(i + 1) = (value lsr (8 * i)) land 0xff)
 
-(* qcheck: stack ranges partition addresses consistently. *)
+(* qcheck: the allocation-free stack test agrees with the range oracle
+   for every stack pointer, including negative ones and ones so close to
+   [max_int] that the range's upper end wraps, and for addresses on and
+   around both ends of the range. *)
 let prop_stack_partition =
-  QCheck.Test.make ~name:"in_stack_of_sp consistent with range" ~count:500
-    QCheck.(pair (int_bound (Layout.kmem_size - 1)) (int_bound 3))
-    (fun (addr, tid) ->
-      let sp = Layout.stack_top tid - 8 in
+  let gen_sp =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun tid -> Layout.stack_top tid - 8) (int_bound 3));
+          (2, int_bound (Layout.kmem_size - 1));
+          (2, map (fun x -> x lor min_int) int);
+          (2, map (fun d -> max_int - d) (int_bound 0x4000));
+          (1, map (fun d -> min_int + d) (int_bound 0x4000));
+          (1, int);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      gen_sp >>= fun sp ->
+      let lo, _ = Layout.stack_range_of_sp sp in
+      frequency
+        [
+          (2, int_bound (Layout.kmem_size - 1));
+          (3, map (fun d -> lo + d) (int_range (-16) (Layout.stack_size + 16)));
+          (1, int);
+        ]
+      >|= fun addr -> (sp, addr))
+  in
+  QCheck.Test.make ~name:"in_stack_of_sp consistent with range" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair int int) gen)
+    (fun (sp, addr) ->
       let lo, hi = Layout.stack_range_of_sp sp in
       Layout.in_stack_of_sp sp addr = (addr >= lo && addr < hi))
 

@@ -204,6 +204,126 @@ let test_kdata_overflow_rejected () =
     (Invalid_argument "asm: kernel data segment overflow at huge") (fun () ->
       ignore (Asm.global a "huge" 0x100000))
 
+(* ---------------- memory arms vs the translate model ---------------- *)
+
+(* The semantics the memory arms must keep, written the way the VM once
+   routed every access: [translate] maps an access to a buffer and
+   offset or faults (the NULL guard page, then the kernel segment, then
+   the thread's user segment), and a write marks the pages it touches.
+   The model owns its buffers and dirty set, so [Vm.peek]/[Vm.poke]
+   must agree with it on every value, every [Fault] and the dirty-page
+   count. *)
+type model = {
+  m_kmem : Bytes.t;
+  m_umem : Bytes.t array;
+  m_dirty : (int, unit) Hashtbl.t;
+}
+
+let kpages = Layout.kmem_size / Vm.page_size
+let upages = Layout.user_size / Vm.page_size
+
+(* (buffer, offset, global index of the buffer's first page) *)
+let model_translate m tid addr size =
+  if addr < Layout.null_guard_end then raise (Vm.Fault addr)
+  else if Layout.is_kernel addr then
+    if addr + size <= Layout.kmem_size then (m.m_kmem, addr, 0)
+    else raise (Vm.Fault addr)
+  else if Layout.is_user addr then begin
+    let off = addr - Layout.user_base in
+    if off + size <= Layout.user_size then
+      (m.m_umem.(tid), off, kpages + (tid * upages))
+    else raise (Vm.Fault addr)
+  end
+  else raise (Vm.Fault addr)
+
+(* little-endian, zero-extended below 8 bytes, 63-bit truncated at 8 *)
+let model_read m tid addr size =
+  let buf, off, _ = model_translate m tid addr size in
+  let v = ref 0 in
+  for i = size - 1 downto 0 do
+    v := (!v lsl 8) lor Char.code (Bytes.get buf (off + i))
+  done;
+  !v
+
+let model_write m tid addr size v =
+  let buf, off, page0 = model_translate m tid addr size in
+  Hashtbl.replace m.m_dirty (page0 + (off / Vm.page_size)) ();
+  Hashtbl.replace m.m_dirty (page0 + ((off + size - 1) / Vm.page_size)) ();
+  let v = if size = 8 then v else v land ((1 lsl (8 * size)) - 1) in
+  for i = 0 to size - 1 do
+    Bytes.set buf (off + i) (Char.chr ((v asr (8 * i)) land 0xff))
+  done
+
+let gen_mem_addr =
+  QCheck.Gen.(
+    let near base = map (fun d -> base + d) (int_range (-16) 16) in
+    frequency
+      [
+        (2, int_range 0 (Layout.null_guard_end + 16));
+        (2, int_range Layout.null_guard_end (Layout.kmem_size - 1));
+        (3, map (fun d -> Layout.kdata_base + d) (int_bound 48));
+        (3, near Layout.kmem_size);
+        (1, map (fun d -> Layout.kmem_size + d) (int_bound 0x1000_0000));
+        (2, near Layout.user_base);
+        (3, map (fun d -> Layout.user_base + d) (int_bound 48));
+        (2, near (Layout.user_base + Layout.user_size));
+        (2, map (fun x -> x lor min_int) int);
+        (1, map (fun d -> min_int + d) (int_bound 8));
+        (3, map (fun d -> max_int - d) (int_bound 8));
+        (1, int);
+      ])
+
+let gen_mem_op =
+  QCheck.Gen.(
+    map
+      (fun ((write, tid), (addr, size), value) -> (write, tid, addr, size, value))
+      (triple
+         (pair bool (int_bound (Layout.max_threads - 1)))
+         (pair gen_mem_addr (oneofl [ 1; 2; 4; 8 ]))
+         int))
+
+let prop_mem_arms_match_translate =
+  QCheck.Test.make ~name:"memory arms equal the translate model" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           list (fun (w, tid, addr, size, v) ->
+               Printf.sprintf "%s t%d 0x%x/%d %d"
+                 (if w then "poke" else "peek")
+                 tid addr size v))
+       QCheck.Gen.(list_size (int_range 1 80) gen_mem_op))
+    (fun ops ->
+      let a = Asm.create () in
+      Asm.func a "f" (fun () -> Asm.emit a Ret);
+      let image = Asm.link a in
+      let vm = Vm.create image in
+      ignore (Vm.snapshot vm);
+      let m =
+        {
+          m_kmem = Bytes.make Layout.kmem_size '\000';
+          m_umem =
+            Array.init Layout.max_threads (fun _ ->
+                Bytes.make Layout.user_size '\000');
+          m_dirty = Hashtbl.create 16;
+        }
+      in
+      List.iter
+        (fun (addr, w) -> Bytes.set_int64_le m.m_kmem addr (Int64.of_int w))
+        image.Asm.data_init;
+      let outcome f = try Ok (f ()) with Vm.Fault addr -> Error addr in
+      List.for_all
+        (fun (write, tid, addr, size, v) ->
+          let got, want =
+            if write then
+              ( outcome (fun () -> Vm.poke vm tid addr size v; 0),
+                outcome (fun () -> model_write m tid addr size v; 0) )
+            else
+              ( outcome (fun () -> Vm.peek vm tid addr size),
+                outcome (fun () -> model_read m tid addr size) )
+          in
+          got = want && Vm.dirty_page_count vm = Hashtbl.length m.m_dirty)
+        ops)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_binop;
@@ -218,6 +338,7 @@ let tests =
     Alcotest.test_case "panic event" `Quick test_panic_event_carries_message;
     Alcotest.test_case "valid sizes" `Quick test_valid_sizes;
     Alcotest.test_case "kdata overflow" `Quick test_kdata_overflow_rejected;
+    QCheck_alcotest.to_alcotest prop_mem_arms_match_translate;
   ]
 
 let () = Alcotest.run "vmm-more" [ ("isa+vm", tests) ]
