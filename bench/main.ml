@@ -18,7 +18,7 @@
      tracing     - flight-recorder overhead + Chrome trace artifact (BENCH_trace.json)
      resilience  - supervision overhead + fault-injected campaign (BENCH_resilience.json)
      prepare     - dirty-page snapshots + multicore prepare (BENCH_prepare.json)
-     exec        - interpreter throughput: legacy step vs sink vs block (BENCH_exec.json)
+     exec        - interpreter throughput: Vm.step oracle vs threaded code (BENCH_exec.json)
      telemetry   - live telemetry streaming overhead (BENCH_telemetry.json)
      provenance  - PMC provenance + guest profiler: identity, overhead (BENCH_provenance.json)
      durability  - crash-consistent storage: framing totality, fsck, journaling overhead (BENCH_durability.json)
@@ -931,12 +931,12 @@ let prepare_bench () =
 (* ------------------------------------------------------------------ *)
 (* E14: zero-allocation execution core                                 *)
 
-(* Quantifies the execution-core rewrite: the legacy list-returning
-   [Vm.step] loop (kept as the oracle) vs per-instruction sink stepping
-   (no per-step allocation) vs block execution (plain instructions
-   retired in a tight loop).  Also re-proves observational equivalence
-   over the whole corpus and concurrent determinism, so the speedup
-   numbers are only ever reported for a semantics-preserving rewrite. *)
+(* Quantifies the execution core: the list-returning [Vm.step] loop (the
+   oracle) vs threaded-code block execution (no per-step allocation,
+   plain instructions retired in a tight loop, fused pairs).  Also
+   re-proves observational equivalence over the whole corpus and
+   concurrent determinism, so the speedup numbers are only ever
+   reported for a semantics-preserving interpreter. *)
 let exec_bench () =
   section "E14: zero-allocation execution core (BENCH_exec.json)";
   let det = !bench_deterministic in
@@ -960,33 +960,21 @@ let exec_bench () =
     List.map (fun e -> e.Fuzzer.Corpus.prog) (Fuzzer.Corpus.to_list corpus)
   in
   pf "corpus: %d tests@." (List.length progs);
-  (* 1. observational equivalence: every corpus test through all four
-     sequential paths must produce identical results and identical final
-     VM fingerprints *)
+  (* 1. observational equivalence: every corpus test through [run_seq]
+     (threaded code) and [run_seq_step] (the Vm.step oracle) must produce
+     identical results and identical final VM fingerprints *)
   let seq_equivalent = ref true in
-  let threaded_equivalent = ref true in
   List.iter
     (fun p ->
       let r_step = Sched.Exec.run_seq_step env ~tid:0 p in
       let fp_step = Vmm.Vm.fingerprint env.Sched.Exec.vm in
-      let r_sink = Sched.Exec.run_seq_sink env ~tid:0 p in
-      let fp_sink = Vmm.Vm.fingerprint env.Sched.Exec.vm in
-      let r_block = Sched.Exec.run_seq env ~tid:0 p in
-      let fp_block = Vmm.Vm.fingerprint env.Sched.Exec.vm in
-      let r_threaded = Sched.Exec.run_seq_threaded env ~tid:0 p in
+      let r_threaded = Sched.Exec.run_seq env ~tid:0 p in
       let fp_threaded = Vmm.Vm.fingerprint env.Sched.Exec.vm in
-      if
-        not
-          (r_step = r_sink && r_step = r_block && fp_step = fp_sink
-         && fp_step = fp_block)
-      then seq_equivalent := false;
       if not (r_step = r_threaded && fp_step = fp_threaded) then
-        threaded_equivalent := false)
+        seq_equivalent := false)
     progs;
-  pf "sink/block paths observationally identical to Vm.step over the corpus: %b@."
+  pf "threaded-code run_seq observationally identical to Vm.step over the corpus: %b@."
     !seq_equivalent;
-  pf "threaded-code path observationally identical to Vm.step over the corpus: %b@."
-    !threaded_equivalent;
   (* ... and the shared-only runner + fast profile builder must match the
      legacy runner + oracle builder exactly *)
   let profiles_identical = ref true in
@@ -1006,8 +994,8 @@ let exec_bench () =
     progs;
   pf "shared runner + fast profile builder match the legacy pair: %b@."
     !profiles_identical;
-  (* 2. sequential profiling throughput, three interpreter paths over the
-     identical workload.  The corpus is small, so each path runs many
+  (* 2. sequential throughput, both interpreters over the identical
+     workload.  The corpus is small, so each path runs many
      repetitions to get the measurement out of timer-noise territory. *)
   let reps = 30 in
   let run_corpus f =
@@ -1021,29 +1009,19 @@ let exec_bench () =
   in
   ignore (run_corpus Sched.Exec.run_seq_step) (* warm-up *);
   let steps_step, dt_step = time (fun () -> run_corpus Sched.Exec.run_seq_step) in
-  let steps_sink, dt_sink = time (fun () -> run_corpus Sched.Exec.run_seq_sink) in
-  let steps_block, dt_block = time (fun () -> run_corpus Sched.Exec.run_seq) in
   let steps_threaded, dt_threaded =
-    time (fun () -> run_corpus Sched.Exec.run_seq_threaded)
+    time (fun () -> run_corpus Sched.Exec.run_seq)
   in
   let rate steps dt = float_of_int steps /. max 1e-9 dt in
   Sched.Exec.note_throughput ~steps:steps_threaded ~seconds:dt_threaded;
   let threaded_speedup = dt_step /. max 1e-9 dt_threaded in
-  let threaded_speedup_vs_block = dt_block /. max 1e-9 dt_threaded in
-  pf "sequential profiling (%d instructions x %d reps):@." (steps_step / reps)
+  pf "sequential runs (%d instructions x %d reps):@." (steps_step / reps)
     reps;
-  pf "  legacy Vm.step lists: %.3fs  %10.0f instr/s@." dt_step
+  pf "  Vm.step lists:        %.3fs  %10.0f instr/s@." dt_step
     (rate steps_step dt_step);
-  pf "  sink stepping:        %.3fs  %10.0f instr/s (%.2fx)@." dt_sink
-    (rate steps_sink dt_sink)
-    (dt_step /. max 1e-9 dt_sink);
-  pf "  block execution:      %.3fs  %10.0f instr/s (%.2fx)@." dt_block
-    (rate steps_block dt_block)
-    (dt_step /. max 1e-9 dt_block);
-  pf "  threaded code:        %.3fs  %10.0f instr/s (%.2fx; %.2fx vs block)@."
-    dt_threaded
+  pf "  threaded code:        %.3fs  %10.0f instr/s (%.2fx)@." dt_threaded
     (rate steps_threaded dt_threaded)
-    threaded_speedup threaded_speedup_vs_block;
+    threaded_speedup;
   pf "threaded code: %d ops, %d fused pairs@."
     (Vmm.Tcode.length env.Sched.Exec.tcode)
     (Vmm.Tcode.fused_pairs env.Sched.Exec.tcode);
@@ -1099,8 +1077,7 @@ let exec_bench () =
      understate the interpreter's own gain; these are the measurements
      the dispatch rewrite targets, and the ones the speedup gates use.
      Two variants: a *dispatch* loop of plain arithmetic and a branch
-     (pure fetch/decode/dispatch cost — what threaded code replaces),
-     and an *event* loop that adds one store and one load per iteration
+     (pure fetch/decode/dispatch cost), and an *event* loop that adds one store and one load per iteration
      (a ~6.5-instruction mean block, matching the corpus' 5.3) for the
      concurrent-cadence legs, where the policy consultation pattern at
      events is the thing under test. *)
@@ -1157,20 +1134,6 @@ let exec_bench () =
     done;
     !best
   in
-  let hot_step vm target =
-    let n = ref 0 in
-    while !n < target do
-      ignore (Vmm.Vm.step_sink vm ~tid:0 hot_sink);
-      incr n
-    done
-  in
-  let hot_block vm target =
-    let n = ref 0 in
-    while !n < target do
-      ignore (Vmm.Vm.run_block vm ~tid:0 ~quantum:100_000 hot_sink);
-      n := !n + hot_sink.Vmm.Vm.sk_steps
-    done
-  in
   let hot_threaded vm tc target =
     let n = ref 0 in
     while !n < target do
@@ -1178,9 +1141,10 @@ let exec_bench () =
       n := !n + hot_sink.Vmm.Vm.sk_steps
     done
   in
-  (* the concurrent cadence: per-step consults the policy after every
-     instruction; batched runs threaded blocks that stop at every event
-     instruction and consults only there — exactly run_multi's two loops *)
+  (* the concurrent cadence: per-step runs one instruction per call and
+     consults the policy after every one; batched runs threaded blocks
+     that stop at every event instruction and consults only there —
+     exactly run_multi's two modes *)
   let hot_policy () =
     let rng = Random.State.make [| 11 |] in
     Sched.Policies.snowboard rng (Sched.Policies.snowboard_state None)
@@ -1189,7 +1153,8 @@ let exec_bench () =
     let policy = hot_policy () in
     let n = ref 0 in
     while !n < target do
-      ignore (Vmm.Vm.step_sink hot_vm_e ~tid:0 hot_sink);
+      ignore
+        (Vmm.Vm.run_tblock_conc hot_vm_e hot_tc_e ~tid:0 ~quantum:1 hot_sink);
       ignore (policy.Sched.Exec.decide 0 hot_sink);
       incr n
     done
@@ -1207,8 +1172,6 @@ let exec_bench () =
       n := !n + hot_sink.Vmm.Vm.sk_steps
     done
   in
-  let dt_hot_step = hot_time hot_vm_d hot_entry_d (hot_step hot_vm_d) in
-  let dt_hot_block = hot_time hot_vm_d hot_entry_d (hot_block hot_vm_d) in
   let dt_hot_threaded =
     hot_time hot_vm_d hot_entry_d (hot_threaded hot_vm_d hot_tc_d)
   in
@@ -1218,19 +1181,11 @@ let exec_bench () =
   let dt_hot_conc_ps = hot_time hot_vm_e hot_entry_e hot_conc_perstep in
   let dt_hot_conc_b = hot_time hot_vm_e hot_entry_e hot_conc_batched in
   let hot_rate dt = float_of_int hot_target /. max 1e-9 dt in
-  let hot_threaded_speedup = dt_hot_block /. max 1e-9 dt_hot_threaded in
   let hot_conc_speedup = dt_hot_conc_ps /. max 1e-9 dt_hot_conc_b in
   Sched.Exec.note_throughput ~steps:hot_target ~seconds:dt_hot_threaded;
   pf "dispatch hot loop (%d plain instructions, no restores):@." hot_target;
-  pf "  sink stepping:        %.3fs  %10.0f instr/s@." dt_hot_step
-    (hot_rate dt_hot_step);
-  pf "  block execution:      %.3fs  %10.0f instr/s (%.2fx)@." dt_hot_block
-    (hot_rate dt_hot_block)
-    (dt_hot_step /. max 1e-9 dt_hot_block);
-  pf "  threaded code:        %.3fs  %10.0f instr/s (%.2fx vs block)@."
-    dt_hot_threaded
-    (hot_rate dt_hot_threaded)
-    hot_threaded_speedup;
+  pf "  threaded code:        %.3fs  %10.0f instr/s@." dt_hot_threaded
+    (hot_rate dt_hot_threaded);
   pf "event hot loop (store+load per 14-instruction iteration):@.";
   pf "  threaded code:        %.3fs  %10.0f instr/s@." dt_hot_ev_threaded
     (hot_rate dt_hot_ev_threaded);
@@ -1289,7 +1244,6 @@ let exec_bench () =
          ("reps", Int reps);
          ("seq_instructions", Int steps_step);
          ("seq_equivalent", Bool !seq_equivalent);
-         ("threaded_equivalent", Bool !threaded_equivalent);
          ("profiles_identical", Bool !profiles_identical);
          ("block_len_mean", Float block_len_mean);
          ("tcode_ops", Int (Vmm.Tcode.length env.Sched.Exec.tcode));
@@ -1304,25 +1258,12 @@ let exec_bench () =
       else
         [
           ("seq_step_s", Float dt_step);
-          ("seq_sink_s", Float dt_sink);
-          ("seq_block_s", Float dt_block);
           ("seq_threaded_s", Float dt_threaded);
           ("seq_step_instr_per_s", Float (rate steps_step dt_step));
-          ("seq_sink_instr_per_s", Float (rate steps_sink dt_sink));
-          ("seq_block_instr_per_s", Float (rate steps_block dt_block));
           ("seq_threaded_instr_per_s", Float (rate steps_threaded dt_threaded));
-          ("sink_speedup", Float (dt_step /. max 1e-9 dt_sink));
-          ("block_speedup", Float (dt_step /. max 1e-9 dt_block));
           ("threaded_speedup", Float threaded_speedup);
-          ("threaded_speedup_vs_block", Float threaded_speedup_vs_block);
-          ("hot_step_s", Float dt_hot_step);
-          ("hot_block_s", Float dt_hot_block);
           ("hot_threaded_s", Float dt_hot_threaded);
-          ("hot_step_instr_per_s", Float (hot_rate dt_hot_step));
-          ("hot_block_instr_per_s", Float (hot_rate dt_hot_block));
           ("hot_threaded_instr_per_s", Float (hot_rate dt_hot_threaded));
-          ("hot_threaded_speedup", Float hot_threaded_speedup);
-          ("threaded_scales", Bool (hot_threaded_speedup >= 2.0));
           ("hot_ev_threaded_s", Float dt_hot_ev_threaded);
           ("hot_ev_threaded_instr_per_s", Float (hot_rate dt_hot_ev_threaded));
           ("profiling_legacy_s", Float dt_pleg);
@@ -1842,11 +1783,11 @@ let durability_bench () =
 (* ------------------------------------------------------------------ *)
 (* E18: work-stealing domain pool + warm VM pool                       *)
 
-(* Quantifies the scheduling substrate that replaced PR 4's static
-   shards: steal-half deques over a warm VM pool, for both parallel
-   phases.  Every mode is first proven to produce identical results
-   (profiles, method stats) to the sequential oracle — speedups are only
-   ever reported for a semantics-preserving schedule.  In
+(* Quantifies the parallel scheduling substrate: steal-half deques over
+   a warm VM pool, for both parallel phases.  Each phase is first proven
+   to produce identical results (profiles, method stats) to the
+   sequential run — speedups are only ever reported for a
+   semantics-preserving schedule.  In
    --deterministic mode only the equality verdicts are emitted, so the
    artifact is a pure function of the seed. *)
 let scaling_bench () =
@@ -1886,17 +1827,11 @@ let scaling_bench () =
     List.map Obs.Metrics.counter_value
       [ c_steals; c_steal_items; c_hits; c_misses; c_transfers ]
   in
-  (* 1. profile phase: sequential oracle vs static shards (fresh VM per
-     domain, the PR 4 design) vs work stealing over the warm pool *)
+  (* 1. profile phase: sequential vs work stealing over the warm pool *)
   ignore (Harness.Pipeline.profile_corpus env corpus);
   (* warm-up *)
   let (seq_profiles, _), dt_prof_seq =
     time (fun () -> Harness.Pipeline.profile_corpus env corpus)
-  in
-  let (static_profiles, _), dt_prof_static =
-    time (fun () ->
-        Harness.Pipeline.profile_corpus_parallel ~static:true ~jobs ~kernel
-          corpus)
   in
   (* first stealing pass boots the pool; the timed pass measures the
      warm steady state every later batch, method and campaign sees *)
@@ -1907,14 +1842,11 @@ let scaling_bench () =
         Harness.Pipeline.profile_corpus_parallel ~jobs ~kernel corpus)
   in
   let prof_deltas = List.map2 ( - ) (snap_counters ()) c0 in
-  let prof_static_ok = static_profiles = seq_profiles in
   let prof_steal_ok = steal_profiles = seq_profiles in
-  pf "profile: sequential %.3fs, static %d shards %.3fs (%.2fx), work-steal %.3fs (%.2fx); identical: static %b, steal %b@."
-    dt_prof_seq jobs dt_prof_static
-    (dt_prof_seq /. max 1e-9 dt_prof_static)
-    dt_prof_steal
+  pf "profile: sequential %.3fs, work-steal %.3fs (%.2fx); identical: %b@."
+    dt_prof_seq dt_prof_steal
     (dt_prof_seq /. max 1e-9 dt_prof_steal)
-    prof_static_ok prof_steal_ok;
+    prof_steal_ok;
   (* 2. end-to-end prepare (fuzz + profile + identify), jobs=1 vs
      jobs=N over the (now warm) pool — the E13 configuration that static
      sharding turned into a net slowdown *)
@@ -1926,9 +1858,9 @@ let scaling_bench () =
   let prepare_speedup = dt_prep_seq /. max 1e-9 dt_prep_par in
   pf "end-to-end prepare: jobs=1 %.3fs, jobs=%d %.3fs (%.2fx)@." dt_prep_seq
     jobs dt_prep_par prepare_speedup;
-  (* 3. explore phase: one method's budget, sequential vs static shards
-     vs work stealing; method stats (bugs, outcomes, everything) must be
-     structurally identical in all three *)
+  (* 3. explore phase: one method's budget, sequential vs work
+     stealing; method stats (bugs, outcomes, everything) must be
+     structurally identical *)
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
   let budget = 60 in
   ignore (Harness.Parallel.run_method ~domains:jobs t method_ ~budget:5);
@@ -1936,23 +1868,16 @@ let scaling_bench () =
   let seq_stats, dt_exp_seq =
     time (fun () -> Harness.Pipeline.run_method t method_ ~budget)
   in
-  let static_stats, dt_exp_static =
-    time (fun () ->
-        Harness.Parallel.run_method ~domains:jobs ~static:true t method_
-          ~budget)
-  in
   let e0 = snap_counters () in
   let steal_stats, dt_exp_steal =
     time (fun () -> Harness.Parallel.run_method ~domains:jobs t method_ ~budget)
   in
   let exp_deltas = List.map2 ( - ) (snap_counters ()) e0 in
-  let exp_static_ok = static_stats = seq_stats in
   let exp_steal_ok = steal_stats = seq_stats in
   let explore_speedup = dt_exp_seq /. max 1e-9 dt_exp_steal in
-  pf "explore (%d tests x %d trials): sequential %.3fs, static %.3fs (%.2fx), work-steal %.3fs (%.2fx); identical: static %b, steal %b@."
-    budget cfg.Harness.Pipeline.trials_per_test dt_exp_seq dt_exp_static
-    (dt_exp_seq /. max 1e-9 dt_exp_static)
-    dt_exp_steal explore_speedup exp_static_ok exp_steal_ok;
+  pf "explore (%d tests x %d trials): sequential %.3fs, work-steal %.3fs (%.2fx); identical: %b@."
+    budget cfg.Harness.Pipeline.trials_per_test dt_exp_seq dt_exp_steal
+    explore_speedup exp_steal_ok;
   (match (prof_deltas, exp_deltas) with
   | [ ps; pi; ph; pm; pt ], [ es; ei; eh; em; et ] ->
       pf "profile leg: %d steals (%d items), VM leases %d hit / %d boot / %d transfer@."
@@ -1970,9 +1895,7 @@ let scaling_bench () =
          ("corpus_tests", Int (Fuzzer.Corpus.size corpus));
          ("explore_tests", Int budget);
          ("trials_per_test", Int cfg.Harness.Pipeline.trials_per_test);
-         ("profile_static_identical", Bool prof_static_ok);
          ("profile_steal_identical", Bool prof_steal_ok);
-         ("explore_static_identical", Bool exp_static_ok);
          ("explore_steal_identical", Bool exp_steal_ok);
        ]
       @
@@ -1991,7 +1914,6 @@ let scaling_bench () =
         in
         [
           ("profile_seq_s", Float dt_prof_seq);
-          ("profile_static_s", Float dt_prof_static);
           ("profile_steal_s", Float dt_prof_steal);
           ("profile_speedup", Float (dt_prof_seq /. max 1e-9 dt_prof_steal));
           ("prepare_seq_s", Float dt_prep_seq);
@@ -1999,7 +1921,6 @@ let scaling_bench () =
           ("prepare_speedup", Float prepare_speedup);
           ("prepare_scales", Bool (prepare_speedup > 1.0));
           ("explore_seq_s", Float dt_exp_seq);
-          ("explore_static_s", Float dt_exp_static);
           ("explore_steal_s", Float dt_exp_steal);
           ("explore_speedup", Float explore_speedup);
           ("explore_scales", Bool (explore_speedup > 1.0));

@@ -337,16 +337,6 @@ let jobs_arg =
            merged profiles (and everything downstream) are identical to a \
            sequential run.")
 
-let static_shard_arg =
-  Arg.(
-    value & flag
-    & info [ "static-shard" ]
-        ~doc:
-          "Distribute parallel work with PR 4's static round-robin shards \
-           (one fresh VM per domain) instead of the work-stealing pool with \
-           warm VM reuse.  The results are identical either way; this is \
-           the equivalence oracle and benchmark baseline.")
-
 let log_verbose =
   Arg.(value & flag & info [ "log" ] ~doc:"Log pipeline phases to stderr.")
 
@@ -473,7 +463,7 @@ let provenance_out_arg =
 exception Interrupted
 
 let run_campaign kernel seed iters trials budget methods seeded domains jobs
-    static_shard log verbose corpus_file fault_spec watchdog max_retries
+    log verbose corpus_file fault_spec watchdog max_retries
     checkpoint resume stop_after crash_at summary_out flame_out provenance_out
     (_ : telem) (_ : obs) =
   setup_logs ~debug:verbose ~info:log ();
@@ -518,7 +508,7 @@ let run_campaign kernel seed iters trials budget methods seeded domains jobs
       jobs = max 1 jobs;
     }
   in
-  let t = Harness.Pipeline.prepare ~static_shard cfg in
+  let t = Harness.Pipeline.prepare cfg in
   Harness.Report.pmc_summary t;
   let methods =
     match methods with [] -> Core.Select.all_paper_methods | l -> l
@@ -606,8 +596,8 @@ let run_campaign kernel seed iters trials budget methods seeded domains jobs
       | _ -> ()
     in
     if domains > 1 then
-      Harness.Parallel.run_method ~domains ~sup ?faults ~static:static_shard
-        ~resume:resume_fn ~on_result t m ~budget
+      Harness.Parallel.run_method ~domains ~sup ?faults ~resume:resume_fn
+        ~on_result t m ~budget
     else
       Harness.Pipeline.run_method ~sup ?faults ~resume:resume_fn ~on_result t
         m ~budget
@@ -688,8 +678,8 @@ let campaign_cmd =
          ])
     Term.(
       const run_campaign $ version $ seed $ fuzz_iters $ trials $ budget
-      $ methods $ seed_corpus_flag $ domains_arg $ jobs_arg $ static_shard_arg
-      $ log_verbose $ verbose_log
+      $ methods $ seed_corpus_flag $ domains_arg $ jobs_arg $ log_verbose
+      $ verbose_log
       $ corpus_in $ inject_faults_arg $ watchdog_arg $ max_retries_arg
       $ checkpoint_arg $ resume_arg $ stop_after_arg $ crash_at_arg
       $ summary_out_arg

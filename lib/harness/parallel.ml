@@ -18,11 +18,7 @@
    Resilience: every test runs under [Pipeline.run_one_test]'s
    supervisor, and an exception that escapes it (a harness bug, an OOM
    kill of its VM, ...) costs exactly that test — the pool records it
-   per item and the coordinator synthesizes a [Crashed] record for it.
-
-   The PR 4 static round-robin sharding, where each domain boots a
-   fresh VM and a dead worker fails its whole shard, is kept behind
-   [~static:true] as the equivalence oracle and benchmark baseline. *)
+   per item and the coordinator synthesizes a [Crashed] record for it. *)
 
 module Exec = Sched.Exec
 
@@ -30,22 +26,6 @@ let prog_of_table (progs : (int, Fuzzer.Prog.t) Hashtbl.t) id =
   match Hashtbl.find_opt progs id with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "parallel: unknown corpus id %d" id)
-
-let run_shard ~(cfg : Pipeline.config) ~(ident : Core.Identify.t)
-    ~(prog_of_id : int -> Fuzzer.Prog.t) ~kind ?sup ?faults
-    ?(on_result = fun (_ : Pipeline.test_result) -> ())
-    (tests : (int * Core.Select.conc_test) list) =
-  (* each worker gets a private guest VM *)
-  let env = Exec.make_env cfg.Pipeline.kernel in
-  List.map
-    (fun (index, ct) ->
-      let r =
-        Pipeline.run_one_test ~env ~ident ~cfg ~kind ?sup ?faults ~prog_of_id
-          ~index ct
-      in
-      on_result r;
-      r)
-    tests
 
 (* A planned test lost to a dead worker: synthesize a [Crashed] record
    so the campaign still accounts for it.  Deliberately NOT journaled
@@ -71,14 +51,6 @@ let crashed_result (index, (ct : Core.Select.conc_test)) exn =
     tr_bug = None;
   }
 
-(* A whole shard lost to a dead worker (static path only — the
-   work-stealing path contains failures per test). *)
-let shard_failure tests exn = List.map (fun t -> crashed_result t exn) tests
-
-(* Static work distribution, shared with the parallel profile phase;
-   kept as the equivalence oracle for the work-stealing default. *)
-let shard = Pipeline.shard
-
 (* One worker domain per core, minus one for the coordinator.  The old
    hard cap of 4 silently throttled bigger machines; capping is now
    opt-in through SNOWBOARD_MAX_DOMAINS (or an explicit [~domains]). *)
@@ -94,7 +66,7 @@ let default_domains () =
 (* Parallel analogue of [Pipeline.run_method].  The plan is built in the
    calling domain; execution fans out over [domains] workers. *)
 let run_method ?(kind = Sched.Explore.Snowboard) ?domains ?sup ?faults
-    ?(static = false) ?(resume = fun _ -> None) ?(on_result = fun _ -> ())
+    ?(resume = fun _ -> None) ?(on_result = fun _ -> ())
     (t : Pipeline.t) method_ ~budget =
   let domains = match domains with Some d -> max 1 d | None -> default_domains () in
   Obs.Telemetry.phase ("execute:" ^ Core.Select.method_name method_);
@@ -128,43 +100,25 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?domains ?sup ?faults
     Fun.protect ~finally:(fun () -> Mutex.unlock sink_mutex) (fun () ->
         on_result r)
   in
+  (* Workers lease warm VMs (boot only on a cold pool) and the plan
+     rebalances itself across domains.  The steal-policy seed comes from
+     the campaign seed purely for reproducible victim orders in traces;
+     results are independent of it by construction. *)
+  let pool = Exec.warm_pool t.Pipeline.cfg.Pipeline.kernel in
   let results =
-    if static then begin
-      let shards = shard domains todo in
-      let workers =
-        Array.map
-          (fun sh ->
-            ( sh,
-              Domain.spawn (fun () ->
-                  run_shard ~cfg:t.Pipeline.cfg ~ident:t.Pipeline.ident
-                    ~prog_of_id ~kind ?sup ?faults ~on_result:record sh) ))
-          shards
-      in
-      (* one crashed worker fails its shard, not the campaign *)
-      Array.to_list workers
-      |> List.concat_map (fun (sh, w) ->
-             try Domain.join w with e -> shard_failure sh e)
-    end
-    else
-      (* Work-stealing default: workers lease warm VMs (boot only on a
-         cold pool) and the plan rebalances itself across domains.  The
-         steal-policy seed comes from the campaign seed purely for
-         reproducible victim orders in traces; results are independent
-         of it by construction. *)
-      let pool = Exec.warm_pool t.Pipeline.cfg.Pipeline.kernel in
-      Workpool.run ~jobs:domains ~seed:t.Pipeline.cfg.Pipeline.seed
-        ~worker:(fun w -> Vmm.Vmpool.lease pool ~worker:w)
-        ~finish:(fun w env -> Vmm.Vmpool.release pool ~worker:w env)
-        ~f:(fun env _ (index, ct) ->
-          let r =
-            Pipeline.run_one_test ~env ~ident:t.Pipeline.ident
-              ~cfg:t.Pipeline.cfg ~kind ?sup ?faults ~prog_of_id ~index ct
-          in
-          record r;
-          r)
-        ~fallback:(fun _ test exn -> crashed_result test exn)
-        (Array.of_list todo)
-      |> Array.to_list
+    Workpool.run ~jobs:domains ~seed:t.Pipeline.cfg.Pipeline.seed
+      ~worker:(fun w -> Vmm.Vmpool.lease pool ~worker:w)
+      ~finish:(fun w env -> Vmm.Vmpool.release pool ~worker:w env)
+      ~f:(fun env _ (index, ct) ->
+        let r =
+          Pipeline.run_one_test ~env ~ident:t.Pipeline.ident
+            ~cfg:t.Pipeline.cfg ~kind ?sup ?faults ~prog_of_id ~index ct
+        in
+        record r;
+        r)
+      ~fallback:(fun _ test exn -> crashed_result test exn)
+      (Array.of_list todo)
+    |> Array.to_list
   in
   let all = stored @ results in
   (* Frontier and provenance notes happen here on the coordinator, after
@@ -191,7 +145,7 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?domains ?sup ?faults
     ~num_clusters:plan.Core.Select.num_clusters
     ~planned:(List.length plan.Core.Select.tests) all
 
-let run_campaign ?domains ?sup ?faults ?static t ~budget =
+let run_campaign ?domains ?sup ?faults t ~budget =
   List.map
-    (fun m -> run_method ?domains ?sup ?faults ?static t m ~budget)
+    (fun m -> run_method ?domains ?sup ?faults t m ~budget)
     Core.Select.all_paper_methods

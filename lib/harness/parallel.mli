@@ -9,8 +9,7 @@
 
     Resilience: tests run under {!Pipeline.run_one_test}'s supervisor,
     and an exception escaping it costs exactly that test (recorded as
-    [Crashed]); the static oracle path keeps PR 4's coarser
-    whole-shard containment. *)
+    [Crashed]). *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count () - 1] (at least 1): one worker
@@ -22,37 +21,17 @@ val prog_of_table : (int, Fuzzer.Prog.t) Hashtbl.t -> int -> Fuzzer.Prog.t
 (** Lookup in the shared program snapshot; raises [Invalid_argument]
     naming the id if unknown (mirrors {!Pipeline.prog_of_id}). *)
 
-val run_shard :
-  cfg:Pipeline.config ->
-  ident:Core.Identify.t ->
-  prog_of_id:(int -> Fuzzer.Prog.t) ->
-  kind:Sched.Explore.kind ->
-  ?sup:Supervise.policy ->
-  ?faults:Sched.Fault.plan ->
-  ?on_result:(Pipeline.test_result -> unit) ->
-  (int * Core.Select.conc_test) list ->
-  Pipeline.test_result list
-(** Run one static shard of (global 1-based index, test) pairs in a
-    private, freshly booted guest VM, invoking [on_result] after each
-    test.  Only the [~static] oracle path uses this. *)
-
 val crashed_result :
   int * Core.Select.conc_test -> exn -> Pipeline.test_result
 (** The [Crashed] record synthesized for a planned test whose worker
     died.  Not journaled as completed work, so a resumed campaign
     re-runs it. *)
 
-val shard_failure :
-  (int * Core.Select.conc_test) list -> exn -> Pipeline.test_result list
-(** {!crashed_result} over a whole lost shard (static path only; the
-    work-stealing path contains failures per test). *)
-
 val run_method :
   ?kind:Sched.Explore.kind ->
   ?domains:int ->
   ?sup:Supervise.policy ->
   ?faults:Sched.Fault.plan ->
-  ?static:bool ->
   ?resume:(int -> Pipeline.test_result option) ->
   ?on_result:(Pipeline.test_result -> unit) ->
   Pipeline.t ->
@@ -61,16 +40,12 @@ val run_method :
   Pipeline.method_stats
 (** Parallel analogue of {!Pipeline.run_method}, same optional
     supervision/fault/checkpoint hooks.  [on_result] is serialized
-    under a mutex.  [static:true] (default false) selects the PR 4
-    static-shard path — fresh VM per domain, whole-shard failure
-    containment — kept as the equivalence oracle for the work-stealing
-    default. *)
+    under a mutex. *)
 
 val run_campaign :
   ?domains:int ->
   ?sup:Supervise.policy ->
   ?faults:Sched.Fault.plan ->
-  ?static:bool ->
   Pipeline.t ->
   budget:int ->
   Pipeline.method_stats list

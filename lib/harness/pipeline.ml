@@ -98,20 +98,6 @@ let fuzz ?(seeds = []) env ~seed ~iters =
         !steps);
   (corpus, !steps)
 
-(* Split pre-indexed work round-robin into [n] shards.  Shared with
-   [Parallel] (the execute-phase fan-out) so both phases distribute work
-   with the same discipline.  Kept as the static-distribution
-   equivalence oracle now that the default path work-steals. *)
-let shard n indexed =
-  if n <= 0 then
-    invalid_arg
-      (Printf.sprintf "shard: worker count must be positive, got %d" n);
-  let shards = Array.make n [] in
-  List.iteri
-    (fun i x -> shards.(i mod n) <- x :: shards.(i mod n))
-    indexed;
-  Array.map List.rev shards
-
 (* Phase 2: profile every corpus test from the boot snapshot. *)
 let profile_corpus env corpus =
   let steps = ref 0 in
@@ -126,67 +112,35 @@ let profile_corpus env corpus =
   in
   (profiles, !steps)
 
-(* Phase 2 over [jobs] worker domains.  The default path feeds the
-   corpus through the work-stealing pool: each worker leases a
-   pre-booted VM from the process-wide warm pool ([Exec.warm_pool]) and
-   items rebalance across workers as tails emerge.  Sequential profiling
-   is a pure function of (kernel, program) and results land in per-entry
-   slots, so the merged list - and everything downstream,
-   [Identify.run] first - is byte-identical to the [jobs = 1] run for
-   any worker count or steal interleaving.
-
-   [static:true] keeps PR 4's static round-robin sharding with one
-   fresh VM per domain - the equivalence oracle and the benchmark's
-   "before" leg. *)
-let profile_corpus_parallel ?(static = false) ~jobs ~kernel corpus =
-  let entries = Fuzzer.Corpus.to_list corpus in
-  if static then begin
-    let shards = shard jobs entries in
-    let workers =
-      Array.map
-        (fun sh ->
-          Domain.spawn (fun () ->
-              let env = Exec.make_env kernel in
-              List.map
-                (fun (e : Fuzzer.Corpus.entry) ->
-                  let r = Exec.run_seq_shared env ~tid:0 e.prog in
-                  ( e.id,
-                    Core.Profile.of_shared ~test_id:e.id r.Exec.sq_accesses,
-                    r.Exec.sq_steps ))
-                sh))
-        shards
-    in
-    let merged =
-      Array.to_list workers
-      |> List.concat_map Domain.join
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-    in
-    ( List.map (fun (_, p, _) -> p) merged,
-      List.fold_left (fun acc (_, _, s) -> acc + s) 0 merged )
-  end
-  else begin
-    let pool = Exec.warm_pool kernel in
-    let results =
-      Workpool.run ~jobs ~seed:0
-        ~worker:(fun w -> Vmm.Vmpool.lease pool ~worker:w)
-        ~finish:(fun w env -> Vmm.Vmpool.release pool ~worker:w env)
-        ~f:(fun env _ (e : Fuzzer.Corpus.entry) ->
-          let r = Exec.run_seq_shared env ~tid:0 e.prog in
-          ( Core.Profile.of_shared ~test_id:e.id r.Exec.sq_accesses,
-            r.Exec.sq_steps ))
-          (* profiling has no supervisor: a worker that cannot profile an
-             entry fails the prepare phase, exactly as the static path's
-             Domain.join re-raise did *)
-        ~fallback:(fun _ _ exn -> raise exn)
-        (Array.of_list entries)
-    in
-    ( Array.to_list (Array.map fst results),
-      Array.fold_left (fun acc (_, s) -> acc + s) 0 results )
-  end
+(* Phase 2 over [jobs] worker domains: the corpus feeds the
+   work-stealing pool, each worker leases a pre-booted VM from the
+   process-wide warm pool ([Exec.warm_pool]) and items rebalance across
+   workers as tails emerge.  Sequential profiling is a pure function of
+   (kernel, program) and results land in per-entry slots, so the merged
+   list - and everything downstream, [Identify.run] first - is
+   byte-identical to the [jobs = 1] run for any worker count or steal
+   interleaving. *)
+let profile_corpus_parallel ~jobs ~kernel corpus =
+  let pool = Exec.warm_pool kernel in
+  let results =
+    Workpool.run ~jobs ~seed:0
+      ~worker:(fun w -> Vmm.Vmpool.lease pool ~worker:w)
+      ~finish:(fun w env -> Vmm.Vmpool.release pool ~worker:w env)
+      ~f:(fun env _ (e : Fuzzer.Corpus.entry) ->
+        let r = Exec.run_seq_shared env ~tid:0 e.prog in
+        ( Core.Profile.of_shared ~test_id:e.id r.Exec.sq_accesses,
+          r.Exec.sq_steps ))
+        (* profiling has no supervisor: a worker that cannot profile an
+           entry fails the prepare phase *)
+      ~fallback:(fun _ _ exn -> raise exn)
+      (Array.of_list (Fuzzer.Corpus.to_list corpus))
+  in
+  ( Array.to_list (Array.map fst results),
+    Array.fold_left (fun acc (_, s) -> acc + s) 0 results )
 
 (* The Figure 2 input-side phases, each under its own span so exported
    artifacts attribute guest instructions and corpus growth per phase. *)
-let prepare ?(static_shard = false) cfg =
+let prepare cfg =
   Obs.Span.with_span "pipeline.prepare" (fun () ->
       Obs.Telemetry.phase "boot";
       let env =
@@ -202,8 +156,8 @@ let prepare ?(static_shard = false) cfg =
       let profiles, profile_steps =
         Obs.Span.with_span "profile" (fun () ->
             if cfg.jobs > 1 then
-              profile_corpus_parallel ~static:static_shard ~jobs:cfg.jobs
-                ~kernel:cfg.kernel corpus
+              profile_corpus_parallel ~jobs:cfg.jobs ~kernel:cfg.kernel
+                corpus
             else profile_corpus env corpus)
       in
       Obs.Profguest.set_phase None;
@@ -342,8 +296,8 @@ let degraded stats =
 
 (* Run (or re-run, under retry) one planned concurrent test under
    supervision.  Takes the environment and identification explicitly
-   rather than the pipeline handle so parallel shard workers — which own
-   a private VM — share this exact code path with the sequential
+   rather than the pipeline handle so parallel workers — which lease
+   their own VM — share this exact code path with the sequential
    campaign.  A failed attempt discards its partial exploration data:
    like the paper's re-issued work queue items, a test either completes
    and contributes whole results or contributes only its outcome. *)
@@ -414,7 +368,7 @@ let run_one_test ~env ~ident ~(cfg : config) ~kind
 
 (* Fold per-test results into method statistics.  Results are sorted by
    plan index first, so statistics are identical however the results
-   were produced — sequentially, by parallel shards, or merged from a
+   were produced — sequentially, by parallel workers, or merged from a
    checkpoint journal plus a resumed run. *)
 let stats_of_results ~method_ ~num_clusters ~planned results =
   let results =

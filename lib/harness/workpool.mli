@@ -2,9 +2,9 @@
     scheduling substrate under both parallel phases (corpus profiling in
     {!Pipeline} and the explore fan-out in {!Parallel}).
 
-    Static round-robin sharding (the PR 4 design, kept as the
-    equivalence oracle behind [~static] flags upstream) loses the tail:
-    one shard that drew the long tests idles every other domain.  Here
+    Static round-robin sharding (the design this replaced) loses the
+    tail: one shard that drew the long tests idles every other domain.
+    Here
     each worker owns a {e deque} — a contiguous index range over the
     shared item array — and pops work from its front; a worker whose
     deque runs dry picks victims in a seeded deterministic order and
@@ -31,7 +31,7 @@
     Failure containment: an exception from [f] is caught per item and
     the item's slot is filled by [fallback] on the coordinator after the
     joins — one poisoned test costs one result, not a worker (let alone
-    a shard, as the static path did).  An exception from [worker] (e.g.
+    a shard, as static sharding did).  An exception from [worker] (e.g.
     a failed VM boot) retires that worker; its range is stolen by the
     survivors, and only if {e every} worker fails do the unexecuted
     items fall through to [fallback].

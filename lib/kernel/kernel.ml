@@ -1,9 +1,10 @@
 (* Kernel image assembly and boot.
 
    [build] assembles all subsystems into one image according to the bug
-   configuration; [boot] creates a VM, runs kernel_init on vCPU 0 and
-   takes the snapshot that every sequential profile and every concurrent
-   trial starts from - the "fixed initial kernel state" of section 4.1. *)
+   configuration; [boot] creates a VM, runs kernel_init on vCPU 0 through
+   the threaded-code interpreter and takes the snapshot that every
+   sequential profile and every concurrent trial starts from - the
+   "fixed initial kernel state" of section 4.1. *)
 
 (* Because this module shares the library's name it is the library's
    public interface; the submodules consumers need are re-exported here. *)
@@ -96,23 +97,20 @@ let build (cfg : Config.t) =
   let image = Asm.link a in
   { image; config = cfg; syscall_entry = Asm.entry image "syscall_entry" }
 
-(* Run kernel_init to completion on vCPU 0 and snapshot the result. *)
-let boot t =
+(* Run kernel_init to completion on vCPU 0 and snapshot the result.
+   [tcode] is the image's threaded code ([Vmm.Tcode.of_image t.image]),
+   which the caller decodes once and keeps for the runs that follow. *)
+let boot t tcode =
   let vm = Vm.create t.image in
   Vm.start_call vm 0 (Asm.entry t.image "kernel_init") [];
-  let budget = ref 1_000_000 in
-  let rec run () =
-    if !budget <= 0 then failwith "kernel: boot did not terminate";
-    decr budget;
-    let evs = Vm.step vm 0 in
-    if
-      List.exists
-        (function Vm.Eret_to_user | Vm.Ehalt | Vm.Epanic _ -> true | _ -> false)
-        evs
-    then ()
-    else run ()
+  let sink = Vm.make_sink () in
+  let rec run budget =
+    if budget <= 0 then failwith "kernel: boot did not terminate";
+    match Vm.run_tblock vm tcode ~tid:0 ~quantum:budget sink with
+    | Vm.Rret_to_user | Vm.Rdead -> ()
+    | Vm.Rnone | Vm.Revent -> run (budget - sink.Vm.sk_steps)
   in
-  run ();
+  run 1_000_000;
   if Vm.panicked vm then failwith "kernel: panic during boot";
   let snap = Vm.snapshot vm in
   (vm, snap)

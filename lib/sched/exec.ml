@@ -6,20 +6,21 @@
    after every instruction, and a thread that spins (Pause) is forcibly
    descheduled - the is_live heuristic of Algorithm 2.
 
-   The interpreter writes each instruction's events into a [Vm.sink]
-   (one per domain, see [sink_key]) instead of returning lists and
-   allocates nothing per instruction, loads and stores included;
-   sequential profiling retires plain instructions in [Vm.run_block]
-   batches, only surfacing at trace-relevant events (the SKI/QEMU-style
+   Every runner except [run_seq_step] executes the kernel's threaded
+   code ([env.tcode]) through [Vm.run_tblock] or [Vm.run_tblock_conc],
+   writing events into a [Vm.sink] (one per domain, see [sink_key])
+   instead of returning lists, and allocates nothing per instruction,
+   loads and stores included.  Sequential runs retire plain instructions
+   in blocks, only surfacing at trace-relevant events (the SKI/QEMU-style
    batched guest execution the paper's scale depends on, section 4.4).
    What a run allocates is what it reports: a Trace.access record and a
    list cell per reported access, the final [List.rev], the result
    record (and, above this module, the policy's recorder buffer).
-   Concurrent execution keeps per-instruction policy consultation so
+   Concurrent execution keeps per-instruction policy consultation, so
    every schedule, replay trace and flight-recorder stream is
-   byte-identical to the legacy list-returning path, which is kept as
-   [run_seq_step] - the observational-equivalence oracle and benchmark
-   baseline.
+   byte-identical to stepping [Vm.step] one instruction at a time.
+   [run_seq_step] drives that list-returning interpreter: the
+   observational-equivalence oracle and benchmark baseline.
 
    The executor also maintains a per-thread shadow call stack from the
    VM's call/return events.  Each access is attributed to the innermost
@@ -128,14 +129,9 @@ type env = {
 
 let make_env cfg =
   let kern = Kernel.build cfg in
-  let vm, snap = Kernel.boot kern in
-  {
-    kern;
-    vm;
-    snap;
-    attr = attr_of_image kern.Kernel.image;
-    tcode = Tcode.of_image kern.Kernel.image;
-  }
+  let tcode = Tcode.of_image kern.Kernel.image in
+  let vm, snap = Kernel.boot kern tcode in
+  { kern; vm; snap; attr = attr_of_image kern.Kernel.image; tcode }
 
 (* The sink every runner below executes into: one per domain, reused
    across runs instead of a fresh [Vm.make_sink] (seven access arrays
@@ -300,53 +296,13 @@ let seq_epilogue env ~steps ~accesses ~retvals =
     sq_edges = Vm.coverage_edges env.vm;
   }
 
-(* Profiling hot loop: block execution.  Each [run_block] retires a run
-   of plain instructions plus at most one trace-relevant instruction;
-   the per-syscall budget is enforced through the block quantum and
-   [sk_steps], so instruction counts (and thus budget aborts) are
-   exactly those of the per-step paths below. *)
+(* Sequential hot loop (fuzzing): threaded-code block execution.  Each
+   [run_tblock] retires a run of plain instructions plus at most one
+   trace-relevant instruction (accesses from consecutive loads and
+   stores batch into one block); the per-syscall budget is enforced
+   through the block quantum and [sk_steps], so instruction counts (and
+   thus budget aborts) are exactly those of [run_seq_step]. *)
 let run_seq env ~tid (prog : Fuzzer.Prog.t) =
-  let retvals = seq_prologue env ~tid prog in
-  let accesses = ref [] in
-  let steps = ref 0 in
-  let blocks = ref 0 in
-  let sink = Domain.DLS.get sink_key in
-  (try
-     List.iteri
-       (fun i c ->
-         if Vm.panicked env.vm then raise Exit;
-         start_syscall env tid retvals i c;
-         let budget = ref syscall_budget in
-         let finished = ref false in
-         while not !finished do
-           if !budget <= 0 then raise Exit;
-           let reason = Vm.run_block env.vm ~tid ~quantum:!budget sink in
-           budget := !budget - sink.Vm.sk_steps;
-           steps := !steps + sink.Vm.sk_steps;
-           incr blocks;
-           for k = 0 to sink.Vm.sk_n_acc - 1 do
-             accesses := Vm.sink_access sink ~thread:tid k :: !accesses
-           done;
-           match reason with
-           | Vm.Rret_to_user ->
-               retvals.(i) <- Vm.reg env.vm tid Isa.r0;
-               finished := true
-           | Vm.Rdead -> finished := true
-           | Vm.Rnone | Vm.Revent -> ()
-         done)
-       prog
-   with Exit -> ());
-  if !blocks > 0 then Obs.Metrics.observe h_block_len (!steps / !blocks);
-  seq_epilogue env ~steps:!steps ~accesses:!accesses ~retvals
-
-(* [run_seq] over the pre-decoded threaded-code form ([Vm.run_tblock]):
-   same blocks, same sink contents, same full [seq_result] — one
-   dense-int dispatch per instruction instead of a boxed-constructor
-   fetch plus nested operand matches, with the peephole superops
-   retiring the common load+branch / bin+store / bin+branch pairs in
-   one dispatch.  [run_seq] stays on the boxed path as this leg's
-   equivalence baseline in the bench. *)
-let run_seq_threaded env ~tid (prog : Fuzzer.Prog.t) =
   let retvals = seq_prologue env ~tid prog in
   let accesses = ref [] in
   let steps = ref 0 in
@@ -396,7 +352,7 @@ let run_seq_shared env ~tid (prog : Fuzzer.Prog.t) =
   let steps = ref 0 in
   let blocks = ref 0 in
   let sink = Domain.DLS.get sink_key in
-  (* Guest profiler: a block never crosses a Call/Ret ([Vm.run_block]
+  (* Guest profiler: a block never crosses a Call/Ret ([Vm.run_tblock]
      stops at every singleton event), so attributing all of a block's
      retired instructions to the function at its starting pc is exact. *)
   let prof = Obs.Profguest.collector () in
@@ -452,43 +408,9 @@ let run_seq_shared env ~tid (prog : Fuzzer.Prog.t) =
     sq_edges = [];
   }
 
-(* Per-instruction sink stepping: the middle rung the bench uses to
-   split the uplift into "no per-step allocation" (this) and "batched
-   plain instructions" (run_seq). *)
-let run_seq_sink env ~tid (prog : Fuzzer.Prog.t) =
-  let retvals = seq_prologue env ~tid prog in
-  let accesses = ref [] in
-  let steps = ref 0 in
-  let sink = Domain.DLS.get sink_key in
-  (try
-     List.iteri
-       (fun i c ->
-         if Vm.panicked env.vm then raise Exit;
-         start_syscall env tid retvals i c;
-         let budget = ref syscall_budget in
-         let finished = ref false in
-         while not !finished do
-           if !budget <= 0 then raise Exit;
-           decr budget;
-           incr steps;
-           let reason = Vm.step_sink env.vm ~tid sink in
-           for k = 0 to sink.Vm.sk_n_acc - 1 do
-             accesses := Vm.sink_access sink ~thread:tid k :: !accesses
-           done;
-           match reason with
-           | Vm.Rret_to_user ->
-               retvals.(i) <- Vm.reg env.vm tid Isa.r0;
-               finished := true
-           | Vm.Rdead -> finished := true
-           | Vm.Rnone | Vm.Revent -> ()
-         done)
-       prog
-   with Exit -> ());
-  seq_epilogue env ~steps:!steps ~accesses:!accesses ~retvals
-
-(* The legacy list-returning path, verbatim: the observational-
-   equivalence oracle for the two paths above and the benchmark
-   baseline. *)
+(* The list-returning path over [Vm.step], verbatim: the
+   observational-equivalence oracle for the two paths above and the
+   benchmark baseline.  The only caller of [Vm.step]. *)
 let run_seq_step env ~tid (prog : Fuzzer.Prog.t) =
   let retvals = seq_prologue env ~tid prog in
   let accesses = ref [] in
@@ -578,11 +500,11 @@ let injected_timeout_horizon = 192
    [policy.on_plain] is told how many provably-"no switch" consultations
    were skipped (the recorder appends that many '0's, keeping replay
    traces byte-identical).  Policies that step-count ([event_only =
-   false], e.g. PCT's change points, or a trace replayer) get the
-   per-instruction [Vm.step_sink] loop.  Either way nothing is allocated
-   per step, and a Trace.access record (plus its list cell) is
-   materialised only for *shared* accesses, the ones result lists and
-   observers actually consume. *)
+   false], e.g. PCT's change points, or a trace replayer) run one
+   instruction per [Vm.run_tblock_conc] call (quantum 1).  Either way
+   nothing is allocated per step, and a Trace.access record (plus its
+   list cell) is materialised only for *shared* accesses, the ones
+   result lists and observers actually consume. *)
 let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     ?(observer = default_observer) ?watchdog ?(fault = Fault.No_fault)
     ?(prof = Obs.Profguest.null_collector) () =
@@ -734,38 +656,33 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
            if prof_on then attr_fid env.attr (Vm.cpu_pc env.vm tid) else -1
          in
          let psh = ref 0 in
-         let reason =
-           if batch then begin
-             (* Block-batched stepping: run plain instructions in one
-                [Vm.run_tblock_conc] burst, stopping at the first
-                event-producing instruction, so [decide] keeps its exact
-                per-instruction cadence at every event.  The quantum is
-                clamped so no abort threshold can be crossed mid-block:
-                the budget, watchdog and injected-fault checks at the
-                loop top fire at exactly the step counts the per-step
-                loop would have seen.  ([check_abort] already ran, so
-                every bound is strictly ahead and the quantum is >= 1.) *)
+         (* Per-step policies get one instruction per call: at quantum 1
+            [Vm.run_tblock_conc] retires exactly one (a superop only its
+            first half).  Event-only policies get block-batched
+            stepping: plain instructions run in one burst that stops at
+            the first event-producing instruction, so [decide] keeps its
+            exact per-instruction cadence at every event.  The quantum
+            is clamped so no abort threshold can be crossed mid-block:
+            the budget, watchdog and injected-fault checks at the loop
+            top fire at exactly the step counts the per-step loop would
+            have seen.  ([check_abort] already ran, so every bound is
+            strictly ahead and the quantum is >= 1.) *)
+         let q =
+           if not batch then 1
+           else
              let q = conc_budget + 1 - !steps in
              let q =
                match watchdog with Some w -> min q (w - !steps) | None -> q
              in
-             let q =
-               match fault with
-               | Fault.Crash at | Fault.Truncate at -> min q (at - !steps)
-               | _ -> q
-             in
-             let r = Vm.run_tblock_conc env.vm env.tcode ~tid ~quantum:q sink in
-             steps := !steps + sink.Vm.sk_steps;
-             r
-           end
-           else begin
-             incr steps;
-             Vm.step_sink env.vm ~tid sink
-           end
+             match fault with
+             | Fault.Crash at | Fault.Truncate at -> min q (at - !steps)
+             | _ -> q
          in
+         let reason = Vm.run_tblock_conc env.vm env.tcode ~tid ~quantum:q sink in
+         steps := !steps + sink.Vm.sk_steps;
          (* accesses first: a Call's stack write is attributed with the
             frames *before* the push, a Ret's stack read before the pop -
-            the order the legacy per-event loop processed them in *)
+            the order of [Vm.step]'s event list *)
          for k = 0 to sink.Vm.sk_n_acc - 1 do
            let addr = sink.Vm.sk_acc_addr.(k) in
            if Trace.is_shared_at ~addr ~sp:sink.Vm.sk_acc_sp.(k) then begin

@@ -2,15 +2,17 @@
     sequential tests for profiling and fuzzing, and concurrent tests
     under a pluggable scheduling policy, all from the boot snapshot.
 
-    The interpreter writes events into a {!Vmm.Vm.sink} (one per domain,
-    shared by every runner) and allocates nothing per instruction,
-    memory-touching ones included; sequential profiling retires plain
-    instructions in {!Vmm.Vm.run_block} batches.  What a run does
-    allocate is its product: one {!Vmm.Trace.access} record and list
-    cell per access it reports (every access for [run_seq], the shared
-    ones for the other runners), the final [List.rev], and the result
-    record.  The legacy list-returning path is kept as {!run_seq_step},
-    the observational-equivalence oracle and benchmark baseline.
+    Every runner but {!run_seq_step} executes the kernel's threaded code
+    ([env.tcode]) through {!Vmm.Vm.run_tblock} or
+    {!Vmm.Vm.run_tblock_conc}, writing events into a {!Vmm.Vm.sink}
+    (one per domain, shared by every runner), and allocates nothing per
+    instruction, memory-touching ones included; sequential runs retire
+    plain instructions in blocks.  What a run does allocate is its
+    product: one {!Vmm.Trace.access} record and list cell per access it
+    reports (every access for [run_seq], the shared ones for the other
+    runners), the final [List.rev], and the result record.
+    {!run_seq_step} drives the list-returning {!Vmm.Vm.step}, the
+    observational-equivalence oracle and benchmark baseline.
 
     The executor also maintains per-thread shadow call stacks and
     attributes every access to the innermost non-helper kernel function,
@@ -55,7 +57,8 @@ type env = {
 }
 
 val make_env : Kernel.Config.t -> env
-(** Build the kernel image, boot it and snapshot the booted state. *)
+(** Build the kernel image, decode its threaded code, boot it on that
+    code and snapshot the booted state. *)
 
 val warm_pool : Kernel.Config.t -> env Vmm.Vmpool.t
 (** The process-wide warm pool of booted environments for this kernel
@@ -105,17 +108,9 @@ val syscall_budget : int
 
 val run_seq : env -> tid:int -> Fuzzer.Prog.t -> seq_result
 (** Restore the snapshot and run the program to completion on one vCPU,
-    retiring plain instructions in {!Vmm.Vm.run_block} batches.
+    in {!Vmm.Vm.run_tblock} blocks over [env.tcode].  The fuzzing path.
     Observationally identical to {!run_seq_step} (same accesses, console,
     retvals, step counts and coverage edges). *)
-
-val run_seq_threaded : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** {!run_seq} over the pre-decoded threaded-code form
-    ({!Vmm.Vm.run_tblock} on [env.tcode]): same blocks, same full
-    [seq_result] including coverage edges, one dense-int dispatch per
-    instruction with the common instruction pairs fused.  The production
-    sequential hot path; {!run_seq} stays on the boxed block path as its
-    equivalence baseline. *)
 
 val run_seq_shared : env -> tid:int -> Fuzzer.Prog.t -> seq_result
 (** {!run_seq}, but [sq_accesses] holds only the *shared* accesses
@@ -130,14 +125,10 @@ val run_seq_shared : env -> tid:int -> Fuzzer.Prog.t -> seq_result
     profiler's [Profile] phase (exact: a block never crosses a function
     boundary). *)
 
-val run_seq_sink : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** [run_seq] stepping one instruction per {!Vmm.Vm.step_sink} call: no
-    per-step allocation but no batching.  The middle rung the bench uses
-    to split the block path's uplift into its two causes. *)
-
 val run_seq_step : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** The legacy list-returning path over {!Vmm.Vm.step}, kept verbatim as
-    the observational-equivalence oracle and benchmark baseline. *)
+(** [run_seq] one instruction per {!Vmm.Vm.step} call: the
+    list-returning interpreter, kept as the observational-equivalence
+    oracle and benchmark baseline.  The only caller of {!Vmm.Vm.step}. *)
 
 val note_throughput : steps:int -> seconds:float -> unit
 (** Record a measured interpreter throughput in the
@@ -212,7 +203,9 @@ val run_multi :
     step counts, and [policy.on_plain] reports the skipped
     provably-"no switch" consultations — schedules, replay traces and
     flight-recorder streams are byte-identical to per-step stepping.
-    Other policies step one instruction per {!Vmm.Vm.step_sink} call.
+    Other policies (PCT, {!Replay.replay}) are consulted after every
+    instruction: they run one instruction per {!Vmm.Vm.run_tblock_conc}
+    call at quantum 1.
     Either way the executor allocates nothing per step; per shared
     access it allocates the {!Vmm.Trace.access} record and list cell
     that [cc_accesses] and [observer.on_access] receive, and per trial

@@ -1,10 +1,15 @@
 (** The guest machine (hypervisor side).
 
-    Executes exactly one instruction per [step] call on the requested vCPU
-    and returns every event the instruction produced, so that schedulers
-    can interleave the two threads under test at instruction granularity
-    and detectors observe every kernel memory access — the two capabilities
-    Snowboard requires from its customized hypervisor. *)
+    Runs one vCPU at a time and reports every event its instructions
+    produce, so that schedulers can interleave the threads under test at
+    instruction granularity and detectors observe every kernel memory
+    access — the two capabilities Snowboard requires from its customized
+    hypervisor.  There are two interpreters with the same semantics:
+    {!step} executes exactly one instruction and returns its events as a
+    list (the oracle), and {!run_tblock}/{!run_tblock_conc} execute
+    pre-decoded threaded code into a caller-owned {!sink}, up to a
+    quantum of instructions per call (exactly one at quantum 1).  Every
+    production path runs on the latter. *)
 
 type mode = Kernel | User | Dead
 
@@ -69,13 +74,9 @@ val flush_stats : t -> unit
     of its last run — an accident of the steal schedule. *)
 
 val set_dirty_tracking : t -> bool -> unit
-(** Enable/disable dirty-page tracking on this VM (default: the global
-    default).  Either transition invalidates the current delta, so the
+(** Enable/disable dirty-page tracking on this VM (new VMs start
+    tracked).  Either transition invalidates the current delta, so the
     next [restore] performs a full blit. *)
-
-val set_default_dirty_tracking : bool -> unit
-(** Set the tracking default for subsequently created VMs (benchmarks
-    use this to A/B whole pipeline phases). *)
 
 val fingerprint : t -> string
 (** Hex digest of all guest-visible state (exactly what a snapshot
@@ -90,14 +91,15 @@ val start_call : t -> int -> int -> int list -> unit
     surfaces as [Eret_to_user]. *)
 
 val step : t -> int -> event list
-(** Execute one instruction on the given vCPU.  Raises [Invalid_argument]
-    if the vCPU is not in kernel mode.
+(** Execute exactly one instruction on the given vCPU.  Raises
+    [Invalid_argument] if the vCPU is not in kernel mode.
 
-    This is the legacy list-returning interpreter, kept as the
-    observational-equivalence oracle and benchmark baseline for the
-    sink paths below ({!step_sink}, {!run_block}, {!run_tblock},
-    {!run_tblock_conc}), which allocate nothing per instruction (the
-    same role {!restore_full} plays for the dirty-page restore). *)
+    This list-returning interpreter is the observational-equivalence
+    oracle for the threaded-code interpreter below ({!run_tblock},
+    {!run_tblock_conc}), which allocates nothing per instruction (the
+    same role {!restore_full} plays for the dirty-page restore).  No
+    production path calls it; [Sched.Exec.run_seq_step] drives it for
+    the tests and the bench. *)
 
 (** {2 Event sink}
 
@@ -105,13 +107,13 @@ val step : t -> int -> event list
     memory instruction) for every instruction retired.  The sink is a
     caller-owned mutable frame the interpreter writes into instead: an
     executor keeps one per domain and reads fields straight out of it.
-    With the sink, the interpreters below allocate nothing per
+    With the sink, the threaded-code interpreter allocates nothing per
     instruction, memory accesses included; only console and panic
     lines, faults and a coverage edge's first recording allocate.
     An instruction produces at most two memory accesses (Cas/Faa: read
     then write) and at most one control event of each kind, so the fixed
     frame below represents any event list [step] can return.  The access
-    arrays are larger than one instruction needs so that {!run_block}
+    arrays are larger than one instruction needs so that {!run_tblock}
     can batch consecutive loads and stores into one frame. *)
 
 type sink = {
@@ -147,7 +149,7 @@ type stop_reason =
 
 val sink_capacity : int
 (** Capacity of the sink's access arrays: more than one instruction's
-    worth, so {!run_block} can batch accesses across consecutive loads
+    worth, so {!run_tblock} can batch accesses across consecutive loads
     and stores. *)
 
 val make_sink : unit -> sink
@@ -167,45 +169,42 @@ val sink_events : sink -> thread:int -> event list
     have returned it; the bridge tests and slow consumers use to compare
     the two interpreters. *)
 
-val step_sink : t -> tid:int -> sink -> stop_reason
-(** Clear the sink and execute one instruction into it.  Observationally
-    identical to {!step} (same guest state transition; the sunk events
-    materialise to the same list), without the per-step allocations. *)
-
-val run_block : t -> tid:int -> quantum:int -> sink -> stop_reason
-(** Clear the sink and execute up to [quantum] instructions, running
-    plain instructions (the ones {!step} returns no events for:
-    Li/Mov/Bin/Br/Jmp) in a tight loop, accumulating memory accesses
-    from loads, stores and atomics into the sink as they come, and
-    stopping at the first instruction that produced any other event
-    (call, return, lock, console line, pause, or leaving kernel mode) or
-    when the access arrays are nearly full.  The sink's accesses are in
-    execution order across the whole block; the singleton event fields
-    always belong to the final instruction.  [sk_steps] counts
-    everything retired, so block execution is invisible to instruction
-    budgets.  Returns [Rnone] when the quantum expired on plain
-    instructions only. *)
-
 val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
-(** {!run_block} over the pre-decoded threaded-code form: one dense-int
-    dispatch per instruction (operand variants folded into the opcode,
-    operands in flat arrays) and the peephole superops retiring the
-    common load+branch / bin+store / bin+branch pairs in one dispatch.
-    Observationally identical to {!run_block} — same guest state
-    transitions, sink contents, step/access/event accounting, coverage
-    edges and fault handling; the qcheck 4-way equivalence property
-    enforces it.  Raises [Invalid_argument] if [tc] was decoded from a
-    different image than this VM runs (threaded code is keyed on image
-    identity; rebuild via {!Tcode.of_image}). *)
+(** Clear the sink and execute up to [quantum] instructions of the
+    pre-decoded threaded-code form: one dense-int dispatch per
+    instruction (operand variants folded into the opcode, operands in
+    flat arrays), with peephole superops retiring the common
+    load+branch / bin+store / bin+branch pairs and runs of plain
+    instructions in one dispatch.  Plain instructions (the ones {!step}
+    returns no events for: Li/Mov/Bin/Br/Jmp) run in a tight loop,
+    memory accesses from loads, stores and atomics accumulate in the
+    sink as they come, and the block stops at the first instruction that
+    produced any other event (call, return, lock, console line, pause,
+    or leaving kernel mode) or when the access arrays are nearly full.
+    The sink's accesses are in execution order across the whole block;
+    the singleton event fields always belong to the final instruction.
+    [sk_steps] counts everything retired, so block execution is
+    invisible to instruction budgets.  Returns [Rnone] when the quantum
+    expired on plain instructions only.
+
+    Observationally identical to [sk_steps] calls of {!step} — same
+    guest state transitions, accesses, step/access accounting, coverage
+    edges and fault handling; the qcheck equivalence properties enforce
+    it.  Raises [Invalid_argument] if [tc] was decoded from a different
+    image than this VM runs (threaded code is keyed on image identity;
+    rebuild via {!Tcode.of_image}). *)
 
 val run_tblock_conc :
   t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
 (** {!run_tblock} for the concurrent executor: the block additionally
     stops at {e every} event-producing instruction (including loads and
     stores) instead of batching accesses, so a scheduler draining the
-    sink after each call observes exactly the per-[step_sink] event
-    cadence — only runs of plain instructions are batched between
-    decision points. *)
+    sink after each call sees every event-producing instruction on its
+    own — only runs of plain instructions are batched between decision
+    points.  At [quantum = 1] it retires exactly one instruction
+    ([sk_steps = 1]) and the sink materialises ({!sink_events}) to the
+    list {!step} returns: the per-step cadence PCT and replay playback
+    need. *)
 
 exception Fault of int
 (** A guest data fault at the given address: the NULL guard page, or any
@@ -254,8 +253,8 @@ val record_edge_fast : t -> int -> int -> unit
 (** {!record_edge} through a per-VM direct-mapped cache: a hit proves the
     edge entered the coverage table after the last {!reset_coverage} and
     skips the table lookup.  Same observable effect as {!record_edge}
-    (same edges, same bounds checks); the sink interpreter uses this,
-    the legacy {!step} keeps the uncached path. *)
+    (same edges, same bounds checks); the threaded-code interpreter uses
+    this, the oracle {!step} keeps the uncached path. *)
 
 val reset_coverage : t -> unit
 

@@ -3,12 +3,12 @@
 
     Booting a guest — building the kernel image, running init,
     snapshotting — costs orders of magnitude more than executing one
-    profiled test, which is why the static-shard parallel phases of
-    PR 4 were a net slowdown: every worker domain paid a fresh boot per
-    phase.  The pool amortizes that cost: a worker {!lease}s a machine,
-    runs any number of tests against it (every run restores the boot
-    snapshot first, so reuse is observationally invisible), and
-    {!release}s it for the next phase or method.
+    profiled test, which is why statically sharded parallel phases with
+    a fresh VM per worker were a net slowdown: every worker domain paid
+    a fresh boot per phase.  The pool amortizes that cost: a worker
+    {!lease}s a machine, runs any number of tests against it (every run
+    restores the boot snapshot first, so reuse is observationally
+    invisible), and {!release}s it for the next phase or method.
 
     Leases carry {e worker affinity}.  A machine released by worker [w]
     remembers [w]; when [w] leases again it gets the same machine back

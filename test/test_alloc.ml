@@ -97,7 +97,8 @@ let test_syscall_passes () =
       Vm.run_tblock_conc e.Exec.vm e.Exec.tcode ~tid:0 ~quantum:1000 sink);
   syscall_words "run_tblock" (fun e ->
       Vm.run_tblock e.Exec.vm e.Exec.tcode ~tid:0 ~quantum:1000 sink);
-  syscall_words "step_sink" (fun e -> Vm.step_sink e.Exec.vm ~tid:0 sink)
+  syscall_words "run_tblock_conc, quantum 1" (fun e ->
+      Vm.run_tblock_conc e.Exec.vm e.Exec.tcode ~tid:0 ~quantum:1 sink)
 
 let test_is_shared_at () =
   let sps = [| Layout.stack_top 0 - 8; Layout.stack_top 3 - 64; -8; max_int |] in
@@ -204,7 +205,7 @@ let trial ?watchdog ?fault () =
 
 let seq () =
   let e = Lazy.force buggy_env and s = Lazy.force scenario in
-  Exec.run_seq_threaded e ~tid:0 s.Harness.Scenarios.writer
+  Exec.run_seq e ~tid:0 s.Harness.Scenarios.writer
 
 let test_shared_sink () =
   let first = trial () and first_seq = seq () in

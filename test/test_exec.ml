@@ -1,7 +1,8 @@
-(* Tests for the zero-allocation execution core: the sink/block
-   interpreter paths against the legacy [Vm.step] oracle, the shared-only
-   profiling runner and fast profile builder against the legacy pair,
-   the edge cache, and the fingerprint/edge-key regressions. *)
+(* Tests for the zero-allocation execution core: the threaded-code
+   interpreter against the [Vm.step] oracle (whole runs and lockstep,
+   one instruction at a time), the shared-only profiling runner and fast
+   profile builder against the legacy pair, the edge cache, and the
+   fingerprint/edge-key regressions. *)
 
 module Vm = Vmm.Vm
 module Asm = Vmm.Asm
@@ -17,29 +18,22 @@ let checki = Alcotest.(check int)
 
 let env = lazy (Exec.make_env Kernel.Config.v5_12_rc3)
 
-(* ---------------- sink/block paths vs the Vm.step oracle ------------ *)
+(* ---------------- threaded run_seq vs the Vm.step oracle ------------ *)
 
-(* Every sequential path must produce the identical result record AND
-   leave the VM in the identical state (fingerprint covers all
-   guest-visible state).  Random programs reach faults, console output,
-   locks and budget aborts. *)
-let prop_sink_block_equivalent =
-  QCheck.Test.make
-    ~name:"sink, block and threaded paths match the Vm.step oracle" ~count:60
+(* [run_seq] (threaded-code blocks) must produce the identical result
+   record AND leave the VM in the identical state (fingerprint covers
+   all guest-visible state) as [run_seq_step].  Random programs reach
+   faults, console output, locks and budget aborts. *)
+let prop_run_seq_equivalent =
+  QCheck.Test.make ~name:"threaded run_seq matches Vm.step" ~count:60
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let env = Lazy.force env in
       let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
       let r_step = Exec.run_seq_step env ~tid:0 prog in
       let fp_step = Vm.fingerprint env.Exec.vm in
-      let r_sink = Exec.run_seq_sink env ~tid:0 prog in
-      let fp_sink = Vm.fingerprint env.Exec.vm in
-      let r_block = Exec.run_seq env ~tid:0 prog in
-      let fp_block = Vm.fingerprint env.Exec.vm in
-      let r_threaded = Exec.run_seq_threaded env ~tid:0 prog in
-      let fp_threaded = Vm.fingerprint env.Exec.vm in
-      r_step = r_sink && r_step = r_block && r_step = r_threaded
-      && fp_step = fp_sink && fp_step = fp_block && fp_step = fp_threaded)
+      let r = Exec.run_seq env ~tid:0 prog in
+      r_step = r && fp_step = Vm.fingerprint env.Exec.vm)
 
 (* The shared-only runner must equal the oracle with its access list
    filtered (and no edges); the fast profile builder must equal the
@@ -66,69 +60,98 @@ let prop_shared_profile_equivalent =
       && p_oracle = p_fast)
 
 (* Lockstep: stepping one VM with [Vm.step] and its twin with
-   [Vm.step_sink], the sunk events must materialise to the legacy event
-   list instruction by instruction, not just in aggregate. *)
-let lockstep_syscalls =
-  [
-    (Kernel.Abi.sys_socket, [ Kernel.Abi.af_inet; 0 ]);
-    (Kernel.Abi.sys_msgget, [ 1 ]);
-    (Kernel.Abi.sys_msgget, [ 2 ]);
-    (Kernel.Abi.sys_open, [ 1; 0 ]);
-    (Kernel.Abi.sys_pipe, [] );
-  ]
+   [Vm.run_tblock_conc] at quantum 1 (the executor's per-step cadence for
+   PCT and replay playback), every call must retire exactly one
+   instruction whose sunk events materialise to [Vm.step]'s list, and
+   the twins must end in the same state.  Each case opens a descriptor
+   (fd 0, the first free slot), then makes system calls, biased towards
+   getsockname and ioctl, which write and read through a pointer
+   argument.  Arguments are descriptors, commands and pointers into the
+   NULL guard, the kernel, user space and nowhere, so a good share of
+   cases die in the fault arms. *)
+let twins =
+  lazy
+    ( Exec.make_env Kernel.Config.v5_12_rc3,
+      Exec.make_env Kernel.Config.v5_12_rc3 )
 
-let test_lockstep_events () =
-  let e1 = Exec.make_env Kernel.Config.v5_12_rc3 in
-  let e2 = Exec.make_env Kernel.Config.v5_12_rc3 in
-  let sink = Vm.make_sink () in
-  List.iter
-    (fun (nr, args) ->
-      Vm.restore e1.Exec.vm e1.Exec.snap;
-      Vm.restore e2.Exec.vm e2.Exec.snap;
-      let start env =
-        Vm.start_call env.Exec.vm 0 env.Exec.kern.Kernel.syscall_entry args;
-        Vm.set_reg env.Exec.vm 0 Isa.r12 nr
-      in
-      start e1;
-      start e2;
-      let budget = ref 100_000 in
-      while Vm.cpu_mode e1.Exec.vm 0 = Vm.Kernel && !budget > 0 do
-        decr budget;
-        let evs = Vm.step e1.Exec.vm 0 in
-        ignore (Vm.step_sink e2.Exec.vm ~tid:0 sink);
-        checkb
-          (Printf.sprintf "events match at step (syscall %d)" nr)
-          true
-          (Vm.sink_events sink ~thread:0 = evs)
-      done;
-      checkb "twin VMs end in the same state" true
-        (Vm.fingerprint e1.Exec.vm = Vm.fingerprint e2.Exec.vm))
-    lockstep_syscalls
+let gen_arg =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range (-2) 11);
+        (2, int_range 0 0xfff);
+        (2, int_range 0 (Vmm.Layout.kmem_size + 64));
+        (2, map (fun o -> Vmm.Layout.user_base + o) (int_range 0 4096));
+        (1, int);
+      ])
 
-(* [run_block] respects the quantum exactly: quantum 1 is per-instruction
-   stepping, and a block never retires more than the quantum. *)
-let test_block_quantum () =
-  let env = Lazy.force env in
-  Vm.restore env.Exec.vm env.Exec.snap;
-  Vm.start_call env.Exec.vm 0 env.Exec.kern.Kernel.syscall_entry [ 1; 0 ];
-  Vm.set_reg env.Exec.vm 0 Isa.r12 Kernel.Abi.sys_open;
-  let sink = Vm.make_sink () in
-  let steps = ref 0 in
-  while Vm.cpu_mode env.Exec.vm 0 = Vm.Kernel && !steps < 100_000 do
-    ignore (Vm.run_block env.Exec.vm ~tid:0 ~quantum:1 sink);
-    checki "quantum 1 retires exactly one instruction" 1 sink.Vm.sk_steps;
-    incr steps
-  done;
-  Vm.restore env.Exec.vm env.Exec.snap;
-  Vm.start_call env.Exec.vm 0 env.Exec.kern.Kernel.syscall_entry [ 1; 0 ];
-  Vm.set_reg env.Exec.vm 0 Isa.r12 Kernel.Abi.sys_open;
-  let total = ref 0 in
-  while Vm.cpu_mode env.Exec.vm 0 = Vm.Kernel && !total < 100_000 do
-    ignore (Vm.run_block env.Exec.vm ~tid:0 ~quantum:7 sink);
-    checkb "quantum bounds the block" true (sink.Vm.sk_steps <= 7);
-    total := !total + sink.Vm.sk_steps
-  done;
-  checki "same instruction count either way" !steps !total
+let gen_syscalls =
+  let open Kernel.Abi in
+  QCheck.Gen.(
+    let opener =
+      frequency
+        [
+          ( 3,
+            map
+              (fun af -> (sys_socket, [ af; 0 ]))
+              (oneofl
+                 [ af_packet; af_packet; af_inet; af_inet6; px_proto_ol2tp ])
+          );
+          ( 1,
+            map (fun p -> (sys_open, [ p; 0 ])) (int_range 0 (num_paths - 1))
+          );
+          (1, return (sys_pipe, []));
+        ]
+    in
+    let call =
+      map3
+        (fun nr fd args -> (nr, fd :: args))
+        (frequency
+           [
+             (2, return sys_getsockname);
+             (2, return sys_ioctl);
+             (4, int_range 0 (num_syscalls + 1));
+           ])
+        (frequency [ (4, return 0); (1, int_range (-1) 3) ])
+        (list_size (int_range 1 3) gen_arg)
+    in
+    map2 (fun o l -> o :: l) opener (list_size (int_range 1 4) call))
+
+let prop_lockstep_events =
+  QCheck.Test.make ~name:"lockstep event lists" ~count:80
+    (QCheck.make ~print:QCheck.Print.(list (pair int (list int))) gen_syscalls)
+    (fun calls ->
+      let e1, e2 = Lazy.force twins in
+      let v1 = e1.Exec.vm and v2 = e2.Exec.vm in
+      let sink = Vm.make_sink () in
+      Vm.restore v1 e1.Exec.snap;
+      Vm.restore v2 e2.Exec.snap;
+      List.iter
+        (fun (nr, args) ->
+          if not (Vm.panicked v1) then begin
+            let start env =
+              Vm.start_call env.Exec.vm 0 env.Exec.kern.Kernel.syscall_entry
+                args;
+              Vm.set_reg env.Exec.vm 0 Isa.r12 nr
+            in
+            start e1;
+            start e2;
+            let budget = ref 20_000 in
+            while Vm.cpu_mode v1 0 = Vm.Kernel && !budget > 0 do
+              decr budget;
+              let evs = Vm.step v1 0 in
+              ignore
+                (Vm.run_tblock_conc v2 e2.Exec.tcode ~tid:0 ~quantum:1 sink);
+              if sink.Vm.sk_steps <> 1 then
+                QCheck.Test.fail_reportf "syscall %d: %d instructions retired"
+                  nr sink.Vm.sk_steps;
+              if Vm.sink_events sink ~thread:0 <> evs then
+                QCheck.Test.fail_reportf "syscall %d: events differ at pc %d"
+                  nr (Vm.cpu_pc v1 0)
+            done
+          end)
+        calls;
+      Vm.fingerprint v1 = Vm.fingerprint v2)
 
 (* ---------------- fingerprint separator regressions ----------------- *)
 
@@ -266,9 +289,9 @@ let test_stale_tcode_rejected () =
         via Tcode.of_image)") (fun () ->
       ignore (Vm.run_tblock e2.Exec.vm e1.Exec.tcode ~tid:0 ~quantum:8 sink))
 
-(* [run_tblock] respects the quantum exactly, like [run_block]: quantum 1
-   is per-instruction stepping (fused pairs retire one half per step),
-   and the instruction count is identical either way. *)
+(* [run_tblock] respects the quantum exactly: quantum 1 is
+   per-instruction stepping (fused pairs retire one half per step), and
+   the instruction count is identical either way. *)
 let test_threaded_quantum () =
   let env = Lazy.force env in
   let start () =
@@ -420,12 +443,14 @@ let test_note_throughput_guard () =
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_sink_block_equivalent; prop_shared_profile_equivalent ]
+    [
+      prop_run_seq_equivalent;
+      prop_shared_profile_equivalent;
+      prop_lockstep_events;
+    ]
 
 let tests =
   [
-    Alcotest.test_case "lockstep event lists" `Quick test_lockstep_events;
-    Alcotest.test_case "block quantum" `Quick test_block_quantum;
     Alcotest.test_case "fingerprint regs" `Quick test_fingerprint_regs_unambiguous;
     Alcotest.test_case "fingerprint console" `Quick
       test_fingerprint_console_unambiguous;

@@ -181,16 +181,6 @@ let test_parallel_profile_equal () =
       checki (Printf.sprintf "steps equal at jobs=%d" jobs) seq_steps par_steps)
     [ 2; 3 ]
 
-let test_shard_partition () =
-  let items = List.init 23 Fun.id in
-  List.iter
-    (fun n ->
-      let shards = Harness.Pipeline.shard n items in
-      checki "shard count" n (Array.length shards);
-      let merged = List.sort compare (List.concat (Array.to_list shards)) in
-      checkb (Printf.sprintf "shard %d partitions" n) true (merged = items))
-    [ 1; 2; 4; 7; 23; 40 ]
-
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_dirty_restore_equivalent; prop_restore_resets_state ]
@@ -200,7 +190,6 @@ let tests =
     Alcotest.test_case "dirty page counts" `Quick test_dirty_page_counts;
     Alcotest.test_case "corpus nth and find" `Quick test_corpus_nth_find;
     Alcotest.test_case "corpus sample draw" `Quick test_corpus_sample_draw;
-    Alcotest.test_case "shard partitions" `Quick test_shard_partition;
     Alcotest.test_case "parallel profile equal" `Quick
       test_parallel_profile_equal;
     Alcotest.test_case "jobs determinism" `Slow test_jobs_determinism;

@@ -1,6 +1,6 @@
 (* The resilient campaign runtime: deterministic fault injection,
-   supervised trials (watchdog / retry / quarantine), shard-failure
-   containment and checkpoint/resume.
+   supervised trials (watchdog / retry / quarantine), per-test failure
+   containment for dead workers and checkpoint/resume.
 
    The flagship property at the bottom: interrupting a fault-injected
    campaign after ANY prefix of its tests and resuming from the journal
@@ -231,14 +231,15 @@ let test_unknown_corpus_id () =
   expect_invalid_arg "Parallel.prog_of_table" (fun () ->
       Harness.Parallel.prog_of_table (Hashtbl.create 4) 4242)
 
-(* ---------------- shard failure containment ---------------- *)
+(* ---------------- dead-worker failure containment ---------------- *)
 
-let test_shard_failure_shape () =
+let test_crashed_result_shape () =
   let ct w r = { Core.Select.writer = w; reader = r; hint = None } in
   let rs =
-    Harness.Parallel.shard_failure
+    List.map
+      (fun test ->
+        Harness.Parallel.crashed_result test (Failure "domain blew up"))
       [ (3, ct 1 2); (7, ct 2 1) ]
-      (Failure "domain blew up")
   in
   checki "one record per test" 2 (List.length rs);
   List.iter2
@@ -517,7 +518,8 @@ let tests =
     Alcotest.test_case "No_fault leaves trials untouched" `Quick
       test_no_fault_unchanged;
     Alcotest.test_case "unknown corpus id named" `Quick test_unknown_corpus_id;
-    Alcotest.test_case "shard failure contained" `Quick test_shard_failure_shape;
+    Alcotest.test_case "shard failure contained" `Quick
+      test_crashed_result_shape;
     Alcotest.test_case "checkpoint round-trips" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint lookup keyed" `Quick test_checkpoint_lookup;
     Alcotest.test_case "checkpoint load errors" `Quick test_checkpoint_load_errors;

@@ -1,7 +1,8 @@
-(* The explore trial loop against fixed ground: a golden digest of a small
-   campaign pinned across commits, and the race detector and the
-   incidental-PMC search each checked against the reference
-   implementation it replaced ([Race_legacy], [Incidental_legacy]). *)
+(* The explore trial loop against fixed ground: golden digests of a small
+   campaign and of its per-step (PCT) trials pinned across commits, and
+   the race detector and the incidental-PMC search each checked against
+   the reference implementation it replaced ([Race_legacy],
+   [Incidental_legacy]). *)
 
 module Trace = Vmm.Trace
 module P = Harness.Pipeline
@@ -16,16 +17,11 @@ module P = Harness.Pipeline
    any summary byte changes it. *)
 let golden = "4c28bf6f480215a39d71ad88e300c43d"
 
+let golden_cfg =
+  { P.default with P.seed = 3; fuzz_iters = 150; trials_per_test = 8; jobs = 1 }
+
 let golden_digest () =
-  let cfg =
-    {
-      P.default with
-      P.seed = 3;
-      fuzz_iters = 150;
-      trials_per_test = 8;
-      jobs = 1;
-    }
-  in
+  let cfg = golden_cfg in
   let p = P.prepare cfg in
   let methods =
     [ Core.Select.Strategy Core.Cluster.S_INS_PAIR; Core.Select.Random_pairing ]
@@ -72,6 +68,82 @@ let golden_digest () =
 let test_golden () =
   Alcotest.(check string) "campaign digest equals the pinned one" golden
     (golden_digest ())
+
+(* ------------------------------------------------------------------ *)
+(* Golden per-step digest.                                              *)
+
+(* The campaign above runs only event-only policies, which the executor
+   batches.  PCT counts steps, so the executor consults it after every
+   instruction, and replay playback runs the same way.  This MD5 pins
+   that cadence: S-INS-PAIR's tests at budget 8 from the golden prepared
+   state, explored under PCT depth 3, hashing every trial's replay
+   string, issues and steps.  The constant was computed on the commit
+   before per-step scheduling moved onto the threaded-code interpreter.
+   Each trial is also re-recorded on [run_conc] and its trace played back
+   through [Replay.replay], which must return the recorded result. *)
+let golden_pct = "0edd8667b4e30aceaa9ef1f2593398ae"
+
+let pct_depth = 3
+
+(* [Explore]'s PCT change-point horizon. *)
+let pct_est_len = 1_000
+
+let pct_digest () =
+  let cfg = golden_cfg in
+  let p = P.prepare cfg in
+  let env = p.P.env in
+  let plan =
+    P.plan_method p (Core.Select.Strategy Core.Cluster.S_INS_PAIR) ~budget:8
+  in
+  let b = Buffer.create 4096 in
+  List.iteri
+    (fun i (ct : Core.Select.conc_test) ->
+      let index = i + 1 in
+      let writer = P.prog_of_id p ct.Core.Select.writer
+      and reader = P.prog_of_id p ct.Core.Select.reader in
+      let seed = cfg.P.seed + (1000 * index) in
+      let res =
+        Sched.Explore.run env ~ident:(Some p.P.ident) ~writer ~reader
+          ~hint:ct.Core.Select.hint ~kind:(Sched.Explore.Pct pct_depth)
+          ~trials:cfg.P.trials_per_test ~seed ~stop_on_bug:false ()
+      in
+      List.iteri
+        (fun trial (t : Sched.Explore.trial) ->
+          let replay = Sched.Replay.to_string t.Sched.Explore.replay in
+          Printf.bprintf b "\n%d %s [%s] %d" index replay
+            (String.concat "," (List.map string_of_int t.Sched.Explore.issues))
+            t.Sched.Explore.steps;
+          let rng = Random.State.make [| seed + trial |] in
+          let recorder =
+            Sched.Replay.record
+              (Sched.Policies.pct rng ~depth:pct_depth ~est_len:pct_est_len)
+          in
+          let recorded =
+            Sched.Exec.run_conc env ~writer ~reader
+              ~policy:recorder.Sched.Replay.policy ()
+          in
+          let trace = recorder.Sched.Replay.finish () in
+          let what = Printf.sprintf "test %d trial %d" index trial in
+          Alcotest.(check string)
+            (what ^ ": re-recorded trace") replay
+            (Sched.Replay.to_string trace);
+          let replayed =
+            Sched.Exec.run_conc env ~writer ~reader
+              ~policy:(Sched.Replay.replay trace) ()
+          in
+          Alcotest.(check int)
+            (what ^ ": replayed steps") recorded.Sched.Exec.cc_steps
+            replayed.Sched.Exec.cc_steps;
+          Alcotest.(check bool)
+            (what ^ ": replay returns the recorded result") true
+            (recorded = replayed))
+        res.Sched.Explore.trials)
+    plan.Core.Select.tests;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_pct () =
+  Alcotest.(check string) "per-step digest equals the pinned one" golden_pct
+    (pct_digest ())
 
 (* ------------------------------------------------------------------ *)
 (* Race detector against the parent's detector.                         *)
@@ -306,7 +378,11 @@ let prop_pmc_equal_structural =
 let () =
   Alcotest.run "trial loop"
     [
-      ("golden", [ Alcotest.test_case "campaign digest" `Quick test_golden ]);
+      ( "golden",
+        [
+          Alcotest.test_case "campaign digest" `Quick test_golden;
+          Alcotest.test_case "per-step digest" `Quick test_golden_pct;
+        ] );
       ( "race oracle",
         [
           QCheck_alcotest.to_alcotest prop_race_equals_legacy;
