@@ -865,9 +865,7 @@ let prepare_bench () =
     time (fun () -> Harness.Pipeline.profile_corpus env corpus)
   in
   let (par_profiles, _), dt_par =
-    time (fun () ->
-        Harness.Pipeline.profile_corpus_parallel ~jobs
-          ~kernel:cfg.Harness.Pipeline.kernel corpus)
+    time (fun () -> Harness.Pipeline.profile_corpus ~jobs env corpus)
   in
   let identical = seq_profiles = par_profiles in
   pf "profiling: sequential %.3fs, %d jobs %.3fs (%.2fx); identical profiles: %b@."
@@ -1803,14 +1801,13 @@ let scaling_bench () =
       jobs;
     }
   in
-  let kernel = cfg.Harness.Pipeline.kernel in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
   (* one corpus up front so every profiling mode measures the same work *)
-  let env = Sched.Exec.make_env kernel in
+  let env = Sched.Exec.make_env cfg.Harness.Pipeline.kernel in
   let corpus, _ =
     Harness.Pipeline.fuzz ~seeds:cfg.Harness.Pipeline.seed_corpus env
       ~seed:cfg.Harness.Pipeline.seed ~iters:cfg.Harness.Pipeline.fuzz_iters
@@ -1822,10 +1819,8 @@ let scaling_bench () =
   let c_steal_items = Obs.Metrics.counter "snowboard.harness/steal_items" in
   let c_hits = Obs.Metrics.counter "snowboard.vmm/vm_reuse_hits" in
   let c_misses = Obs.Metrics.counter "snowboard.vmm/vm_reuse_misses" in
-  let c_transfers = Obs.Metrics.counter "snowboard.vmm/vm_lease_transfers" in
   let snap_counters () =
-    List.map Obs.Metrics.counter_value
-      [ c_steals; c_steal_items; c_hits; c_misses; c_transfers ]
+    List.map Obs.Metrics.counter_value [ c_steals; c_steal_items; c_hits; c_misses ]
   in
   (* 1. profile phase: sequential vs work stealing over the warm pool *)
   ignore (Harness.Pipeline.profile_corpus env corpus);
@@ -1835,11 +1830,10 @@ let scaling_bench () =
   in
   (* first stealing pass boots the pool; the timed pass measures the
      warm steady state every later batch, method and campaign sees *)
-  ignore (Harness.Pipeline.profile_corpus_parallel ~jobs ~kernel corpus);
+  ignore (Harness.Pipeline.profile_corpus ~jobs env corpus);
   let c0 = snap_counters () in
   let (steal_profiles, _), dt_prof_steal =
-    time (fun () ->
-        Harness.Pipeline.profile_corpus_parallel ~jobs ~kernel corpus)
+    time (fun () -> Harness.Pipeline.profile_corpus ~jobs env corpus)
   in
   let prof_deltas = List.map2 ( - ) (snap_counters ()) c0 in
   let prof_steal_ok = steal_profiles = seq_profiles in
@@ -1858,19 +1852,22 @@ let scaling_bench () =
   let prepare_speedup = dt_prep_seq /. max 1e-9 dt_prep_par in
   pf "end-to-end prepare: jobs=1 %.3fs, jobs=%d %.3fs (%.2fx)@." dt_prep_seq
     jobs dt_prep_par prepare_speedup;
-  (* 3. explore phase: one method's budget, sequential vs work
-     stealing; method stats (bugs, outcomes, everything) must be
+  (* 3. explore phase: one method's budget, run_method at jobs=1 vs
+     jobs=N; method stats (bugs, outcomes, everything) must be
      structurally identical *)
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
   let budget = 60 in
-  ignore (Harness.Parallel.run_method ~domains:jobs t method_ ~budget:5);
+  let seq_t =
+    { t with Harness.Pipeline.cfg = { cfg with Harness.Pipeline.jobs = 1 } }
+  in
+  ignore (Harness.Pipeline.run_method t method_ ~budget:5);
   (* warm-up *)
   let seq_stats, dt_exp_seq =
-    time (fun () -> Harness.Pipeline.run_method t method_ ~budget)
+    time (fun () -> Harness.Pipeline.run_method seq_t method_ ~budget)
   in
   let e0 = snap_counters () in
   let steal_stats, dt_exp_steal =
-    time (fun () -> Harness.Parallel.run_method ~domains:jobs t method_ ~budget)
+    time (fun () -> Harness.Pipeline.run_method t method_ ~budget)
   in
   let exp_deltas = List.map2 ( - ) (snap_counters ()) e0 in
   let exp_steal_ok = steal_stats = seq_stats in
@@ -1879,11 +1876,11 @@ let scaling_bench () =
     budget cfg.Harness.Pipeline.trials_per_test dt_exp_seq dt_exp_steal
     explore_speedup exp_steal_ok;
   (match (prof_deltas, exp_deltas) with
-  | [ ps; pi; ph; pm; pt ], [ es; ei; eh; em; et ] ->
-      pf "profile leg: %d steals (%d items), VM leases %d hit / %d boot / %d transfer@."
-        ps pi ph pm pt;
-      pf "explore leg: %d steals (%d items), VM leases %d hit / %d boot / %d transfer@."
-        es ei eh em et
+  | [ ps; pi; ph; pm ], [ es; ei; eh; em ] ->
+      pf "profile leg: %d steals (%d items), VM leases %d hit / %d boot@." ps
+        pi ph pm;
+      pf "explore leg: %d steals (%d items), VM leases %d hit / %d boot@." es
+        ei eh em
   | _ -> ());
   let open Obs.Export in
   let json =
@@ -1902,13 +1899,12 @@ let scaling_bench () =
       if det then []
       else
         let counters tag = function
-          | [ s; i; h; m; t ] ->
+          | [ s; i; h; m ] ->
               [
                 (tag ^ "_steals", Int s);
                 (tag ^ "_steal_items", Int i);
                 (tag ^ "_vm_reuse_hits", Int h);
                 (tag ^ "_vm_boots", Int m);
-                (tag ^ "_vm_transfers", Int t);
               ]
           | _ -> []
         in

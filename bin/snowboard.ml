@@ -15,7 +15,13 @@ let fail_cli fmt =
       exit 1)
     fmt
 
+(* Worker domains log too (a test's supervision warning), and the
+   format reporter's formatter is not domain-safe. *)
 let setup_logs ?(debug = false) ?(info = false) () =
+  let m = Mutex.create () in
+  Logs.set_reporter_mutex
+    ~lock:(fun () -> Mutex.lock m)
+    ~unlock:(fun () -> Mutex.unlock m);
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level
     (if debug then Some Logs.Debug
@@ -141,16 +147,10 @@ let openmetrics_out_arg =
 
 let telemetry_term =
   let combine out progress deterministic interval period om_out =
-    if out <> None || progress then begin
-      let progress =
-        if not progress then Obs.Telemetry.Off
-        else if Unix.isatty Unix.stderr then Obs.Telemetry.Hud
-        else Obs.Telemetry.Plain
-      in
-      Obs.Telemetry.configure ?out ~progress ~deterministic ~interval ~period
-        ~enabled:true ();
-      at_exit Obs.Telemetry.close
-    end;
+    (* [at_exit] runs hooks last-registered first: registering the
+       OpenMetrics writer before the stream's close makes the stream
+       end before that write, so it does not depend on which other
+       exporters run *)
     (match om_out with
     | Some path ->
         at_exit (fun () ->
@@ -163,6 +163,16 @@ let telemetry_term =
                 Format.eprintf "snowboard: cannot write openmetrics: %s@."
                   (Obs.Storage.err_to_string e))
     | None -> ());
+    if out <> None || progress then begin
+      let progress =
+        if not progress then Obs.Telemetry.Off
+        else if Unix.isatty Unix.stderr then Obs.Telemetry.Hud
+        else Obs.Telemetry.Plain
+      in
+      Obs.Telemetry.configure ?out ~progress ~deterministic ~interval ~period
+        ~enabled:true ();
+      at_exit Obs.Telemetry.close
+    end;
     { telem_deterministic = deterministic }
   in
   Term.(
@@ -319,23 +329,14 @@ let seed_corpus_flag =
           "Seed the fuzzing corpus with the distilled per-issue scenario \
            programs (Moonshine-style seed selection).")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for concurrent-test execution (the paper's \
-           distributed-queue analogue); results are identical to a \
-           sequential run.")
-
 let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the prepare phase's corpus profiling; the \
-           merged profiles (and everything downstream) are identical to a \
-           sequential run.")
+          "Worker domains for corpus profiling and concurrent-test \
+           execution (the paper's distributed-queue analogue); results are \
+           identical to a sequential run.")
 
 let log_verbose =
   Arg.(value & flag & info [ "log" ] ~doc:"Log pipeline phases to stderr.")
@@ -410,7 +411,7 @@ let stop_after_arg =
     & info [ "stop-after" ] ~docv:"N"
         ~doc:
           "Stop the campaign after $(docv) freshly executed tests (exit 10), \
-           simulating an interruption; requires --domains 1.")
+           simulating an interruption; requires --jobs 1.")
 
 let crash_at_arg =
   Arg.(
@@ -446,7 +447,7 @@ let flame_out_arg =
           "Enable the guest profiler and write a collapsed-stack flamegraph \
            (one \"phase;function count\" line per frame, flamegraph.pl \
            compatible) to $(docv) on completion; byte-identical across \
-           --jobs, --domains and --resume.")
+           --jobs and --resume.")
 
 let provenance_out_arg =
   Arg.(
@@ -457,20 +458,19 @@ let provenance_out_arg =
           "Write the PMC provenance artifact (snowboard-provenance/1 JSON: \
            per-PMC attribution, cluster assignments, selection verdicts and \
            Algorithm 2 hint outcomes) to $(docv) on completion; 'snowboard \
-           why' reads it.  Byte-identical across --jobs, --domains and \
-           --resume.")
+           why' reads it.  Byte-identical across --jobs and --resume.")
 
 exception Interrupted
 
-let run_campaign kernel seed iters trials budget methods seeded domains jobs
+let run_campaign kernel seed iters trials budget methods seeded jobs
     log verbose corpus_file fault_spec watchdog max_retries
     checkpoint resume stop_after crash_at summary_out flame_out provenance_out
     (_ : telem) (_ : obs) =
   setup_logs ~debug:verbose ~info:log ();
   if resume && checkpoint = None then
     fail_cli "--resume requires --checkpoint FILE";
-  if stop_after <> None && domains > 1 then
-    fail_cli "--stop-after requires --domains 1 (deterministic interruption)";
+  if stop_after <> None && jobs > 1 then
+    fail_cli "--stop-after requires --jobs 1 (deterministic interruption)";
   (match crash_at with
   | None -> ()
   | Some spec -> (
@@ -595,12 +595,8 @@ let run_campaign kernel seed iters trials budget methods seeded domains jobs
       | Some n when !fresh >= n -> raise Interrupted
       | _ -> ()
     in
-    if domains > 1 then
-      Harness.Parallel.run_method ~domains ~sup ?faults ~resume:resume_fn
-        ~on_result t m ~budget
-    else
-      Harness.Pipeline.run_method ~sup ?faults ~resume:resume_fn ~on_result t
-        m ~budget
+    Harness.Pipeline.run_method ~sup ?faults ~resume:resume_fn ~on_result t m
+      ~budget
   in
   match List.map run methods with
   | exception Interrupted ->
@@ -678,7 +674,7 @@ let campaign_cmd =
          ])
     Term.(
       const run_campaign $ version $ seed $ fuzz_iters $ trials $ budget
-      $ methods $ seed_corpus_flag $ domains_arg $ jobs_arg $ log_verbose
+      $ methods $ seed_corpus_flag $ jobs_arg $ log_verbose
       $ verbose_log
       $ corpus_in $ inject_faults_arg $ watchdog_arg $ max_retries_arg
       $ checkpoint_arg $ resume_arg $ stop_after_arg $ crash_at_arg

@@ -29,8 +29,9 @@ val sample : t -> Random.State.t -> entry
     Raises [Invalid_argument] on an empty corpus. *)
 
 val find : t -> int -> entry option
-(** O(1) lookup by corpus id (the dense id space doubles as the index,
-    so [Parallel]'s program-table lookups stay cheap). *)
+(** O(1) lookup by corpus id (the dense id space doubles as the index).
+    A plain array read, so worker domains share it while the corpus is
+    not growing. *)
 
 val save : t -> string -> unit
 (** Write the corpus programs to a file, one per line. *)

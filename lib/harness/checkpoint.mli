@@ -65,7 +65,7 @@ val lookup : entry list -> method_:string -> int -> Pipeline.test_result option
 
 type sink
 (** A live journal: entries so far plus the append writer persisting
-    them.  [record] is safe to call from [Parallel.run_method]'s
+    them.  [record] is safe to call from {!Pipeline.run_method}'s
     serialized [on_result] hook. *)
 
 val create_sink : path:string -> fingerprint:string -> initial:entry list -> sink

@@ -11,7 +11,7 @@
 
    Everything here is deterministic: the cluster tables are pure
    functions of the identification, notes arrive in plan order (the
-   parallel runner sorts joined results before noting), and the JSON
+   runner notes joined results in plan order), and the JSON
    rendering is sorted — so frontier blocks embedded in summaries and
    telemetry streams are byte-stable across runs and worker counts. *)
 

@@ -24,9 +24,9 @@ type config = {
          generation starts, in the spirit of Moonshine's seed selection;
          they pass through the same coverage filter as generated tests *)
   jobs : int;
-      (* worker domains for the prepare phase (corpus profiling); the
-         merged profile list is identical for any value, so this knob
-         only moves wall-clock and stays out of checkpoint fingerprints *)
+      (* worker domains for corpus profiling and test execution; results
+         are identical for any value, so this knob only moves wall-clock
+         and stays out of checkpoint fingerprints *)
 }
 
 let default =
@@ -98,40 +98,34 @@ let fuzz ?(seeds = []) env ~seed ~iters =
         !steps);
   (corpus, !steps)
 
-(* Phase 2: profile every corpus test from the boot snapshot. *)
-let profile_corpus env corpus =
-  let steps = ref 0 in
-  let profiles =
-    List.map
-      (fun (e : Fuzzer.Corpus.entry) ->
-        let r = Exec.run_seq_shared env ~tid:0 e.prog in
-        steps := !steps + r.Exec.sq_steps;
-        Obs.Telemetry.tick ();
-        Core.Profile.of_shared ~test_id:e.id r.Exec.sq_accesses)
-      (Fuzzer.Corpus.to_list corpus)
-  in
-  (profiles, !steps)
+(* Worker contexts for [Workpool.run ~jobs]: a single worker runs
+   inline on [env], with no pool and no lease; more workers each lease a
+   pre-booted VM from the process-wide warm pool ([Exec.warm_pool]) and
+   return it when done. *)
+let envs ~jobs env =
+  if jobs <= 1 then ((fun _ -> env), fun _ _ -> ())
+  else
+    let pool = Exec.warm_pool env.Exec.kern.Kernel.config in
+    ( (fun w -> Vmm.Vmpool.lease pool ~worker:w),
+      fun w e -> Vmm.Vmpool.release pool ~worker:w e )
 
-(* Phase 2 over [jobs] worker domains: the corpus feeds the
-   work-stealing pool, each worker leases a pre-booted VM from the
-   process-wide warm pool ([Exec.warm_pool]) and items rebalance across
-   workers as tails emerge.  Sequential profiling is a pure function of
-   (kernel, program) and results land in per-entry slots, so the merged
-   list - and everything downstream, [Identify.run] first - is
-   byte-identical to the [jobs = 1] run for any worker count or steal
-   interleaving. *)
-let profile_corpus_parallel ~jobs ~kernel corpus =
-  let pool = Exec.warm_pool kernel in
+(* Phase 2: profile every corpus test from the boot snapshot, over
+   [jobs] work-stealing workers.  Sequential profiling is a pure
+   function of (kernel, program) and results land in per-entry slots, so
+   the list - and everything downstream, [Identify.run] first - is the
+   same for any worker count or steal interleaving. *)
+let profile_corpus ?(jobs = 1) env corpus =
+  let worker, finish = envs ~jobs env in
   let results =
-    Workpool.run ~jobs ~seed:0
-      ~worker:(fun w -> Vmm.Vmpool.lease pool ~worker:w)
-      ~finish:(fun w env -> Vmm.Vmpool.release pool ~worker:w env)
+    Workpool.run ~jobs ~worker ~finish
       ~f:(fun env _ (e : Fuzzer.Corpus.entry) ->
         let r = Exec.run_seq_shared env ~tid:0 e.prog in
+        (* a no-op off the main domain *)
+        Obs.Telemetry.tick ();
         ( Core.Profile.of_shared ~test_id:e.id r.Exec.sq_accesses,
           r.Exec.sq_steps ))
-        (* profiling has no supervisor: a worker that cannot profile an
-           entry fails the prepare phase *)
+        (* profiling has no supervisor: an entry that cannot be
+           profiled fails the prepare phase *)
       ~fallback:(fun _ _ exn -> raise exn)
       (Array.of_list (Fuzzer.Corpus.to_list corpus))
   in
@@ -155,10 +149,7 @@ let prepare cfg =
       Obs.Profguest.set_phase (Some Obs.Profguest.Profile);
       let profiles, profile_steps =
         Obs.Span.with_span "profile" (fun () ->
-            if cfg.jobs > 1 then
-              profile_corpus_parallel ~jobs:cfg.jobs ~kernel:cfg.kernel
-                corpus
-            else profile_corpus env corpus)
+            profile_corpus ~jobs:cfg.jobs env corpus)
       in
       Obs.Profguest.set_phase None;
       Obs.Telemetry.phase "identify";
@@ -223,9 +214,9 @@ let bug_of_result ~test_idx ~writer ~reader (res : Sched.Explore.result) =
 
 (* The supervised record of one executed (or attempted) concurrent
    test.  This is the unit the resilient campaign runtime works in: the
-   checkpoint journal stores these, parallel workers ship them back to
-   the coordinator, and [stats_of_results] folds them into method
-   statistics — so sequential, parallel and resumed campaigns all
+   checkpoint journal stores these, workers ship them back to the
+   calling domain, and [stats_of_results] folds them into method
+   statistics — so fresh and resumed results at any [jobs] all
    aggregate through the same code path. *)
 type test_result = {
   tr_index : int;  (* 1-based index of the test in its method's plan *)
@@ -294,13 +285,43 @@ let degraded stats =
       || s.outcomes.oc_quarantined > 0)
     stats
 
+(* The record of a test that contributes only its outcome. *)
+let failed_result ~index (ct : Core.Select.conc_test) outcome ~retries =
+  {
+    tr_index = index;
+    tr_hinted = ct.hint <> None;
+    tr_outcome = outcome;
+    tr_retries = retries;
+    tr_exercised = false;
+    tr_pmc_observed = false;
+    tr_issues = [];
+    tr_unknown = 0;
+    tr_trials = 0;
+    tr_steps = 0;
+    tr_hint_hits = 0;
+    tr_miss_no_write = 0;
+    tr_miss_no_read = 0;
+    tr_miss_value = 0;
+    tr_prof = [];
+    tr_bug = None;
+  }
+
+(* A planned test whose run raised past its supervisor (a harness bug,
+   an OOM kill of its VM, ...): a [Crashed] record, so the campaign
+   still accounts for it.  Deliberately NOT journaled as completed work
+   — a resumed campaign re-runs it. *)
+let crashed_result ~index ct exn =
+  failed_result ~index ct
+    (Supervise.Crashed ("worker domain died: " ^ Supervise.describe exn))
+    ~retries:0
+
 (* Run (or re-run, under retry) one planned concurrent test under
    supervision.  Takes the environment and identification explicitly
-   rather than the pipeline handle so parallel workers — which lease
-   their own VM — share this exact code path with the sequential
-   campaign.  A failed attempt discards its partial exploration data:
-   like the paper's re-issued work queue items, a test either completes
-   and contributes whole results or contributes only its outcome. *)
+   rather than the pipeline handle so every worker — inline on the
+   pipeline's VM or on a leased one — runs this exact code path.  A
+   failed attempt discards its partial exploration data: like the
+   paper's re-issued work queue items, a test either completes and
+   contributes whole results or contributes only its outcome. *)
 let run_one_test ~env ~ident ~(cfg : config) ~kind
     ?(sup = Supervise.default) ?faults ~prog_of_id ~index
     (ct : Core.Select.conc_test) =
@@ -347,28 +368,12 @@ let run_one_test ~env ~ident ~(cfg : config) ~kind
       Log.warn (fun m ->
           m "test %d: %a (%d retries)" index Supervise.pp_outcome
             sv.Supervise.sv_outcome sv.Supervise.sv_retries);
-      {
-        tr_index = index;
-        tr_hinted = hinted;
-        tr_outcome = sv.Supervise.sv_outcome;
-        tr_retries = sv.Supervise.sv_retries;
-        tr_exercised = false;
-        tr_pmc_observed = false;
-        tr_issues = [];
-        tr_unknown = 0;
-        tr_trials = 0;
-        tr_steps = 0;
-        tr_hint_hits = 0;
-        tr_miss_no_write = 0;
-        tr_miss_no_read = 0;
-        tr_miss_value = 0;
-        tr_prof = [];
-        tr_bug = None;
-      }
+      failed_result ~index ct sv.Supervise.sv_outcome
+        ~retries:sv.Supervise.sv_retries
 
 (* Fold per-test results into method statistics.  Results are sorted by
    plan index first, so statistics are identical however the results
-   were produced — sequentially, by parallel workers, or merged from a
+   were produced — by any number of workers, or merged from a
    checkpoint journal plus a resumed run. *)
 let stats_of_results ~method_ ~num_clusters ~planned results =
   let results =
@@ -405,11 +410,11 @@ let stats_of_results ~method_ ~num_clusters ~planned results =
 
 (* Note one completed test everywhere it must land: the coverage
    frontier, the provenance store and the explore-phase profiler cells.
-   Both runners call this exactly once per (method, index) on the
-   coordinator, in plan order, for fresh, parallel-shipped and resumed
-   results alike — the single-note discipline is what keeps frontier
-   blocks, provenance artifacts and flamegraphs byte-identical across
-   [--jobs] and [--resume]. *)
+   [run_method] calls this exactly once per (method, index) on the
+   calling domain, in plan order, for fresh and resumed results alike —
+   the single-note discipline is what keeps frontier blocks, provenance
+   artifacts and flamegraphs byte-identical across [--jobs] and
+   [--resume]. *)
 let note_result t ~method_ (ct : Core.Select.conc_test) (r : test_result) =
   Frontier.note t.frontier ?hint:ct.Core.Select.hint ~issues:r.tr_issues
     ~trials:r.tr_trials ();
@@ -430,48 +435,82 @@ let plan_method t method_ ~budget =
   Obs.Span.with_span "select" (fun () ->
       Core.Select.plan method_ t.ident ~corpus_ids rng ~max:budget)
 
+(* Spend a budget under one method over [t.cfg.jobs] work-stealing
+   workers (the single-machine analogue of the paper's distributed work
+   queue, section 4.4.1).  Per-test seeds derive from the plan index and
+   results land in per-index slots, so any worker count or steal
+   schedule finds exactly the same issues.  Results are noted on the
+   calling domain in plan order: after each test when one worker runs
+   inline, after the joins otherwise. *)
 let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
     ?(resume = fun _ -> None) ?(on_result = fun _ -> ()) t method_ ~budget =
-  Obs.Span.with_span
-    ("pipeline.run_method(" ^ Core.Select.method_name method_ ^ ")")
-  @@ fun () ->
-  Obs.Telemetry.phase ("execute:" ^ Core.Select.method_name method_);
+  let name = Core.Select.method_name method_ in
+  Obs.Span.with_span ("pipeline.run_method(" ^ name ^ ")") @@ fun () ->
+  Obs.Telemetry.phase ("execute:" ^ name);
   let plan = plan_method t method_ ~budget in
-  Provenance.note_plan t.prov ~method_:(Core.Select.method_name method_) ~plan;
+  Provenance.note_plan t.prov ~method_:name ~plan;
   Obs.Profguest.set_phase (Some Obs.Profguest.Explore);
+  let tests = Array.of_list plan.Core.Select.tests in
+  let stored = Array.mapi (fun i _ -> resume (i + 1)) tests in
+  let inline = t.cfg.jobs <= 1 in
+  (* resumed results are noted too: the frontier and provenance must
+     describe the whole campaign, not just the work done since the
+     checkpoint *)
+  let note i r = note_result t ~method_ tests.(i) r in
+  (* [on_result] is the caller's sink (checkpoint journal, interruption
+     counter): serialized, and once it raises no further test starts;
+     the exception is re-raised after the joins *)
+  let stop = Atomic.make None and lock = Mutex.create () in
+  let deliver r =
+    Mutex.protect lock (fun () ->
+        if Atomic.get stop = None then
+          try on_result r with e -> Atomic.set stop (Some e))
+  in
+  let run env i ct =
+    let index = i + 1 in
+    if Atomic.get stop <> None then None
+    else begin
+      let r =
+        match stored.(i) with
+        | Some r -> r
+        | None -> (
+            match
+              run_one_test ~env ~ident:t.ident ~cfg:t.cfg ~kind ?sup ?faults
+                ~prog_of_id:(prog_of_id t) ~index ct
+            with
+            | r ->
+                deliver r;
+                r
+            | exception e -> crashed_result ~index ct e)
+      in
+      if inline && Atomic.get stop = None then begin
+        note i r;
+        Obs.Telemetry.tick ~tests:1 ()
+      end;
+      Some r
+    end
+  in
+  let worker, finish = envs ~jobs:t.cfg.jobs t.env in
   let results =
     Obs.Span.with_span "execute" @@ fun () ->
-    List.mapi
-      (fun i ct ->
-        let index = i + 1 in
-        let r =
-          match resume index with
-          | Some r -> r
-          | None ->
-              let r =
-                run_one_test ~env:t.env ~ident:t.ident ~cfg:t.cfg ~kind ?sup
-                  ?faults ~prog_of_id:(prog_of_id t) ~index ct
-              in
-              on_result r;
-              r
-        in
-        (* resumed results are noted too: the frontier and provenance
-           must describe the whole campaign, not just the work done
-           since the checkpoint *)
-        note_result t ~method_ ct r;
-        Obs.Telemetry.tick ~tests:1 ();
-        r)
-      plan.Core.Select.tests
+    Workpool.run ~jobs:t.cfg.jobs ~seed:t.cfg.seed ~worker ~finish ~f:run
+      ~fallback:(fun i ct exn -> Some (crashed_result ~index:(i + 1) ct exn))
+      tests
   in
+  Option.iter raise (Atomic.get stop);
+  if not inline then begin
+    Array.iteri (fun i r -> Option.iter (note i) r) results;
+    Obs.Telemetry.tick ~tests:(Array.length results) ()
+  end;
+  let results = List.filter_map Fun.id (Array.to_list results) in
   Obs.Profguest.set_phase None;
   let stats =
     stats_of_results ~method_ ~num_clusters:plan.Core.Select.num_clusters
-      ~planned:(List.length plan.Core.Select.tests) results
+      ~planned:(Array.length tests) results
   in
   Log.info (fun m ->
       m "%s: %d tests executed (%d ok, %d timeout, %d crashed, %d quarantined), issues [%s]"
-        (Core.Select.method_name method_)
-        stats.executed stats.outcomes.oc_ok stats.outcomes.oc_timed_out
+        name stats.executed stats.outcomes.oc_ok stats.outcomes.oc_timed_out
         stats.outcomes.oc_crashed stats.outcomes.oc_quarantined
         (String.concat ", " (List.map (fun (id, _) -> string_of_int id) stats.issues)));
   stats

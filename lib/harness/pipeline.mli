@@ -10,9 +10,9 @@ type config = {
       (** distilled seed programs offered before random generation, in
           the spirit of Moonshine's seed selection *)
   jobs : int;
-      (** worker domains for the prepare phase's profiling step; any
-          value yields the same merged profile list (profiles are merged
-          in corpus-id order), so [jobs] does not shape the plan and
+      (** worker domains for corpus profiling ({!profile_corpus}) and
+          test execution ({!run_method}); any value yields the same
+          profiles and results, so [jobs] does not shape the plan and
           stays out of checkpoint fingerprints *)
 }
 
@@ -28,8 +28,8 @@ type t = {
   profiles : Core.Profile.t list;
   ident : Core.Identify.t;
   frontier : Frontier.t;
-      (** online PMC-cluster coverage over every Table 1 strategy; the
-          sequential and parallel runners note each completed test *)
+      (** online PMC-cluster coverage over every Table 1 strategy;
+          {!run_method} notes each completed test *)
   prov : Provenance.t;
       (** per-PMC provenance (stored pairs, verdicts, hint outcomes),
           filled through {!note_result} as tests complete and exported
@@ -48,19 +48,13 @@ val fuzz :
     the guest instructions spent. *)
 
 val profile_corpus :
-  Sched.Exec.env -> Fuzzer.Corpus.t -> Core.Profile.t list * int
-(** Phase 2: profile every corpus test from the boot snapshot. *)
-
-val profile_corpus_parallel :
-  jobs:int ->
-  kernel:Kernel.Config.t ->
-  Fuzzer.Corpus.t ->
-  Core.Profile.t list * int
-(** Phase 2 over [jobs] worker domains.  Work-steals ({!Workpool})
-    with every worker leasing a pre-booted VM from the warm pool
-    ({!Sched.Exec.warm_pool}); per-test profiles land in per-entry
-    result slots, so the result is identical to {!profile_corpus} for
-    any [jobs] and any steal interleaving. *)
+  ?jobs:int -> Sched.Exec.env -> Fuzzer.Corpus.t -> Core.Profile.t list * int
+(** Phase 2: profile every corpus test from the boot snapshot; returns
+    the profiles in corpus order and the guest instructions spent.
+    [jobs] (default 1) workers steal entries ({!Workpool}): one worker
+    runs inline on [env]; more lease pre-booted VMs of [env]'s kernel
+    from the warm pool ({!Sched.Exec.warm_pool}).  The result is the
+    same for any [jobs] and any steal interleaving. *)
 
 val prepare : config -> t
 (** Run the input-side phases: fuzz, profile, identify. *)
@@ -113,8 +107,8 @@ type test_result = {
   tr_bug : bug_report option;
 }
 (** The supervised record of one executed (or attempted) concurrent
-    test: the unit the checkpoint journal stores, parallel workers ship
-    back and {!stats_of_results} aggregates.  A failed attempt carries
+    test: the unit the checkpoint journal stores, workers ship back and
+    {!stats_of_results} aggregates.  A failed attempt carries
     only its outcome — partial exploration data is discarded, like the
     paper's re-issued work-queue items. *)
 
@@ -164,21 +158,27 @@ val run_one_test :
   test_result
 (** Run one planned test under supervision ({!Supervise.run}) with the
     deterministic per-test seed [cfg.seed + 1000 * index].  Explicit
-    environment/identification so parallel workers share this exact
-    code path. *)
+    environment/identification so every worker, inline or on a leased
+    VM, runs this exact code path. *)
+
+val crashed_result :
+  index:int -> Core.Select.conc_test -> exn -> test_result
+(** The [Crashed] record for planned test [index] whose run raised
+    [exn] past its supervisor.  Not journaled as completed work, so a
+    resumed campaign re-runs it. *)
 
 val note_result :
   t -> method_:Core.Select.method_ -> Core.Select.conc_test -> test_result -> unit
 (** Note one completed test everywhere it must land: the coverage
     frontier, the provenance store and the explore-phase profiler cells.
-    Called exactly once per (method, index) on the coordinator, in plan
-    order, for fresh, parallel-shipped and resumed results alike — the
-    single-note discipline keeps frontier blocks, provenance artifacts
-    and flamegraphs byte-identical across [--jobs] and [--resume]. *)
+    Called exactly once per (method, index) on the calling domain, in
+    plan order, for fresh and resumed results alike — the single-note
+    discipline keeps frontier blocks, provenance artifacts and
+    flamegraphs byte-identical across [--jobs] and [--resume]. *)
 
 val plan_method : t -> Core.Select.method_ -> budget:int -> Core.Select.plan
 (** Build one method's concurrent-test plan (deterministic in the
-    pipeline seed); shared by the sequential and parallel runners. *)
+    pipeline seed). *)
 
 val stats_of_results :
   method_:Core.Select.method_ ->
@@ -187,8 +187,8 @@ val stats_of_results :
   test_result list ->
   method_stats
 (** Fold per-test results (any order; sorted by [tr_index] internally)
-    into method statistics — the single aggregation path for
-    sequential, parallel and resumed campaigns. *)
+    into method statistics — the single aggregation path for fresh and
+    resumed results at any [jobs]. *)
 
 val run_method :
   ?kind:Sched.Explore.kind ->
@@ -204,12 +204,22 @@ val run_method :
     tests run under [kind] (Snowboard by default); hint-less tests run
     under naive random preemption.
 
+    The plan feeds [t.cfg.jobs] work-stealing workers ({!Workpool}).
+    One worker runs inline on [t.env]; more lease pre-booted VMs from
+    the warm pool ({!Sched.Exec.warm_pool}).  Per-test seeds derive
+    from the plan index, so the statistics — and every artifact noted
+    through {!note_result} — are identical for any [jobs].  A test
+    whose run raises past its supervisor becomes {!crashed_result}.
+
     [sup] is the supervision policy (default {!Supervise.default});
-    [faults] a seeded fault plan to inject.  [resume] is consulted with
-    each 1-based plan index before running: returning [Some r] (e.g.
-    from a checkpoint journal) skips the test and reuses [r].
-    [on_result] observes each freshly executed result — the checkpoint
-    sink's hook — and is not called for resumed tests. *)
+    [faults] a seeded fault plan to inject.  [resume] is consulted on
+    the calling domain with each 1-based plan index before the run:
+    returning [Some r] (e.g. from a checkpoint journal) skips the test
+    and reuses [r].  [on_result] observes each freshly executed result
+    — the checkpoint sink's hook — under a mutex, and is not called for
+    resumed or crashed tests.  Once it raises, no further test starts,
+    it is not called again, and the exception is re-raised after the
+    workers join. *)
 
 val run_campaign :
   ?sup:Supervise.policy ->

@@ -1,6 +1,6 @@
 (** Work-stealing execution of an indexed batch over OCaml domains: the
-    scheduling substrate under both parallel phases (corpus profiling in
-    {!Pipeline} and the explore fan-out in {!Parallel}).
+    scheduling substrate under both phases that fan out over [--jobs]
+    ({!Pipeline.profile_corpus} and {!Pipeline.run_method}).
 
     Static round-robin sharding (the design this replaced) loses the
     tail: one shard that drew the long tests idles every other domain.

@@ -8,7 +8,7 @@
     byte-identical files; otherwise a wall-clock period drives them.
     Phase boundaries always produce a snapshot.  All entry points are
     main-domain facilities and no-ops elsewhere, which is what keeps the
-    deterministic stream stable under [--jobs]/[--domains] parallelism:
+    deterministic stream stable under [--jobs] parallelism:
     workers merely feed the sharded metrics that the main domain
     snapshots at join points.
 

@@ -162,7 +162,6 @@ let warm_pool cfg =
           let p =
             Vmm.Vmpool.create
               ~boot:(fun () -> make_env cfg)
-              ~on_transfer:(fun e -> Vm.invalidate_delta e.vm)
                 (* flush per-VM counter tails as machines come back, so
                    a phase boundary sees the same totals whatever the
                    steal schedule assigned to each machine *)

@@ -63,12 +63,10 @@ val make_env : Kernel.Config.t -> env
 val warm_pool : Kernel.Config.t -> env Vmm.Vmpool.t
 (** The process-wide warm pool of booted environments for this kernel
     configuration (created on first use; subsequent calls return the
-    same pool).  Both parallel phases lease their per-worker envs here,
-    so boots amortize across batches, methods and campaigns.  Safe
-    because every run restores [env.snap] first: a pooled env carries
-    boot cost, never guest state.  Lease transfer between workers
-    invalidates the dirty-page delta ({!Vmm.Vm.invalidate_delta}), so
-    the new owner's first restore full-blits and re-arms. *)
+    same pool).  Both phases lease their per-worker envs here when they
+    run on more than one worker, so boots amortize across batches,
+    methods and campaigns.  Safe because every run restores [env.snap]
+    first: a pooled env carries boot cost, never guest state. *)
 
 val with_setup : env -> Fuzzer.Prog.t -> env
 (** A derived environment whose snapshot is taken after running a setup

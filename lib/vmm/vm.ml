@@ -154,15 +154,6 @@ let set_dirty_tracking t b =
   t.last_snap <- -1;
   clear_dirty t
 
-(* Drop the delta without touching the tracking flag: the next restore
-   full-blits and re-arms against its snapshot.  The VM pool calls this
-   when a machine changes hands — the new leaseholder's snapshot is not
-   the one the memory is delta-tracked against, and trusting a stale
-   [last_snap] id across owners would restore too few pages. *)
-let invalidate_delta t =
-  t.last_snap <- -1;
-  clear_dirty t
-
 let dirty_page_count t = t.n_dirty
 
 let mark_page t p =

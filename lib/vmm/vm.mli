@@ -59,12 +59,6 @@ val num_pages : int
 val dirty_page_count : t -> int
 (** Pages written since the VM last synchronized with a snapshot. *)
 
-val invalidate_delta : t -> unit
-(** Drop the current dirty-page delta (the tracking flag is untouched):
-    the next [restore] performs a full blit and re-arms against its
-    snapshot.  {!Vmpool} calls this on lease transfer, where the new
-    owner's snapshot is not the one the memory is tracked against. *)
-
 val flush_stats : t -> unit
 (** Forward this machine's pending instruction/access/event counts to
     the global metrics registry.  Happens automatically at snapshot and

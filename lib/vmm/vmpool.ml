@@ -1,37 +1,31 @@
 (* Warm pool of pre-booted execution resources; see the interface for
-   the lease/affinity/transfer discipline.  The free list is tiny (one
+   the lease/affinity discipline.  The free list is tiny (one
    entry per worker domain ever seen) so linear scans under the mutex
    are cheaper than any indexed structure would be. *)
 
-(* Reuse accounting.  The "~"-prefixed units mark these as
-   scheduling-timing-dependent: which worker gets which machine (and
-   hence hit vs transfer) varies run to run under work stealing, so
-   deterministic artifacts must scrub them like any wall-clock metric
-   (Obs.Export.is_nondeterministic_unit). *)
+(* Reuse accounting.  Hits versus boots depend on how warm the
+   process-wide pool already was, not on the workload, so the
+   "~"-prefixed units make deterministic artifacts scrub them like any
+   wall-clock metric (Obs.Export.is_nondeterministic_unit). *)
 let m_reuse_hits =
   Obs.Metrics.counter ~unit_:"~vm" "snowboard.vmm/vm_reuse_hits"
 
 let m_reuse_misses =
   Obs.Metrics.counter ~unit_:"~vm" "snowboard.vmm/vm_reuse_misses"
 
-let m_transfers =
-  Obs.Metrics.counter ~unit_:"~vm" "snowboard.vmm/vm_lease_transfers"
-
 type 'v entry = { v : 'v; last_worker : int }
 
 type 'v t = {
   boot : unit -> 'v;
-  on_transfer : 'v -> unit;
   on_release : 'v -> unit;
   lock : Mutex.t;
   mutable free : 'v entry list;
   mutable booted : int;
 }
 
-let create ~boot ?(on_transfer = fun _ -> ()) ?(on_release = fun _ -> ()) () =
+let create ~boot ?(on_release = fun _ -> ()) () =
   {
     boot;
-    on_transfer;
     on_release;
     lock = Mutex.create ();
     free = [];
@@ -59,28 +53,19 @@ let lease t ~worker =
         | Some (e, rest) ->
             t.free <- rest;
             Obs.Metrics.incr m_reuse_hits;
-            Some (e, false)
-        | None -> (
-            (* only unclaimed (prewarmed) machines transfer.  Taking
-               another worker's just-released machine instead of booting
-               would make the boot count — and hence instruction-clock
-               telemetry — depend on OS scheduling of lease/release
-               races, breaking run-to-run byte-identity. *)
-            match take_first (fun e -> e.last_worker = -1) t.free with
-            | Some (e, rest) ->
-                t.free <- rest;
-                Obs.Metrics.incr m_transfers;
-                Some (e, true)
-            | None ->
-                (* boot outside the lock, on this worker's domain *)
-                t.booted <- t.booted + 1;
-                Obs.Metrics.incr m_reuse_misses;
-                None))
+            Some e.v
+        | None ->
+            (* Taking another worker's just-released machine instead of
+               booting would make the boot count — and hence
+               instruction-clock telemetry — depend on OS scheduling of
+               lease/release races, breaking run-to-run byte-identity.
+               Boot outside the lock, on this worker's domain. *)
+            t.booted <- t.booted + 1;
+            Obs.Metrics.incr m_reuse_misses;
+            None)
   in
   match found with
-  | Some (e, transferred) ->
-      if transferred then t.on_transfer e.v;
-      e.v
+  | Some v -> v
   | None -> (
       try t.boot ()
       with exn ->
@@ -91,31 +76,6 @@ let release t ~worker v =
   (* outside the lock: the hook may do real work (flush stats, ...) *)
   t.on_release v;
   locked t (fun () -> t.free <- { v; last_worker = worker } :: t.free)
-
-(* Deliberate warm-up boots are not "misses" — the counters measure how
-   the pool behaves under load, not how it was primed. *)
-let prewarm t n =
-  let rec go () =
-    let need =
-      locked t (fun () ->
-          if t.booted < n then begin
-            t.booted <- t.booted + 1;
-            true
-          end
-          else false)
-    in
-    if need then begin
-      let v =
-        try t.boot ()
-        with exn ->
-          locked t (fun () -> t.booted <- t.booted - 1);
-          raise exn
-      in
-      locked t (fun () -> t.free <- { v; last_worker = -1 } :: t.free);
-      go ()
-    end
-  in
-  go ()
 
 let booted t = locked t (fun () -> t.booted)
 let available t = locked t (fun () -> List.length t.free)

@@ -159,8 +159,8 @@ let test_jobs_determinism () =
       checks (Printf.sprintf "byte-identical summary at jobs=%d" jobs) s1 s)
     [ 2; 4 ]
 
-(* profile_corpus_parallel against profile_corpus directly, including the
-   guest-step accounting *)
+(* profile_corpus at several [jobs] against the inline run, including
+   the guest-step accounting *)
 let test_parallel_profile_equal () =
   let cfg = cfg_with_jobs 1 in
   let env = Exec.make_env cfg.Harness.Pipeline.kernel in
@@ -172,8 +172,7 @@ let test_parallel_profile_equal () =
   List.iter
     (fun jobs ->
       let par_profiles, par_steps =
-        Harness.Pipeline.profile_corpus_parallel ~jobs
-          ~kernel:cfg.Harness.Pipeline.kernel corpus
+        Harness.Pipeline.profile_corpus ~jobs env corpus
       in
       checkb
         (Printf.sprintf "profiles equal at jobs=%d" jobs)

@@ -351,7 +351,11 @@ let test_parallel_equals_sequential () =
   let t = Harness.Pipeline.prepare cfg in
   let m = Core.Select.Strategy Core.Cluster.S_INS in
   let seq = Harness.Pipeline.run_method t m ~budget:40 in
-  let par = Harness.Parallel.run_method ~domains:3 t m ~budget:40 in
+  let par =
+    Harness.Pipeline.run_method
+      { t with Harness.Pipeline.cfg = { cfg with Harness.Pipeline.jobs = 3 } }
+      m ~budget:40
+  in
   checkb "same issues, same discovery indices" true
     (seq.Harness.Pipeline.issues = par.Harness.Pipeline.issues);
   checkb "same exercise counts" true

@@ -2,13 +2,12 @@
 
    The flagship property: the provenance artifact and the collapsed-stack
    flamegraph are byte-identical between a sequential campaign, a
-   parallel one (prepare --jobs 2 and execute --domains 2) and a
+   parallel one (profile and execute at --jobs 2) and a
    checkpointed-then-resumed one, all on the same seed.  Around it, unit
    coverage for the profiler primitives, the hint-outcome bookkeeping and
    the artifact's internal consistency. *)
 
 module Pipeline = Harness.Pipeline
-module Parallel = Harness.Parallel
 module Provenance = Harness.Provenance
 module Frontier = Harness.Frontier
 module Prof = Obs.Profguest
@@ -122,20 +121,15 @@ let campaign ?(jobs = 1) ~runner () =
   Prof.set_enabled false;
   (prov, flame, List.rev !collected)
 
-let sequential t on_result = Pipeline.run_method ~on_result t m_sins ~budget
+let run_sins t on_result = Pipeline.run_method ~on_result t m_sins ~budget
 
-let reference = lazy (campaign ~runner:sequential ())
+let reference = lazy (campaign ~runner:run_sins ())
 
-let test_artifact_identical_jobs2_domains2 () =
+let test_artifact_identical_jobs2 () =
   let prov1, flame1, _ = Lazy.force reference in
-  let prov2, flame2, _ =
-    campaign ~jobs:2
-      ~runner:(fun t on_result ->
-        Parallel.run_method ~domains:2 ~on_result t m_sins ~budget)
-      ()
-  in
-  checks "provenance byte-identical across --jobs 2/--domains 2" prov1 prov2;
-  checks "flamegraph byte-identical across --jobs 2/--domains 2" flame1 flame2
+  let prov2, flame2, _ = campaign ~jobs:2 ~runner:run_sins () in
+  checks "provenance byte-identical across --jobs 2" prov1 prov2;
+  checks "flamegraph byte-identical across --jobs 2" flame1 flame2
 
 let resumed_campaign journal =
   campaign
@@ -286,7 +280,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "artifacts identical under --jobs 2/--domains 2"
-            `Slow test_artifact_identical_jobs2_domains2;
+            `Slow test_artifact_identical_jobs2;
           qc prop_artifact_identical_resumed;
         ] );
       ( "artifact",

@@ -219,18 +219,6 @@ let test_no_fault_unchanged () =
   checkb "same accesses" true
     (plain.Sched.Exec.cc_accesses = again.Sched.Exec.cc_accesses)
 
-(* ---------------- lookup errors (satellite b) ---------------- *)
-
-let expect_invalid_arg name f =
-  match f () with
-  | exception Invalid_argument msg ->
-      checkb (name ^ " names the id") true (contains ~sub:"4242" msg)
-  | _ -> Alcotest.failf "%s must raise Invalid_argument" name
-
-let test_unknown_corpus_id () =
-  expect_invalid_arg "Parallel.prog_of_table" (fun () ->
-      Harness.Parallel.prog_of_table (Hashtbl.create 4) 4242)
-
 (* ---------------- dead-worker failure containment ---------------- *)
 
 let test_crashed_result_shape () =
@@ -238,7 +226,8 @@ let test_crashed_result_shape () =
   let rs =
     List.map
       (fun test ->
-        Harness.Parallel.crashed_result test (Failure "domain blew up"))
+        let index, ct = test in
+        Pipeline.crashed_result ~index ct (Failure "domain blew up"))
       [ (3, ct 1 2); (7, ct 2 1) ]
   in
   checki "one record per test" 2 (List.length rs);
@@ -489,6 +478,68 @@ let prop_resume_random_subset =
       in
       Pipeline.run_method ~faults ~resume t m_sins ~budget:8 = full)
 
+(* ---------------- the runner's failure paths ---------------- *)
+
+(* A test whose run raises past its supervisor (here: its programs are
+   missing from the corpus) becomes a [Crashed] record at any [jobs],
+   and never reaches the journal sink, so a resume re-runs it. *)
+let test_raising_test_crashes () =
+  let t = Lazy.force pipe in
+  List.iter
+    (fun jobs ->
+      let t =
+        {
+          t with
+          Pipeline.corpus = Fuzzer.Corpus.create ();
+          cfg = { small_cfg with Pipeline.jobs };
+        }
+      in
+      let sunk = ref 0 in
+      let s =
+        Pipeline.run_method ~on_result:(fun _ -> incr sunk) t m_sins ~budget:4
+      in
+      checkb (Printf.sprintf "jobs=%d: tests planned" jobs) true
+        (s.Pipeline.executed > 0);
+      checki
+        (Printf.sprintf "jobs=%d: every test crashed" jobs)
+        s.Pipeline.executed s.Pipeline.outcomes.Pipeline.oc_crashed;
+      checki (Printf.sprintf "jobs=%d: nothing journaled" jobs) 0 !sunk)
+    [ 1; 2 ]
+
+exception Sink_failed
+
+(* A sink that raises after journaling three fresh results (a full
+   disk, an interruption) stops the campaign at any [jobs]: the
+   exception escapes [run_method], the sink is never called again, and
+   resuming from the three journaled results gives the uninterrupted
+   statistics. *)
+let test_on_result_raise_stops () =
+  let t = Lazy.force pipe in
+  let full = Pipeline.run_method t m_sins ~budget:10 in
+  List.iter
+    (fun jobs ->
+      let t = { t with Pipeline.cfg = { small_cfg with Pipeline.jobs } } in
+      let journal = ref [] and calls = ref 0 in
+      let on_result r =
+        incr calls;
+        if !calls > 3 then raise Sink_failed;
+        journal := r :: !journal
+      in
+      (match Pipeline.run_method ~on_result t m_sins ~budget:10 with
+      | exception Sink_failed -> ()
+      | _ -> Alcotest.failf "jobs=%d: the sink's exception must escape" jobs);
+      checki
+        (Printf.sprintf "jobs=%d: no call after the raise" jobs)
+        4 !calls;
+      let resume idx =
+        List.find_opt (fun r -> r.Pipeline.tr_index = idx) !journal
+      in
+      checkb
+        (Printf.sprintf "jobs=%d: resumed stats equal the uninterrupted" jobs)
+        true
+        (Pipeline.run_method ~resume t m_sins ~budget:10 = full))
+    [ 1; 2 ]
+
 (* ---------------- driver ---------------- *)
 
 let tests =
@@ -517,7 +568,6 @@ let tests =
       test_injected_timeout_becomes_watchdog;
     Alcotest.test_case "No_fault leaves trials untouched" `Quick
       test_no_fault_unchanged;
-    Alcotest.test_case "unknown corpus id named" `Quick test_unknown_corpus_id;
     Alcotest.test_case "shard failure contained" `Quick
       test_crashed_result_shape;
     Alcotest.test_case "checkpoint round-trips" `Quick test_checkpoint_roundtrip;
@@ -537,6 +587,10 @@ let tests =
     Alcotest.test_case "resume any prefix is identical" `Slow
       test_resume_any_prefix_identical;
     QCheck_alcotest.to_alcotest prop_resume_random_subset;
+    Alcotest.test_case "raising test becomes crashed" `Slow
+      test_raising_test_crashes;
+    Alcotest.test_case "raising on_result stops the campaign" `Slow
+      test_on_result_raise_stops;
   ]
 
 let () = Alcotest.run "resilience" [ ("resilience", tests) ]

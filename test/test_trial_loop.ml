@@ -14,14 +14,15 @@ module P = Harness.Pipeline
    trial's replay string, issues and steps.  The constant was computed on
    the commit before the trial loop was rebuilt (lean incidental search,
    flat race table); a change that alters any trial result, any replay or
-   any summary byte changes it. *)
+   any summary byte changes it.  The summary's campaign runs at
+   [jobs] 1 and 2; both must hash to the constant. *)
 let golden = "4c28bf6f480215a39d71ad88e300c43d"
 
 let golden_cfg =
   { P.default with P.seed = 3; fuzz_iters = 150; trials_per_test = 8; jobs = 1 }
 
-let golden_digest () =
-  let cfg = golden_cfg in
+let golden_digest ~jobs () =
+  let cfg = { golden_cfg with P.jobs } in
   let p = P.prepare cfg in
   let methods =
     [ Core.Select.Strategy Core.Cluster.S_INS_PAIR; Core.Select.Random_pairing ]
@@ -66,8 +67,12 @@ let golden_digest () =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_golden () =
-  Alcotest.(check string) "campaign digest equals the pinned one" golden
-    (golden_digest ())
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "campaign digest at jobs=%d equals the pinned one" jobs)
+        golden (golden_digest ~jobs ()))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden per-step digest.                                              *)

@@ -102,26 +102,16 @@ let test_pool_finish_runs_per_worker () =
        items);
   checki "finish ran once per worker" 4 (Atomic.get finished)
 
-let test_default_domains () =
-  let unset () = Unix.putenv "SNOWBOARD_MAX_DOMAINS" "" in
-  unset ();
-  checkb "at least one worker" true (Harness.Parallel.default_domains () >= 1);
-  Unix.putenv "SNOWBOARD_MAX_DOMAINS" "1";
-  checki "env cap applies" 1 (Harness.Parallel.default_domains ());
-  Unix.putenv "SNOWBOARD_MAX_DOMAINS" "not-a-number";
-  checkb "garbage cap ignored" true (Harness.Parallel.default_domains () >= 1);
-  unset ()
-
 (* ---------------- Vmpool bookkeeping ------------------------------- *)
 
-let counting_pool ?on_transfer ?on_release () =
+let counting_pool ?on_release () =
   let boots = ref 0 in
   let p =
     Vmpool.create
       ~boot:(fun () ->
         incr boots;
         !boots)
-      ?on_transfer ?on_release ()
+      ?on_release ()
   in
   (p, boots)
 
@@ -145,26 +135,6 @@ let test_vmpool_never_steals_other_workers_machine () =
   checkb "fresh machine for the new worker" true (b <> a);
   checki "two boots" 2 !boots
 
-let test_vmpool_transfer_only_from_prewarm () =
-  let transfers = ref [] in
-  let p, boots =
-    counting_pool ~on_transfer:(fun v -> transfers := v :: !transfers) ()
-  in
-  Vmpool.prewarm p 2;
-  checki "prewarm boots" 2 !boots;
-  checki "prewarm is idempotent" 2 (Vmpool.booted p);
-  Vmpool.prewarm p 2;
-  checki "no extra boots" 2 !boots;
-  let a = Vmpool.lease p ~worker:0 in
-  let b = Vmpool.lease p ~worker:1 in
-  checki "both leases served from the warm set" 2 !boots;
-  checki "both transfers re-armed" 2 (List.length !transfers);
-  Vmpool.release p ~worker:0 a;
-  Vmpool.release p ~worker:1 b;
-  let a' = Vmpool.lease p ~worker:0 in
-  checki "affinity hit is not a transfer" 2 (List.length !transfers);
-  checki "same machine" a a'
-
 let test_vmpool_on_release_hook () =
   let released = ref 0 in
   let p, _ = counting_pool ~on_release:(fun _ -> incr released) () in
@@ -175,10 +145,10 @@ let test_vmpool_on_release_hook () =
 
 (* ---------------- warm VM lease/restore equivalence ---------------- *)
 
-(* Restoring a leased VM — via the dirty-delta shortcut on an affinity
-   hit, or the full blit after a transfer's [invalidate_delta] — must
-   leave guest state byte-identical to the [restore_full] oracle.
-   Random programs dirty different page sets each round. *)
+(* Restoring a leased VM via the dirty-delta shortcut on an affinity
+   hit, round after round, must leave guest state byte-identical to the
+   [restore_full] oracle.  Random programs dirty different page sets
+   each round. *)
 let prop_lease_restore_equivalent =
   QCheck.Test.make ~name:"pool lease/restore matches restore_full oracle"
     ~count:20
@@ -194,12 +164,6 @@ let prop_lease_restore_equivalent =
       ignore (Exec.run_seq env ~tid:0 prog);
       Vm.restore env.Exec.vm env.Exec.snap;
       checkb "dirty restore" true (Vm.fingerprint env.Exec.vm = fp_oracle);
-      (* transfer: delta dropped, next restore full-blits and re-arms *)
-      ignore (Exec.run_seq env ~tid:0 prog);
-      Vm.invalidate_delta env.Exec.vm;
-      Vm.restore env.Exec.vm env.Exec.snap;
-      checkb "post-transfer restore" true
-        (Vm.fingerprint env.Exec.vm = fp_oracle);
       (* and the delta re-armed: the next cycle dirty-restores again *)
       ignore (Exec.run_seq env ~tid:0 prog);
       Vm.restore env.Exec.vm env.Exec.snap;
@@ -217,7 +181,7 @@ let small_cfg =
 let t = lazy (Harness.Pipeline.prepare small_cfg)
 
 (* Work-stealing corpus profiling must merge to the same profile list
-   and step count as the sequential profiler, for any job count. *)
+   and step count as the inline profiler, for any job count. *)
 let test_profile_parallel_equivalent () =
   let t = Lazy.force t in
   let env = Exec.make_env small_cfg.Harness.Pipeline.kernel in
@@ -227,27 +191,29 @@ let test_profile_parallel_equivalent () =
   List.iter
     (fun jobs ->
       let p, s =
-        Harness.Pipeline.profile_corpus_parallel ~jobs
-          ~kernel:small_cfg.Harness.Pipeline.kernel t.Harness.Pipeline.corpus
+        Harness.Pipeline.profile_corpus ~jobs env t.Harness.Pipeline.corpus
       in
       checkb (Printf.sprintf "profiles identical at jobs=%d" jobs) true
         (p = seq_profiles);
       checki (Printf.sprintf "steps identical at jobs=%d" jobs) seq_steps s)
     [ 1; 2; 3 ]
 
-(* The parallel explore fan-out must produce identical method stats —
-   bug reports, outcome tallies, everything — to the sequential runner,
-   for several worker counts and steal seeds (the seed shapes victim
-   order only, so stats must not move with it). *)
+(* The explore fan-out must produce identical method stats — bug
+   reports, outcome tallies, everything — to the inline run, for several
+   worker counts (the steal seed shapes victim order only, so stats must
+   not move with it). *)
 let test_explore_parallel_equivalent () =
   let t = Lazy.force t in
   let method_ = Core.Select.Strategy Core.Cluster.S_MEM in
   let budget = 10 in
   let seq = Harness.Pipeline.run_method t method_ ~budget in
   List.iter
-    (fun domains ->
-      let par = Harness.Parallel.run_method ~domains t method_ ~budget in
-      checkb (Printf.sprintf "stats identical at domains=%d" domains) true
+    (fun jobs ->
+      let t =
+        { t with Harness.Pipeline.cfg = { small_cfg with Harness.Pipeline.jobs } }
+      in
+      let par = Harness.Pipeline.run_method t method_ ~budget in
+      checkb (Printf.sprintf "stats identical at jobs=%d" jobs) true
         (par = seq))
     [ 1; 2; 4 ]
 
@@ -285,18 +251,12 @@ let () =
           Alcotest.test_case "finish runs per worker" `Quick
             test_pool_finish_runs_per_worker;
         ] );
-      ( "sharding",
-        [
-          Alcotest.test_case "default_domains" `Quick test_default_domains;
-        ] );
       ( "vmpool",
         qsuite [ prop_lease_restore_equivalent ]
         @ [
             Alcotest.test_case "affinity hit" `Quick test_vmpool_affinity_hit;
             Alcotest.test_case "never steals another worker's machine" `Quick
               test_vmpool_never_steals_other_workers_machine;
-            Alcotest.test_case "transfer only from prewarm" `Quick
-              test_vmpool_transfer_only_from_prewarm;
             Alcotest.test_case "on_release hook" `Quick
               test_vmpool_on_release_hook;
           ] );
