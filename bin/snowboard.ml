@@ -247,9 +247,10 @@ let run_fuzz kernel seed iters verbose out (_ : obs) =
           (Fuzzer.Prog.to_string e.Fuzzer.Corpus.prog))
       (Fuzzer.Corpus.to_list corpus);
   match out with
-  | Some path ->
-      Fuzzer.Corpus.save corpus path;
-      pf "corpus written to %s@." path
+  | Some path -> (
+      match Fuzzer.Corpus.save corpus path with
+      | Ok () -> pf "corpus written to %s@." path
+      | Error msg -> fail_cli "cannot write corpus: %s" msg)
   | None -> ()
 
 let verbose =
@@ -495,7 +496,10 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
   let seeds =
     (if seeded then Harness.Pipeline.scenario_seeds () else [])
     @ (match corpus_file with
-      | Some path -> Fuzzer.Corpus.load_programs path
+      | Some path -> (
+          match Fuzzer.Corpus.load_programs path with
+          | Ok progs -> progs
+          | Error msg -> fail_cli "cannot load corpus: %s" msg)
       | None -> [])
   in
   let cfg =
@@ -1469,7 +1473,7 @@ let run_three kernel seed () (_ : obs) =
       (Array.mapi
          (fun i p ->
            Core.Profile.of_shared ~test_id:i
-             (Sched.Exec.run_seq_shared env ~tid:0 p).Sched.Exec.sq_accesses)
+             (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
          progs)
   in
   let ident = Core.Identify.run profiles in

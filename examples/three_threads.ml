@@ -29,7 +29,7 @@ let () =
     Array.to_list
       (Array.mapi
          (fun i p ->
-           Core.Profile.of_accesses ~test_id:i
+           Core.Profile.of_shared ~test_id:i
              (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
          progs)
   in

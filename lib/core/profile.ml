@@ -59,7 +59,7 @@ let of_accesses ~test_id (accesses : Trace.access list) =
   }
 
 (* Fast-path builder for traces that are already shared-only (the
-   [Sched.Exec.run_seq_shared] runner filters during execution).  Same
+   [Sched.Exec.run_seq] runner filters during execution).  Same
    pairing semantics as [compute_df], but the pending-read table is a
    pair of flat arrays scanned linearly - the live set (distinct read
    ranges since the last overlapping write) is small, so a scan beats a

@@ -14,7 +14,7 @@ val of_accesses : test_id:int -> Vmm.Trace.access list -> t
 
 val of_shared : test_id:int -> Vmm.Trace.access list -> t
 (** Fast-path builder for traces already filtered to shared accesses
-    (e.g. by {!Sched.Exec.run_seq_shared}): identical profiles to
+    (e.g. by {!Sched.Exec.run_seq}): identical profiles to
     {!of_accesses} on the shared subset, without the per-write table
     copy in the double-fetch scan.  [of_accesses] is the oracle. *)
 

@@ -98,28 +98,30 @@ let sample t rng =
 (* One program per line; the coverage metadata is not stored - a loaded
    corpus is re-profiled from the snapshot anyway. *)
 let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e -> output_string oc (Prog.to_line e.prog ^ "\n"))
-        (to_list t))
+  let body =
+    String.concat "" (List.map (fun e -> Prog.to_line e.prog ^ "\n") (to_list t))
+  in
+  match Obs.Storage.write_atomic ~site:"corpus" ~path body with
+  | Ok () -> Ok ()
+  | Error e -> Error (Printf.sprintf "%s: %s" path (Obs.Storage.err_to_string e))
 
+(* The first line that is not a program fails the whole load, so a
+   damaged file cannot silently shrink the seed corpus. *)
 let load_programs path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line ->
-            let acc =
-              if String.trim line = "" then acc
-              else
-                match Prog.of_line line with Some p -> p :: acc | None -> acc
-            in
-            go acc
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec go n acc =
+            match input_line ic with
+            | exception End_of_file -> Ok (List.rev acc)
+            | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+            | line when String.trim line = "" -> go (n + 1) acc
+            | line -> (
+                match Prog.of_line line with
+                | Some p -> go (n + 1) (p :: acc)
+                | None -> Error (Printf.sprintf "%s:%d: not a program" path n))
+          in
+          go 1 [])

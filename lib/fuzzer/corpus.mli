@@ -33,10 +33,14 @@ val find : t -> int -> entry option
     A plain array read, so worker domains share it while the corpus is
     not growing. *)
 
-val save : t -> string -> unit
-(** Write the corpus programs to a file, one per line. *)
+val save : t -> string -> (unit, string) result
+(** Write the corpus programs to a file, one per line, atomically
+    ({!Obs.Storage.write_atomic} at site ["corpus"]).  [Error] names the
+    path and the storage error. *)
 
-val load_programs : string -> Prog.t list
-(** Parse a corpus file back into programs (malformed lines are skipped);
+val load_programs : string -> (Prog.t list, string) result
+(** Parse a corpus file back into programs (blank lines are skipped);
     feed them to [Pipeline.fuzz]'s [seeds] to rebuild a corpus with
-    coverage metadata. *)
+    coverage metadata.  [Error] carries the [Sys_error] message of a
+    file that cannot be read, or names the [path:line] of the first line
+    {!Prog.of_line} rejects. *)

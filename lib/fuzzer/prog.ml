@@ -84,6 +84,18 @@ let to_line (p : t) =
          String.concat " " (string_of_int c.nr :: List.map arg_to_string c.args))
        p)
 
+(* Does every buffer fit in the user segment?  The executor pokes buffer
+   [j] of call [i] at [buf_addr i + 16 j], so one that ran past the
+   segment's end would fault the VM before the program starts. *)
+let buffers_fit (p : t) =
+  let limit = Vmm.Layout.user_base + Vmm.Layout.user_size in
+  let fits i j = function
+    | Buf s -> buf_addr i + (16 * j) + String.length s <= limit
+    | Const _ | Res _ -> true
+  in
+  List.for_all Fun.id
+    (List.mapi (fun i c -> List.for_all Fun.id (List.mapi (fits i) c.args)) p)
+
 let of_line line =
   let parse_call s =
     match String.split_on_char ' ' (String.trim s) with
@@ -99,5 +111,6 @@ let of_line line =
   in
   let calls = List.map parse_call (String.split_on_char '|' line) in
   if calls <> [] && List.for_all Option.is_some calls then
-    Some (List.map Option.get calls)
+    let p = List.map Option.get calls in
+    if buffers_fit p then Some p else None
   else None

@@ -36,4 +36,6 @@ val to_line : t -> string
 (** Compact one-line serialisation for corpus files. *)
 
 val of_line : string -> t option
-(** Inverse of [to_line]; [None] on malformed input. *)
+(** Inverse of [to_line]; [None] on malformed input, including a buffer
+    that would end past the user segment ([Vmm.Layout.user_base +
+    Vmm.Layout.user_size]) once placed at its {!buf_addr} slot. *)

@@ -63,13 +63,16 @@ let fuzz ?(seeds = []) env ~seed ~iters =
   let rng = Random.State.make [| seed |] in
   let corpus = Fuzzer.Corpus.create () in
   let steps = ref 0 in
-  List.iter
-    (fun prog ->
-      let r = Exec.run_seq env ~tid:0 prog in
-      steps := !steps + r.Exec.sq_steps;
-      if not r.Exec.sq_panicked then
-        ignore (Fuzzer.Corpus.consider corpus prog ~edges:r.Exec.sq_edges))
-    seeds;
+  (* seed and generated programs alike: sequential tests that crash or
+     spam the console are not useful as corpus entries; Snowboard wants
+     clean sequential behaviour *)
+  let offer prog =
+    let r = Exec.run_seq env ~tid:0 prog in
+    steps := !steps + r.Exec.sq_steps;
+    if not r.Exec.sq_panicked then
+      ignore (Fuzzer.Corpus.consider corpus prog ~edges:r.Exec.sq_edges)
+  in
+  List.iter offer seeds;
   Log.info (fun m ->
       m "seed corpus: %d programs offered, %d kept" (List.length seeds)
         (Fuzzer.Corpus.size corpus));
@@ -83,12 +86,7 @@ let fuzz ?(seeds = []) env ~seed ~iters =
         let e = Fuzzer.Corpus.sample corpus rng in
         Fuzzer.Gen.mutate rng e.Fuzzer.Corpus.prog
     in
-    let r = Exec.run_seq env ~tid:0 prog in
-    steps := !steps + r.Exec.sq_steps;
-    (* sequential tests that crash or spam the console are not useful as
-       corpus entries; Snowboard wants clean sequential behaviour *)
-    if not r.Exec.sq_panicked then
-      ignore (Fuzzer.Corpus.consider corpus prog ~edges:r.Exec.sq_edges);
+    offer prog;
     Obs.Telemetry.tick ()
   done;
   Log.info (fun m ->
@@ -119,7 +117,9 @@ let profile_corpus ?(jobs = 1) env corpus =
   let results =
     Workpool.run ~jobs ~worker ~finish
       ~f:(fun env _ (e : Fuzzer.Corpus.entry) ->
-        let r = Exec.run_seq_shared env ~tid:0 e.prog in
+        let prof = Obs.Profguest.collector () in
+        let r = Exec.run_seq ~prof env ~tid:0 e.prog in
+        Obs.Profguest.flush prof Obs.Profguest.Profile;
         (* a no-op off the main domain *)
         Obs.Telemetry.tick ();
         ( Core.Profile.of_shared ~test_id:e.id r.Exec.sq_accesses,

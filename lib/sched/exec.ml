@@ -1,20 +1,20 @@
 (* The test execution framework (paper sections 4.1 and 4.4).
 
-   Runs sequential tests for profiling and concurrent tests under a
-   pluggable scheduling policy.  Every trial starts from the boot
+   Runs sequential tests (fuzzing, profiling) and concurrent tests under
+   a pluggable scheduling policy.  Every trial starts from the boot
    snapshot; only one vCPU executes at a time; the policy is consulted
    after every instruction, and a thread that spins (Pause) is forcibly
    descheduled - the is_live heuristic of Algorithm 2.
 
-   Every runner except [run_seq_step] executes the kernel's threaded
-   code ([env.tcode]) through [Vm.run_tblock] or [Vm.run_tblock_conc],
+   [run_seq] and [run_multi] execute the kernel's threaded code
+   ([env.tcode]) through [Vm.run_tblock] and [Vm.run_tblock_conc],
    writing events into a [Vm.sink] (one per domain, see [sink_key])
-   instead of returning lists, and allocates nothing per instruction,
+   instead of returning lists, and allocate nothing per instruction,
    loads and stores included.  Sequential runs retire plain instructions
    in blocks, only surfacing at trace-relevant events (the SKI/QEMU-style
    batched guest execution the paper's scale depends on, section 4.4).
    What a run allocates is what it reports: a Trace.access record and a
-   list cell per reported access, the final [List.rev], the result
+   list cell per shared access, the final [List.rev], the result
    record (and, above this module, the policy's recorder buffer).
    Concurrent execution keeps per-instruction policy consultation, so
    every schedule, replay trace and flight-recorder stream is
@@ -225,49 +225,11 @@ let start_syscall env tid (retvals : int array) i (c : Fuzzer.Prog.call) =
   Vm.start_call env.vm tid env.kern.Kernel.syscall_entry args;
   Vm.set_reg env.vm tid Isa.r12 c.nr
 
-(* Section 4.1: "Snowboard can grow the number of initial kernel states
-   it utilizes to increase diversity."  [with_setup] derives a new
-   environment whose snapshot is taken after running a setup program on
-   vCPU 0 from the parent snapshot - e.g. a state with a tunnel already
-   registered or the filesystem already dirtied.  The setup must be clean
-   (no panic); the guest console is part of the snapshot and stays
-   empty. *)
-let with_setup env (setup : Fuzzer.Prog.t) =
-  let vm = env.vm in
-  Vm.restore vm env.snap;
-  install_buffers vm 0 setup;
-  let retvals = Array.make (List.length setup) (-1) in
-  let sink = Domain.DLS.get sink_key in
-  (try
-     List.iteri
-       (fun i (c : Fuzzer.Prog.call) ->
-         if Vm.panicked vm then raise Exit;
-         start_syscall env 0 retvals i c;
-         let budget = ref 100_000 in
-         let finished = ref false in
-         while not !finished do
-           if !budget <= 0 then raise Exit;
-           let reason =
-             Vm.run_tblock vm env.tcode ~tid:0 ~quantum:!budget sink
-           in
-           budget := !budget - sink.Vm.sk_steps;
-           match reason with
-           | Vm.Rret_to_user ->
-               retvals.(i) <- Vm.reg vm 0 Isa.r0;
-               finished := true
-           | Vm.Rdead -> finished := true
-           | Vm.Rnone | Vm.Revent -> ()
-         done)
-       setup
-   with Exit -> ());
-  if Vm.panicked vm then invalid_arg "exec: setup program panicked";
-  { env with snap = Vm.snapshot vm }
-
 (* ------------------------------------------------------------------ *)
-(* Sequential execution, used for profiling and fuzzing.               *)
+(* Sequential execution: fuzzing, profiling, derived initial states.   *)
 
 type seq_result = {
-  sq_accesses : Trace.access list;  (* all traced accesses, in order *)
+  sq_accesses : Trace.access list;  (* shared accesses, in order *)
   sq_console : string list;
   sq_panicked : bool;
   sq_retvals : int array;
@@ -295,57 +257,15 @@ let seq_epilogue env ~steps ~accesses ~retvals =
     sq_edges = Vm.coverage_edges env.vm;
   }
 
-(* Sequential hot loop (fuzzing): threaded-code block execution.  Each
+(* The sequential runner: threaded-code block execution.  Each
    [run_tblock] retires a run of plain instructions plus at most one
    trace-relevant instruction (accesses from consecutive loads and
    stores batch into one block); the per-syscall budget is enforced
    through the block quantum and [sk_steps], so instruction counts (and
-   thus budget aborts) are exactly those of [run_seq_step]. *)
-let run_seq env ~tid (prog : Fuzzer.Prog.t) =
-  let retvals = seq_prologue env ~tid prog in
-  let accesses = ref [] in
-  let steps = ref 0 in
-  let blocks = ref 0 in
-  let sink = Domain.DLS.get sink_key in
-  (try
-     List.iteri
-       (fun i c ->
-         if Vm.panicked env.vm then raise Exit;
-         start_syscall env tid retvals i c;
-         let budget = ref syscall_budget in
-         let finished = ref false in
-         while not !finished do
-           if !budget <= 0 then raise Exit;
-           let reason =
-             Vm.run_tblock env.vm env.tcode ~tid ~quantum:!budget sink
-           in
-           budget := !budget - sink.Vm.sk_steps;
-           steps := !steps + sink.Vm.sk_steps;
-           incr blocks;
-           for k = 0 to sink.Vm.sk_n_acc - 1 do
-             accesses := Vm.sink_access sink ~thread:tid k :: !accesses
-           done;
-           match reason with
-           | Vm.Rret_to_user ->
-               retvals.(i) <- Vm.reg env.vm tid Isa.r0;
-               finished := true
-           | Vm.Rdead -> finished := true
-           | Vm.Rnone | Vm.Revent -> ()
-         done)
-       prog
-   with Exit -> ());
-  if !blocks > 0 then Obs.Metrics.observe h_block_len (!steps / !blocks);
-  seq_epilogue env ~steps:!steps ~accesses:!accesses ~retvals
-
-(* Profiling fast path: threaded-code block execution, but only *shared*
-   accesses are ever materialised as Trace.access records ([sq_accesses]
-   holds the shared subset, in order).  Profiling consumes nothing else - the
-   stack-local majority of accesses (~2 in 3) used to be boxed, listed,
-   reversed and then filtered straight back out by
-   [Core.Profile.of_accesses] - so [sq_edges] is left empty rather than
-   extracted from the coverage table (a per-run cost comparable to
-   interpreting a short test). *)
-let run_seq_shared env ~tid (prog : Fuzzer.Prog.t) =
+   thus budget aborts) are exactly those of [run_seq_step].  Only shared
+   accesses, tested on the sink's raw fields, become records. *)
+let run_seq ?(prof = Obs.Profguest.null_collector) env ~tid
+    (prog : Fuzzer.Prog.t) =
   let retvals = seq_prologue env ~tid prog in
   let accesses = ref [] in
   let steps = ref 0 in
@@ -354,7 +274,6 @@ let run_seq_shared env ~tid (prog : Fuzzer.Prog.t) =
   (* Guest profiler: a block never crosses a Call/Ret ([Vm.run_tblock]
      stops at every singleton event), so attributing all of a block's
      retired instructions to the function at its starting pc is exact. *)
-  let prof = Obs.Profguest.collector () in
   let prof_on = Obs.Profguest.active prof in
   (try
      List.iteri
@@ -394,21 +313,23 @@ let run_seq_shared env ~tid (prog : Fuzzer.Prog.t) =
          done)
        prog
    with Exit -> ());
-  if prof_on then Obs.Profguest.flush prof Obs.Profguest.Profile;
   if !blocks > 0 then Obs.Metrics.observe h_block_len (!steps / !blocks);
-  Obs.Metrics.incr m_seq_runs;
-  Obs.Metrics.observe h_seq_steps !steps;
-  {
-    sq_accesses = List.rev !accesses;
-    sq_console = Vm.console_lines env.vm;
-    sq_panicked = Vm.panicked env.vm;
-    sq_retvals = retvals;
-    sq_steps = !steps;
-    sq_edges = [];
-  }
+  seq_epilogue env ~steps:!steps ~accesses:!accesses ~retvals
 
-(* The list-returning path over [Vm.step], verbatim: the
-   observational-equivalence oracle for the two paths above and the
+(* Section 4.1: "Snowboard can grow the number of initial kernel states
+   it utilizes to increase diversity."  [with_setup] derives a new
+   environment whose snapshot is taken after running a setup program on
+   vCPU 0 from the parent snapshot - e.g. a state with a tunnel already
+   registered or the filesystem already dirtied.  The setup must be clean
+   (no panic); the guest console is part of the snapshot and stays
+   empty. *)
+let with_setup env (setup : Fuzzer.Prog.t) =
+  if (run_seq env ~tid:0 setup).sq_panicked then
+    invalid_arg "exec: setup program panicked";
+  { env with snap = Vm.snapshot env.vm }
+
+(* The list-returning path over [Vm.step], verbatim and returning every
+   access: the observational-equivalence oracle for [run_seq] and the
    benchmark baseline.  The only caller of [Vm.step]. *)
 let run_seq_step env ~tid (prog : Fuzzer.Prog.t) =
   let retvals = seq_prologue env ~tid prog in
@@ -705,7 +626,7 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
          done;
          (* a block never crosses a Call/Ret, so all retired
             instructions belong to the function at the block-start pc
-            (the same argument as [run_seq_shared]); per-step mode has
+            (the same argument as [run_seq]); per-step mode has
             [sk_steps] = 1 and this is the old per-instruction collect *)
          if prof_on then
            Obs.Profguest.collect prof ~fid:pfid ~steps:sink.Vm.sk_steps

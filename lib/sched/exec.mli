@@ -2,15 +2,14 @@
     sequential tests for profiling and fuzzing, and concurrent tests
     under a pluggable scheduling policy, all from the boot snapshot.
 
-    Every runner but {!run_seq_step} executes the kernel's threaded code
-    ([env.tcode]) through {!Vmm.Vm.run_tblock} or
-    {!Vmm.Vm.run_tblock_conc}, writing events into a {!Vmm.Vm.sink}
-    (one per domain, shared by every runner), and allocates nothing per
+    Two runners execute the kernel's threaded code ([env.tcode]):
+    {!run_seq} through {!Vmm.Vm.run_tblock} and {!run_multi} through
+    {!Vmm.Vm.run_tblock_conc}.  Both write events into a {!Vmm.Vm.sink}
+    (one per domain, shared by every runner) and allocate nothing per
     instruction, memory-touching ones included; sequential runs retire
     plain instructions in blocks.  What a run does allocate is its
-    product: one {!Vmm.Trace.access} record and list cell per access it
-    reports (every access for [run_seq], the shared ones for the other
-    runners), the final [List.rev], and the result record.
+    product: one {!Vmm.Trace.access} record and list cell per *shared*
+    access, the final [List.rev], and the result record.
     {!run_seq_step} drives the list-returning {!Vmm.Vm.step}, the
     observational-equivalence oracle and benchmark baseline.
 
@@ -68,12 +67,6 @@ val warm_pool : Kernel.Config.t -> env Vmm.Vmpool.t
     methods and campaigns.  Safe because every run restores [env.snap]
     first: a pooled env carries boot cost, never guest state. *)
 
-val with_setup : env -> Fuzzer.Prog.t -> env
-(** A derived environment whose snapshot is taken after running a setup
-    program from the parent snapshot (section 4.1's "grow the number of
-    initial kernel states").  Raises [Invalid_argument] if the setup
-    program panics. *)
-
 type observer = {
   on_access : Vmm.Trace.access -> ctx:string -> unit;
       (** called for every shared kernel access with its attributed
@@ -93,7 +86,7 @@ val default_observer : observer
     working under a detector. *)
 
 type seq_result = {
-  sq_accesses : Vmm.Trace.access list;  (** all traced accesses in order *)
+  sq_accesses : Vmm.Trace.access list;  (** shared accesses, in order *)
   sq_console : string list;
   sq_panicked : bool;
   sq_retvals : int array;
@@ -104,29 +97,32 @@ type seq_result = {
 val syscall_budget : int
 (** Instruction budget per system call; exceeding it aborts the test. *)
 
-val run_seq : env -> tid:int -> Fuzzer.Prog.t -> seq_result
+val run_seq :
+  ?prof:Obs.Profguest.collector -> env -> tid:int -> Fuzzer.Prog.t -> seq_result
 (** Restore the snapshot and run the program to completion on one vCPU,
-    in {!Vmm.Vm.run_tblock} blocks over [env.tcode].  The fuzzing path.
-    Observationally identical to {!run_seq_step} (same accesses, console,
-    retvals, step counts and coverage edges). *)
+    in {!Vmm.Vm.run_tblock} blocks over [env.tcode]: the sequential
+    runner for fuzzing, profiling ({!Core.Profile.of_shared}) and
+    {!with_setup}.  Only shared accesses (kernel-space, non-stack)
+    become records, filtered on the sink's raw fields.  Equals
+    {!run_seq_step} with [sq_accesses] filtered through
+    {!Vmm.Trace.is_shared}, final VM state included.
 
-val run_seq_shared : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** {!run_seq}, but [sq_accesses] holds only the *shared* accesses
-    (kernel-space, non-stack), filtered on the sink's raw fields before
-    any record is allocated, and [sq_edges] is left empty (profiling
-    consumes neither coverage nor private accesses).  Equals
-    {!run_seq_step} with its [sq_accesses] filtered through
-    {!Vmm.Trace.is_shared} and its [sq_edges] dropped; every other field
-    is identical.  The profiling pipeline's fast path — feed the result
-    to {!Core.Profile.of_shared}.  When {!Obs.Profguest} is enabled, the
-    run's per-function instruction/shared counts are flushed into the
-    profiler's [Profile] phase (exact: a block never crosses a function
-    boundary). *)
+    [prof] (default inactive) is a caller-owned guest-profiler
+    collector; when active, each block's instructions and shared
+    accesses are charged to the function at its starting pc (exact: a
+    block never crosses a function boundary).  The caller flushes it. *)
 
 val run_seq_step : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** [run_seq] one instruction per {!Vmm.Vm.step} call: the
-    list-returning interpreter, kept as the observational-equivalence
-    oracle and benchmark baseline.  The only caller of {!Vmm.Vm.step}. *)
+(** {!run_seq} one instruction per {!Vmm.Vm.step} call, returning every
+    access: the list-returning interpreter, kept as the
+    observational-equivalence oracle and benchmark baseline.  The only
+    caller of {!Vmm.Vm.step}. *)
+
+val with_setup : env -> Fuzzer.Prog.t -> env
+(** A derived environment whose snapshot is taken after running a setup
+    program on vCPU 0 with {!run_seq} from the parent snapshot (section
+    4.1's "grow the number of initial kernel states").  Raises
+    [Invalid_argument] if the setup program panics. *)
 
 val note_throughput : steps:int -> seconds:float -> unit
 (** Record a measured interpreter throughput in the

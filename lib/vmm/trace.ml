@@ -22,9 +22,15 @@ type access = {
 (* Snowboard's shared-access filter (section 4.1.1): only kernel-space,
    non-stack accesses are candidates for inter-thread communication.
    [is_shared_at] is the raw-field form, so the executor's sink path can
-   filter without materialising an access record. *)
+   filter without materialising an access record.  It runs for every
+   access a run makes, so it spells out [Layout.is_kernel addr && not
+   (Layout.in_stack_of_sp sp addr)] instead of calling them: without
+   cross-module inlining (dune's default profile) each call is an
+   indirect one. *)
 let is_shared_at ~addr ~sp =
-  Layout.is_kernel addr && not (Layout.in_stack_of_sp sp addr)
+  let lo = sp land lnot (Layout.stack_size - 1) in
+  addr >= 0 && addr < Layout.kmem_size
+  && not (addr >= lo && addr < lo + Layout.stack_size)
 
 let is_shared a = is_shared_at ~addr:a.addr ~sp:a.sp
 

@@ -7,7 +7,8 @@
    must come to exactly 0 words.  What a trial still allocates sits
    above these layers: one [Trace.access] record and list cell per
    shared access, the final [List.rev], the replay recorder's buffer and
-   the result records.
+   the result records.  A private (stack) access costs a sequential run
+   nothing at all.
 
    The other cases cover what sharing and not retaining made possible:
    the per-domain sink (trials back to back, and after aborted trials,
@@ -113,6 +114,28 @@ let test_is_shared_at () =
         done
       done);
   checkb "some accesses were shared" true (!n > 0)
+
+(* Syscall 99 is out of range: [syscall_entry] returns -EINVAL after one
+   private stack read (its [ret]) and no shared access.  A run of k such
+   calls reports no access, and each extra call costs only its share of
+   the program's bookkeeping (retval slot, arguments, closures) - a boxed
+   access would add 15 words: the 9-word record, its list cell and its
+   [List.rev] cell. *)
+let test_private_accesses_free () =
+  let e = Lazy.force env in
+  let cost k =
+    let prog = List.init k (fun _ -> { Fuzzer.Prog.nr = 99; args = [] }) in
+    let r = Exec.run_seq e ~tid:0 prog in
+    checkb "no access reported" true (r.Exec.sq_accesses = []);
+    checkb "every call returned -EINVAL" true
+      (Array.for_all (( = ) Kernel.Abi.einval) r.Exec.sq_retvals);
+    words (fun () -> ignore (Exec.run_seq e ~tid:0 prog))
+  in
+  let w1 = cost 1 and w8 = cost 8 in
+  let per_call = (w8 -. w1) /. 7. in
+  checkb
+    (Printf.sprintf "%.1f words per extra call (< 25)" per_call)
+    true (per_call < 25.)
 
 (* ---------------- policies and the recorder ---------------- *)
 
@@ -270,6 +293,8 @@ let () =
           Alcotest.test_case "one syscall per interpreter" `Quick
             test_syscall_passes;
           Alcotest.test_case "is_shared_at" `Quick test_is_shared_at;
+          Alcotest.test_case "private accesses in run_seq" `Quick
+            test_private_accesses_free;
           Alcotest.test_case "policy decide" `Quick test_snowboard_decide;
           Alcotest.test_case "replay recorder" `Quick test_replay_record;
         ] );

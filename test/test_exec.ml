@@ -1,8 +1,8 @@
 (* Tests for the zero-allocation execution core: the threaded-code
-   interpreter against the [Vm.step] oracle (whole runs and lockstep,
-   one instruction at a time), the shared-only profiling runner and fast
-   profile builder against the legacy pair, the edge cache, and the
-   fingerprint/edge-key regressions. *)
+   interpreter against the [Vm.step] oracle (whole runs, with the fast
+   profile builder against the oracle builder, also on the profiling
+   path with an active collector, and lockstep, one instruction at a
+   time), the edge cache, and the fingerprint/edge-key regressions. *)
 
 module Vm = Vmm.Vm
 module Asm = Vmm.Asm
@@ -20,10 +20,13 @@ let env = lazy (Exec.make_env Kernel.Config.v5_12_rc3)
 
 (* ---------------- threaded run_seq vs the Vm.step oracle ------------ *)
 
-(* [run_seq] (threaded-code blocks) must produce the identical result
-   record AND leave the VM in the identical state (fingerprint covers
-   all guest-visible state) as [run_seq_step].  Random programs reach
-   faults, console output, locks and budget aborts. *)
+(* [run_seq] (threaded-code blocks, shared accesses only) must produce
+   the result record of [run_seq_step] with its every-access list
+   filtered through [Trace.is_shared], edges included, AND leave the VM
+   in the identical state (fingerprint covers all guest-visible state);
+   the fast profile builder on its result must equal the oracle builder
+   on the oracle's.  Random programs reach faults, console output, locks
+   and budget aborts. *)
 let prop_run_seq_equivalent =
   QCheck.Test.make ~name:"threaded run_seq matches Vm.step" ~count:60
     QCheck.(int_range 0 1_000_000)
@@ -33,11 +36,22 @@ let prop_run_seq_equivalent =
       let r_step = Exec.run_seq_step env ~tid:0 prog in
       let fp_step = Vm.fingerprint env.Exec.vm in
       let r = Exec.run_seq env ~tid:0 prog in
-      r_step = r && fp_step = Vm.fingerprint env.Exec.vm)
+      let filtered =
+        {
+          r_step with
+          Exec.sq_accesses = List.filter Trace.is_shared r_step.Exec.sq_accesses;
+        }
+      in
+      filtered = r
+      && fp_step = Vm.fingerprint env.Exec.vm
+      && Core.Profile.of_shared ~test_id:7 r.Exec.sq_accesses
+         = Core.Profile.of_accesses ~test_id:7 r_step.Exec.sq_accesses)
 
-(* The shared-only runner must equal the oracle with its access list
-   filtered (and no edges); the fast profile builder must equal the
-   oracle builder on the result. *)
+(* The profiling path as [Pipeline.profile_corpus] runs it: [run_seq]
+   with an active guest-profiler collector.  Collecting must not change
+   the result, the fast profile builder on it must equal the oracle
+   builder on [run_seq_step]'s, and the collector must attribute every
+   retired instruction and every shared access. *)
 let prop_shared_profile_equivalent =
   QCheck.Test.make
     ~name:"shared runner + fast profile builder match the legacy pair"
@@ -47,17 +61,22 @@ let prop_shared_profile_equivalent =
       let env = Lazy.force env in
       let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
       let r_step = Exec.run_seq_step env ~tid:0 prog in
-      let r_shared = Exec.run_seq_shared env ~tid:0 prog in
-      let p_oracle = Core.Profile.of_accesses ~test_id:7 r_step.Exec.sq_accesses in
-      let p_fast = Core.Profile.of_shared ~test_id:7 r_shared.Exec.sq_accesses in
-      r_shared.Exec.sq_accesses
-      = List.filter Trace.is_shared r_step.Exec.sq_accesses
-      && r_shared.Exec.sq_edges = []
-      && r_shared.Exec.sq_console = r_step.Exec.sq_console
-      && r_shared.Exec.sq_panicked = r_step.Exec.sq_panicked
-      && r_shared.Exec.sq_retvals = r_step.Exec.sq_retvals
-      && r_shared.Exec.sq_steps = r_step.Exec.sq_steps
-      && p_oracle = p_fast)
+      Obs.Profguest.set_enabled true;
+      let prof = Obs.Profguest.collector () in
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Obs.Profguest.set_enabled false)
+          (fun () -> Exec.run_seq ~prof env ~tid:0 prog)
+      in
+      let rows = Obs.Profguest.drain prof in
+      let instr = List.fold_left (fun a (_, n, _) -> a + n) 0 rows in
+      let shared = List.fold_left (fun a (_, _, s) -> a + s) 0 rows in
+      r = Exec.run_seq env ~tid:0 prog
+      && r.Exec.sq_accesses = List.filter Trace.is_shared r_step.Exec.sq_accesses
+      && Core.Profile.of_shared ~test_id:7 r.Exec.sq_accesses
+         = Core.Profile.of_accesses ~test_id:7 r_step.Exec.sq_accesses
+      && instr = r.Exec.sq_steps
+      && shared = List.length r.Exec.sq_accesses)
 
 (* Lockstep: stepping one VM with [Vm.step] and its twin with
    [Vm.run_tblock_conc] at quantum 1 (the executor's per-step cadence for

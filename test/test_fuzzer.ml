@@ -112,7 +112,26 @@ let test_of_line_rejects_garbage () =
   checkb "bad arg" true (P.of_line "0 q1" = None);
   checkb "odd hex" true (P.of_line "0 babc" = None);
   checkb "non-hex" true (P.of_line "0 bzz" = None);
+  (* a 70,000-byte buffer cannot fit the 64 KiB user segment *)
+  checkb "oversized buffer" true
+    (P.of_line ("9 c0 b" ^ String.make 140_000 '0') = None);
   checkb "valid parses" true (P.of_line "0 c1 c0|1 r0 c5" <> None)
+
+(* The largest buffer argument 1 of call 0 can hold ends on the user
+   segment's last byte: it parses, and the executor installs it. *)
+let test_buffer_at_segment_end () =
+  let seg_end = Vmm.Layout.user_base + Vmm.Layout.user_size in
+  let len = seg_end - (P.buf_addr 0 + 16) in
+  let line = "9 c0 b" ^ String.make ((2 * len) - 2) '0' ^ "5a" in
+  checkb "one byte more is rejected" true (P.of_line (line ^ "00") = None);
+  match P.of_line line with
+  | None -> Alcotest.fail "a buffer ending at the segment end must parse"
+  | Some p ->
+      let env = Sched.Exec.make_env Kernel.Config.v5_12_rc3 in
+      let r = Sched.Exec.run_seq env ~tid:0 p in
+      checkb "ran without a panic" false r.Sched.Exec.sq_panicked;
+      checki "last byte installed" 0x5a
+        (Vmm.Vm.peek env.Sched.Exec.vm 0 (seg_end - 1) 1)
 
 let test_corpus_save_load () =
   let c = Corpus.create () in
@@ -121,12 +140,35 @@ let test_corpus_save_load () =
   ignore (Corpus.consider c p1 ~edges:[ (1, 2) ]);
   ignore (Corpus.consider c p2 ~edges:[ (3, 4) ]);
   let path = Filename.temp_file "corpus" ".txt" in
-  Corpus.save c path;
-  let progs = Corpus.load_programs path in
-  Sys.remove path;
+  checkb "saved" true (Corpus.save c path = Ok ());
+  let progs =
+    match Corpus.load_programs path with
+    | Ok progs -> progs
+    | Error msg -> Alcotest.fail msg
+  in
   checki "all programs loaded" 2 (List.length progs);
   checkb "contents preserved" true
-    (List.exists (P.equal p1) progs && List.exists (P.equal p2) progs)
+    (List.exists (P.equal p1) progs && List.exists (P.equal p2) progs);
+  (* a garbage line fails the load and is named by its line number *)
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc "\nnot a program\n";
+  close_out oc;
+  (match Corpus.load_programs path with
+  | Error msg ->
+      checkb "garbage line named" true
+        (msg = Printf.sprintf "%s:4: not a program" path)
+  | Ok _ -> Alcotest.fail "a garbage line must fail the load");
+  Sys.remove path;
+  (match Corpus.load_programs path with
+  | Error msg ->
+      checkb "missing file named" true
+        (Testutil.Astring_contains.contains msg path)
+  | Ok _ -> Alcotest.fail "a missing file must fail the load");
+  match Corpus.save c (Filename.concat path "c.txt") with
+  | Error msg ->
+      checkb "unwritable path named" true
+        (Testutil.Astring_contains.contains msg path)
+  | Ok () -> Alcotest.fail "saving under a missing directory must fail"
 
 let tests =
   [
@@ -134,6 +176,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_mutate_well_formed;
     QCheck_alcotest.to_alcotest prop_line_roundtrip;
     Alcotest.test_case "of_line rejects garbage" `Quick test_of_line_rejects_garbage;
+    Alcotest.test_case "buffer at the user segment end" `Quick
+      test_buffer_at_segment_end;
     Alcotest.test_case "corpus save/load" `Quick test_corpus_save_load;
     Alcotest.test_case "deterministic generation" `Quick test_generate_deterministic;
     Alcotest.test_case "templates cover syscalls" `Quick test_templates_cover_syscalls;

@@ -74,7 +74,8 @@ let prop_project_byte =
 (* qcheck: the allocation-free stack test agrees with the range oracle
    for every stack pointer, including negative ones and ones so close to
    [max_int] that the range's upper end wraps, and for addresses on and
-   around both ends of the range. *)
+   around both ends of the range; the shared-access filter, which spells
+   both layout tests out, agrees with them. *)
 let prop_stack_partition =
   let gen_sp =
     QCheck.Gen.(
@@ -96,6 +97,8 @@ let prop_stack_partition =
         [
           (2, int_bound (Layout.kmem_size - 1));
           (3, map (fun d -> lo + d) (int_range (-16) (Layout.stack_size + 16)));
+          (1, map (fun d -> Layout.kmem_size + d) (int_range (-2) 2));
+          (1, int_range (-2) 2);
           (1, int);
         ]
       >|= fun addr -> (sp, addr))
@@ -104,7 +107,9 @@ let prop_stack_partition =
     (QCheck.make ~print:QCheck.Print.(pair int int) gen)
     (fun (sp, addr) ->
       let lo, hi = Layout.stack_range_of_sp sp in
-      Layout.in_stack_of_sp sp addr = (addr >= lo && addr < hi))
+      Layout.in_stack_of_sp sp addr = (addr >= lo && addr < hi)
+      && Trace.is_shared_at ~addr ~sp
+         = (Layout.is_kernel addr && not (Layout.in_stack_of_sp sp addr)))
 
 let tests =
   [
