@@ -6,7 +6,10 @@
    exhibiting tests per entry.  Entries are then indexed by range start
    (the paper's ordered nested index, section 4.2.1) and swept for
    write/read overlaps; each overlap whose projected values differ yields
-   a PMC, stored with a bounded set of (writer test, reader test) pairs. *)
+   a PMC, stored with a bounded set of (writer test, reader test) pairs.
+
+   The sweep also builds the flat index that Algorithm 2's incidental-PMC
+   search scans after every trial (see [find_incidental]). *)
 
 module Trace = Vmm.Trace
 
@@ -31,9 +34,33 @@ type info = {
   mutable npairs : int;  (* total potential pairs, not just stored ones *)
 }
 
+(* The flat index of every PMC, for [find_incidental]: parallel int
+   arrays, so that a search does no hashing, no sorting and no
+   allocation besides its result.
+
+   Write side: the PMCs whose write instruction is [w_base + k] sit at
+   positions [w_lo.(k)] to [w_lo.(k + 1) - 1], newest discovered first,
+   each with its write range [[w_addr, w_end)] and the id of its read
+   range.  Read side: the distinct read ranges (instruction, start,
+   size) of all PMCs; those of read instruction [r_base + k] have the
+   ids [r_lo.(k)] to [r_lo.(k + 1) - 1], each with its byte range
+   [[r_addr, r_end)]. *)
+type index = {
+  w_base : int;
+  w_lo : int array;
+  w_addr : int array;
+  w_end : int array;
+  w_rid : int array;
+  w_pmc : Pmc.t array;
+  r_base : int;
+  r_lo : int array;
+  r_addr : int array;
+  r_end : int array;
+}
+
 type t = {
   table : (Pmc.t, info) Hashtbl.t;
-  write_index : (int, Pmc.t list ref) Hashtbl.t;  (* write ins -> PMCs *)
+  index : index;
   num_write_entries : int;
   num_read_entries : int;
 }
@@ -48,6 +75,88 @@ let add_entry tbl (side : Pmc.side) ~df ~test =
         e.ntests <- e.ntests + 1
       end
   | None -> Hashtbl.replace tbl key { side; df; tests = [ test ]; ntests = 1 }
+
+(* Indices [0 .. n - 1] grouped by instruction [ins i], by a counting
+   sort: returns [base], the order and [lo], where [lo.(k)] to
+   [lo.(k + 1) - 1] are the positions of the indices whose instruction
+   is [base + k].  Filling each group from its end, last index first,
+   keeps a group's indices in increasing order. *)
+let group_by_ins ins n =
+  let base = ref (if n = 0 then 0 else ins 0) in
+  let top = ref (!base - 1) in
+  for i = 0 to n - 1 do
+    base := Int.min !base (ins i);
+    top := Int.max !top (ins i)
+  done;
+  let base = !base and span = !top - !base + 1 in
+  let lo = Array.make (span + 1) 0 in
+  for i = 0 to n - 1 do
+    lo.(ins i - base) <- lo.(ins i - base) + 1
+  done;
+  for k = 1 to span do
+    lo.(k) <- lo.(k) + lo.(k - 1)
+  done;
+  let order = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    let pos = lo.(ins i - base) - 1 in
+    lo.(ins i - base) <- pos;
+    order.(pos) <- i
+  done;
+  (base, order, lo)
+
+(* The index over [pmcs], which are newest discovered first. *)
+let build_index (pmcs : Pmc.t array) =
+  let np = Array.length pmcs in
+  let read i = pmcs.(i).Pmc.read and write i = pmcs.(i).Pmc.write in
+  (* read side: group the PMCs by read instruction, then number each
+     group's distinct ranges; an instruction reads few ranges, so a scan
+     of the group's ranges so far finds a repeat.  Once group [k] is
+     numbered, [r_lo.(k)] holds its first range id. *)
+  let r_base, by_read, r_lo = group_by_ins (fun i -> (read i).Pmc.ins) np in
+  let rid = Array.make np 0 and first_of = Array.make np 0 in
+  let nranges = ref 0 in
+  for k = 0 to Array.length r_lo - 2 do
+    let first = !nranges in
+    for q = r_lo.(k) to r_lo.(k + 1) - 1 do
+      let i = by_read.(q) in
+      let r = read i in
+      let id = ref first in
+      while
+        !id < !nranges
+        &&
+        let r' = read first_of.(!id) in
+        r'.Pmc.addr <> r.Pmc.addr || r'.Pmc.size <> r.Pmc.size
+      do
+        incr id
+      done;
+      if !id = !nranges then begin
+        first_of.(!id) <- i;
+        incr nranges
+      end;
+      rid.(i) <- !id
+    done;
+    r_lo.(k) <- first
+  done;
+  r_lo.(Array.length r_lo - 1) <- !nranges;
+  let r_addr = Array.init !nranges (fun id -> (read first_of.(id)).Pmc.addr) in
+  let r_end =
+    Array.init !nranges (fun id ->
+        let r = read first_of.(id) in
+        r.Pmc.addr + r.Pmc.size)
+  in
+  (* write side: grouped by write instruction, each group newest first *)
+  let w_base, by_write, w_lo = group_by_ins (fun i -> (write i).Pmc.ins) np in
+  let w_addr = Array.map (fun i -> (write i).Pmc.addr) by_write in
+  let w_end =
+    Array.map
+      (fun i ->
+        let w = write i in
+        w.Pmc.addr + w.Pmc.size)
+      by_write
+  in
+  let w_rid = Array.map (fun i -> rid.(i)) by_write in
+  let w_pmc = Array.map (fun i -> pmcs.(i)) by_write in
+  { w_base; w_lo; w_addr; w_end; w_rid; w_pmc; r_base; r_lo; r_addr; r_end }
 
 (* Identify PMCs across a list of profiles. *)
 let run (profiles : Profile.t list) =
@@ -69,7 +178,7 @@ let run (profiles : Profile.t list) =
   Array.sort by_addr warr;
   Array.sort by_addr rarr;
   let table = Hashtbl.create 4096 in
-  let write_index = Hashtbl.create 1024 in
+  let found = ref [] in
   let nr = Array.length rarr in
   (* For each write entry, scan read entries whose start address can
      overlap: starts in (w.addr - 8, w.addr + w.size). *)
@@ -100,9 +209,7 @@ let run (profiles : Profile.t list) =
             | None ->
                 let info = { pairs = []; stored = 0; npairs = 0 } in
                 Hashtbl.replace table pmc info;
-                (match Hashtbl.find_opt write_index ws.Pmc.ins with
-                | Some l -> l := pmc :: !l
-                | None -> Hashtbl.replace write_index ws.Pmc.ins (ref [ pmc ]));
+                found := pmc :: !found;
                 info
           in
           List.iter
@@ -124,7 +231,7 @@ let run (profiles : Profile.t list) =
   Obs.Metrics.add m_kept (Hashtbl.length table);
   {
     table;
-    write_index;
+    index = build_index (Array.of_list !found);
     num_write_entries = Array.length warr;
     num_read_entries = nr;
   }
@@ -138,66 +245,77 @@ let fold f t init = Hashtbl.fold f t.table init
 
 let iter f t = Hashtbl.iter f t.table
 
+let pmcs_at_write t pc =
+  let ix = t.index in
+  let k = pc - ix.w_base in
+  if k < 0 || k >= Array.length ix.w_lo - 1 then []
+  else
+    List.init (ix.w_lo.(k + 1) - ix.w_lo.(k)) (fun i ->
+        ix.w_pmc.(ix.w_lo.(k) + i))
+
 (* Incidental-PMC discovery for Algorithm 2 line 26: PMCs (other than
    those already under test) whose write side appears among one thread's
    accesses and whose read side appears among the other thread's.
 
-   Cheapest test first: the write range (most PMCs indexed under a live
-   write's pc miss it), then the read side, a binary search over [reads]
-   sorted by pc, then [exclude], the caller's scan of the PMCs under test.
-   The tests are pure, so their order does not change the result. *)
+   First the read ranges that some live read hits are marked with a
+   fresh stamp; then each live write scans its pc's slice of the index,
+   testing the write range, the read range's stamp and, last,
+   [exclude], the caller's scan of the PMCs under test.  The tests are
+   pure, so their order does not change the result.
 
-(* Insertion sort by pc: [reads] holds a few dozen accesses, and this
-   allocates nothing, unlike [Array.sort]. *)
-let sort_by_pc (rd : Trace.access array) =
-  for i = 1 to Array.length rd - 1 do
-    let x = rd.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && rd.(!j).Trace.pc > x.Trace.pc do
-      rd.(!j + 1) <- rd.(!j);
-      decr j
-    done;
-    rd.(!j + 1) <- x
-  done
+   The stamps live in a per-domain array, since worker domains share one
+   [t]: a stamp is never reused on a domain, so marks left by an earlier
+   search, of this index or another, never match. *)
+type marks = { mutable stamp : int array; mutable now : int }
 
-(* Does an access of [rd] (sorted by pc) perform [pmc]'s read? *)
-let read_seen (rd : Trace.access array) (pmc : Pmc.t) =
-  let ins = pmc.Pmc.read.Pmc.ins in
-  let n = Array.length rd in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if rd.(mid).Trace.pc < ins then lo := mid + 1 else hi := mid
-  done;
-  let i = ref !lo and seen = ref false in
-  while (not !seen) && !i < n && rd.(!i).Trace.pc = ins do
-    seen := Pmc.matches_read pmc rd.(!i);
-    incr i
-  done;
-  !seen
+let marks = Domain.DLS.new_key (fun () -> { stamp = [||]; now = 0 })
 
-let rec scan_pmcs (w : Trace.access) rd exclude found = function
-  | [] -> found
-  | pmc :: rest ->
-      let found =
-        if Pmc.matches_write pmc w && read_seen rd pmc && not (exclude pmc)
-        then pmc :: found
-        else found
-      in
-      scan_pmcs w rd exclude found rest
+let rec mark ix stamp now = function
+  | [] -> ()
+  | (r : Trace.access) :: rest ->
+      (if r.Trace.kind = Trace.Read then
+         let k = r.Trace.pc - ix.r_base in
+         if k >= 0 && k < Array.length ix.r_lo - 1 then
+           let lo = r.Trace.addr and hi = r.Trace.addr + r.Trace.size in
+           for id = ix.r_lo.(k) to ix.r_lo.(k + 1) - 1 do
+             if ix.r_addr.(id) < hi && lo < ix.r_end.(id) then
+               stamp.(id) <- now
+           done);
+      mark ix stamp now rest
 
-let rec scan_writes t rd exclude found = function
+(* The PMCs at positions [i] to [hi - 1] whose write [w] performs and
+   whose read range is marked, consed onto [found] in order. *)
+let rec scan_slice ix stamp now exclude (w : Trace.access) found i hi =
+  if i = hi then found
+  else
+    let found =
+      if
+        ix.w_addr.(i) < w.Trace.addr + w.Trace.size
+        && w.Trace.addr < ix.w_end.(i)
+        && stamp.(ix.w_rid.(i)) = now
+        && not (exclude ix.w_pmc.(i))
+      then ix.w_pmc.(i) :: found
+      else found
+    in
+    scan_slice ix stamp now exclude w found (i + 1) hi
+
+let rec scan ix stamp now exclude found = function
   | [] -> found
   | (w : Trace.access) :: rest ->
+      let k = w.Trace.pc - ix.w_base in
       let found =
-        match Hashtbl.find t.write_index w.Trace.pc with
-        | pmcs -> scan_pmcs w rd exclude found !pmcs
-        | exception Not_found -> found
+        if w.Trace.kind = Trace.Write && k >= 0 && k < Array.length ix.w_lo - 1
+        then scan_slice ix stamp now exclude w found ix.w_lo.(k) ix.w_lo.(k + 1)
+        else found
       in
-      scan_writes t rd exclude found rest
+      scan ix stamp now exclude found rest
 
 let find_incidental t ~(writes : Trace.access list) ~(reads : Trace.access list)
     ~(exclude : Pmc.t -> bool) =
-  let rd = Array.of_list reads in
-  sort_by_pc rd;
-  scan_writes t rd exclude [] writes
+  let ix = t.index in
+  let m = Domain.DLS.get marks in
+  if Array.length m.stamp < Array.length ix.r_addr then
+    m.stamp <- Array.make (Array.length ix.r_addr) 0;
+  m.now <- m.now + 1;
+  mark ix m.stamp m.now reads;
+  scan ix m.stamp m.now exclude [] writes

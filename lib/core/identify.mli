@@ -4,7 +4,9 @@
     keyed by (instruction, range, value), indexed by range start address
     (the paper's ordered nested index) and swept for write/read overlaps
     with differing projected values.  Each PMC carries a bounded set of
-    (writer test, reader test) pairs. *)
+    (writer test, reader test) pairs.  The sweep also builds a flat index
+    of the PMCs by write instruction, with their read ranges by read
+    instruction, which {!find_incidental} scans. *)
 
 val max_tests_per_entry : int
 (** Representative tests remembered per deduplicated access entry. *)
@@ -19,9 +21,12 @@ type info = {
   mutable npairs : int;  (** total potential pairs, not just stored ones *)
 }
 
+type index
+(** The flat index {!find_incidental} scans; read only. *)
+
 type t = {
   table : (Pmc.t, info) Hashtbl.t;
-  write_index : (int, Pmc.t list ref) Hashtbl.t;  (** write ins -> PMCs *)
+  index : index;
   num_write_entries : int;
   num_read_entries : int;
 }
@@ -37,6 +42,11 @@ val fold : (Pmc.t -> info -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter : (Pmc.t -> info -> unit) -> t -> unit
 
+val pmcs_at_write : t -> int -> Pmc.t list
+(** [pmcs_at_write t pc]: the PMCs whose write instruction is [pc], in
+    index order, newest discovered first; [[]] for a pc outside the
+    index. *)
+
 val find_incidental :
   t ->
   writes:Vmm.Trace.access list ->
@@ -45,12 +55,14 @@ val find_incidental :
   Pmc.t list
 (** Incidental-PMC discovery for Algorithm 2 line 26: identified PMCs,
     not excluded, whose write side matches one of [writes] and whose read
-    side matches one of [reads].
+    side matches one of [reads].  Either list may mix kinds: only the
+    writes of [writes] and the reads of [reads] count, so a caller can
+    pass each thread's accesses unfiltered.
 
     Order and multiplicity are part of the contract, because a caller
     draws from the list by index: a PMC appears once per write in
     [writes] it matches (so a write repeated in [writes] repeats its
     PMCs), and the list is the reverse of the enumeration [writes] in
-    order, then, for each write, its pc's PMCs in [write_index] order.
+    order, then, for each write, its pc's PMCs in {!pmcs_at_write} order.
     [exclude] must be pure; it is consulted only for PMCs that pass both
-    match tests. *)
+    match tests.  Safe to call from several domains on one [t]. *)

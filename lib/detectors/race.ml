@@ -24,12 +24,22 @@
 
    Byte state lives in a flat open-addressed table keyed by the byte's
    8-byte granule, one array per field, with a generation stamp per slot
-   so that starting a detector empties the table in O(1).  Each domain
-   caches one table and lends it to one detector at a time; [reports]
-   ends the detector's feed and hands the table back to the domain that
-   built it.  A detector that finds the cached table still lent out
-   (another live detector, or one abandoned mid-trial) builds a private
-   table, which then replaces the cached one. *)
+   so that starting a detector empties the table in O(1).
+
+   A slot is uniform while its eight bytes hold the same state, which
+   then lives in byte 0 alone.  Kernel accesses are mostly aligned
+   words, and an aligned 8-byte access to a uniform slot checks and
+   records byte 0 only: bytes 1-7 would see byte 0's state, make byte
+   0's update, and name byte 0's (write pc, other pc) pairs, which the
+   report deduplication drops.  Any other access first splits the slots
+   it touches, giving every byte byte 0's state, and then works byte by
+   byte.
+
+   Each domain caches one table and lends it to one detector at a time;
+   [reports] ends the detector's feed and hands the table back to the
+   domain that built it.  A detector that finds the cached table still
+   lent out (another live detector, or one abandoned mid-trial) builds a
+   private table, which then replaces the cached one. *)
 
 module Trace = Vmm.Trace
 
@@ -72,6 +82,7 @@ and table = {
   mutable used : int;  (* live slots *)
   mutable stamp : int array;
   mutable key : int array;  (* granule: byte address / 8 *)
+  mutable uni : bool array;  (* the slot's bytes all hold byte 0's state *)
   (* per-byte fields: byte [addr] of slot [s] at [b = 8 s + addr mod 8] *)
   mutable w_ep : int array;  (* last write: epoch, pc, function id *)
   mutable w_pc : int array;
@@ -88,7 +99,8 @@ and table = {
 (* A slot holds the 8-byte granule around a byte: kernel accesses are
    mostly aligned words, so one probe serves all bytes of an access and
    their state shares cache lines.  An untouched byte of a claimed
-   granule reads as a byte with no accesses, which it is. *)
+   granule reads as a byte with no accesses, which it is: a claimed slot
+   is uniform, with byte 0 cleared. *)
 let initial_cap = 128
 
 (* Tables that grew past this are not cached: a campaign trial touches
@@ -107,6 +119,7 @@ let alloc_slots tb cap =
   tb.used <- 0;
   tb.stamp <- Array.make cap 0;
   tb.key <- Array.make cap 0;
+  tb.uni <- Array.make cap true;
   tb.w_ep <- Array.make bytes 0;
   tb.w_pc <- Array.make bytes 0;
   tb.w_fn <- Array.make bytes 0;
@@ -130,6 +143,7 @@ let new_table nth =
       used = 0;
       stamp = [||];
       key = [||];
+      uni = [||];
       w_ep = [||];
       w_pc = [||];
       w_fn = [||];
@@ -169,6 +183,7 @@ let rec grow tb =
   for s = 0 to old.cap - 1 do
     if old.stamp.(s) = tb.gen then begin
       let d = claim tb old.key.(s) in
+      tb.uni.(d) <- old.uni.(s);
       Array.blit old.w_ep (8 * s) tb.w_ep (8 * d) 8;
       Array.blit old.w_pc (8 * s) tb.w_pc (8 * d) 8;
       Array.blit old.w_fn (8 * s) tb.w_fn (8 * d) 8;
@@ -179,8 +194,8 @@ let rec grow tb =
     end
   done
 
-(* The slot holding granule [g], claimed (no byte with any access) if it
-   is new; grows the table past 3/4 load. *)
+(* The slot holding granule [g], claimed (uniform, no byte with any
+   access) if it is new; grows the table past 3/4 load. *)
 and claim tb g =
   let s = probe tb g in
   if tb.stamp.(s) = tb.gen then s
@@ -192,15 +207,33 @@ and claim tb g =
     tb.stamp.(s) <- tb.gen;
     tb.key.(s) <- g;
     tb.used <- tb.used + 1;
-    for b = 8 * s to (8 * s) + 7 do
-      tb.w_ep.(b) <- 0
-    done;
-    let n8 = 8 * tb.nth in
-    for k = n8 * s to (n8 * s) + n8 - 1 do
+    tb.uni.(s) <- true;
+    tb.w_ep.(8 * s) <- 0;
+    let n = tb.nth in
+    for k = 8 * s * n to (8 * s * n) + n - 1 do
       tb.r_ep.(k) <- 0;
       tb.rel.(k) <- 0
     done;
     s
+  end
+
+(* Give every byte of slot [s] byte 0's state, if the slot is uniform,
+   before an access works on its bytes one by one. *)
+let split tb s =
+  if tb.uni.(s) then begin
+    tb.uni.(s) <- false;
+    let b0 = 8 * s and n = tb.nth in
+    for b = b0 + 1 to b0 + 7 do
+      tb.w_ep.(b) <- tb.w_ep.(b0);
+      tb.w_pc.(b) <- tb.w_pc.(b0);
+      tb.w_fn.(b) <- tb.w_fn.(b0);
+      for j = 0 to n - 1 do
+        tb.r_ep.((b * n) + j) <- tb.r_ep.((b0 * n) + j);
+        tb.r_pc.((b * n) + j) <- tb.r_pc.((b0 * n) + j);
+        tb.r_fn.((b * n) + j) <- tb.r_fn.((b0 * n) + j);
+        tb.rel.((b * n) + j) <- tb.rel.((b0 * n) + j)
+      done
+    done
   end
 
 type t = {
@@ -270,89 +303,111 @@ let add_report t ~addr ~write_pc ~other_pc ~other_kind ~write_ctx ~other_ctx =
       { addr; write_pc; other_pc; other_kind; write_ctx; other_ctx }
       :: t.reports
 
+(* The acquire edge on byte [b]: a marked read joins the byte's release
+   clock into the clock of its thread, row [vc] of [vcs]. *)
+let acquire tb b vc =
+  let n = tb.nth and vcs = tb.vcs in
+  let rb = b * n in
+  for j = 0 to n - 1 do
+    let r = tb.rel.(rb + j) in
+    if r > vcs.(vc + j) then vcs.(vc + j) <- r
+  done
+
+(* The release edge on byte [b]: a marked write deposits the clock of
+   its thread on the byte. *)
+let release tb b vc =
+  let n = tb.nth and vcs = tb.vcs in
+  let rb = b * n in
+  for j = 0 to n - 1 do
+    let v = vcs.(vc + j) in
+    if v > tb.rel.(rb + j) then tb.rel.(rb + j) <- v
+  done
+
+(* Check byte [b], at guest address [addr], against an access of thread
+   [tid] at clock [clk], then record the access on it. *)
+let check t tb b ~addr ~tid ~clk ~mk ~write ~pc ~fn ~ctx =
+  let n = tb.nth and vcs = tb.vcs and fns = tb.fns in
+  let vc = tid * n and rb = b * n in
+  (* the last write, if another thread's, unordered and not both
+     marked, conflicts with this access whatever its kind *)
+  let w = tb.w_ep.(b) in
+  let w_races =
+    w <> 0
+    && write_tid w <> tid
+    && write_clk w > vcs.(vc + write_tid w)
+    && not (mk && marked w)
+  in
+  if write then begin
+    if w_races then
+      add_report t ~addr ~write_pc:pc ~other_pc:tb.w_pc.(b)
+        ~other_kind:Trace.Write ~write_ctx:ctx ~other_ctx:fns.(tb.w_fn.(b));
+    for other = 0 to n - 1 do
+      let r = tb.r_ep.(rb + other) in
+      if other <> tid && read_clk r > vcs.(vc + other) && not (mk && marked r)
+      then
+        add_report t ~addr ~write_pc:pc ~other_pc:tb.r_pc.(rb + other)
+          ~other_kind:Trace.Read ~write_ctx:ctx
+          ~other_ctx:fns.(tb.r_fn.(rb + other))
+    done;
+    tb.w_ep.(b) <- write_epoch ~clk ~tid ~marked:mk;
+    tb.w_pc.(b) <- pc;
+    tb.w_fn.(b) <- fn
+  end
+  else begin
+    if w_races then
+      add_report t ~addr ~write_pc:tb.w_pc.(b) ~other_pc:pc
+        ~other_kind:Trace.Read ~write_ctx:fns.(tb.w_fn.(b)) ~other_ctx:ctx;
+    tb.r_ep.(rb + tid) <- read_epoch ~clk ~marked:mk;
+    tb.r_pc.(rb + tid) <- pc;
+    tb.r_fn.(rb + tid) <- fn
+  end
+
 (* Feed one shared kernel access (with its attributed function). *)
 let on_access t (a : Trace.access) ~ctx =
   if not t.live then invalid_arg "Race.on_access: reports already taken";
   if Trace.is_shared a then begin
     let tb = t.tb in
-    let n = tb.nth in
-    let tid = a.Trace.thread in
-    let vc = tid * n in
-    let vcs = tb.vcs in
-    let mk = a.Trace.atomic in
-    let write = a.Trace.kind = Trace.Write in
+    let tid = a.Trace.thread and pc = a.Trace.pc in
+    let vc = tid * tb.nth in
+    let mk = a.Trace.atomic and write = a.Trace.kind = Trace.Write in
     let fn = fn_id t ctx in
-    let fns = tb.fns in
     let first = a.Trace.addr and last = a.Trace.addr + a.Trace.size - 1 in
-    (* acquire edge: marked read joins the cell's release clock *)
-    if mk && not write then
-      for addr = first to last do
-        let s = find tb (addr lsr 3) in
-        if s >= 0 then begin
-          let rb = ((8 * s) + (addr land 7)) * n in
-          for j = 0 to n - 1 do
-            let r = tb.rel.(rb + j) in
-            if r > vcs.(vc + j) then vcs.(vc + j) <- r
-          done
-        end
-      done;
-    let my_clk = vcs.(vc + tid) in
-    (* an access spans at most two granules: probe once per granule *)
-    let s = ref (claim tb (first lsr 3)) in
-    for addr = first to last do
-      if addr land 7 = 0 && addr <> first then s := claim tb (addr lsr 3);
-      let b = (8 * !s) + (addr land 7) in
-      let rb = b * n in
-      (* the last write, if another thread's, unordered and not both
-         marked, conflicts with this access whatever its kind *)
-      let w = tb.w_ep.(b) in
-      let w_races =
-        w <> 0
-        && write_tid w <> tid
-        && write_clk w > vcs.(vc + write_tid w)
-        && not (mk && marked w)
-      in
-      if write then begin
-        if w_races then
-          add_report t ~addr ~write_pc:a.Trace.pc ~other_pc:tb.w_pc.(b)
-            ~other_kind:Trace.Write ~write_ctx:ctx
-            ~other_ctx:fns.(tb.w_fn.(b));
-        for other = 0 to n - 1 do
-          let r = tb.r_ep.(rb + other) in
-          if
-            other <> tid
-            && read_clk r > vcs.(vc + other)
-            && not (mk && marked r)
-          then
-            add_report t ~addr ~write_pc:a.Trace.pc
-              ~other_pc:tb.r_pc.(rb + other) ~other_kind:Trace.Read
-              ~write_ctx:ctx ~other_ctx:fns.(tb.r_fn.(rb + other))
-        done;
-        tb.w_ep.(b) <- write_epoch ~clk:my_clk ~tid ~marked:mk;
-        tb.w_pc.(b) <- a.Trace.pc;
-        tb.w_fn.(b) <- fn
-      end
-      else begin
-        if w_races then
-          add_report t ~addr ~write_pc:tb.w_pc.(b) ~other_pc:a.Trace.pc
-            ~other_kind:Trace.Read ~write_ctx:fns.(tb.w_fn.(b))
-            ~other_ctx:ctx;
-        tb.r_ep.(rb + tid) <- read_epoch ~clk:my_clk ~marked:mk;
-        tb.r_pc.(rb + tid) <- a.Trace.pc;
-        tb.r_fn.(rb + tid) <- fn
-      end
-    done;
-    (* release edge: marked write deposits the thread's clock on the cell *)
-    if mk && write then begin
-      for addr = first to last do
-        let rb = ((8 * find tb (addr lsr 3)) + (addr land 7)) * n in
-        for j = 0 to n - 1 do
-          let v = vcs.(vc + j) in
-          if v > tb.rel.(rb + j) then tb.rel.(rb + j) <- v
-        done
-      done;
-      vcs.(vc + tid) <- vcs.(vc + tid) + 1
+    let s =
+      if a.Trace.size = 8 && first land 7 = 0 then claim tb (first lsr 3)
+      else -1
+    in
+    if s >= 0 && tb.uni.(s) then begin
+      (* the whole granule: byte 0 stands for all eight *)
+      let b = 8 * s in
+      if mk && not write then acquire tb b vc;
+      check t tb b ~addr:first ~tid ~clk:tb.vcs.(vc + tid) ~mk ~write ~pc ~fn
+        ~ctx;
+      if mk && write then release tb b vc
     end
+    else begin
+      for g = first lsr 3 to last lsr 3 do
+        split tb (claim tb g)
+      done;
+      (* acquire edge: a marked read joins the cell's release clock *)
+      if mk && not write then
+        for addr = first to last do
+          acquire tb ((8 * find tb (addr lsr 3)) + (addr land 7)) vc
+        done;
+      let clk = tb.vcs.(vc + tid) in
+      (* an access spans at most two granules: probe once per granule *)
+      let s = ref (find tb (first lsr 3)) in
+      for addr = first to last do
+        if addr land 7 = 0 && addr <> first then s := find tb (addr lsr 3);
+        check t tb ((8 * !s) + (addr land 7)) ~addr ~tid ~clk ~mk ~write ~pc
+          ~fn ~ctx
+      done;
+      (* release edge: a marked write deposits its clock on the cell *)
+      if mk && write then
+        for addr = first to last do
+          release tb ((8 * find tb (addr lsr 3)) + (addr land 7)) vc
+        done
+    end;
+    if mk && write then tb.vcs.(vc + tid) <- tb.vcs.(vc + tid) + 1
   end
 
 let reports t =

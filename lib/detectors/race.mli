@@ -13,6 +13,11 @@
     one write) that are unordered and not both marked are data races -
     the kernel's KCSAN convention.
 
+    Byte state is kept per 8-byte granule.  While a granule's eight
+    bytes share one state, an aligned 8-byte access checks and records
+    it once; any other access works byte by byte.  Either way the
+    reports are those of a byte-by-byte check.
+
     The byte state lives in a table each domain lends to one detector at
     a time, so a detector must be finished with {!reports} before its
     table can serve the next one.  An unfinished detector costs only

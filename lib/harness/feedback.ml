@@ -95,9 +95,8 @@ let execute t ~writer ~reader ~hint ~ident ~trials ~seed =
       (Detectors.Oracle.issues findings);
     (* grow the PMC set under test from what this trial observed *)
     match
-      Core.Identify.find_incidental ident
-        ~writes:(List.filter (fun a -> a.Trace.kind = Trace.Write) res.Exec.cc_accesses.(0))
-        ~reads:(List.filter (fun a -> a.Trace.kind = Trace.Read) res.Exec.cc_accesses.(1))
+      Core.Identify.find_incidental ident ~writes:res.Exec.cc_accesses.(0)
+        ~reads:res.Exec.cc_accesses.(1)
         ~exclude:(fun p -> List.exists (Core.Pmc.equal p) st.Sched.Policies.current_pmcs)
     with
     | [] -> ()

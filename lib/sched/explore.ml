@@ -55,10 +55,6 @@ type result = {
          all trials; [] when the profiler is disabled *)
 }
 
-let is_write (a : Trace.access) = a.Trace.kind = Trace.Write
-
-let is_read (a : Trace.access) = a.Trace.kind = Trace.Read
-
 (* Did a read performing [pmc]'s read see a value other than the
    profiled one? *)
 let observes pmc (a : Trace.access) =
@@ -240,13 +236,13 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
        (match ident with
        | Some ident when kind = Snowboard || not !any_pmc_observed ->
            let exclude p = under_test p st.Policies.current_pmcs in
-           let w0 = List.filter is_write res.Exec.cc_accesses.(0)
-           and r0 = List.filter is_read res.Exec.cc_accesses.(0)
-           and w1 = List.filter is_write res.Exec.cc_accesses.(1)
-           and r1 = List.filter is_read res.Exec.cc_accesses.(1) in
+           (* each list mixes kinds: the search and [observes] skip the
+              accesses of the other kind *)
+           let a0 = res.Exec.cc_accesses.(0)
+           and a1 = res.Exec.cc_accesses.(1) in
            let incidental =
-             Core.Identify.find_incidental ident ~writes:w0 ~reads:r1 ~exclude
-             @ Core.Identify.find_incidental ident ~writes:w1 ~reads:r0
+             Core.Identify.find_incidental ident ~writes:a0 ~reads:a1 ~exclude
+             @ Core.Identify.find_incidental ident ~writes:a1 ~reads:a0
                  ~exclude
            in
            (match incidental with
@@ -259,8 +255,8 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
                  (not !any_pmc_observed)
                  && List.exists
                       (fun p ->
-                        List.exists (observes p) r0
-                        || List.exists (observes p) r1)
+                        List.exists (observes p) a0
+                        || List.exists (observes p) a1)
                       l
                then any_pmc_observed := true;
                if kind = Snowboard then begin

@@ -1,6 +1,6 @@
-(* The parent commit's [Core.Identify.find_incidental], kept as the
-   reference for the incidental-PMC search: the same index, with
-   [exclude] tested first and the read side found by a list scan. *)
+(* The reference for the incidental-PMC search: each live write walks
+   its pc's PMCs in index order, tests [exclude] first and finds the
+   read side by a scan of every live read. *)
 
 module Trace = Vmm.Trace
 module Identify = Core.Identify
@@ -11,14 +11,11 @@ let find_incidental (t : Identify.t) ~(writes : Trace.access list)
   let found = ref [] in
   List.iter
     (fun (w : Trace.access) ->
-      match Hashtbl.find_opt t.Identify.write_index w.Trace.pc with
-      | None -> ()
-      | Some pmcs ->
-          List.iter
-            (fun pmc ->
-              if (not (exclude pmc)) && Pmc.matches_write pmc w
-                 && List.exists (fun r -> Pmc.matches_read pmc r) reads
-              then found := pmc :: !found)
-            !pmcs)
+      List.iter
+        (fun pmc ->
+          if (not (exclude pmc)) && Pmc.matches_write pmc w
+             && List.exists (fun r -> Pmc.matches_read pmc r) reads
+          then found := pmc :: !found)
+        (Identify.pmcs_at_write t w.Trace.pc))
     writes;
   !found

@@ -8,7 +8,9 @@
    above these layers: one [Trace.access] record and list cell per
    shared access, the final [List.rev], the replay recorder's buffer and
    the result records.  A private (stack) access costs a sequential run
-   nothing at all.
+   nothing at all.  The two analyses after a trial are pinned the same
+   way: the race detector allocates nothing per access once warm, and
+   the incidental-PMC search allocates only the list it returns.
 
    The other cases cover what sharing and not retaining made possible:
    the per-domain sink (trials back to back, and after aborted trials,
@@ -205,6 +207,100 @@ let test_replay_record () =
   checkb "the trace round-trips" true
     (Replay.of_string (Replay.to_string t) = Some t)
 
+(* ---------------- the trial analyses ---------------- *)
+
+module Race = Detectors.Race
+
+let shared tid ~pc ~addr ~size kind =
+  {
+    Trace.thread = tid;
+    pc;
+    addr;
+    size;
+    kind;
+    value = 1;
+    atomic = false;
+    sp = Layout.stack_top tid - 32;
+  }
+
+let marked a = { a with Trace.atomic = true }
+
+(* Two threads on fresh granules with aligned 8-byte accesses only (the
+   whole-granule path), and on others with narrow and unaligned ones
+   (byte by byte); some marked, so both clock edges run. *)
+let whole_granules =
+  [
+    shared 0 ~pc:1 ~addr:0x2100 ~size:8 Trace.Write;
+    shared 1 ~pc:2 ~addr:0x2100 ~size:8 Trace.Read;
+    marked (shared 0 ~pc:3 ~addr:0x2108 ~size:8 Trace.Write);
+    marked (shared 1 ~pc:4 ~addr:0x2108 ~size:8 Trace.Read);
+    shared 1 ~pc:5 ~addr:0x2110 ~size:8 Trace.Write;
+  ]
+
+let bytewise =
+  [
+    shared 0 ~pc:6 ~addr:0x2203 ~size:4 Trace.Write;
+    shared 1 ~pc:7 ~addr:0x2206 ~size:4 Trace.Read;
+    marked (shared 0 ~pc:8 ~addr:0x220c ~size:8 Trace.Write);
+    marked (shared 1 ~pc:9 ~addr:0x2210 ~size:2 Trace.Read);
+    shared 1 ~pc:10 ~addr:0x2201 ~size:1 Trace.Write;
+  ]
+
+let rec feed d = function
+  | [] -> ()
+  | a :: rest ->
+      Race.on_access d a ~ctx:"f";
+      feed d rest
+
+(* The first pass claims the granules, interns the function and makes
+   every report; the second adds none and must allocate nothing. *)
+let test_race_on_access () =
+  let d = Race.create () in
+  List.iter
+    (fun (name, stream) ->
+      feed d stream;
+      let made = Race.num_reports d in
+      Alcotest.(check (float 0.)) name 0. (words (fun () -> feed d stream));
+      Alcotest.(check int)
+        (name ^ ": no report added")
+        made (Race.num_reports d))
+    [
+      ("Race.on_access, whole granules", whole_granules);
+      ("Race.on_access, byte by byte", bytewise);
+    ];
+  checkb "the streams raced" true (Race.num_reports d >= 2);
+  ignore (Race.reports d)
+
+let never _ = false
+
+(* Every value written at pc 10 differs from every value read at pc 20,
+   so each (write, read) pair of values is a PMC, all in one slice. *)
+let test_find_incidental () =
+  let access ~pc kind value =
+    { (shared 0 ~pc ~addr:0x2100 ~size:8 kind) with Trace.value }
+  in
+  let writer = List.init 6 (fun v -> access ~pc:10 Trace.Write (v + 1))
+  and reader = List.init 4 (fun v -> access ~pc:20 Trace.Read (100 + v)) in
+  let ident =
+    Core.Identify.run
+      [
+        Core.Profile.of_accesses ~test_id:0 writer;
+        Core.Profile.of_accesses ~test_id:1 reader;
+      ]
+  in
+  (* unfiltered, as a thread's accesses come: each list mixes kinds *)
+  let writes = List.hd writer :: reader and reads = List.hd reader :: writer in
+  let found = ref [] in
+  let search () =
+    found := Core.Identify.find_incidental ident ~writes ~reads ~exclude:never
+  in
+  search ();
+  let n = List.length !found in
+  Alcotest.(check int) "every PMC found" 24 n;
+  Alcotest.(check (float 0.))
+    "Identify.find_incidental: 3 words per PMC found" (3. *. float n)
+    (words search)
+
 (* ---------------- one sink per domain ---------------- *)
 
 let buggy_env = lazy (Exec.make_env Kernel.Config.all_buggy)
@@ -297,6 +393,9 @@ let () =
             test_private_accesses_free;
           Alcotest.test_case "policy decide" `Quick test_snowboard_decide;
           Alcotest.test_case "replay recorder" `Quick test_replay_record;
+          Alcotest.test_case "race detector per access" `Quick
+            test_race_on_access;
+          Alcotest.test_case "incidental search" `Quick test_find_incidental;
         ] );
       ( "per-domain sink",
         [ Alcotest.test_case "trials after aborts match" `Quick test_shared_sink ]

@@ -196,8 +196,65 @@ let gen_access nthreads =
          (triple (int_bound 3) bool (map (fun k -> k = 0) (int_bound 3)))
          (pair (int_range 1 60) (int_bound 4))))
 
+(* The campaign's shape, where the detector's whole-granule path runs:
+   mostly aligned 8-byte accesses, about half of them on four hot
+   granules, the rest spread over enough granules to grow the table
+   (twice, at the longest) while its slots are still uniform; some
+   marked store -> load pairs across threads on one granule; and now
+   and then a 1-, 2-, 4- or 8-byte access at any offset of a hot
+   granule, which splits it and perhaps its neighbour. *)
+let gen_campaign_access nthreads =
+  QCheck.Gen.(
+    map
+      (fun ( (tid, other, spread),
+             (g, narrow, off),
+             (write, marked, sync),
+             (pc, name) ) ->
+        let access tid ~write ~marked ~addr ~size =
+          ( {
+              Trace.thread = tid;
+              pc;
+              addr;
+              size;
+              kind = (if write then Trace.Write else Trace.Read);
+              value = g;
+              atomic = marked;
+              sp = Layout.stack_top tid - 256;
+            },
+            names.(name) )
+        in
+        let hot = 0x3000 + (8 * (g land 3)) in
+        let base = if spread then 0x20000 + (8 * g) else hot in
+        if narrow then
+          [
+            access tid ~write ~marked ~addr:(hot + (off land 7))
+              ~size:(1 lsl (off lsr 3));
+          ]
+        else if sync then
+          [
+            access tid ~write:true ~marked:true ~addr:base ~size:8;
+            access other ~write:false ~marked:true ~addr:base ~size:8;
+          ]
+        else [ access tid ~write ~marked ~addr:base ~size:8 ])
+      (quad
+         (triple (int_bound (nthreads - 1)) (int_bound (nthreads - 1)) bool)
+         (triple (int_bound 399)
+            (map (fun k -> k = 0) (int_bound 19))
+            (int_bound 31))
+         (triple
+            (map (fun k -> k < 9) (int_bound 19))
+            (map (fun k -> k = 0) (int_bound 3))
+            (map (fun k -> k = 0) (int_bound 7)))
+         (pair (int_range 1 60) (int_bound 3))))
+
+(* A stream of [nthreads] threads' accesses, in either shape. *)
 let gen_stream nthreads =
-  QCheck.Gen.(list_size (int_bound 700) (gen_access nthreads))
+  QCheck.Gen.(
+    bool >>= fun campaign ->
+    if campaign then
+      map List.concat
+        (list_size (int_bound 600) (gen_campaign_access nthreads))
+    else list_size (int_bound 700) (gen_access nthreads))
 
 let gen_nthreads_stream =
   QCheck.Gen.(int_range 1 3 >>= fun n -> map (fun s -> (n, s)) (gen_stream n))
@@ -305,42 +362,90 @@ let test_race_finished () =
 
 let sp0 = Layout.stack_top 0 - 256
 
-let gen_pmc_access =
+let trace_access ~pc ~addr ~size ~value ~write =
+  {
+    Trace.thread = 0;
+    pc;
+    addr;
+    size;
+    kind = (if write then Trace.Write else Trace.Read);
+    value = value land ((1 lsl (8 * size)) - 1);
+    atomic = false;
+    sp = sp0;
+  }
+
+(* An access at a pc from [pcs], in a 56-byte region. *)
+let gen_pmc_access_at pcs =
   QCheck.Gen.(
     map
       (fun ((pc, base, size_exp), (value, write)) ->
-        let size = 1 lsl size_exp in
-        {
-          Trace.thread = 0;
-          pc;
-          addr = 0x3000 + base;
-          size;
-          kind = (if write then Trace.Write else Trace.Read);
-          value = value land ((1 lsl (8 * size)) - 1);
-          atomic = false;
-          sp = sp0;
-        })
+        trace_access ~pc ~addr:(0x3000 + base) ~size:(1 lsl size_exp) ~value
+          ~write)
       (pair
-         (triple (int_range 1 30) (int_range 0 48) (int_range 0 3))
+         (triple pcs (int_range 0 48) (int_range 0 3))
          (pair (int_bound 512) bool)))
+
+let gen_pmc_access = gen_pmc_access_at (QCheck.Gen.int_range 1 30)
+
+(* Profiled pcs are 1-31, so a live access may also come from a pc below
+   or past every slice of the index. *)
+let gen_live_access =
+  gen_pmc_access_at
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range 1 31);
+          (1, oneofl [ min_int; -1; 0; 32; 1000; max_int ]);
+        ])
+
+(* Writes of different sizes and values under pc 31, every one of them
+   overlapping the 8 bytes at [0x3000 + base], and a live write there:
+   one slice with several write ranges that one live write matches. *)
+let stacked_pc = 31
+
+let gen_stacked =
+  QCheck.Gen.(
+    map
+      (fun (base, writes) ->
+        ( List.map
+            (fun (off, size_exp, value) ->
+              let size = 1 lsl size_exp in
+              trace_access ~pc:stacked_pc
+                ~addr:(0x3000 + base + off - size + 1)
+                ~size ~value ~write:true)
+            writes,
+          trace_access ~pc:stacked_pc ~addr:(0x3000 + base) ~size:8 ~value:0
+            ~write:true ))
+      (pair (int_range 7 48)
+         (list_size (int_range 2 6)
+            (triple (int_bound 7) (int_bound 3) (int_bound 512)))))
 
 (* Live accesses are mostly the profiled ones, so that many PMCs match
    both sides; [wpicks] and [rpicks] index into the profiled accesses with
-   replacement, so live write lists repeat entries. *)
+   replacement, so live write lists repeat entries, and either list mixes
+   kinds, as a thread's accesses do. *)
 let gen_incidental_case =
   QCheck.Gen.(
-    quad
-      (list_size (int_range 1 4) (list_size (int_range 1 25) gen_pmc_access))
-      (pair (list_size (int_bound 40) nat) (list_size (int_bound 30) nat))
-      (pair
-         (list_size (int_bound 5) gen_pmc_access)
-         (list_size (int_bound 5) gen_pmc_access))
-      (pair (int_bound 3) nat))
+    pair
+      (quad
+         (list_size (int_range 1 4) (list_size (int_range 1 25) gen_pmc_access))
+         (pair (list_size (int_bound 40) nat) (list_size (int_bound 30) nat))
+         (pair
+            (list_size (int_bound 5) gen_live_access)
+            (list_size (int_bound 5) gen_live_access))
+         (pair (int_bound 3) nat))
+      (opt gen_stacked))
 
 let prop_incidental_equals_legacy =
   QCheck.Test.make ~name:"find_incidental equals the parent's order" ~count:300
     (QCheck.make gen_incidental_case)
-    (fun (raw, (wpicks, rpicks), (wextra, rextra), (modulus, salt)) ->
+    (fun ( (raw, (wpicks, rpicks), (wextra, rextra), (modulus, salt)),
+           stacked ) ->
+      let raw, wextra =
+        match stacked with
+        | None -> (raw, wextra)
+        | Some (writes, live) -> (writes :: raw, live :: wextra)
+      in
       let profiles =
         List.mapi (fun i accs -> Core.Profile.of_accesses ~test_id:i accs) raw
       in
