@@ -1140,8 +1140,8 @@ let exec_bench () =
   in
   (* the concurrent cadence: per-step runs one instruction per call and
      consults the policy after every one; batched runs threaded blocks
-     that stop at every event instruction and consults only there —
-     exactly run_multi's two modes *)
+     that stop at every decision point (here each store and load is
+     shared) and consults only there — exactly run_multi's two modes *)
   let hot_policy () =
     let rng = Random.State.make [| 11 |] in
     Sched.Policies.snowboard rng (Sched.Policies.snowboard_state None)
@@ -1220,6 +1220,47 @@ let exec_bench () =
   let rs_ps, dt_conc_ps = time (fun () -> conc_results ~batch:false 7) in
   let conc_batch_identical = rs1 = rs_ps in
   let conc_batch_speedup = dt_conc_ps /. max 1e-9 dt_conc in
+  (* 3b. the same scenario set, with the guest profiler on and an
+     observer recording each shared access with its attributed function:
+     batched blocks cross calls and returns, so attribution and
+     per-function charges must still equal the per-step loop's.  On an
+     env of its own, so the artifact's [events_sunk] still counts the
+     runs above. *)
+  let aenv = Sched.Exec.make_env cfg.Harness.Pipeline.kernel in
+  let attributed ?(batch = true) seed =
+    Obs.Profguest.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Obs.Profguest.set_enabled false)
+      (fun () ->
+        let rng = Random.State.make [| seed |] in
+        List.map
+          (fun s ->
+            let st = Sched.Policies.snowboard_state None in
+            let policy = Sched.Policies.snowboard rng st in
+            let policy =
+              {
+                policy with
+                Sched.Exec.event_only = policy.Sched.Exec.event_only && batch;
+              }
+            in
+            let seen = ref [] in
+            let observer =
+              {
+                Sched.Exec.default_observer with
+                Sched.Exec.on_access = (fun a ~ctx -> seen := (a, ctx) :: !seen);
+              }
+            in
+            let prof = Obs.Profguest.collector () in
+            let r =
+              Sched.Exec.run_conc aenv ~writer:s.Harness.Scenarios.writer
+                ~reader:s.Harness.Scenarios.reader ~policy ~observer ~prof ()
+            in
+            (r, List.rev !seen, Obs.Profguest.drain prof))
+          Harness.Scenarios.all)
+  in
+  let conc_batch_attribution_identical =
+    attributed 7 = attributed ~batch:false 7
+  in
   let conc_steps =
     List.fold_left (fun acc r -> acc + r.Sched.Exec.cc_steps) 0 rs1
   in
@@ -1231,6 +1272,8 @@ let exec_bench () =
     dt_conc
     (rate conc_steps dt_conc)
     conc_batch_speedup conc_batch_identical;
+  pf "  with the profiler and attribution: batched = per-step: %b@."
+    conc_batch_attribution_identical;
   let open Obs.Export in
   let json =
     Obj
@@ -1248,6 +1291,8 @@ let exec_bench () =
          ("conc_instructions", Int conc_steps);
          ("conc_deterministic", Bool conc_deterministic);
          ("conc_batch_identical", Bool conc_batch_identical);
+         ( "conc_batch_attribution_identical",
+           Bool conc_batch_attribution_identical );
          ("events_sunk", Int (Vmm.Vm.events_sunk env.Sched.Exec.vm));
        ]
       @

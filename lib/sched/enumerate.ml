@@ -19,8 +19,6 @@
    - as a baseline: the number of executions it needs dwarfs Snowboard's
      PMC-guided handful, quantifying what the hints buy. *)
 
-module Trace = Vmm.Trace
-
 type result = {
   executions : int;
   decision_points : int;  (* of the preemption-free schedule *)
@@ -36,18 +34,15 @@ let vector_policy ~first ~(positions : int list) ~(count : int ref) : Exec.polic
   let decide _tid (s : Vmm.Vm.sink) =
     let switch = ref false in
     for k = 0 to s.Vmm.Vm.sk_n_acc - 1 do
-      if
-        Trace.is_shared_at ~addr:s.Vmm.Vm.sk_acc_addr.(k)
-          ~sp:s.Vmm.Vm.sk_acc_sp.(k)
-      then begin
+      if s.Vmm.Vm.sk_acc_shared.(k) then begin
         incr count;
         if List.mem !count positions then switch := true
       end
     done;
     !switch
   in
-  (* counts *shared accesses*, not instructions, so plain-instruction
-     batching cannot skip a decision point *)
+  (* counts *shared accesses*, not instructions, and reads nothing
+     else: event-only, so batched blocks cannot skip a decision point *)
   { Exec.first = first; decide; event_only = true; on_plain = ignore }
 
 let run (env : Exec.env) ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)

@@ -13,6 +13,13 @@ type result = {
   exhausted : bool;  (** the whole bounded space was covered *)
 }
 
+val vector_policy :
+  first:int -> positions:int list -> count:int ref -> Exec.policy
+(** The policy {!run} executes one schedule under: thread [first] starts,
+    and it preempts at exactly the given global shared-access indices
+    (1-based), counting the shared accesses it sees in [count].
+    Event-only: it reads nothing but the sink's shared accesses. *)
+
 val run :
   Exec.env ->
   writer:Fuzzer.Prog.t ->

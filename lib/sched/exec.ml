@@ -3,8 +3,9 @@
    Runs sequential tests (fuzzing, profiling) and concurrent tests under
    a pluggable scheduling policy.  Every trial starts from the boot
    snapshot; only one vCPU executes at a time; the policy is consulted
-   after every instruction, and a thread that spins (Pause) is forcibly
-   descheduled - the is_live heuristic of Algorithm 2.
+   after every instruction it could act on, and a thread that spins
+   (Pause) is forcibly descheduled - the is_live heuristic of
+   Algorithm 2.
 
    [run_seq] and [run_multi] execute the kernel's threaded code
    ([env.tcode]) through [Vm.run_tblock] and [Vm.run_tblock_conc],
@@ -16,17 +17,21 @@
    What a run allocates is what it reports: a Trace.access record and a
    list cell per shared access, the final [List.rev], the result
    record (and, above this module, the policy's recorder buffer).
-   Concurrent execution keeps per-instruction policy consultation, so
-   every schedule, replay trace and flight-recorder stream is
-   byte-identical to stepping [Vm.step] one instruction at a time.
-   [run_seq_step] drives that list-returning interpreter: the
-   observational-equivalence oracle and benchmark baseline.
+   Concurrent blocks end only where the executor or an event-only
+   policy acts (Algorithm 2 reschedules only at shared accesses): a
+   shared access, a pause, a return to user space, a halt, panic or
+   fault, or a console line.  The consultations skipped in between
+   could only have answered "no switch", so every schedule, replay
+   trace and flight-recorder stream is byte-identical to consulting the
+   policy after every instruction.  [run_seq_step] drives the
+   list-returning [Vm.step]: the observational-equivalence oracle and
+   benchmark baseline.
 
-   The executor also maintains a per-thread shadow call stack from the
-   VM's call/return events.  Each access is attributed to the innermost
-   non-helper kernel function, which is what the race detector and the
-   oracle use to name racing code (the stand-in for the paper's
-   post-mortem analysis tools). *)
+   The executor also maintains a per-thread shadow call stack, replayed
+   from each block's frame log of calls and returns.  Each access is
+   attributed to the innermost non-helper kernel function, which is
+   what the race detector and the oracle use to name racing code (the
+   stand-in for the paper's post-mortem analysis tools). *)
 
 module Vm = Vmm.Vm
 module Asm = Vmm.Asm
@@ -186,17 +191,68 @@ let null_observer =
 let default_observer =
   { null_observer with on_event = (fun k ~tid -> Obs.Event.emit ~tid k) }
 
-(* Shadow call stacks and access attribution. *)
-type frames = { mutable stack : int list }
+(* Shadow call stacks and access attribution.  One int array per vCPU,
+   innermost frame last, kept per domain (see [frames_key]) and reused
+   across trials, so a call pushes without allocating. *)
+type frames = { mutable fs : int array; mutable depth : int }
+
+let push_frame f pc =
+  let d = f.depth in
+  if d = Array.length f.fs then begin
+    let bigger = Array.make (2 * d) 0 in
+    Array.blit f.fs 0 bigger 0 d;
+    f.fs <- bigger
+  end;
+  f.fs.(d) <- pc;
+  f.depth <- d + 1
+
+let pop_frame f = if f.depth > 0 then f.depth <- f.depth - 1
+
+let make_frames () = { fs = Array.make 64 0; depth = 0 }
+let frames_depth f = f.depth
+
+let frames_key =
+  Domain.DLS.new_key (fun () ->
+      Array.init Vmm.Layout.max_threads (fun _ -> make_frames ()))
+
+(* Replay a block's frame log onto a shadow stack, in execution order. *)
+let apply_frames f (sink : Vm.sink) =
+  for e = 0 to sink.Vm.sk_n_frames - 1 do
+    if sink.Vm.sk_fr_push.(e) then push_frame f sink.Vm.sk_fr_pc.(e)
+    else pop_frame f
+  done
+
+(* The guest profiler's charges for one block that started at a pc of
+   function [fid]: each stretch up to a frame-log entry goes to the
+   function at the stretch's first pc, and the rest of the block, with
+   its [shared] accesses (all in the last instruction), to the function
+   the last entry continued in.  Per instruction, these are exactly the
+   per-step charges. *)
+let charge_block prof attr (sink : Vm.sink) ~fid ~shared =
+  let fid = ref fid and charged = ref 0 in
+  for e = 0 to sink.Vm.sk_n_frames - 1 do
+    let upto = sink.Vm.sk_fr_steps.(e) in
+    if upto > !charged then
+      Obs.Profguest.collect prof ~fid:!fid ~steps:(upto - !charged) ~shared:0;
+    charged := upto;
+    fid := attr_fid attr sink.Vm.sk_fr_pc.(e)
+  done;
+  let rest = sink.Vm.sk_steps - !charged in
+  if rest > 0 || shared > 0 then
+    Obs.Profguest.collect prof ~fid:!fid ~steps:rest ~shared
+
+(* The innermost non-helper frame below index [i], else [pc]'s own
+   function. *)
+let rec attribute_from attr frames pc i =
+  if i < 0 then attr_name attr pc
+  else
+    let f = frames.fs.(i) in
+    if attr_is_helper attr f then attribute_from attr frames pc (i - 1)
+    else attr_name attr f
 
 let attribute attr frames pc =
   if not (attr_is_helper attr pc) then attr_name attr pc
-  else
-    let rec walk = function
-      | [] -> attr_name attr pc
-      | f :: rest -> if attr_is_helper attr f then walk rest else attr_name attr f
-    in
-    walk frames.stack
+  else attribute_from attr frames pc (frames.depth - 1)
 
 (* Install a program's user-space buffers and return an argument resolver.
    Buffer j of call i lives at [Prog.buf_addr i + 16j]. *)
@@ -263,7 +319,7 @@ let seq_epilogue env ~steps ~accesses ~retvals =
    stores batch into one block); the per-syscall budget is enforced
    through the block quantum and [sk_steps], so instruction counts (and
    thus budget aborts) are exactly those of [run_seq_step].  Only shared
-   accesses, tested on the sink's raw fields, become records. *)
+   accesses, as the VM flagged them in the sink, become records. *)
 let run_seq ?(prof = Obs.Profguest.null_collector) env ~tid
     (prog : Fuzzer.Prog.t) =
   let retvals = seq_prologue env ~tid prog in
@@ -293,10 +349,7 @@ let run_seq ?(prof = Obs.Profguest.null_collector) env ~tid
            incr blocks;
            let nsh = ref 0 in
            for k = 0 to sink.Vm.sk_n_acc - 1 do
-             if
-               Trace.is_shared_at ~addr:sink.Vm.sk_acc_addr.(k)
-                 ~sp:sink.Vm.sk_acc_sp.(k)
-             then begin
+             if sink.Vm.sk_acc_shared.(k) then begin
                incr nsh;
                accesses := Vm.sink_access sink ~thread:tid k :: !accesses
              end
@@ -369,16 +422,16 @@ type policy = {
   first : int;  (* thread scheduled first *)
   decide : int -> Vm.sink -> bool;  (* switch after this instruction? *)
   event_only : bool;
-      (* [decide] inspects only sink-recorded events (accesses and
-         singleton fields, never [sk_steps]) and, on an event-free sink,
-         returns false with no side effects or draws.  Declaring this
-         lets [run_multi] batch runs of plain instructions through
-         [Vm.run_tblock_conc] between decision points; [on_plain] is
-         told how many consultations were skipped so recorders stay
-         byte-identical. *)
+      (* [decide] reads only the sink's shared accesses (never
+         [sk_steps], non-shared accesses, or the call, return, lock and
+         RCU fields) and, on a sink with no shared access, returns false
+         with no side effect and no draw.  Declaring this lets
+         [run_multi] run whole [Vm.run_tblock_conc] blocks between
+         decision points; [on_plain] is told how many consultations
+         were skipped so recorders stay byte-identical. *)
   on_plain : int -> unit;
-      (* [on_plain k]: the executor retired [k] plain instructions for
-         which [decide] was provably "no switch" and was not called *)
+      (* [on_plain k]: the executor retired [k] instructions for which
+         [decide] was provably "no switch" and was not called *)
 }
 
 type conc_result = {
@@ -413,18 +466,22 @@ let injected_timeout_horizon = 192
    runs at a time; on a switch request the executor rotates round-robin
    to the next runnable thread.
 
-   Stepping is block-batched for policies that declare [event_only]:
-   runs of plain instructions execute in one [Vm.run_tblock_conc] burst
-   between decision points, the block stops at every event-producing
-   instruction so [decide] keeps its exact cadence at events, and
-   [policy.on_plain] is told how many provably-"no switch" consultations
-   were skipped (the recorder appends that many '0's, keeping replay
-   traces byte-identical).  Policies that step-count ([event_only =
+   Policies that declare [event_only] get block-batched stepping: one
+   [Vm.run_tblock_conc] block runs until the first instruction that the
+   executor or such a policy acts on (a shared access, a pause, a return
+   to user space, a halt, panic or fault, or a console line), crossing
+   plain instructions, stack-only accesses, lock and RCU hypercalls, and
+   calls and returns to kernel code.  [decide] is consulted on that last
+   instruction only, and [policy.on_plain] is told how many consultations
+   were skipped: each would have seen no shared access and so, by the
+   [event_only] contract, returned "no switch" without a side effect (the
+   recorder appends that many '0's, keeping replay traces byte-identical
+   to per-step stepping).  Policies that step-count ([event_only =
    false], e.g. PCT's change points, or a trace replayer) run one
-   instruction per [Vm.run_tblock_conc] call (quantum 1).  Either way
-   nothing is allocated per step, and a Trace.access record (plus its
-   list cell) is materialised only for *shared* accesses, the ones
-   result lists and observers actually consume. *)
+   instruction per [Vm.run_tblock_conc] call (quantum 1), on the same
+   path.  Either way nothing is allocated per step, and a Trace.access
+   record (plus its list cell) is materialised only for *shared*
+   accesses, the ones result lists and observers actually consume. *)
 let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     ?(observer = default_observer) ?watchdog ?(fault = Fault.No_fault)
     ?(prof = Obs.Profguest.null_collector) () =
@@ -455,17 +512,20 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
   let emit tid kind = observer.on_event kind ~tid in
   Vm.restore env.vm env.snap;
   Array.iteri (fun tid prog -> install_buffers env.vm tid prog) progs;
-  let mk prog =
+  let shadow = Domain.DLS.get frames_key in
+  let mk tid prog =
+    let frames = shadow.(tid) in
+    frames.depth <- 0;
     {
       prog = Array.of_list prog;
       retvals = Array.make (List.length prog) (-1);
       next_call = 0;
       started = false;
       done_ = false;
-      frames = { stack = [] };
+      frames;
     }
   in
-  let threads = Array.map mk progs in
+  let threads = Array.mapi mk progs in
   let accesses = Array.init n (fun _ -> ref []) in
   let sink = Domain.DLS.get sink_key in
   let steps = ref 0 in
@@ -482,22 +542,16 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     | Vm.User -> th.next_call < Array.length th.prog
     | Vm.Dead -> (not th.started) && Array.length th.prog > 0
   in
-  (* the next runnable thread after [tid], or None *)
+  (* the next runnable thread after [tid], or -1; a loop, since a local
+     recursive function would be a closure allocated per call *)
   let next_runnable tid =
-    let rec go k =
-      if k > n then None
-      else
-        let cand = (tid + k) mod n in
-        if runnable cand then Some cand else go (k + 1)
-    in
-    go 1
-  in
-  let finish_check tid =
-    let th = threads.(tid) in
-    match Vm.cpu_mode env.vm tid with
-    | Vm.User when th.next_call >= Array.length th.prog -> th.done_ <- true
-    | Vm.Dead when th.started -> th.done_ <- true
-    | _ -> ()
+    let found = ref (-1) and k = ref 1 in
+    while !found < 0 && !k <= n do
+      let cand = (tid + !k) mod n in
+      if runnable cand then found := cand;
+      incr k
+    done;
+    !found
   in
   let current = ref (if policy.first >= 0 && policy.first < n then policy.first else 0) in
   if ev_on () then
@@ -543,50 +597,51 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
        check_abort ();
        (* pick a runnable thread, preferring the current one *)
        if not (runnable !current) then begin
-         match next_runnable !current with
-         | Some t ->
-             if ev_on () then
-               emit Obs.Event.sched_tid
-                 (Obs.Event.Switch { from_ = !current; to_ = t; reason = "blocked" });
-             current := t
-         | None -> raise Exit
+         let t = next_runnable !current in
+         if t < 0 then raise Exit;
+         if ev_on () then
+           emit Obs.Event.sched_tid
+             (Obs.Event.Switch { from_ = !current; to_ = t; reason = "blocked" });
+         current := t
        end;
        let tid = !current in
        let th = threads.(tid) in
-       (match Vm.cpu_mode env.vm tid with
-       | Vm.User ->
-           (* start the next system call; this consumes no guest step *)
-           let i = th.next_call in
-           start_syscall env tid th.retvals i th.prog.(i);
-           if ev_on () then
-             emit tid
-               (Obs.Event.Syscall_enter { index = i; nr = th.prog.(i).Fuzzer.Prog.nr });
-           th.frames.stack <- []
-       | Vm.Dead when not th.started ->
-           th.started <- true;
-           start_syscall env tid th.retvals 0 th.prog.(0);
-           if ev_on () then
-             emit tid
-               (Obs.Event.Syscall_enter { index = 0; nr = th.prog.(0).Fuzzer.Prog.nr });
-           th.frames.stack <- []
-       | Vm.Kernel | Vm.Dead -> ());
-       if Vm.cpu_mode env.vm tid = Vm.Kernel then begin
+       (* start the next system call if the thread is between calls;
+          starting one consumes no guest step and enters kernel mode *)
+       let in_kernel =
+         match Vm.cpu_mode env.vm tid with
+         | Vm.Kernel -> true
+         | Vm.User ->
+             let i = th.next_call in
+             start_syscall env tid th.retvals i th.prog.(i);
+             if ev_on () then
+               emit tid
+                 (Obs.Event.Syscall_enter { index = i; nr = th.prog.(i).Fuzzer.Prog.nr });
+             th.frames.depth <- 0;
+             true
+         | Vm.Dead when not th.started ->
+             th.started <- true;
+             start_syscall env tid th.retvals 0 th.prog.(0);
+             if ev_on () then
+               emit tid
+                 (Obs.Event.Syscall_enter { index = 0; nr = th.prog.(0).Fuzzer.Prog.nr });
+             th.frames.depth <- 0;
+             true
+         | Vm.Dead -> false
+       in
+       if in_kernel then begin
          let batch = policy.event_only in
-         let pfid =
+         let bfid =
            if prof_on then attr_fid env.attr (Vm.cpu_pc env.vm tid) else -1
          in
-         let psh = ref 0 in
          (* Per-step policies get one instruction per call: at quantum 1
             [Vm.run_tblock_conc] retires exactly one (a superop only its
-            first half).  Event-only policies get block-batched
-            stepping: plain instructions run in one burst that stops at
-            the first event-producing instruction, so [decide] keeps its
-            exact per-instruction cadence at every event.  The quantum
-            is clamped so no abort threshold can be crossed mid-block:
-            the budget, watchdog and injected-fault checks at the loop
-            top fire at exactly the step counts the per-step loop would
-            have seen.  ([check_abort] already ran, so every bound is
-            strictly ahead and the quantum is >= 1.) *)
+            first half).  Event-only policies get whole blocks.  The
+            quantum is clamped so no abort threshold can be crossed
+            mid-block: the budget, watchdog and injected-fault checks at
+            the loop top fire at exactly the step counts the per-step
+            loop would have seen.  ([check_abort] already ran, so every
+            bound is strictly ahead and the quantum is >= 1.) *)
          let q =
            if not batch then 1
            else
@@ -600,70 +655,72 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
          in
          let reason = Vm.run_tblock_conc env.vm env.tcode ~tid ~quantum:q sink in
          steps := !steps + sink.Vm.sk_steps;
-         (* accesses first: a Call's stack write is attributed with the
-            frames *before* the push, a Ret's stack read before the pop -
-            the order of [Vm.step]'s event list *)
-         for k = 0 to sink.Vm.sk_n_acc - 1 do
-           let addr = sink.Vm.sk_acc_addr.(k) in
-           if Trace.is_shared_at ~addr ~sp:sink.Vm.sk_acc_sp.(k) then begin
-             let a = Vm.sink_access sink ~thread:tid k in
-             incr psh;
-             accesses.(tid) := a :: !(accesses.(tid));
-             let ctx = attribute env.attr th.frames a.Trace.pc in
-             observer.on_access a ~ctx;
+         (* The frame log first, then the shared accesses: a shared
+            access can only sit in the block's last instruction, after
+            every logged call and return, and a call's or return's own
+            stack access is never shared.  So each shared access is
+            attributed with exactly the frames [Vm.step]'s event order
+            gives it. *)
+         let fr = th.frames in
+         apply_frames fr sink;
+         let psh = ref 0 in
+         if sink.Vm.sk_any_shared then
+           for k = 0 to sink.Vm.sk_n_acc - 1 do
+             if sink.Vm.sk_acc_shared.(k) then begin
+               let a = Vm.sink_access sink ~thread:tid k in
+               incr psh;
+               accesses.(tid) := a :: !(accesses.(tid));
+               let ctx = attribute env.attr fr a.Trace.pc in
+               observer.on_access a ~ctx;
+               if ev_on () then
+                 emit tid
+                   (Obs.Event.Access
+                      {
+                        pc = a.Trace.pc;
+                        addr = a.Trace.addr;
+                        size = a.Trace.size;
+                        write = (a.Trace.kind = Trace.Write);
+                        value = a.Trace.value;
+                        ctx;
+                      })
+             end
+           done;
+         if prof_on then charge_block prof env.attr sink ~fid:bfid ~shared:!psh;
+         (match reason with
+         | Vm.Rret_to_user ->
+             th.retvals.(th.next_call) <- Vm.reg env.vm tid Isa.r0;
              if ev_on () then
                emit tid
-                 (Obs.Event.Access
-                    {
-                      pc = a.Trace.pc;
-                      addr = a.Trace.addr;
-                      size = a.Trace.size;
-                      write = (a.Trace.kind = Trace.Write);
-                      value = a.Trace.value;
-                      ctx;
-                    })
-           end
-         done;
-         (* a block never crosses a Call/Ret, so all retired
-            instructions belong to the function at the block-start pc
-            (the same argument as [run_seq]); per-step mode has
-            [sk_steps] = 1 and this is the old per-instruction collect *)
-         if prof_on then
-           Obs.Profguest.collect prof ~fid:pfid ~steps:sink.Vm.sk_steps
-             ~shared:!psh;
-         if sink.Vm.sk_call >= 0 then
-           th.frames.stack <- sink.Vm.sk_call :: th.frames.stack;
-         if sink.Vm.sk_return then begin
-           match th.frames.stack with
-           | [] -> ()
-           | _ :: rest -> th.frames.stack <- rest
+                 (Obs.Event.Syscall_exit
+                    { index = th.next_call; ret = th.retvals.(th.next_call) });
+             th.next_call <- th.next_call + 1;
+             if th.next_call >= Array.length th.prog then th.done_ <- true
+         | Vm.Rdead -> if th.started then th.done_ <- true
+         | Vm.Rnone | Vm.Revent -> ());
+         if Vm.panicked env.vm then begin
+           (* The consultations the block ran past before its last plain
+              stretch were each "no switch".  The stretch itself and the
+              panicking instruction are never consulted: the per-event
+              loop this batching replaced ended the trial there, and
+              recorded traces keep that shape. *)
+           if batch && sink.Vm.sk_evt_steps > 0 then
+             policy.on_plain sink.Vm.sk_evt_steps;
+           raise Exit
          end;
-         if sink.Vm.sk_ret_to_user then begin
-           th.retvals.(th.next_call) <- Vm.reg env.vm tid Isa.r0;
-           if ev_on () then
-             emit tid
-               (Obs.Event.Syscall_exit
-                  { index = th.next_call; ret = th.retvals.(th.next_call) });
-           th.next_call <- th.next_call + 1
-         end;
-         finish_check tid;
-         if Vm.panicked env.vm then raise Exit;
-         (* Plain instructions batched past: their skipped [decide]
-            calls were all provably "no switch" ([event_only]), and each
-            per-step iteration would have reset the pause streak.  The
-            plain prefix precedes the block's event, so notify before
-            consulting [decide] on it. *)
+         (* Instructions batched past: their skipped [decide] calls were
+            all provably "no switch" ([event_only]), and each per-step
+            iteration would have reset the pause streak.  They precede
+            the block's decision point, so notify before consulting
+            [decide] on it. *)
+         let decision = match reason with Vm.Rnone -> false | _ -> true in
          let plain =
-           if batch then
-             sink.Vm.sk_steps
-             - (match reason with Vm.Rnone -> 0 | _ -> 1)
-           else 0
+           if batch then sink.Vm.sk_steps - (if decision then 1 else 0) else 0
          in
          if plain > 0 then begin
            policy.on_plain plain;
            pause_streak := 0
          end;
-         if (not batch) || reason <> Vm.Rnone then begin
+         if (not batch) || decision then begin
          let want = policy.decide tid sink in
          if want then begin
            incr sched_points;
@@ -671,32 +728,35 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
          end;
          if sink.Vm.sk_pause then begin
            (* the is_live heuristic: a spinning thread must yield *)
-           match next_runnable tid with
-           | Some t ->
-               pause_streak := 0;
-               incr switches;
-               if ev_on () then
-                 emit Obs.Event.sched_tid
-                   (Obs.Event.Switch { from_ = tid; to_ = t; reason = "pause" });
-               current := t
-           | None ->
-               incr pause_streak;
-               if !pause_streak > pause_limit then begin
-                 deadlocked := true;
-                 raise Exit
-               end
+           let t = next_runnable tid in
+           if t >= 0 then begin
+             pause_streak := 0;
+             incr switches;
+             if ev_on () then
+               emit Obs.Event.sched_tid
+                 (Obs.Event.Switch { from_ = tid; to_ = t; reason = "pause" });
+             current := t
+           end
+           else begin
+             incr pause_streak;
+             if !pause_streak > pause_limit then begin
+               deadlocked := true;
+               raise Exit
+             end
+           end
          end
          else begin
            pause_streak := 0;
-           if want then
-             match next_runnable tid with
-             | Some t ->
-                 incr switches;
-                 if ev_on () then
-                   emit Obs.Event.sched_tid
-                     (Obs.Event.Switch { from_ = tid; to_ = t; reason = "policy" });
-                 current := t
-             | None -> ()
+           if want then begin
+             let t = next_runnable tid in
+             if t >= 0 then begin
+               incr switches;
+               if ev_on () then
+                 emit Obs.Event.sched_tid
+                   (Obs.Event.Switch { from_ = tid; to_ = t; reason = "policy" });
+               current := t
+             end
+           end
          end
          end
        end

@@ -6,16 +6,20 @@
     {!run_seq} through {!Vmm.Vm.run_tblock} and {!run_multi} through
     {!Vmm.Vm.run_tblock_conc}.  Both write events into a {!Vmm.Vm.sink}
     (one per domain, shared by every runner) and allocate nothing per
-    instruction, memory-touching ones included; sequential runs retire
-    plain instructions in blocks.  What a run does allocate is its
-    product: one {!Vmm.Trace.access} record and list cell per *shared*
-    access, the final [List.rev], and the result record.
-    {!run_seq_step} drives the list-returning {!Vmm.Vm.step}, the
-    observational-equivalence oracle and benchmark baseline.
+    instruction, memory-touching ones included; both retire
+    instructions in blocks.  A concurrent block ends only where the
+    executor or an event-only policy acts: a shared access, a pause, a
+    return to user space, a halt, panic or fault, or a console line.
+    What a run does allocate is its product: one {!Vmm.Trace.access}
+    record and list cell per *shared* access, the final [List.rev], and
+    the result record.  {!run_seq_step} drives the list-returning
+    {!Vmm.Vm.step}, the observational-equivalence oracle and benchmark
+    baseline.
 
-    The executor also maintains per-thread shadow call stacks and
-    attributes every access to the innermost non-helper kernel function,
-    which is how the race detector and the oracle name racing code. *)
+    The executor also maintains per-thread shadow call stacks, replayed
+    from each block's frame log, and attributes every access to the
+    innermost non-helper kernel function, which is how the race detector
+    and the oracle name racing code. *)
 
 val src : Logs.src
 (** The [snowboard.sched] log source, shared by the execution and
@@ -85,6 +89,21 @@ val default_observer : observer
     [{ default_observer with on_access = ... }] — to keep recording
     working under a detector. *)
 
+type frames
+(** A shadow call stack: the pcs of the kernel functions a vCPU has
+    entered and not yet left, innermost last.  {!run_multi} keeps one
+    per vCPU and domain, reused across trials, and attributes each
+    shared access to the innermost non-helper frame. *)
+
+val make_frames : unit -> frames
+
+val frames_depth : frames -> int
+
+val apply_frames : frames -> Vmm.Vm.sink -> unit
+(** Replay a block's frame log ({!Vmm.Vm.sink}) onto the stack: each
+    logged call pushes the pc it entered, each return pops.  Allocates
+    nothing unless the stack outgrows its array. *)
+
 type seq_result = {
   sq_accesses : Vmm.Trace.access list;  (** shared accesses, in order *)
   sq_console : string list;
@@ -134,21 +153,23 @@ val note_throughput : steps:int -> seconds:float -> unit
 type policy = {
   first : int;  (** thread scheduled first *)
   decide : int -> Vmm.Vm.sink -> bool;
-      (** called after every instruction with the thread and the sink
-          frame holding that instruction's events; [true] requests a
-          switch to the next runnable thread *)
+      (** called with the thread and the sink frame of the block that
+          just ran; [true] requests a switch to the next runnable
+          thread.  A per-step policy sees one instruction per call. *)
   event_only : bool;
-      (** declares that [decide] inspects only sink-recorded events
-          (accesses and the singleton fields — never [sk_steps]) and, on
-          a sink holding no events, returns [false] without side effects
-          or random draws.  {!run_multi} then batches runs of plain
-          instructions through {!Vmm.Vm.run_tblock_conc} between
-          decision points; the skipped consultations are reported
-          through [on_plain].  Set [false] for policies that step-count
-          (PCT's change points) or replay a per-instruction trace. *)
+      (** declares the event-only contract: [decide] reads only the
+          sink's shared accesses ([sk_acc_shared]), never [sk_steps],
+          non-shared accesses, or the call, return, lock and RCU fields;
+          and on a sink with no shared access it returns [false] with no
+          side effect and no random draw.  {!run_multi} then runs whole
+          {!Vmm.Vm.run_tblock_conc} blocks, consults [decide] only on a
+          block's last instruction (where any shared access sits), and
+          reports the skipped consultations through [on_plain].  Set
+          [false] for policies that step-count (PCT's change points) or
+          replay a per-instruction trace. *)
   on_plain : int -> unit;
-      (** [on_plain k]: the executor retired [k] plain instructions for
-          which [decide] was provably "no switch" and was not called.
+      (** [on_plain k]: the executor retired [k] instructions for which
+          [decide] was provably "no switch" and was not called.
           Recorders append [k] '0's so traces recorded under batching
           replay byte-identically on the per-step loop (and vice versa);
           everyone else passes [ignore]. *)
@@ -188,27 +209,32 @@ val run_multi :
     next runnable thread.  A spinning thread (Pause) is forcibly
     descheduled (the is_live heuristic); a panic ends the trial.
 
-    For policies declaring [event_only], runs of plain instructions are
-    batched through {!Vmm.Vm.run_tblock_conc} between decision points:
-    the block stops at every event-producing instruction, so
-    [policy.decide] keeps its exact per-instruction cadence at events,
-    abort thresholds (budget, watchdog, injected faults) are clamped
-    into the block quantum so they fire at the per-step loop's exact
-    step counts, and [policy.on_plain] reports the skipped
-    provably-"no switch" consultations — schedules, replay traces and
-    flight-recorder streams are byte-identical to per-step stepping.
+    For policies declaring [event_only], each {!Vmm.Vm.run_tblock_conc}
+    block runs to the next decision point (a shared access, a pause, a
+    return to user space, a halt, panic or fault, or a console line),
+    crossing plain instructions, stack accesses, lock and RCU hypercalls
+    and calls and returns; [policy.decide] is consulted on the block's
+    last instruction, and [policy.on_plain] reports the skipped
+    provably-"no switch" consultations.  Abort thresholds (budget,
+    watchdog, injected faults) are clamped into the block quantum so
+    they fire at the per-step loop's exact step counts.  Schedules,
+    replay traces, flight-recorder streams, observer streams and
+    profiler rows are byte-identical to per-step stepping (a panicking
+    trial's trace stops at the last decision on an event-producing
+    instruction, the panicking thread's final plain stretch unrecorded).
     Other policies (PCT, {!Replay.replay}) are consulted after every
     instruction: they run one instruction per {!Vmm.Vm.run_tblock_conc}
-    call at quantum 1.
-    Either way the executor allocates nothing per step; per shared
-    access it allocates the {!Vmm.Trace.access} record and list cell
-    that [cc_accesses] and [observer.on_access] receive, and per trial
-    the thread records, shadow stacks and result.  (The policy and
-    recorder are the caller's: Snowboard's and the naive policy's
-    [decide] allocate nothing, and {!Replay.record} appends a byte per
-    decision to a growing buffer.)  The flight recorder's clock is
-    installed only while {!Obs.Event.enabled}, so an unrecorded trial
-    leaves no reference to [env] behind.
+    call at quantum 1, on the same path.
+    Either way the executor allocates nothing per step or switch; per
+    shared access it allocates the {!Vmm.Trace.access} record and list
+    cell that [cc_accesses] and [observer.on_access] receive, and per
+    trial the thread records and result (the shadow stacks are
+    per-domain and reused).  (The policy and recorder are the caller's:
+    Snowboard's and the naive policy's [decide] allocate nothing, and
+    {!Replay.record} appends a byte per decision to a growing buffer.)
+    The flight recorder's clock is installed only while
+    {!Obs.Event.enabled}, so an unrecorded trial leaves no reference to
+    [env] behind.
 
     [watchdog] is a per-trial step budget: exceeding it raises
     {!Fault.Watchdog_timeout} (unlike [conc_budget], which merely flags
@@ -220,7 +246,10 @@ val run_multi :
 
     [prof] (default inactive) is a guest-profiler collector; when active,
     every retired instruction and shared access is attributed to its
-    enclosing function (one fid-array read and two int adds per step). *)
+    enclosing function: each stretch of a block between frame-log
+    entries is charged to the function at its first pc, and the block's
+    shared accesses to its last stretch, which sums to exactly the
+    per-step charges. *)
 
 val run_conc :
   env ->

@@ -121,6 +121,7 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
     ~(seed : int) ?(stop_on_bug = true) ?(target_issue = None) ?watchdog
     ?fault ?(attempt = 0) () =
   let st = Policies.snowboard_state hint in
+  let adopts = match kind with Snowboard -> true | Ski | Naive _ | Pct _ -> false in
   let trial_results = ref [] in
   let first_bug = ref None in
   let any_exercised = ref false in
@@ -218,9 +219,9 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
        let hit =
          match target_issue with
          | Some id -> List.mem id issues
-         | None -> findings <> []
+         | None -> ( match findings with [] -> false | _ :: _ -> true)
        in
-       if hit && !first_bug = None then begin
+       if hit && Option.is_none !first_bug then begin
          first_bug := Some (trial + 1);
          Log.info (fun m ->
              m "%s: first finding on trial %d (issues [%s])" (kind_name kind)
@@ -234,7 +235,7 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
           threads, whether hinted or not.  Only Snowboard adopts PMCs, so
           the other kinds stop searching once the statistic is settled. *)
        (match ident with
-       | Some ident when kind = Snowboard || not !any_pmc_observed ->
+       | Some ident when adopts || not !any_pmc_observed ->
            let exclude p = under_test p st.Policies.current_pmcs in
            (* each list mixes kinds: the search and [observes] skip the
               accesses of the other kind *)
@@ -259,7 +260,7 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
                         || List.exists (observes p) a1)
                       l
                then any_pmc_observed := true;
-               if kind = Snowboard then begin
+               if adopts then begin
                  let p = List.nth l (Random.State.int rng (List.length l)) in
                  Obs.Metrics.incr m_incidental;
                  Log.debug (fun m ->

@@ -16,11 +16,13 @@ type trace = { t_first : int; t_decisions : string }
 type recorder = { policy : Exec.policy; finish : unit -> trace }
 
 (* Wrap a policy, capturing its decisions.  Under a block-batching
-   executor ([inner.event_only]), plain instructions skip the [decide]
-   call; [on_plain] records the '0' each skipped consultation would have
-   produced, so a trace recorded under batching is byte-identical to one
-   recorded per-step — replaying either on either loop reproduces the
-   same schedule. *)
+   executor ([inner.event_only]), the instructions a block runs past
+   skip the [decide] call; [on_plain] records the '0' each skipped
+   consultation would have produced (in bulk, from [zeros]), so a trace
+   recorded under batching is byte-identical to one recorded per-step —
+   replaying either on either loop reproduces the same schedule. *)
+let zeros = String.make 256 '0'
+
 let record (inner : Exec.policy) =
   let buf = Buffer.create 256 in
   let decide tid evs =
@@ -29,8 +31,11 @@ let record (inner : Exec.policy) =
     d
   in
   let on_plain k =
-    for _ = 1 to k do
-      Buffer.add_char buf '0'
+    let left = ref k in
+    while !left > 0 do
+      let m = if !left < String.length zeros then !left else String.length zeros in
+      Buffer.add_substring buf zeros 0 m;
+      left := !left - m
     done;
     inner.Exec.on_plain k
   in
@@ -51,7 +56,7 @@ let record (inner : Exec.policy) =
    to "no switch" (they can only be reached if the execution diverged,
    which the deterministic guest rules out for an unchanged kernel).
    The trace is indexed per instruction — including the '0's recorded
-   for batched plain instructions — so replay declares [event_only =
+   for the instructions a batched block ran past — so replay declares [event_only =
    false], and the executor consults it after every instruction. *)
 let replay (t : trace) : Exec.policy =
   let idx = ref 0 in

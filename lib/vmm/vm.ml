@@ -707,7 +707,12 @@ let step t tid =
    and the event ordering within one instruction is fixed, so parallel
    access arrays plus one field per control event represent any event
    list [step] can return.  [sink_events] materialises the legacy list
-   (in the legacy order) for tests and slow consumers. *)
+   (in the legacy order) for tests and slow consumers.
+
+   Each access also records whether it is shared, classified once here
+   so that no consumer re-derives it, and a concurrent block that runs
+   past calls and returns logs them in the frame log for the executor's
+   shadow stacks (see vm.mli). *)
 
 type sink = {
   mutable sk_steps : int;  (* instructions retired into this sink *)
@@ -719,6 +724,15 @@ type sink = {
   sk_acc_value : int array;
   sk_acc_atomic : bool array;
   sk_acc_sp : int array;
+  sk_acc_shared : bool array;  (* [Trace.is_shared_at] on addr and sp *)
+  mutable sk_any_shared : bool;  (* some recorded access is shared *)
+  mutable sk_n_frames : int;  (* frame-log entries recorded *)
+  sk_fr_push : bool array;  (* a call (true) or a return to kernel code *)
+  sk_fr_pc : int array;  (* the pc execution continued at *)
+  sk_fr_steps : int array;  (* instructions retired up to and including it *)
+  mutable sk_evt_steps : int;
+      (* instructions retired up to and including the last
+         event-producing instruction the block ran past; 0 if none *)
   mutable sk_call : int;  (* entered the function at this pc, or -1 *)
   mutable sk_return : bool;  (* returned from the current function *)
   mutable sk_ret_to_user : bool;
@@ -728,25 +742,31 @@ type sink = {
   mutable sk_has_fault : bool;
   mutable sk_fault_addr : int;
   mutable sk_has_console : bool;
-  mutable sk_console : string;  (* console line; also the panic line *)
+  mutable sk_console : string;
+      (* console line, also the panic line; stale unless [sk_has_console] *)
   mutable sk_lock : int;  (* lock address, or -1 *)
   mutable sk_lock_acq : bool;  (* acquire (true) or release *)
   mutable sk_rcu : [ `No | `Lock | `Unlock ];
 }
 
 type stop_reason =
-  | Rnone  (* only plain instructions retired; nothing trace-relevant *)
-  | Revent  (* trace-relevant events in the sink; vCPU still runnable *)
+  | Rnone  (* no decision point: see [run_tcode] *)
+  | Revent  (* the block stopped at a decision point; vCPU still runnable *)
   | Rret_to_user  (* the current system call returned to user space *)
   | Rdead  (* halt, panic or fault: the vCPU left kernel mode *)
 
 let max_sink_accesses = 2
 
-(* The access arrays hold more than one instruction's worth so that
-   [run_tblock] can batch across loads and stores: a block only has to
+(* The access arrays hold more than one instruction's worth so that a
+   block can batch the accesses of several instructions: it only has to
    stop when the next instruction might not fit ([sink_capacity -
    max_sink_accesses] entries used). *)
 let sink_capacity = 32
+
+(* A concurrent block crosses calls and returns, logging each; it stops
+   once the log is full.  A campaign trial makes ~50 calls, so a
+   full log is rare and costs one extra block. *)
+let frame_capacity = 16
 
 let make_sink () =
   {
@@ -759,6 +779,13 @@ let make_sink () =
     sk_acc_value = Array.make sink_capacity 0;
     sk_acc_atomic = Array.make sink_capacity false;
     sk_acc_sp = Array.make sink_capacity 0;
+    sk_acc_shared = Array.make sink_capacity false;
+    sk_any_shared = false;
+    sk_n_frames = 0;
+    sk_fr_push = Array.make frame_capacity false;
+    sk_fr_pc = Array.make frame_capacity 0;
+    sk_fr_steps = Array.make frame_capacity 0;
+    sk_evt_steps = 0;
     sk_call = -1;
     sk_return = false;
     sk_ret_to_user = false;
@@ -774,9 +801,15 @@ let make_sink () =
     sk_rcu = `No;
   }
 
+(* [sk_console] is left stale: resetting a pointer field costs a
+   [caml_modify] per block, and every reader tests [sk_has_console]
+   first. *)
 let sink_clear s =
   s.sk_steps <- 0;
   s.sk_n_acc <- 0;
+  s.sk_any_shared <- false;
+  s.sk_n_frames <- 0;
+  s.sk_evt_steps <- 0;
   s.sk_call <- -1;
   s.sk_return <- false;
   s.sk_ret_to_user <- false;
@@ -786,7 +819,6 @@ let sink_clear s =
   s.sk_has_fault <- false;
   s.sk_fault_addr <- 0;
   s.sk_has_console <- false;
-  s.sk_console <- "";
   s.sk_lock <- -1;
   s.sk_lock_acq <- false;
   s.sk_rcu <- `No
@@ -818,6 +850,9 @@ let sink_push_access s (a : Trace.access) =
   s.sk_acc_value.(i) <- a.Trace.value;
   s.sk_acc_atomic.(i) <- a.Trace.atomic;
   s.sk_acc_sp.(i) <- a.Trace.sp;
+  let sh = Trace.is_shared a in
+  s.sk_acc_shared.(i) <- sh;
+  if sh then s.sk_any_shared <- true;
   s.sk_n_acc <- i + 1
 
 (* The legacy event list for this sink, in the order [step] would have
@@ -841,22 +876,36 @@ let sink_events s ~thread =
   let tail = if s.sk_call >= 0 then Ecall s.sk_call :: tail else tail in
   accs @ tail
 
+(* [Trace.is_shared_at], spelled out: without cross-module inlining
+   (dune's default profile) the call would be an indirect one, and it
+   runs for every access the interpreter records. *)
+let[@inline] shared_at ~addr ~sp =
+  let lo = sp land lnot (Layout.stack_size - 1) in
+  addr >= 0 && addr < Layout.kmem_size
+  && not (addr >= lo && addr < lo + Layout.stack_size)
+
 (* Record a memory access into the sink; reads [c.pc] and the stack
    pointer at call time, exactly as [access] does (some instructions
    update them before the event is created - Faa, Push and Pop record
    the *next* pc, Pop records the popped sp - and those quirks are
-   baked into profiles and PMCs, so they must be reproduced). *)
+   baked into profiles and PMCs, so they must be reproduced).  The
+   shared flag is classified on the recorded addr and sp, so Pop's
+   recorded-sp quirk carries over to it. *)
 let sink_acc t c s ~addr ~size ~write ~value ~atomic =
   t.accesses <- t.accesses + 1;
   t.events_sunk <- t.events_sunk + 1;
   let i = s.sk_n_acc in
+  let sp = c.regs.(Isa.sp) in
   s.sk_acc_pc.(i) <- c.pc;
   s.sk_acc_addr.(i) <- addr;
   s.sk_acc_size.(i) <- size;
   s.sk_acc_write.(i) <- write;
   s.sk_acc_value.(i) <- value;
   s.sk_acc_atomic.(i) <- atomic;
-  s.sk_acc_sp.(i) <- c.regs.(Isa.sp);
+  s.sk_acc_sp.(i) <- sp;
+  let sh = shared_at ~addr ~sp in
+  s.sk_acc_shared.(i) <- sh;
+  if sh then s.sk_any_shared <- true;
   s.sk_n_acc <- i + 1
 
 (* ------------------------------------------------------------------ *)
@@ -876,7 +925,16 @@ let sink_acc t c s ~addr ~size ~write ~value ~atomic =
    that materialise to [step]'s event lists (including the pc/sp
    recording quirks of [sink_acc]), identical step/access/event
    accounting, identical fault handling.  The qcheck equivalence and
-   lockstep properties in the tests enforce it. *)
+   lockstep properties in the tests enforce it.
+
+   The two modes differ only in where a block stops.  A sequential block
+   runs through plain instructions and loads and stores, and stops at
+   any other event.  A concurrent block ([conc]) runs through everything
+   no event-only policy reads: accesses that are all non-shared, lock
+   and RCU hypercalls, and calls and returns to kernel code (logged with
+   [tc_cross_frame]).  It stops after a shared access, a pause, a return
+   to user space, a halt, panic or fault, or a console line, and records
+   no coverage edges. *)
 
 (* Monomorphic on [int array]: a polymorphic wrapper would compile to
    generic-array accesses (float-tag check per load, [caml_modify] per
@@ -909,19 +967,27 @@ let[@inline] tc_cond_eval bcode a b =
   | 24 | 30 -> a > b
   | _ -> a >= b
 
-(* Continue the block past an access-only instruction?  Sequential
-   blocks keep going while only memory accesses accumulated and the sink
-   has room for another instruction's worth; concurrent blocks ([conc])
-   stop at every event-producing instruction so the scheduler's decision
-   cadence at events is exactly the per-step loop's. *)
+(* Continue the block past an instruction that recorded accesses?
+   Either mode needs room for another instruction's worth.  A
+   concurrent block ([conc]) also stops at its first shared access,
+   the only access an event-only policy reads.  (No singleton event can
+   precede an access in a sequential block: each one ends it.) *)
 let[@inline] tc_keep_going conc sink =
-  (not conc)
-  && sink.sk_call < 0
-  && (not sink.sk_return)
-  && (not sink.sk_pause)
-  && (not sink.sk_has_console)
-  && sink.sk_lock < 0
-  && sink.sk_rcu = `No
+  sink.sk_n_acc + max_sink_accesses <= sink_capacity
+  && not (conc && sink.sk_any_shared)
+
+(* Log a call, or a return to kernel code, that a concurrent block runs
+   past: [pc] is where execution continues, [steps] the instructions
+   retired so far.  True while the block may keep going (room left in
+   the log and in the access arrays). *)
+let[@inline] tc_cross_frame sink ~push ~pc ~steps =
+  let n = sink.sk_n_frames in
+  Array.unsafe_set sink.sk_fr_push n push;
+  us sink.sk_fr_pc n pc;
+  us sink.sk_fr_steps n steps;
+  sink.sk_n_frames <- n + 1;
+  sink.sk_evt_steps <- steps;
+  n + 1 < frame_capacity
   && sink.sk_n_acc + max_sink_accesses <= sink_capacity
 
 (* One plain (li/mov/bin) instruction, decoded from [raw] — the body of
@@ -1085,38 +1151,38 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
        (* br reg,imm: Eq Ne Lt Le Gt Ge *)
        | 20 ->
            let dest = if ug regs (ug f0 p) = ug f1 p then ug f2 p else p + 1 in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 21 ->
            let dest =
              if ug regs (ug f0 p) <> ug f1 p then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 22 ->
            let dest = if ug regs (ug f0 p) < ug f1 p then ug f2 p else p + 1 in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 23 ->
            let dest =
              if ug regs (ug f0 p) <= ug f1 p then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 24 ->
            let dest = if ug regs (ug f0 p) > ug f1 p then ug f2 p else p + 1 in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 25 ->
            let dest =
              if ug regs (ug f0 p) >= ug f1 p then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        (* br reg,reg *)
@@ -1124,48 +1190,48 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            let dest =
              if ug regs (ug f0 p) = ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 27 ->
            let dest =
              if ug regs (ug f0 p) <> ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 28 ->
            let dest =
              if ug regs (ug f0 p) < ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 29 ->
            let dest =
              if ug regs (ug f0 p) <= ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 30 ->
            let dest =
              if ug regs (ug f0 p) > ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        | 31 ->
            let dest =
              if ug regs (ug f0 p) >= ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           record_edge_fast t p dest;
+           if not conc then record_edge_fast t p dest;
            pc := dest;
            rem := !rem - 1
        (* jmp *)
        | 32 ->
            let target = ug f0 p in
-           record_edge_fast t p target;
+           if not conc then record_edge_fast t p target;
            pc := target;
            rem := !rem - 1
        (* load *)
@@ -1182,7 +1248,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if not (tc_keep_going conc sink) then stop := true
+           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
+           else stop := true
        (* store imm / store reg (imm pre-masked at decode) *)
        | 34 ->
            c.pc <- p;
@@ -1197,7 +1264,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if not (tc_keep_going conc sink) then stop := true
+           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
+           else stop := true
        | 35 ->
            c.pc <- p;
            fault_rem := !rem;
@@ -1211,7 +1279,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if not (tc_keep_going conc sink) then stop := true
+           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
+           else stop := true
        (* cas: expected/desired each imm or reg per variant *)
        | (36 | 37 | 38 | 39) as oc ->
            c.pc <- p;
@@ -1238,7 +1307,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if not (tc_keep_going conc sink) then stop := true
+           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
+           else stop := true
        (* faa imm / faa reg *)
        | (40 | 41) as oc ->
            c.pc <- p;
@@ -1255,7 +1325,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if not (tc_keep_going conc sink) then stop := true
+           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
+           else stop := true
        (* call *)
        | 42 ->
            c.pc <- p;
@@ -1266,14 +1337,19 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            regs.(Isa.sp) <- nsp;
            sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:(p + 1)
              ~atomic:false;
-           record_edge_fast t p target;
+           if not conc then record_edge_fast t p target;
            c.pc <- target;
            sink.sk_call <- target;
            t.events_sunk <- t.events_sunk + 1;
            result := Revent;
            pc := target;
            rem := !rem - 1;
-           stop := true
+           if
+             not
+               (conc
+               && tc_cross_frame sink ~push:true ~pc:target
+                    ~steps:(quantum - !rem))
+           then stop := true
        (* callind *)
        | 43 ->
            c.pc <- p;
@@ -1285,14 +1361,19 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            regs.(Isa.sp) <- nsp;
            sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:(p + 1)
              ~atomic:false;
-           record_edge_fast t p target;
+           if not conc then record_edge_fast t p target;
            c.pc <- target;
            sink.sk_call <- target;
            t.events_sunk <- t.events_sunk + 1;
            result := Revent;
            pc := target;
            rem := !rem - 1;
-           stop := true
+           if
+             not
+               (conc
+               && tc_cross_frame sink ~push:true ~pc:target
+                    ~steps:(quantum - !rem))
+           then stop := true
        (* ret *)
        | 44 ->
            c.pc <- p;
@@ -1303,20 +1384,29 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              ~atomic:false;
            regs.(Isa.sp) <- spv + 8;
            t.events_sunk <- t.events_sunk + 1;
-           (if target = ret_sentinel then begin
-              c.mode <- User;
-              sink.sk_ret_to_user <- true;
-              result := Rret_to_user
-            end
-            else begin
-              record_edge_fast t p target;
-              c.pc <- target;
-              pc := target;
-              sink.sk_return <- true;
-              result := Revent
-            end);
            rem := !rem - 1;
-           stop := true
+           if target = ret_sentinel then begin
+             c.mode <- User;
+             sink.sk_ret_to_user <- true;
+             result := Rret_to_user;
+             stop := true
+           end
+           else begin
+             if not conc then record_edge_fast t p target;
+             c.pc <- target;
+             pc := target;
+             sink.sk_return <- true;
+             result := Revent;
+             (* a return through a corrupted slot ends the block at a pc
+                the next entry rejects, as [step] would *)
+             if
+               not
+                 (conc
+                 && tc_cross_frame sink ~push:false ~pc:target
+                      ~steps:(quantum - !rem)
+                 && target >= 0 && target < len)
+             then stop := true
+           end
        (* push *)
        | 45 ->
            c.pc <- p;
@@ -1333,7 +1423,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if not (tc_keep_going conc sink) then stop := true
+           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
+           else stop := true
        (* pop *)
        | 46 ->
            c.pc <- p;
@@ -1348,7 +1439,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if not (tc_keep_going conc sink) then stop := true
+           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
+           else stop := true
        (* pause *)
        | 47 ->
            c.pc <- p + 1;
@@ -1406,7 +1498,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           stop := true
+           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
        | 52 ->
            c.pc <- p + 1;
            sink.sk_lock <- regs.(0);
@@ -1415,7 +1507,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           stop := true
+           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
        (* hrcu_lock / hrcu_unlock *)
        | 53 ->
            c.pc <- p + 1;
@@ -1424,7 +1516,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           stop := true
+           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
        | 54 ->
            c.pc <- p + 1;
            sink.sk_rcu <- `Unlock;
@@ -1432,7 +1524,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           stop := true
+           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
        (* superop load+br *)
        | 55 ->
            c.pc <- p;
@@ -1450,19 +1542,22 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              rem := !rem - 1;
              stop := true
            end
-           else if !rem > 1 then begin
-             let bpc = p + 1 in
-             let bcode = ug raw bpc in
-             let a = ug regs (ug f0 bpc) in
-             let b = if bcode >= 26 then ug regs (ug f1 bpc) else ug f1 bpc in
-             let dest = if tc_cond_eval bcode a b then ug f2 bpc else bpc + 1 in
-             record_edge_fast t bpc dest;
-             pc := dest;
-             rem := !rem - 2
-           end
            else begin
-             pc := p + 1;
-             rem := !rem - 1
+             sink.sk_evt_steps <- quantum - !rem + 1;
+             if !rem > 1 then begin
+               let bpc = p + 1 in
+               let bcode = ug raw bpc in
+               let a = ug regs (ug f0 bpc) in
+               let b = if bcode >= 26 then ug regs (ug f1 bpc) else ug f1 bpc in
+               let dest = if tc_cond_eval bcode a b then ug f2 bpc else bpc + 1 in
+               if not conc then record_edge_fast t bpc dest;
+               pc := dest;
+               rem := !rem - 2
+             end
+             else begin
+               pc := p + 1;
+               rem := !rem - 1
+             end
            end
        (* superop bin+store *)
        | 56 ->
@@ -1489,7 +1584,9 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              result := Revent;
              pc := spc + 1;
              rem := !rem - 2;
-             if not (tc_keep_going conc sink) then stop := true
+             if tc_keep_going conc sink then
+               sink.sk_evt_steps <- quantum - !rem
+             else stop := true
            end
            else begin
              pc := p + 1;
@@ -1509,7 +1606,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              let dest =
                if tc_cond_eval bbcode ba bb then ug f2 bpc else bpc + 1
              in
-             record_edge_fast t bpc dest;
+             if not conc then record_edge_fast t bpc dest;
              pc := dest;
              rem := !rem - 2
            end
@@ -1537,6 +1634,13 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
        | _ -> assert false)
      done;
      if not !stop then c.pc <- !pc;
+     (* A concurrent block reports [Revent] only when it stopped at a
+        decision point; one that ran past events and then filled its
+        quantum, access arrays or frame log has nothing a policy reads. *)
+     if
+       conc && !result == Revent
+       && not (sink.sk_any_shared || sink.sk_pause || sink.sk_has_console)
+     then result := Rnone;
      let retired = quantum - !rem in
      t.steps <- t.steps + retired;
      sink.sk_steps <- sink.sk_steps + retired

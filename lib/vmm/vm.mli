@@ -107,8 +107,31 @@ val step : t -> int -> event list
     An instruction produces at most two memory accesses (Cas/Faa: read
     then write) and at most one control event of each kind, so the fixed
     frame below represents any event list [step] can return.  The access
-    arrays are larger than one instruction needs so that {!run_tblock}
-    can batch consecutive loads and stores into one frame. *)
+    arrays are larger than one instruction needs so that a block can
+    batch the accesses of several instructions into one frame.
+
+    Each recorded access carries its shared flag, {!Trace.is_shared_at}
+    on the recorded addr and sp (so Pop, which records the popped sp,
+    keeps that quirk), computed once by the interpreter; consumers read
+    [sk_acc_shared] instead of re-classifying.
+
+    A concurrent block ({!run_tblock_conc}) can run past calls and
+    returns to kernel code.  Each one goes into the frame log, in
+    execution order: [sk_fr_push.(i)] tells a call from a return,
+    [sk_fr_pc.(i)] is the pc execution continued at (the callee's entry,
+    or the return address), and [sk_fr_steps.(i)] counts the
+    instructions the block had retired up to and including it.  The
+    executor replays the log onto its shadow call stacks.  Sequential
+    blocks stop at every call and return and log nothing.
+
+    The singleton fields ([sk_call] to [sk_rcu]) describe the block's
+    last instruction when the block retired one instruction, or when the
+    field belongs to an instruction that ends every block (return to
+    user, pause, halt, panic, fault, console line).  A concurrent block
+    that ran past calls, returns, lock or RCU hypercalls keeps the last
+    value of each of [sk_call], [sk_return], [sk_lock]/[sk_lock_acq] and
+    [sk_rcu]; so {!sink_events} reproduces [step]'s list only for a
+    one-instruction block. *)
 
 type sink = {
   mutable sk_steps : int;  (** instructions retired into this sink *)
@@ -120,6 +143,18 @@ type sink = {
   sk_acc_value : int array;
   sk_acc_atomic : bool array;
   sk_acc_sp : int array;
+  sk_acc_shared : bool array;
+      (** {!Trace.is_shared_at} on the recorded addr and sp *)
+  mutable sk_any_shared : bool;  (** some recorded access is shared *)
+  mutable sk_n_frames : int;  (** frame-log entries recorded *)
+  sk_fr_push : bool array;  (** a call (true) or a return *)
+  sk_fr_pc : int array;  (** the pc execution continued at *)
+  sk_fr_steps : int array;
+      (** instructions retired up to and including the call or return *)
+  mutable sk_evt_steps : int;
+      (** instructions retired up to and including the last
+          event-producing instruction the block ran past without
+          stopping; 0 if none *)
   mutable sk_call : int;  (** entered the function at this pc, or -1 *)
   mutable sk_return : bool;  (** returned from the current function *)
   mutable sk_ret_to_user : bool;
@@ -129,22 +164,28 @@ type sink = {
   mutable sk_has_fault : bool;
   mutable sk_fault_addr : int;
   mutable sk_has_console : bool;
-  mutable sk_console : string;  (** console line; also the panic line *)
+  mutable sk_console : string;
+      (** console line, also the panic line; meaningful only while
+          [sk_has_console] holds ({!sink_clear} leaves it stale) *)
   mutable sk_lock : int;  (** lock address, or -1 *)
   mutable sk_lock_acq : bool;  (** acquire (true) or release *)
   mutable sk_rcu : [ `No | `Lock | `Unlock ];
 }
 
 type stop_reason =
-  | Rnone  (** only plain instructions retired; nothing trace-relevant *)
-  | Revent  (** trace-relevant events in the sink; vCPU still runnable *)
+  | Rnone  (** the block stopped at no decision point *)
+  | Revent
+      (** the vCPU is still runnable, and a concurrent block stopped at a
+          decision point: its last instruction made a shared access,
+          paused or printed a console line.  (A sequential block returns
+          it whenever it recorded any event; the sequential runner does
+          not tell the two apart.) *)
   | Rret_to_user  (** the current system call returned to user space *)
   | Rdead  (** halt, panic or fault: the vCPU left kernel mode *)
 
 val sink_capacity : int
 (** Capacity of the sink's access arrays: more than one instruction's
-    worth, so {!run_tblock} can batch accesses across consecutive loads
-    and stores. *)
+    worth, so a block can batch accesses across instructions. *)
 
 val make_sink : unit -> sink
 
@@ -155,13 +196,14 @@ val sink_access : sink -> thread:int -> int -> Trace.access
     lists, tests).  Raises [Invalid_argument] if [i >= sk_n_acc]. *)
 
 val sink_push_access : sink -> Trace.access -> unit
-(** Append a access to the sink, for exercising sink consumers (policies,
-    observers) without running guest code. *)
+(** Append a access to the sink, setting its shared flag and
+    [sk_any_shared] as the interpreter would, for exercising sink
+    consumers (policies, observers) without running guest code. *)
 
 val sink_events : sink -> thread:int -> event list
 (** The legacy event list for this sink, in the exact order {!step} would
-    have returned it; the bridge tests and slow consumers use to compare
-    the two interpreters. *)
+    have returned it for a one-instruction block; the bridge tests and
+    slow consumers use it to compare the two interpreters. *)
 
 val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
 (** Clear the sink and execute up to [quantum] instructions of the
@@ -178,8 +220,7 @@ val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
     The sink's accesses are in execution order across the whole block;
     the singleton event fields always belong to the final instruction.
     [sk_steps] counts everything retired, so block execution is
-    invisible to instruction budgets.  Returns [Rnone] when the quantum
-    expired on plain instructions only.
+    invisible to instruction budgets.
 
     Observationally identical to [sk_steps] calls of {!step} — same
     guest state transitions, accesses, step/access accounting, coverage
@@ -190,14 +231,24 @@ val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
 
 val run_tblock_conc :
   t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
-(** {!run_tblock} for the concurrent executor: the block additionally
-    stops at {e every} event-producing instruction (including loads and
-    stores) instead of batching accesses, so a scheduler draining the
-    sink after each call sees every event-producing instruction on its
-    own — only runs of plain instructions are batched between decision
-    points.  At [quantum = 1] it retires exactly one instruction
-    ([sk_steps = 1]) and the sink materialises ({!sink_events}) to the
-    list {!step} returns: the per-step cadence PCT and replay playback
+(** {!run_tblock} for the concurrent executor, with its own stop rule:
+    the block ends after the first instruction that the executor or an
+    event-only policy acts on — a shared access, a pause, a return to
+    user space, a halt, panic or fault, or a console line — and returns
+    [Revent] (or [Rret_to_user]/[Rdead]) there.  It runs past
+    instructions whose accesses are all non-shared (stack traffic), lock
+    and RCU hypercalls, and calls and returns to kernel code, logging
+    the latter in the frame log.  So any shared access in the sink
+    belongs to the block's last instruction, after every logged call and
+    return.  The block also ends, with [Rnone], when the quantum
+    expires, or when the access arrays or the frame log have no room
+    for another instruction.
+
+    Concurrent blocks record no coverage edges: only the sequential
+    runner reads coverage, and it resets it first.  At [quantum = 1] it
+    retires exactly one instruction ([sk_steps = 1], at most one frame
+    entry) and the sink materialises ({!sink_events}) to the list
+    {!step} returns: the per-step cadence PCT and replay playback
     need. *)
 
 exception Fault of int

@@ -192,6 +192,35 @@ let test_snowboard_decide () =
         ignore (p.Exec.decide 0 sink)
       done)
 
+(* Learned flags and a second PMC under test, then accesses at pcs none
+   of them watch: [decide] skips both lookups and allocates nothing. *)
+let test_snowboard_decide_unwatched () =
+  let st = Policies.snowboard_state (Some hint) in
+  let p = Policies.snowboard (Random.State.make [| 3 |]) st in
+  ignore (p.Exec.decide 0 (busy_sink ()));
+  Policies.add_pmc st
+    (Core.Pmc.make
+       ~write:{ Core.Pmc.ins = 40; addr = 0x2700; size = 8; value = 1 }
+       ~read:{ Core.Pmc.ins = 41; addr = 0x2700; size = 8; value = 0 }
+       ~df_leader:false);
+  checkb "flags were learned" true (Hashtbl.length st.Policies.flags > 0);
+  let sink = Vm.make_sink () in
+  List.iter (Vm.sink_push_access sink)
+    [
+      acc ~pc:31 ~addr:0x2100 Trace.Write;
+      acc ~pc:32 ~addr:0x2500 Trace.Read;
+      acc ~pc:400 ~addr:0x2700 Trace.Read;
+      acc ~pc:(-1) ~addr:0x2700 Trace.Write;
+    ];
+  let windows = st.Policies.windows_seen in
+  check_zero "snowboard decide, hinted, flags learned, unwatched pcs"
+    (fun () ->
+      for _ = 1 to 50 do
+        ignore (p.Exec.decide 0 sink);
+        ignore (p.Exec.decide 1 sink)
+      done);
+  checkb "no window entered" true (st.Policies.windows_seen = windows)
+
 let test_replay_record () =
   let sink = busy_sink () in
   let r = Replay.record (Policies.naive (Random.State.make [| 1 |]) ~period:3) in
@@ -206,6 +235,49 @@ let test_replay_record () =
   checkb "every decision was recorded" true (Replay.length t = 5000 + 800);
   checkb "the trace round-trips" true
     (Replay.of_string (Replay.to_string t) = Some t)
+
+(* ---------------- the executor's per-block work ---------------- *)
+
+(* A frame log of calls and returns, balanced so the shadow stack comes
+   back to its depth: replaying it pushes and pops in place. *)
+let test_apply_frames () =
+  let sink = Vm.make_sink () in
+  List.iteri
+    (fun e (push, pc) ->
+      sink.Vm.sk_fr_push.(e) <- push;
+      sink.Vm.sk_fr_pc.(e) <- pc;
+      sink.Vm.sk_fr_steps.(e) <- 3 * (e + 1))
+    [ (true, 10); (true, 20); (false, 15); (true, 30); (false, 25); (false, 5) ];
+  sink.Vm.sk_n_frames <- 6;
+  let f = Exec.make_frames () in
+  Exec.apply_frames f sink;
+  checkb "a balanced log leaves the depth" true (Exec.frames_depth f = 0);
+  check_zero "Exec.apply_frames, calls and returns" (fun () ->
+      for _ = 1 to 100 do
+        Exec.apply_frames f sink
+      done)
+
+(* Two threads making out-of-range system calls (one private stack read
+   each, nothing shared) run identically however they interleave, so a
+   trial that switches at every return to user space and one that never
+   switches must allocate the same: a switch costs nothing. *)
+let test_policy_switch () =
+  let e = Lazy.force env in
+  let prog = List.init 12 (fun _ -> { Fuzzer.Prog.nr = 99; args = [] }) in
+  let progs = [| prog; prog |] in
+  let policy decide =
+    { Exec.first = 0; decide; event_only = false; on_plain = ignore }
+  in
+  let switching = policy (fun _ s -> s.Vm.sk_ret_to_user)
+  and never = policy (fun _ _ -> false) in
+  let trial policy = Exec.run_multi e ~progs ~policy () in
+  checkb "the switching trial switches" true
+    ((trial switching).Exec.cc_switches >= 20);
+  checkb "the other does not" true ((trial never).Exec.cc_switches <= 1);
+  let w_switching = words (fun () -> ignore (trial switching))
+  and w_never = words (fun () -> ignore (trial never)) in
+  Alcotest.(check (float 0.)) "run_multi, a policy switch" 0.
+    (w_switching -. w_never)
 
 (* ---------------- the trial analyses ---------------- *)
 
@@ -392,6 +464,10 @@ let () =
           Alcotest.test_case "private accesses in run_seq" `Quick
             test_private_accesses_free;
           Alcotest.test_case "policy decide" `Quick test_snowboard_decide;
+          Alcotest.test_case "policy decide, unwatched pcs" `Quick
+            test_snowboard_decide_unwatched;
+          Alcotest.test_case "frame log replay" `Quick test_apply_frames;
+          Alcotest.test_case "policy switch" `Quick test_policy_switch;
           Alcotest.test_case "replay recorder" `Quick test_replay_record;
           Alcotest.test_case "race detector per access" `Quick
             test_race_on_access;

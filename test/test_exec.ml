@@ -2,7 +2,8 @@
    interpreter against the [Vm.step] oracle (whole runs, with the fast
    profile builder against the oracle builder, also on the profiling
    path with an active collector, and lockstep, one instruction at a
-   time), the edge cache, and the fingerprint/edge-key regressions. *)
+   time), batched concurrent trials against per-step ones, the edge
+   cache, and the fingerprint/edge-key regressions. *)
 
 module Vm = Vmm.Vm
 module Asm = Vmm.Asm
@@ -81,8 +82,9 @@ let prop_shared_profile_equivalent =
 (* Lockstep: stepping one VM with [Vm.step] and its twin with
    [Vm.run_tblock_conc] at quantum 1 (the executor's per-step cadence for
    PCT and replay playback), every call must retire exactly one
-   instruction whose sunk events materialise to [Vm.step]'s list, and
-   the twins must end in the same state.  Each case opens a descriptor
+   instruction whose sunk events materialise to [Vm.step]'s list, with
+   the VM's shared flags and frame log matching them, and the twins
+   must end in the same state.  Each case opens a descriptor
    (fd 0, the first free slot), then makes system calls, biased towards
    getsockname and ioctl, which write and read through a pointer
    argument.  Arguments are descriptors, commands and pointers into the
@@ -136,6 +138,39 @@ let gen_syscalls =
     in
     map2 (fun o l -> o :: l) opener (list_size (int_range 1 4) call))
 
+(* Every recorded access carries [Trace.is_shared_at] on its recorded
+   fields, and the block's shared bit is their disjunction. *)
+let check_sink_flags nr (sink : Vm.sink) =
+  let any = ref false in
+  for k = 0 to sink.Vm.sk_n_acc - 1 do
+    let sh =
+      Trace.is_shared_at ~addr:sink.Vm.sk_acc_addr.(k) ~sp:sink.Vm.sk_acc_sp.(k)
+    in
+    if sink.Vm.sk_acc_shared.(k) <> sh then
+      QCheck.Test.fail_reportf "syscall %d: access %d shared flag %b, expected %b"
+        nr k sink.Vm.sk_acc_shared.(k) sh;
+    if sh then any := true
+  done;
+  if sink.Vm.sk_any_shared <> !any then
+    QCheck.Test.fail_reportf "syscall %d: block shared bit %b, expected %b" nr
+      sink.Vm.sk_any_shared !any
+
+(* A one-instruction block logs exactly its own call or return to kernel
+   code: the entry the executor's shadow stack replays in place of
+   [Ecall]/[Ereturn]. *)
+let check_frame_log nr (sink : Vm.sink) pc_after =
+  let expected =
+    if sink.Vm.sk_call >= 0 then [ (true, sink.Vm.sk_call, 1) ]
+    else if sink.Vm.sk_return then [ (false, pc_after, 1) ]
+    else []
+  in
+  let logged =
+    List.init sink.Vm.sk_n_frames (fun e ->
+        (sink.Vm.sk_fr_push.(e), sink.Vm.sk_fr_pc.(e), sink.Vm.sk_fr_steps.(e)))
+  in
+  if logged <> expected then
+    QCheck.Test.fail_reportf "syscall %d: frame log differs at pc %d" nr pc_after
+
 let prop_lockstep_events =
   QCheck.Test.make ~name:"lockstep event lists" ~count:80
     (QCheck.make ~print:QCheck.Print.(list (pair int (list int))) gen_syscalls)
@@ -166,7 +201,9 @@ let prop_lockstep_events =
                   nr sink.Vm.sk_steps;
               if Vm.sink_events sink ~thread:0 <> evs then
                 QCheck.Test.fail_reportf "syscall %d: events differ at pc %d"
-                  nr (Vm.cpu_pc v1 0)
+                  nr (Vm.cpu_pc v1 0);
+              check_sink_flags nr sink;
+              check_frame_log nr sink (Vm.cpu_pc v2 0)
             done
           end)
         calls;
@@ -337,78 +374,176 @@ let test_threaded_quantum () =
 
 (* ---------------- block-batched concurrent execution ---------------- *)
 
-(* Run the same seeded snowboard trial twice on the same env: once
-   batched (the policy's [event_only] declaration intact), once with it
-   forced off (per-step loop).  Everything observable — the result
-   record, the recorded decision trace and the flight-recorder stream —
-   must be byte-identical. *)
-let conc_batch_run env ~(s : Harness.Scenarios.scenario) ~hint ~seed ~batch =
-  let rng = Random.State.make [| seed |] in
+(* Everything one concurrent trial emits. *)
+type emitted = {
+  res : Exec.conc_result;
+  trace : Replay.trace;  (* the recorded decisions *)
+  cut : int;
+      (* per step: the decisions up to and including the last one made
+         on an event-producing instruction *)
+  events : Obs.Event.t list;  (* flight record, rebased on its first clock *)
+  seen : int;
+  observed : (Trace.access * string) list;  (* the observer's stream *)
+  rows : (string * int * int) list;  (* drained guest-profiler rows *)
+}
+
+let has_event (sk : Vm.sink) =
+  sk.Vm.sk_n_acc > 0 || sk.Vm.sk_call >= 0 || sk.Vm.sk_return
+  || sk.Vm.sk_ret_to_user || sk.Vm.sk_pause || sk.Vm.sk_halt
+  || sk.Vm.sk_has_console || sk.Vm.sk_lock >= 0 || sk.Vm.sk_rcu <> `No
+
+(* [trials] seeded snowboard trials of scenario [s] that share one policy
+   state, as [Explore.run]'s do (so later trials run with learned
+   flags), recorded, observed and profiled; batched (the policy's
+   [event_only] intact) or per step (forced off). *)
+let conc_batch_trials env ~(s : Harness.Scenarios.scenario) ~hint ~seed
+    ~trials ~batch =
   let st = Policies.snowboard_state hint in
-  let inner = Policies.snowboard rng st in
-  let inner = { inner with Exec.event_only = inner.Exec.event_only && batch } in
-  let rec_ = Replay.record inner in
-  Obs.Event.reset ();
-  let res =
-    Exec.run_conc env ~writer:s.Harness.Scenarios.writer
-      ~reader:s.Harness.Scenarios.reader ~policy:rec_.Replay.policy ()
-  in
-  (* [Vm.steps] accumulates across trials on the same VM, so absolute
-     virtual clocks carry a per-trial baseline; rebase on the trial's
-     first event to compare the streams themselves *)
-  let evs =
-    match Obs.Event.events () with
-    | [] -> []
-    | e0 :: _ as evs ->
-        List.map
-          (fun (e : Obs.Event.t) ->
-            { e with Obs.Event.vclock = e.Obs.Event.vclock - e0.Obs.Event.vclock })
-          evs
-  in
-  let seen = Obs.Event.seen () in
-  (res, Replay.to_string (rec_.Replay.finish ()), evs, seen)
+  List.init trials (fun i ->
+      let inner = Policies.snowboard (Random.State.make [| seed + i |]) st in
+      let inner =
+        { inner with Exec.event_only = inner.Exec.event_only && batch }
+      in
+      let rec_ = Replay.record inner in
+      let decisions = ref 0 and cut = ref 0 in
+      let policy =
+        {
+          rec_.Replay.policy with
+          Exec.decide =
+            (fun tid sk ->
+              incr decisions;
+              if has_event sk then cut := !decisions;
+              rec_.Replay.policy.Exec.decide tid sk);
+        }
+      in
+      let observed = ref [] in
+      let observer =
+        {
+          Exec.default_observer with
+          Exec.on_access = (fun a ~ctx -> observed := (a, ctx) :: !observed);
+        }
+      in
+      let prof = Obs.Profguest.collector () in
+      Obs.Event.reset ();
+      let res =
+        Exec.run_conc env ~writer:s.Harness.Scenarios.writer
+          ~reader:s.Harness.Scenarios.reader ~policy ~observer ~prof ()
+      in
+      (* [Vm.steps] accumulates across trials on the same VM, so absolute
+         virtual clocks carry a per-trial baseline *)
+      let events =
+        match Obs.Event.events () with
+        | [] -> []
+        | e0 :: _ as evs ->
+            List.map
+              (fun (e : Obs.Event.t) ->
+                {
+                  e with
+                  Obs.Event.vclock = e.Obs.Event.vclock - e0.Obs.Event.vclock;
+                })
+              evs
+      in
+      {
+        res;
+        trace = rec_.Replay.finish ();
+        cut = !cut;
+        events;
+        seen = Obs.Event.seen ();
+        observed = List.rev !observed;
+        rows = Obs.Profguest.drain prof;
+      })
 
-let test_conc_batch_identical () =
-  let env = Lazy.force env in
-  Obs.Event.configure ~capacity:4096 ~deterministic:true ~enabled:true ();
-  let scenarios =
-    [ List.nth Harness.Scenarios.all 11 (* #12 l2tp *);
-      List.nth Harness.Scenarios.all 0 (* #1 rhashtable *) ]
-  in
-  List.iter
-    (fun s ->
-      for seed = 1 to 3 do
-        let r_b, t_b, e_b, n_b = conc_batch_run env ~s ~hint:None ~seed ~batch:true in
-        let r_p, t_p, e_p, n_p =
-          conc_batch_run env ~s ~hint:None ~seed ~batch:false
-        in
-        checkb "batched result = per-step result" true (r_b = r_p);
-        Alcotest.(check string) "batched trace = per-step trace" t_p t_b;
-        checkb "batched flight record = per-step flight record" true (e_b = e_p);
-        checki "same events seen" n_p n_b
-      done)
-    scenarios;
-  Obs.Event.configure ~enabled:false ()
+(* A panicking trial ends at the panic without consulting the policy on
+   the panicking thread's last plain stretch, which the per-step loop
+   does consult: the batched trace stops at the last decision made on an
+   event-producing instruction, the shape traces had when every such
+   instruction ended a block.  (Replay treats a missing decision as
+   "no switch".)  Otherwise the traces are equal. *)
+let traces_agree ~(batched : emitted) ~(per_step : emitted) =
+  let d = per_step.trace.Replay.t_decisions in
+  batched.trace.Replay.t_first = per_step.trace.Replay.t_first
+  && batched.trace.Replay.t_decisions
+     = if per_step.res.Exec.cc_panicked then String.sub d 0 per_step.cut else d
 
-let test_conc_batch_identical_hinted () =
-  (* same, under a PMC hint: the hint-window machinery (flags, windows,
-     hit/miss classification) runs at events only, so batching must not
-     perturb it either *)
-  let env = Lazy.force env in
-  let s = List.nth Harness.Scenarios.all 0 (* #1 rhashtable *) in
-  let _, hints = Harness.Scenarios.identify env s in
-  checkb "scenario yields hints" true (hints <> []);
-  let hint = Some (List.hd hints) in
-  Obs.Event.configure ~capacity:4096 ~deterministic:true ~enabled:true ();
-  for seed = 1 to 3 do
-    let r_b, t_b, e_b, n_b = conc_batch_run env ~s ~hint ~seed ~batch:true in
-    let r_p, t_p, e_p, n_p = conc_batch_run env ~s ~hint ~seed ~batch:false in
-    checkb "hinted: batched result = per-step result" true (r_b = r_p);
-    Alcotest.(check string) "hinted: batched trace = per-step trace" t_p t_b;
-    checkb "hinted: same flight record" true (e_b = e_p);
-    checki "hinted: same events seen" n_p n_b
-  done;
-  Obs.Event.configure ~enabled:false ()
+(* The batched and per-step runs of [trials] trials must emit the same
+   results, traces, flight records, observer streams and profiler
+   rows.  Returns the number of panicking trials. *)
+let check_batch_identical env ~(s : Harness.Scenarios.scenario) ~hint ~seed
+    ~trials =
+  let run batch = conc_batch_trials env ~s ~hint ~seed ~trials ~batch in
+  List.fold_left
+    (fun panics (i, (b, p)) ->
+      let fail what =
+        QCheck.Test.fail_reportf "issue %d, seed %d, trial %d: %s"
+          s.Harness.Scenarios.issue seed i what
+      in
+      if b.res <> p.res then fail "results differ";
+      if not (traces_agree ~batched:b ~per_step:p) then
+        fail
+          (Printf.sprintf "traces differ: %s vs %s"
+             (Replay.to_string b.trace) (Replay.to_string p.trace));
+      if b.events <> p.events || b.seen <> p.seen then
+        fail "flight records differ";
+      if b.observed <> p.observed then fail "observer streams differ";
+      if b.rows <> p.rows then fail "profiler rows differ";
+      if b.rows = [] then fail "the profiler recorded nothing";
+      if p.res.Exec.cc_panicked then panics + 1 else panics)
+    0
+    (List.mapi (fun i bp -> (i, bp)) (List.combine (run true) (run false)))
+
+let with_recording f =
+  Obs.Event.configure ~capacity:65536 ~deterministic:true ~enabled:true ();
+  Obs.Profguest.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Profguest.set_enabled false;
+      Obs.Event.configure ~enabled:false ())
+    f
+
+let scenario_hints =
+  lazy
+    (let env = Lazy.force env in
+     List.map
+       (fun s -> (s, snd (Harness.Scenarios.identify env s)))
+       Harness.Scenarios.all)
+
+(* Run every scenario batched and per step, with the flight recorder and
+   the guest profiler on: every trial must emit the same result, trace,
+   flight record, observer stream and profiler rows. *)
+let prop_conc_batch ~hinted =
+  QCheck.Test.make
+    ~name:
+      (if hinted then "conc batching byte-identical (hinted)"
+       else "conc batching byte-identical")
+    ~count:3
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let env = Lazy.force env in
+      with_recording (fun () ->
+          List.iter
+            (fun ((s : Harness.Scenarios.scenario), hints) ->
+              let hint =
+                match hints with
+                | _ :: _ when hinted ->
+                    Some (List.nth hints (seed mod List.length hints))
+                | _ -> None
+              in
+              ignore (check_batch_identical env ~s ~hint ~seed ~trials:3))
+            (Lazy.force scenario_hints);
+          true))
+
+(* The same check on trials that panic after the final block ran past
+   calls and stack accesses: issue #12's use-after-free under its first
+   hint on the all-buggy kernel. *)
+let test_conc_batch_panics () =
+  let env = Exec.make_env Kernel.Config.all_buggy in
+  let s = Option.get (Harness.Scenarios.find 12) in
+  let hint = List.hd (snd (Harness.Scenarios.identify env s)) in
+  let panics =
+    with_recording (fun () ->
+        check_batch_identical env ~s ~hint:(Some hint) ~seed:0 ~trials:6)
+  in
+  checkb "some trials panicked" true (panics > 0)
 
 (* A trace recorded under batching replays on the per-step loop (and
    vice versa): the '0's [on_plain] appends stand in exactly for the
@@ -416,15 +551,18 @@ let test_conc_batch_identical_hinted () =
 let test_conc_batch_trace_replays () =
   let env = Lazy.force env in
   let s = List.nth Harness.Scenarios.all 11 (* #12 l2tp *) in
-  let r_b, t_b, _, _ = conc_batch_run env ~s ~hint:None ~seed:5 ~batch:true in
-  match Replay.of_string t_b with
-  | None -> Alcotest.fail "recorded trace does not parse"
-  | Some trace ->
-      let r_r =
-        Exec.run_conc env ~writer:s.Harness.Scenarios.writer
-          ~reader:s.Harness.Scenarios.reader ~policy:(Replay.replay trace) ()
-      in
-      checkb "batch-recorded trace replays per-step" true (r_b = r_r)
+  match conc_batch_trials env ~s ~hint:None ~seed:5 ~trials:1 ~batch:true with
+  | [ b ] -> (
+      match Replay.of_string (Replay.to_string b.trace) with
+      | None -> Alcotest.fail "recorded trace does not parse"
+      | Some trace ->
+          let r_r =
+            Exec.run_conc env ~writer:s.Harness.Scenarios.writer
+              ~reader:s.Harness.Scenarios.reader ~policy:(Replay.replay trace)
+              ()
+          in
+          checkb "batch-recorded trace replays per-step" true (b.res = r_r))
+  | _ -> Alcotest.fail "one trial expected"
 
 (* ---------------- edge cache generation wrap ------------------------ *)
 
@@ -466,6 +604,8 @@ let qtests =
       prop_run_seq_equivalent;
       prop_shared_profile_equivalent;
       prop_lockstep_events;
+      prop_conc_batch ~hinted:false;
+      prop_conc_batch ~hinted:true;
     ]
 
 let tests =
@@ -482,10 +622,8 @@ let tests =
     Alcotest.test_case "threaded decode + cache" `Quick test_threaded_decode;
     Alcotest.test_case "stale threaded code" `Quick test_stale_tcode_rejected;
     Alcotest.test_case "threaded quantum" `Quick test_threaded_quantum;
-    Alcotest.test_case "conc batching byte-identical" `Quick
-      test_conc_batch_identical;
-    Alcotest.test_case "conc batching byte-identical (hinted)" `Quick
-      test_conc_batch_identical_hinted;
+    Alcotest.test_case "conc batching on panicking trials" `Quick
+      test_conc_batch_panics;
     Alcotest.test_case "batch-recorded trace replays" `Quick
       test_conc_batch_trace_replays;
     Alcotest.test_case "edge cache generation wrap" `Quick
