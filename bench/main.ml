@@ -22,7 +22,7 @@
      telemetry   - live telemetry streaming overhead (BENCH_telemetry.json)
      provenance  - PMC provenance + guest profiler: identity, overhead (BENCH_provenance.json)
      durability  - crash-consistent storage: framing totality, fsck, journaling overhead (BENCH_durability.json)
-     scaling     - work-stealing domain pool + warm VM pool (BENCH_scaling.json)
+     scaling     - shared work queue + kept VMs: --jobs speedups (BENCH_scaling.json)
 
    Scaled-down parameters (a few hundred sequential tests rather than
    129,876; minutes rather than machine-weeks) are printed with each
@@ -36,6 +36,23 @@ let section title =
   hr ();
   pf "%s@." title;
   hr ()
+
+(* Wall-clock one call: its result and the seconds it took. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* Write a JSON artifact, then read it back: it must stay a valid JSON
+   object. *)
+let write_json ?site path json =
+  Obs.Export.write_file ?site path json;
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  match Obs.Export.of_string_opt body with
+  | Some (Obs.Export.Obj fields) ->
+      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path
+        (String.length body) (List.length fields)
+  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
 
 (* ------------------------------------------------------------------ *)
 (* E1: Table 2                                                         *)
@@ -578,18 +595,7 @@ let artifact () =
     Obs.Export.registry_json ~deterministic:true
       ~extra:[ ("summary", summary) ] ()
   in
-  let path = "BENCH_pipeline.json" in
-  Obs.Export.write_file path json;
-  (* parse it back: the artifact must stay valid JSON *)
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  (match Obs.Export.of_string s with
-  | Obs.Export.Obj fields ->
-      pf "wrote %s (%d bytes, %d top-level fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but the top level is not an object@." path);
+  write_json "BENCH_pipeline.json" json;
   pf "issues found in the scaled-down campaign: [%s]@."
     (String.concat ", "
        (List.map string_of_int (Harness.Pipeline.issues_union stats)))
@@ -614,17 +620,12 @@ let tracing () =
          ~policy:(Sched.Policies.naive rng ~period:4) ())
   in
   let reps = 400 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   (* warm up the snapshot caches so both measurements see the same state *)
   run_once 0;
   Obs.Event.configure ~enabled:false ();
-  let dt_off = time (fun () -> for i = 1 to reps do run_once i done) in
+  let (), dt_off = time (fun () -> for i = 1 to reps do run_once i done) in
   Obs.Event.configure ~deterministic:true ~enabled:true ();
-  let dt_on = time (fun () -> for i = 1 to reps do run_once i done) in
+  let (), dt_on = time (fun () -> for i = 1 to reps do run_once i done) in
   let events = Obs.Event.seen () in
   pf "%d executions: %.3fs recorder off, %.3fs recorder on (%.1f%% overhead)@."
     reps dt_off dt_on
@@ -668,17 +669,8 @@ let tracing () =
             [ ("replay", Obs.Export.String (Sched.Replay.to_string trace)) ]
           evs
       in
-      let path = "BENCH_trace.json" in
-      Obs.Export.write_file path json;
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let body = really_input_string ic n in
-      close_in ic;
-      (match Obs.Export.of_string_opt body with
-      | Some (Obs.Export.Obj _) ->
-          pf "wrote %s (%d bytes, %d events, parses back OK)@." path n
-            (List.length evs)
-      | _ -> pf "wrote %s but it does not parse back as a JSON object@." path));
+      write_json "BENCH_trace.json" json;
+      pf "%d events in the trace@." (List.length evs));
   Obs.Event.configure ~enabled:false ()
 
 (* ------------------------------------------------------------------ *)
@@ -703,11 +695,6 @@ let resilience () =
   let t = Harness.Pipeline.prepare cfg in
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
   let budget = 60 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* raw baseline: the exact plan and per-test seeds run_method uses,
      without the supervisor wrapper *)
   let raw () =
@@ -784,17 +771,7 @@ let resilience () =
                (Harness.Pipeline.issues_union [ faulty ])) );
       ]
   in
-  let path = "BENCH_resilience.json" in
-  Obs.Export.write_file path json;
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  match Obs.Export.of_string_opt body with
-  | Some (Obs.Export.Obj fields) ->
-      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
+  write_json "BENCH_resilience.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E13: dirty-page snapshots and the multicore prepare phase           *)
@@ -818,11 +795,6 @@ let prepare_bench () =
       jobs;
     }
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* one corpus, built up front, so every measurement profiles the exact
      same work *)
   let env = Sched.Exec.make_env cfg.Harness.Pipeline.kernel in
@@ -832,30 +804,36 @@ let prepare_bench () =
   in
   pf "corpus: %d tests; %d pages of %d bytes per VM@."
     (Fuzzer.Corpus.size corpus) Vmm.Vm.num_pages Vmm.Vm.page_size;
-  (* 1. restore cost: profile the corpus with dirty tracking off (every
-     restore blits the full guest image) and on (only touched pages) *)
+  (* 1. restore cost: run the corpus with a full-image blit before
+     every test ([Vm.restore_full], after which the run's own restore
+     finds no dirty page) and with the dirty-page restore alone.  The
+     full leg restores twice per test, so [pages_total] (one restore's
+     worth of pages per test) comes from the dirty leg. *)
   let c_restored = Obs.Metrics.counter "snowboard.vmm/pages_restored" in
   let c_total = Obs.Metrics.counter "snowboard.vmm/pages_total" in
-  let profile_with tracking =
-    Vmm.Vm.set_dirty_tracking env.Sched.Exec.vm tracking;
+  let vm = env.Sched.Exec.vm and snap = env.Sched.Exec.snap in
+  let run_corpus ~full () =
+    List.iter
+      (fun (e : Fuzzer.Corpus.entry) ->
+        if full then Vmm.Vm.restore_full vm snap;
+        ignore (Sched.Exec.run_seq env ~tid:0 e.Fuzzer.Corpus.prog))
+      (Fuzzer.Corpus.to_list corpus)
+  in
+  let restore_leg ~full =
     let r0 = Obs.Metrics.counter_value c_restored in
     let t0 = Obs.Metrics.counter_value c_total in
-    let (_, steps), dt =
-      time (fun () -> Harness.Pipeline.profile_corpus env corpus)
-    in
-    ignore steps;
+    let (), dt = time (run_corpus ~full) in
     ( dt,
       Obs.Metrics.counter_value c_restored - r0,
       Obs.Metrics.counter_value c_total - t0 )
   in
   (* warm-up pass so both timed passes start from identical cache state *)
-  ignore (Harness.Pipeline.profile_corpus env corpus);
-  let dt_full, full_restored, full_total = profile_with false in
-  let dt_dirty, dirty_restored, dirty_total = profile_with true in
-  Vmm.Vm.set_dirty_tracking env.Sched.Exec.vm true;
+  run_corpus ~full:false ();
+  let dt_full, full_restored, _ = restore_leg ~full:true in
+  let dt_dirty, dirty_restored, dirty_total = restore_leg ~full:false in
   pf "restore cost over the corpus:@.";
   pf "  full-blit restores:   %7d/%d pages copied, %.3fs@." full_restored
-    full_total dt_full;
+    dirty_total dt_full;
   pf "  dirty-page restores:  %7d/%d pages copied, %.3fs (%.1fx fewer pages, %.2fx faster)@."
     dirty_restored dirty_total dt_dirty
     (float_of_int full_restored /. float_of_int (max 1 dirty_restored))
@@ -915,17 +893,7 @@ let prepare_bench () =
           ("prepare_speedup", Float (dt_prep_seq /. max 1e-9 dt_prep_par));
         ])
   in
-  let path = "BENCH_prepare.json" in
-  write_file path json;
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  match of_string_opt body with
-  | Some (Obj fields) ->
-      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
+  write_json "BENCH_prepare.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E14: zero-allocation execution core                                 *)
@@ -944,11 +912,6 @@ let exec_bench () =
       (campaign_cfg Kernel.Config.v5_12_rc3) with
       Harness.Pipeline.fuzz_iters = 400;
     }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
   in
   let env = Sched.Exec.make_env cfg.Harness.Pipeline.kernel in
   let corpus, _ =
@@ -1326,17 +1289,7 @@ let exec_bench () =
           ("conc_batch_scales", Bool (hot_conc_speedup >= 2.0));
         ])
   in
-  let path = "BENCH_exec.json" in
-  write_file path json;
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  match of_string_opt body with
-  | Some (Obj fields) ->
-      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
+  write_json "BENCH_exec.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E15: live telemetry streaming overhead                              *)
@@ -1359,11 +1312,6 @@ let telemetry_bench () =
       (campaign_cfg Kernel.Config.v5_12_rc3) with
       Harness.Pipeline.fuzz_iters = 600;
     }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
   in
   let env = Sched.Exec.make_env cfg.Harness.Pipeline.kernel in
   let corpus, _ =
@@ -1479,17 +1427,7 @@ let telemetry_bench () =
           ("overhead_within_budget", Bool within);
         ])
   in
-  let path = "BENCH_telemetry.json" in
-  write_file path json;
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  match of_string_opt body with
-  | Some (Obj fields) ->
-      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
+  write_json "BENCH_telemetry.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E16: PMC provenance store + guest profiler                          *)
@@ -1513,11 +1451,6 @@ let provenance_bench () =
   in
   let budget = 80 in
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* one campaign = prepare (profile phase) + one explored method; the
      artifact render happens outside [campaign] so the overhead number
      isolates the per-instruction attribution cost, not the one-shot
@@ -1634,17 +1567,7 @@ let provenance_bench () =
           ("overhead_within_budget", Bool within);
         ])
   in
-  let path = "BENCH_provenance.json" in
-  write_file path json;
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  match of_string_opt body with
-  | Some (Obj fields) ->
-      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
+  write_json "BENCH_provenance.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E17: crash-consistent storage                                       *)
@@ -1746,11 +1669,6 @@ let durability_bench () =
   let t = Harness.Pipeline.prepare cfg in
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
   let budget = 40 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   ignore (Harness.Pipeline.run_method t method_ ~budget:5);
   (* warm-up *)
   let plain () = snd (time (fun () -> Harness.Pipeline.run_method t method_ ~budget)) in
@@ -1810,33 +1728,28 @@ let durability_bench () =
           ("overhead_within_budget", Bool within);
         ])
   in
-  let path = "BENCH_durability.json" in
-  write_file path json;
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  match of_string_opt body with
-  | Some (Obj fields) ->
-      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
+  write_json "BENCH_durability.json" json
 
 (* ------------------------------------------------------------------ *)
-(* E18: work-stealing domain pool + warm VM pool                       *)
+(* E18: one shared work queue over one kept VM per worker              *)
 
-(* Quantifies the parallel scheduling substrate: steal-half deques over
-   a warm VM pool, for both parallel phases.  Each phase is first proven
-   to produce identical results (profiles, method stats) to the
-   sequential run — speedups are only ever reported for a
-   semantics-preserving schedule.  In
+(* Quantifies the parallel scheduling substrate: workers pulling items
+   from one shared cursor, each on its own kept VM, for both parallel
+   phases and end-to-end prepare.  Each parallel pass is first proven to
+   produce results identical to the sequential run's: speedups are only
+   ever reported for a semantics-preserving schedule.  After one
+   untimed warm-up of each side, every leg times [passes] alternating
+   passes (sequential, parallel, sequential, ...) and reports the
+   speedup of the best pass on each side, plus the medians, so one
+   preempted pass on a shared host cannot decide the verdict.  In
    --deterministic mode only the equality verdicts are emitted, so the
    artifact is a pure function of the seed. *)
 let scaling_bench () =
-  section "E18: work-stealing + warm VM pool scaling (BENCH_scaling.json)";
+  section "E18: shared work queue + kept VMs scaling (BENCH_scaling.json)";
   Obs.Storage.declare_site "bench.scaling";
   let jobs = max 1 !bench_jobs in
   let det = !bench_deterministic in
+  let passes = 7 in
   let cfg =
     {
       (campaign_cfg Kernel.Config.v5_12_rc3) with
@@ -1845,87 +1758,84 @@ let scaling_bench () =
       jobs;
     }
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* one corpus up front so every profiling mode measures the same work *)
+  (* one corpus up front so every profiling pass measures the same work *)
   let env = Sched.Exec.make_env cfg.Harness.Pipeline.kernel in
   let corpus, _ =
     Harness.Pipeline.fuzz ~seeds:cfg.Harness.Pipeline.seed_corpus env
       ~seed:cfg.Harness.Pipeline.seed ~iters:cfg.Harness.Pipeline.fuzz_iters
   in
-  pf "corpus: %d tests; %d worker domains@." (Fuzzer.Corpus.size corpus) jobs;
-  (* counters attributing the win: steals on the harness side, VM reuse
-     on the vmm side *)
-  let c_steals = Obs.Metrics.counter "snowboard.harness/steals" in
-  let c_steal_items = Obs.Metrics.counter "snowboard.harness/steal_items" in
-  let c_hits = Obs.Metrics.counter "snowboard.vmm/vm_reuse_hits" in
-  let c_misses = Obs.Metrics.counter "snowboard.vmm/vm_reuse_misses" in
-  let snap_counters () =
-    List.map Obs.Metrics.counter_value [ c_steals; c_steal_items; c_hits; c_misses ]
+  pf "corpus: %d tests; %d worker domains; %d alternating passes per leg@."
+    (Fuzzer.Corpus.size corpus) jobs passes;
+  (* Times one leg: returns whether every parallel pass's result equals
+     the first sequential one, the best-pass speedup and the JSON
+     fields.  The first parallel warm-up boots the workers' kept VMs, so
+     the timed passes see the steady state every later batch, method
+     and campaign sees. *)
+  let leg name ~seq ~par =
+    let expected = seq () in
+    ignore (par ());
+    let runs =
+      List.init passes (fun _ ->
+          let s, ds = time seq in
+          let p, dp = time par in
+          (s = expected && p = expected, ds, dp))
+    in
+    let identical = List.for_all (fun (ok, _, _) -> ok) runs in
+    let sorted pick =
+      let a = Array.of_list (List.map pick runs) in
+      Array.sort compare a;
+      a
+    in
+    let seq_t = sorted (fun (_, d, _) -> d)
+    and par_t = sorted (fun (_, _, d) -> d) in
+    let seq_best = seq_t.(0) and par_best = par_t.(0) in
+    let seq_med = seq_t.(passes / 2) and par_med = par_t.(passes / 2) in
+    let speedup = seq_best /. max 1e-9 par_best in
+    pf "%s: sequential best %.4fs median %.4fs, %d jobs best %.4fs median %.4fs (%.2fx best, %.2fx median); identical: %b@."
+      name seq_best seq_med jobs par_best par_med speedup
+      (seq_med /. max 1e-9 par_med)
+      identical;
+    let open Obs.Export in
+    ( identical,
+      speedup,
+      [
+        (name ^ "_seq_s", Float seq_best);
+        (name ^ "_par_s", Float par_best);
+        (name ^ "_seq_median_s", Float seq_med);
+        (name ^ "_par_median_s", Float par_med);
+        (name ^ "_speedup", Float speedup);
+      ] )
   in
-  (* 1. profile phase: sequential vs work stealing over the warm pool *)
-  ignore (Harness.Pipeline.profile_corpus env corpus);
-  (* warm-up *)
-  let (seq_profiles, _), dt_prof_seq =
-    time (fun () -> Harness.Pipeline.profile_corpus env corpus)
+  (* 1. profile phase over one corpus *)
+  let prof_ok, _, prof_fields =
+    leg "profile"
+      ~seq:(fun () -> Harness.Pipeline.profile_corpus env corpus)
+      ~par:(fun () -> Harness.Pipeline.profile_corpus ~jobs env corpus)
   in
-  (* first stealing pass boots the pool; the timed pass measures the
-     warm steady state every later batch, method and campaign sees *)
-  ignore (Harness.Pipeline.profile_corpus ~jobs env corpus);
-  let c0 = snap_counters () in
-  let (steal_profiles, _), dt_prof_steal =
-    time (fun () -> Harness.Pipeline.profile_corpus ~jobs env corpus)
-  in
-  let prof_deltas = List.map2 ( - ) (snap_counters ()) c0 in
-  let prof_steal_ok = steal_profiles = seq_profiles in
-  pf "profile: sequential %.3fs, work-steal %.3fs (%.2fx); identical: %b@."
-    dt_prof_seq dt_prof_steal
-    (dt_prof_seq /. max 1e-9 dt_prof_steal)
-    prof_steal_ok;
   (* 2. end-to-end prepare (fuzz + profile + identify), jobs=1 vs
-     jobs=N over the (now warm) pool — the E13 configuration that static
-     sharding turned into a net slowdown *)
-  let _, dt_prep_seq =
-    time (fun () ->
-        Harness.Pipeline.prepare { cfg with Harness.Pipeline.jobs = 1 })
+     jobs=N; a prepared campaign holds a live VM, so only the step
+     counts are compared *)
+  let prepare_steps jobs () =
+    let t = Harness.Pipeline.prepare { cfg with Harness.Pipeline.jobs } in
+    (t.Harness.Pipeline.fuzz_steps, t.Harness.Pipeline.profile_steps)
   in
-  let t, dt_prep_par = time (fun () -> Harness.Pipeline.prepare cfg) in
-  let prepare_speedup = dt_prep_seq /. max 1e-9 dt_prep_par in
-  pf "end-to-end prepare: jobs=1 %.3fs, jobs=%d %.3fs (%.2fx)@." dt_prep_seq
-    jobs dt_prep_par prepare_speedup;
+  let _, prepare_speedup, prep_fields =
+    leg "prepare" ~seq:(prepare_steps 1) ~par:(prepare_steps jobs)
+  in
   (* 3. explore phase: one method's budget, run_method at jobs=1 vs
      jobs=N; method stats (bugs, outcomes, everything) must be
      structurally identical *)
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
   let budget = 60 in
-  let seq_t =
-    { t with Harness.Pipeline.cfg = { cfg with Harness.Pipeline.jobs = 1 } }
+  let t = Harness.Pipeline.prepare cfg in
+  let run jobs () =
+    Harness.Pipeline.run_method
+      { t with Harness.Pipeline.cfg = { cfg with Harness.Pipeline.jobs } }
+      method_ ~budget
   in
-  ignore (Harness.Pipeline.run_method t method_ ~budget:5);
-  (* warm-up *)
-  let seq_stats, dt_exp_seq =
-    time (fun () -> Harness.Pipeline.run_method seq_t method_ ~budget)
+  let exp_ok, explore_speedup, exp_fields =
+    leg "explore" ~seq:(run 1) ~par:(run jobs)
   in
-  let e0 = snap_counters () in
-  let steal_stats, dt_exp_steal =
-    time (fun () -> Harness.Pipeline.run_method t method_ ~budget)
-  in
-  let exp_deltas = List.map2 ( - ) (snap_counters ()) e0 in
-  let exp_steal_ok = steal_stats = seq_stats in
-  let explore_speedup = dt_exp_seq /. max 1e-9 dt_exp_steal in
-  pf "explore (%d tests x %d trials): sequential %.3fs, work-steal %.3fs (%.2fx); identical: %b@."
-    budget cfg.Harness.Pipeline.trials_per_test dt_exp_seq dt_exp_steal
-    explore_speedup exp_steal_ok;
-  (match (prof_deltas, exp_deltas) with
-  | [ ps; pi; ph; pm ], [ es; ei; eh; em ] ->
-      pf "profile leg: %d steals (%d items), VM leases %d hit / %d boot@." ps
-        pi ph pm;
-      pf "explore leg: %d steals (%d items), VM leases %d hit / %d boot@." es
-        ei eh em
-  | _ -> ());
   let open Obs.Export in
   let json =
     Obj
@@ -1933,52 +1843,22 @@ let scaling_bench () =
          ("experiment", String "scaling");
          ("jobs", Int jobs);
          ("deterministic", Bool det);
+         ("passes", Int passes);
          ("corpus_tests", Int (Fuzzer.Corpus.size corpus));
          ("explore_tests", Int budget);
          ("trials_per_test", Int cfg.Harness.Pipeline.trials_per_test);
-         ("profile_steal_identical", Bool prof_steal_ok);
-         ("explore_steal_identical", Bool exp_steal_ok);
+         ("profile_steal_identical", Bool prof_ok);
+         ("explore_steal_identical", Bool exp_ok);
        ]
       @
       if det then []
       else
-        let counters tag = function
-          | [ s; i; h; m ] ->
-              [
-                (tag ^ "_steals", Int s);
-                (tag ^ "_steal_items", Int i);
-                (tag ^ "_vm_reuse_hits", Int h);
-                (tag ^ "_vm_boots", Int m);
-              ]
-          | _ -> []
-        in
-        [
-          ("profile_seq_s", Float dt_prof_seq);
-          ("profile_steal_s", Float dt_prof_steal);
-          ("profile_speedup", Float (dt_prof_seq /. max 1e-9 dt_prof_steal));
-          ("prepare_seq_s", Float dt_prep_seq);
-          ("prepare_par_s", Float dt_prep_par);
-          ("prepare_speedup", Float prepare_speedup);
-          ("prepare_scales", Bool (prepare_speedup > 1.0));
-          ("explore_seq_s", Float dt_exp_seq);
-          ("explore_steal_s", Float dt_exp_steal);
-          ("explore_speedup", Float explore_speedup);
-          ("explore_scales", Bool (explore_speedup > 1.0));
-        ]
-        @ counters "profile" prof_deltas
-        @ counters "explore" exp_deltas)
+        prof_fields @ prep_fields
+        @ [ ("prepare_scales", Bool (prepare_speedup > 1.0)) ]
+        @ exp_fields
+        @ [ ("explore_scales", Bool (explore_speedup > 1.0)) ])
   in
-  let path = "BENCH_scaling.json" in
-  write_file ~site:"bench.scaling" path json;
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  match of_string_opt body with
-  | Some (Obj fields) ->
-      pf "wrote %s (%d bytes, %d fields, parses back OK)@." path n
-        (List.length fields)
-  | _ -> pf "wrote %s but it does not parse back as a JSON object@." path
+  write_json ~site:"bench.scaling" "BENCH_scaling.json" json
 
 (* ------------------------------------------------------------------ *)
 

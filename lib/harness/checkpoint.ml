@@ -31,15 +31,18 @@ type file = { ck_fingerprint : string; ck_entries : entry list }
 
 (* Everything that shapes the plan and the per-test seeds.  The kernel
    configuration is a record of feature booleans with no name of its
-   own, so a structural hash stands in. *)
+   own, so a digest of its marshalled bytes stands in; the seed corpus
+   is digested line by line.  Both digests cover the whole value, where
+   [Hashtbl.hash] would look at its first ten fields or programs only. *)
 let fingerprint ~(cfg : Pipeline.config) ~budget ~methods ?(extra = "") () =
+  let digest s = Digest.to_hex (Digest.string s) in
   Printf.sprintf
-    "kernel=%d seed=%d fuzz_iters=%d trials=%d seed_corpus=%d budget=%d \
+    "kernel=%s seed=%d fuzz_iters=%d trials=%d seed_corpus=%s budget=%d \
      methods=%s extra=%s"
-    (Hashtbl.hash cfg.Pipeline.kernel)
+    (digest (Marshal.to_string cfg.Pipeline.kernel []))
     cfg.Pipeline.seed cfg.Pipeline.fuzz_iters cfg.Pipeline.trials_per_test
-    (Hashtbl.hash
-       (List.map Prog.to_line cfg.Pipeline.seed_corpus))
+    (digest
+       (String.concat "\n" (List.map Prog.to_line cfg.Pipeline.seed_corpus)))
     budget
     (String.concat "," methods)
     extra

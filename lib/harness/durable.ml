@@ -144,9 +144,6 @@ let write_journal ~site ~path records =
   Obs.Storage.write_atomic ~site ~path
     (String.concat "" (List.map frame records))
 
-let write_artifact ~site ~path content =
-  Obs.Storage.write_atomic ~site ~path content
-
 (* ------------------------------------------------------------------ *)
 (* Append writers.                                                     *)
 

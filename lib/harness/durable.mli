@@ -56,11 +56,6 @@ val write_journal :
   site:string -> path:string -> string list -> (unit, Obs.Storage.err) result
 (** Atomically replace [path] with the framed records. *)
 
-val write_artifact :
-  site:string -> path:string -> string -> (unit, Obs.Storage.err) result
-(** Atomic whole-document artifact write ({!Obs.Storage.write_atomic}),
-    re-exported so harness code names one storage layer. *)
-
 (** {1 Append writers} *)
 
 type writer

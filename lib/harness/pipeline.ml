@@ -97,21 +97,20 @@ let fuzz ?(seeds = []) env ~seed ~iters =
   (corpus, !steps)
 
 (* Worker contexts for [Workpool.run ~jobs]: a single worker runs
-   inline on [env], with no pool and no lease; more workers each lease a
-   pre-booted VM from the process-wide warm pool ([Exec.warm_pool]) and
-   return it when done. *)
+   inline on [env]; more workers each lease their kept VM
+   ([Exec.lease_env]) and return it when done. *)
 let envs ~jobs env =
   if jobs <= 1 then ((fun _ -> env), fun _ _ -> ())
   else
-    let pool = Exec.warm_pool env.Exec.kern.Kernel.config in
-    ( (fun w -> Vmm.Vmpool.lease pool ~worker:w),
-      fun w e -> Vmm.Vmpool.release pool ~worker:w e )
+    let cfg = env.Exec.kern.Kernel.config in
+    ( (fun w -> Exec.lease_env cfg ~worker:w),
+      fun w e -> Exec.release_env ~worker:w e )
 
 (* Phase 2: profile every corpus test from the boot snapshot, over
-   [jobs] work-stealing workers.  Sequential profiling is a pure
-   function of (kernel, program) and results land in per-entry slots, so
-   the list - and everything downstream, [Identify.run] first - is the
-   same for any worker count or steal interleaving. *)
+   [jobs] workers pulling from one queue.  Sequential profiling is a
+   pure function of (kernel, program) and results land in per-entry
+   slots, so the list - and everything downstream, [Identify.run] first
+   - is the same for any worker count or claim interleaving. *)
 let profile_corpus ?(jobs = 1) env corpus =
   let worker, finish = envs ~jobs env in
   let results =
@@ -435,13 +434,13 @@ let plan_method t method_ ~budget =
   Obs.Span.with_span "select" (fun () ->
       Core.Select.plan method_ t.ident ~corpus_ids rng ~max:budget)
 
-(* Spend a budget under one method over [t.cfg.jobs] work-stealing
-   workers (the single-machine analogue of the paper's distributed work
-   queue, section 4.4.1).  Per-test seeds derive from the plan index and
-   results land in per-index slots, so any worker count or steal
-   schedule finds exactly the same issues.  Results are noted on the
-   calling domain in plan order: after each test when one worker runs
-   inline, after the joins otherwise. *)
+(* Spend a budget under one method over [t.cfg.jobs] workers pulling
+   from one queue (the single-machine analogue of the paper's
+   distributed work queue, section 4.4.1).  Per-test seeds derive from
+   the plan index and results land in per-index slots, so any worker
+   count or claim order finds exactly the same issues.  Results are
+   noted on the calling domain in plan order: after each test when one
+   worker runs inline, after the joins otherwise. *)
 let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
     ?(resume = fun _ -> None) ?(on_result = fun _ -> ()) t method_ ~budget =
   let name = Core.Select.method_name method_ in
@@ -493,7 +492,7 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
   let worker, finish = envs ~jobs:t.cfg.jobs t.env in
   let results =
     Obs.Span.with_span "execute" @@ fun () ->
-    Workpool.run ~jobs:t.cfg.jobs ~seed:t.cfg.seed ~worker ~finish ~f:run
+    Workpool.run ~jobs:t.cfg.jobs ~worker ~finish ~f:run
       ~fallback:(fun i ct exn -> Some (crashed_result ~index:(i + 1) ct exn))
       tests
   in

@@ -51,10 +51,10 @@ val profile_corpus :
   ?jobs:int -> Sched.Exec.env -> Fuzzer.Corpus.t -> Core.Profile.t list * int
 (** Phase 2: profile every corpus test from the boot snapshot; returns
     the profiles in corpus order and the guest instructions spent.
-    [jobs] (default 1) workers steal entries ({!Workpool}): one worker
-    runs inline on [env]; more lease pre-booted VMs of [env]'s kernel
-    from the warm pool ({!Sched.Exec.warm_pool}).  The result is the
-    same for any [jobs] and any steal interleaving. *)
+    [jobs] (default 1) workers pull entries from one queue
+    ({!Workpool}): one worker runs inline on [env]; more each lease
+    their kept VM of [env]'s kernel ({!Sched.Exec.lease_env}).  The
+    result is the same for any [jobs] and any claim interleaving. *)
 
 val prepare : config -> t
 (** Run the input-side phases: fuzz, profile, identify. *)
@@ -204,9 +204,9 @@ val run_method :
     tests run under [kind] (Snowboard by default); hint-less tests run
     under naive random preemption.
 
-    The plan feeds [t.cfg.jobs] work-stealing workers ({!Workpool}).
-    One worker runs inline on [t.env]; more lease pre-booted VMs from
-    the warm pool ({!Sched.Exec.warm_pool}).  Per-test seeds derive
+    The plan feeds [t.cfg.jobs] workers through one queue
+    ({!Workpool}).  One worker runs inline on [t.env]; more each lease
+    their kept VM ({!Sched.Exec.lease_env}).  Per-test seeds derive
     from the plan index, so the statistics — and every artifact noted
     through {!note_result} — are identical for any [jobs].  A test
     whose run raises past its supervisor becomes {!crashed_result}.

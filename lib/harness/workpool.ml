@@ -1,176 +1,41 @@
-(* Work-stealing batch execution; see the interface for the scheduling
-   and determinism contract.
+(* Batch execution over a shared work queue; see the interface for the
+   contract.
 
-   A deque is a contiguous index range [lo, hi) over the shared item
-   array, guarded by its own mutex.  The owner pops from [lo]; a thief
-   removes the upper half [hi-k, hi) in one critical section and
-   installs it as its own range (still stealable).  Items are whole
-   guest executions, so one lock acquisition per item is noise — this
-   buys honest steal-half semantics without lock-free subtleties.
+   The queue is one atomic cursor over the item array: a worker claims
+   the next unclaimed index with a fetch-and-add, so every index is
+   handed out exactly once.  Results go into a per-index slot array:
+   each slot is written by exactly one domain and read by the caller
+   only after the joins, so Domain.join's happens-before is the only
+   synchronisation the results need. *)
 
-   Results go into a per-index slot array: each slot is written by
-   exactly one domain and read by the coordinator only after the joins,
-   so Domain.join's happens-before is the only synchronisation the
-   results need. *)
-
-(* Stealing statistics.  How often workers steal (and how much, and how
-   long they scanned idle before finding work) depends on scheduling
-   timing, so the "~"-prefixed units keep these out of deterministic
-   artifacts (Obs.Export.is_nondeterministic_unit) — the result arrays
-   they describe are byte-identical regardless. *)
-let m_steals = Obs.Metrics.counter ~unit_:"~steal" "snowboard.harness/steals"
-
-let m_steal_items =
-  Obs.Metrics.counter ~unit_:"~item" "snowboard.harness/steal_items"
-
-let h_steal_size =
-  Obs.Metrics.histogram ~unit_:"~item" "snowboard.harness/steal_size"
-
-let h_idle_scans =
-  Obs.Metrics.histogram ~unit_:"~scan" "snowboard.harness/idle_scans"
-
-type deque = { mutable lo : int; mutable hi : int; lock : Mutex.t }
-
-(* A worker that scans every deque empty this many times in a row exits.
-   One retry absorbs the tiny window in which a stolen range is between
-   deques (removed from the victim, not yet installed by the thief);
-   missing that window merely costs tail parallelism, never an item. *)
-let empty_scan_limit = 2
-
-(* Seeded deterministic victim order: a splitmix-style avalanche drives
-   a Fisher-Yates shuffle of the other workers' ids.  Any seed yields
-   the same results — the policy only shapes who runs what. *)
-let mix x =
-  let x = x * 0x9E3779B97F4A7C1 in
-  let x = x lxor (x lsr 29) in
-  let x = x * 0xBF58476D1CE4E5B in
-  let x = x lxor (x lsr 32) in
-  x land max_int
-
-let victim_order ~seed ~jobs ~self =
-  let v = Array.of_seq (Seq.filter (fun w -> w <> self) (Seq.init jobs Fun.id)) in
-  let state = ref (mix ((seed * 31) + self + 1)) in
-  for i = Array.length v - 1 downto 1 do
-    state := mix !state;
-    let j = !state mod (i + 1) in
-    let tmp = v.(i) in
-    v.(i) <- v.(j);
-    v.(j) <- tmp
-  done;
-  v
-
-let take_own (d : deque) =
-  Mutex.lock d.lock;
-  let r =
-    if d.lo < d.hi then begin
-      let i = d.lo in
-      d.lo <- i + 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
-
-let steal_half (d : deque) =
-  Mutex.lock d.lock;
-  let r =
-    let avail = d.hi - d.lo in
-    if avail <= 0 then None
-    else begin
-      let k = (avail + 1) / 2 in
-      let top = d.hi in
-      d.hi <- top - k;
-      Some (top - k, top)
-    end
-  in
-  Mutex.unlock d.lock;
-  r
-
-let run ~jobs ?(seed = 0) ~worker ?(finish = fun _ _ -> ()) ~f ~fallback items =
+let run ~jobs ~worker ?(finish = fun _ _ -> ()) ~f ~fallback items =
   let n = Array.length items in
   let results = Array.make n None in
-  let run_item ctx i =
-    results.(i) <- Some (try Ok (f ctx i items.(i)) with e -> Error e)
+  let next = Atomic.make 0 in
+  let drain w ctx =
+    Fun.protect
+      ~finally:(fun () -> finish w ctx)
+      (fun () ->
+        let rec loop () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            results.(i) <- Some (try Ok (f ctx i items.(i)) with e -> Error e);
+            loop ()
+          end
+        in
+        loop ())
   in
   let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then begin
-    if n > 0 then begin
-      let ctx = worker 0 in
-      Fun.protect
-        ~finally:(fun () -> finish 0 ctx)
-        (fun () ->
-          for i = 0 to n - 1 do
-            run_item ctx i
-          done)
-    end
-  end
+  if jobs <= 1 then (if n > 0 then drain 0 (worker 0))
   else begin
-    let deques =
-      Array.init jobs (fun w ->
-          { lo = w * n / jobs; hi = (w + 1) * n / jobs; lock = Mutex.create () })
-    in
-    let body w =
-      let my = deques.(w) in
-      let victims = victim_order ~seed ~jobs ~self:w in
-      (* A failed context build retires this worker before it claimed
-         anything; survivors steal its whole range.  Items fall through
-         to [fallback] only if every worker fails. *)
-      match (try Ok (worker w) with e -> Error e) with
-      | Error _ -> ()
-      | Ok ctx ->
-          Fun.protect
-            ~finally:(fun () -> finish w ctx)
-            (fun () ->
-              let idle = ref 0 in
-              let flush_idle () =
-                if !idle > 0 then begin
-                  Obs.Metrics.observe h_idle_scans !idle;
-                  idle := 0
-                end
-              in
-              let try_steal () =
-                let got = ref false in
-                let k = ref 0 in
-                while (not !got) && !k < Array.length victims do
-                  (match steal_half deques.(victims.(!k)) with
-                  | Some (lo, hi) ->
-                      Mutex.lock my.lock;
-                      my.lo <- lo;
-                      my.hi <- hi;
-                      Mutex.unlock my.lock;
-                      Obs.Metrics.incr m_steals;
-                      Obs.Metrics.add m_steal_items (hi - lo);
-                      Obs.Metrics.observe h_steal_size (hi - lo);
-                      got := true
-                  | None -> ());
-                  incr k
-                done;
-                !got
-              in
-              let rec loop empty_scans =
-                match take_own my with
-                | Some i ->
-                    flush_idle ();
-                    run_item ctx i;
-                    loop 0
-                | None ->
-                    if try_steal () then loop 0
-                    else begin
-                      incr idle;
-                      if empty_scans + 1 >= empty_scan_limit then flush_idle ()
-                      else begin
-                        Domain.cpu_relax ();
-                        loop (empty_scans + 1)
-                      end
-                    end
-              in
-              loop 0)
-    in
+    (* A worker whose context build fails claims nothing; the others
+       drain the batch.  Items fall through to [fallback] only if every
+       worker fails. *)
+    let body w = match worker w with ctx -> drain w ctx | exception _ -> () in
     let doms = Array.init jobs (fun w -> Domain.spawn (fun () -> body w)) in
     (* [body] contains its own failures; a join that raises anyway (a
-       worker killed outside our control) costs only that worker's
-       unwritten slots, which [fallback] fills below. *)
+       [finish] that raised) costs at most that worker's unwritten
+       slots, which [fallback] fills below. *)
     Array.iter (fun d -> try Domain.join d with _ -> ()) doms
   end;
   Array.mapi

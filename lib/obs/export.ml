@@ -287,12 +287,12 @@ let of_string_opt s =
 (* Units whose values derive from the wall clock and therefore vary run to
    run: elapsed time in any granularity and anything-per-second rates
    ("instr/s", "trials/s", "pages/s", ...).  A leading '~' is the opt-in
-   marker for metrics that are timing-dependent without being clocks —
-   work-stealing steal counts, VM-pool reuse hits — whose values depend
-   on how the OS interleaved worker domains.  Deterministic artifacts
-   drop metrics carrying any of these; matching by unit shape rather
-   than a fixed list means a newly added rate gauge (or pool counter)
-   can never leak into a byte-stable artifact. *)
+   marker for metrics that are timing-dependent without being clocks,
+   such as the pages a restore copies, which depend on what last ran on
+   the machine.  Deterministic artifacts drop metrics carrying any of
+   these; matching by unit shape rather than a fixed list means a newly
+   added rate gauge (or scheduling-dependent counter) can never leak
+   into a byte-stable artifact. *)
 let is_nondeterministic_unit u =
   match u with
   | "us" | "ms" | "ns" | "s" -> true

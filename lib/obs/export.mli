@@ -35,9 +35,8 @@ val is_nondeterministic_unit : string -> bool
     ending in ["/s"], e.g. ["instr/s"], ["trials/s"], ["pages/s"]) — and
     for units with a leading ['~'], the opt-in marker for metrics whose
     values depend on OS scheduling timing without being clocks (the
-    work-stealing pool's ["~steal"]/["~item"]/["~scan"] counters, the VM
-    pool's ["~vm"] reuse counters).  Deterministic artifacts scrub
-    metrics carrying such units. *)
+    ["~page"] count of pages a restore copies).  Deterministic artifacts
+    scrub metrics carrying such units. *)
 
 val metrics_json : ?deterministic:bool -> unit -> json
 (** The registry as a JSON list, sorted by metric name.  In deterministic

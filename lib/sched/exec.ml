@@ -146,35 +146,34 @@ let make_env cfg =
    leaves nothing the next run can observe. *)
 let sink_key = Domain.DLS.new_key Vm.make_sink
 
-(* Process-wide warm pools of booted environments, one per kernel
-   configuration.  Every run restores [env.snap] before touching the
-   guest, so a pooled env carries no state between leaseholders; what it
-   does carry is the boot cost — the pool is what lets the parallel
-   phases reuse [jobs] boots across batches, methods and whole
-   campaigns instead of paying one per shard.  Config keys are plain
-   bool records, so structural equality is the identity we want. *)
-let pools : (Kernel.Config.t * env Vmm.Vmpool.t) list ref = ref []
-let pools_lock = Mutex.create ()
+(* The env each worker last returned, per kernel configuration: at most
+   one per (configuration, worker index).  Every run restores
+   [env.snap] before touching the guest, so a kept env carries no state
+   between leases; what it does carry is the boot cost, which the
+   parallel phases thereby pay once per worker index for the whole
+   process instead of once per batch.  Config keys are plain bool
+   records, so structural equality is the identity we want. *)
+let kept : (Kernel.Config.t * int, env) Hashtbl.t = Hashtbl.create 8
+let kept_lock = Mutex.create ()
 
-let warm_pool cfg =
-  Mutex.lock pools_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock pools_lock)
-    (fun () ->
-      match List.assoc_opt cfg !pools with
-      | Some p -> p
-      | None ->
-          let p =
-            Vmm.Vmpool.create
-              ~boot:(fun () -> make_env cfg)
-                (* flush per-VM counter tails as machines come back, so
-                   a phase boundary sees the same totals whatever the
-                   steal schedule assigned to each machine *)
-              ~on_release:(fun e -> Vm.flush_stats e.vm)
-              ()
-          in
-          pools := (cfg, p) :: !pools;
-          p)
+let lease_env cfg ~worker =
+  let key = (cfg, worker) in
+  let found =
+    Mutex.protect kept_lock (fun () ->
+        let e = Hashtbl.find_opt kept key in
+        Hashtbl.remove kept key;
+        e)
+  in
+  (* boot outside the lock, on the leasing worker's domain *)
+  match found with Some e -> e | None -> make_env cfg
+
+let release_env ~worker env =
+  (* flush the counter tail of the VM's last run now, so a phase
+     boundary sees the same totals whatever the queue assigned to each
+     worker *)
+  Vm.flush_stats env.vm;
+  Mutex.protect kept_lock (fun () ->
+      Hashtbl.replace kept (env.kern.Kernel.config, worker) env)
 
 type observer = {
   on_access : Trace.access -> ctx:string -> unit;

@@ -63,13 +63,22 @@ val make_env : Kernel.Config.t -> env
 (** Build the kernel image, decode its threaded code, boot it on that
     code and snapshot the booted state. *)
 
-val warm_pool : Kernel.Config.t -> env Vmm.Vmpool.t
-(** The process-wide warm pool of booted environments for this kernel
-    configuration (created on first use; subsequent calls return the
-    same pool).  Both phases lease their per-worker envs here when they
-    run on more than one worker, so boots amortize across batches,
-    methods and campaigns.  Safe because every run restores [env.snap]
-    first: a pooled env carries boot cost, never guest state. *)
+val lease_env : Kernel.Config.t -> worker:int -> env
+(** The env worker [worker] last returned with {!release_env} for this
+    kernel configuration, taken out so no one else can lease it; or, if
+    there is none, a fresh {!make_env} booted on the calling domain.
+    Both parallel phases lease their per-worker envs here, so boots
+    amortize across batches, methods and campaigns.  A worker never
+    gets an env another worker returned: whether one would be free in
+    time depends on OS scheduling, and boot counts (hence
+    instruction-clock telemetry) must depend on the workload alone.
+    Safe because every run restores [env.snap] first: a kept env
+    carries boot cost, never guest state. *)
+
+val release_env : worker:int -> env -> unit
+(** Flush the VM's pending counters ({!Vmm.Vm.flush_stats}) and keep
+    [env] as worker [worker]'s env for its configuration, replacing any
+    env kept there before. *)
 
 type observer = {
   on_access : Vmm.Trace.access -> ctx:string -> unit;

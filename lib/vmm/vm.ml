@@ -28,7 +28,7 @@ let m_snapshot_saves = Obs.Metrics.counter "snowboard.vmm/snapshot_saves"
 let m_snapshot_restores = Obs.Metrics.counter "snowboard.vmm/snapshot_restores"
 
 (* How many pages a restore copies depends on what last ran on this
-   machine — under work stealing that is a scheduling accident, so the
+   machine — with several workers that is a scheduling accident, so the
    counter carries the "~" unit marking it timing-dependent and
    deterministic artifacts scrub it (Obs.Export.is_nondeterministic_unit).
    [pages_total] counts full blits' worth of pages per restore and stays
@@ -98,7 +98,6 @@ type t = {
   mutable steps_flushed : int;  (* already forwarded to the registry *)
   mutable accesses_flushed : int;
   mutable events_sunk_flushed : int;
-  mutable tracking : bool;  (* dirty-page tracking enabled *)
   mutable last_snap : int;  (* snap id the memory is delta-tracked against *)
   dirty : Bytes.t;  (* one flag byte per page *)
   dirty_pages : int array;  (* the marked page indices, first [n_dirty] *)
@@ -134,7 +133,6 @@ let create image =
     steps_flushed = 0;
     accesses_flushed = 0;
     events_sunk_flushed = 0;
-    tracking = true;
     last_snap = -1;
     dirty = Bytes.make num_pages '\000';
     dirty_pages = Array.make num_pages 0;
@@ -146,13 +144,6 @@ let clear_dirty t =
     Bytes.unsafe_set t.dirty t.dirty_pages.(i) '\000'
   done;
   t.n_dirty <- 0
-
-(* Turning tracking on or off invalidates the delta: the next restore
-   does a full blit and re-arms (or stays full-copy forever). *)
-let set_dirty_tracking t b =
-  t.tracking <- b;
-  t.last_snap <- -1;
-  clear_dirty t
 
 let dirty_page_count t = t.n_dirty
 
@@ -166,10 +157,8 @@ let mark_page t p =
 (* Mark the pages of a written range, given as its first and last
    global page index (a write of up to 8 bytes spans at most two). *)
 let mark_range t first last =
-  if t.tracking then begin
-    mark_page t first;
-    if last <> first then mark_page t last
-  end
+  mark_page t first;
+  if last <> first then mark_page t last
 
 (* Forward the per-machine deltas to the process-wide registry; called at
    run boundaries only. *)
@@ -211,7 +200,7 @@ let snapshot t =
   (* the VM now equals the snapshot exactly: future writes delta-track
      against it, so the next restore can copy dirty pages only *)
   clear_dirty t;
-  t.last_snap <- (if t.tracking then s.s_id else -1);
+  t.last_snap <- s.s_id;
   s
 
 (* Copy one page (by global page index) from the snapshot's buffers. *)
@@ -240,13 +229,13 @@ let full_blit t s =
   Bytes.blit s.s_kmem 0 t.kmem 0 Layout.kmem_size;
   Array.iteri (fun i u -> Bytes.blit u 0 t.umem.(i) 0 Layout.user_size) s.s_umem;
   clear_dirty t;
-  t.last_snap <- (if t.tracking then s.s_id else -1)
+  t.last_snap <- s.s_id
 
 let restore t s =
   flush_stats t;
   Obs.Metrics.incr m_snapshot_restores;
   Obs.Metrics.add m_pages_total num_pages;
-  if t.tracking && t.last_snap = s.s_id then begin
+  if t.last_snap = s.s_id then begin
     (* every non-dirty page is still byte-identical to the snapshot *)
     Obs.Metrics.add m_pages_restored t.n_dirty;
     for i = 0 to t.n_dirty - 1 do

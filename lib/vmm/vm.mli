@@ -62,15 +62,10 @@ val dirty_page_count : t -> int
 val flush_stats : t -> unit
 (** Forward this machine's pending instruction/access/event counts to
     the global metrics registry.  Happens automatically at snapshot and
-    restore boundaries; the warm pool also flushes on release
-    ({!Sched.Exec.warm_pool}'s [on_release]) so phase-boundary telemetry
+    restore boundaries; a worker's VM also flushes when the worker
+    returns it ({!Sched.Exec.release_env}), so phase-boundary telemetry
     totals never depend on which machine still holds the unflushed tail
-    of its last run — an accident of the steal schedule. *)
-
-val set_dirty_tracking : t -> bool -> unit
-(** Enable/disable dirty-page tracking on this VM (new VMs start
-    tracked).  Either transition invalidates the current delta, so the
-    next [restore] performs a full blit. *)
+    of its last run, which is an accident of the claim order. *)
 
 val fingerprint : t -> string
 (** Hex digest of all guest-visible state (exactly what a snapshot

@@ -14,19 +14,17 @@ let checks = Alcotest.(check string)
 (* ---------------- dirty-page restore vs full-copy restore ---------- *)
 
 (* Two identically booted environments: [env_dirty] restores through the
-   dirty-page shortcut, [env_full] has tracking disabled so every restore
-   blits the whole guest image (the pre-optimisation behaviour).  Both
-   run the same arbitrary programs; every observable - the sequential
-   result, the console, the coverage edges and a fingerprint of the full
-   VM state - must stay equal, including across the restore that starts
+   dirty-page shortcut, [env_full] blits the whole guest image with
+   [Vm.restore_full] (the pre-optimisation behaviour) before each run, so
+   the restore that starts the run finds nothing dirty.  Both run the
+   same arbitrary programs; every observable - the sequential result,
+   the console, the coverage edges and a fingerprint of the full VM
+   state - must stay equal, including across the restore that starts
    each run. *)
 let envs =
   lazy
-    (let a = Exec.make_env Kernel.Config.v5_12_rc3 in
-     let b = Exec.make_env Kernel.Config.v5_12_rc3 in
-     Vm.set_dirty_tracking a.Exec.vm true;
-     Vm.set_dirty_tracking b.Exec.vm false;
-     (a, b))
+    ( Exec.make_env Kernel.Config.v5_12_rc3,
+      Exec.make_env Kernel.Config.v5_12_rc3 )
 
 let prop_dirty_restore_equivalent =
   QCheck.Test.make ~name:"dirty-page restore is observationally identical"
@@ -36,6 +34,7 @@ let prop_dirty_restore_equivalent =
       let env_dirty, env_full = Lazy.force envs in
       let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
       let r1 = Exec.run_seq env_dirty ~tid:0 prog in
+      Vm.restore_full env_full.Exec.vm env_full.Exec.snap;
       let r2 = Exec.run_seq env_full ~tid:0 prog in
       r1 = r2
       && Vm.fingerprint env_dirty.Exec.vm = Vm.fingerprint env_full.Exec.vm)
@@ -58,7 +57,6 @@ let prop_restore_resets_state =
 
 let test_dirty_page_counts () =
   let env = Exec.make_env Kernel.Config.v5_12_rc3 in
-  Vm.set_dirty_tracking env.Exec.vm true;
   (* a restore synchronizes the VM with the snapshot: nothing dirty *)
   Vm.restore env.Exec.vm env.Exec.snap;
   checki "clean after restore" 0 (Vm.dirty_page_count env.Exec.vm);

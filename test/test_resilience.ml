@@ -364,7 +364,20 @@ let test_fingerprint_sensitivity () =
   checkb "seed changes it" false
     (fp () = fp ~cfg:{ cfg with Pipeline.seed = 99 } ());
   checkb "budget changes it" false (fp () = fp ~budget:11 ());
-  checkb "fault knobs change it" false (fp () = fp ~extra:"faults=crash:1" ())
+  checkb "fault knobs change it" false (fp () = fp ~extra:"faults=crash:1" ());
+  (* the two presets differ only in flags 11-18, past the first ten
+     fields a structural hash looks at *)
+  checkb "every kernel flag changes it" false
+    (fp ~cfg:{ cfg with Pipeline.kernel = Kernel.Config.v5_3_10 } ()
+    = fp ~cfg:{ cfg with Pipeline.kernel = Kernel.Config.all_buggy } ());
+  (* [--seed-corpus --corpus FILE]: the file's programs follow the 34
+     scenario programs *)
+  let with_corpus seed =
+    let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
+    { cfg with Pipeline.seed_corpus = Pipeline.scenario_seeds () @ [ prog ] }
+  in
+  checkb "every seed program changes it" false
+    (fp ~cfg:(with_corpus 1) () = fp ~cfg:(with_corpus 2) ())
 
 (* ---------------- campaign-level supervision ---------------- *)
 

@@ -232,7 +232,7 @@ let test_nondeterministic_unit_predicate () =
     [
       "us"; "ms"; "ns"; "s"; "steps/s"; "pages/s"; "trials/s"; "instr/s";
       (* the "~" opt-in marker: scheduling-timing-dependent counts
-         (pool steals, VM reuse, restore page tallies) *)
+         such as restore page tallies, whatever follows the marker *)
       "~vm"; "~steal"; "~item"; "~scan"; "~page";
     ];
   List.iter

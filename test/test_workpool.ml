@@ -1,10 +1,10 @@
-(* The work-stealing pool and the warm VM pool: determinism (results in
-   item order, byte-identical for any worker count or steal seed),
-   failure containment, and the lease/restore observational-equivalence
+(* The shared work queue and the kept VM per worker: determinism
+   (results in item order, byte-identical for any worker count), every
+   item claimed exactly once, failure containment, the lease/release
+   bookkeeping, and the lease/restore observational-equivalence
    oracle. *)
 
 module Vm = Vmm.Vm
-module Vmpool = Vmm.Vmpool
 module Workpool = Harness.Workpool
 module Exec = Sched.Exec
 
@@ -14,8 +14,8 @@ let checki = Alcotest.(check int)
 (* ---------------- Workpool: pool result = sequential map ----------- *)
 
 (* The pool must return exactly [Array.mapi f items] whatever the worker
-   count, seed or steal interleaving — including the empty and
-   single-item batches that never leave the calling domain. *)
+   count or claim interleaving — including the empty and single-item
+   batches that never leave the calling domain. *)
 let prop_pool_equals_map =
   QCheck.Test.make ~name:"workpool equals sequential map" ~count:60
     QCheck.(
@@ -24,7 +24,7 @@ let prop_pool_equals_map =
       let items = Array.init n (fun i -> (i * 7) + seed) in
       let expected = Array.map (fun x -> (x * x) + 1) items in
       let got =
-        Workpool.run ~jobs ~seed
+        Workpool.run ~jobs
           ~worker:(fun w -> w)
           ~f:(fun _ _ x -> (x * x) + 1)
           ~fallback:(fun _ _ exn -> raise exn)
@@ -48,6 +48,34 @@ let prop_pool_passes_global_index =
       in
       got = items)
 
+(* Every index is claimed exactly once, counted per index with atomics,
+   while a random proper subset of the workers fails to build its
+   context: the survivors drain the batch and the result is still the
+   map.  At one effective worker the subset is empty, since [worker 0]'s
+   exception propagates there. *)
+let prop_pool_runs_each_index_once =
+  QCheck.Test.make ~name:"workpool runs every index exactly once" ~count:100
+    QCheck.(
+      quad (int_range 0 40) (int_range 1 8) (int_range 0 255)
+        (int_range 0 1_000))
+    (fun (n, jobs, fail_mask, pick) ->
+      let workers = max 1 (min jobs n) in
+      let survivor = pick mod workers in
+      let fails w = w <> survivor && fail_mask land (1 lsl w) <> 0 in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let items = Array.init n (fun i -> (i * 5) + 1) in
+      let got =
+        Workpool.run ~jobs
+          ~worker:(fun w -> if fails w then failwith "no machine" else w)
+          ~f:(fun _ i x ->
+            Atomic.incr runs.(i);
+            x * 2)
+          ~fallback:(fun _ _ exn -> raise exn)
+          items
+      in
+      Array.for_all (fun c -> Atomic.get c = 1) runs
+      && got = Array.map (fun x -> x * 2) items)
+
 let test_pool_failed_item_uses_fallback () =
   let items = Array.init 9 (fun i -> i) in
   let results =
@@ -65,8 +93,8 @@ let test_pool_failed_item_uses_fallback () =
     results
 
 let test_pool_dead_worker_retires_not_fatal () =
-  (* worker 1's context constructor dies; the survivor(s) still run
-     every item *)
+  (* worker 1's context constructor dies; it claims nothing and the
+     survivors drain the batch *)
   let items = Array.init 12 (fun i -> i) in
   let results =
     Workpool.run ~jobs:3
@@ -102,46 +130,49 @@ let test_pool_finish_runs_per_worker () =
        items);
   checki "finish ran once per worker" 4 (Atomic.get finished)
 
-(* ---------------- Vmpool bookkeeping ------------------------------- *)
+(* ---------------- kept VMs: lease/release bookkeeping -------------- *)
 
-let counting_pool ?on_release () =
-  let boots = ref 0 in
-  let p =
-    Vmpool.create
-      ~boot:(fun () ->
-        incr boots;
-        !boots)
-      ?on_release ()
-  in
-  (p, boots)
+(* Worker indices no other test in this file leases, so each test starts
+   with nothing kept for them. *)
+let cfg = Kernel.Config.v5_12_rc3
 
-let test_vmpool_affinity_hit () =
-  let p, boots = counting_pool () in
-  let a = Vmpool.lease p ~worker:0 in
-  Vmpool.release p ~worker:0 a;
-  let b = Vmpool.lease p ~worker:0 in
-  checki "same machine back" a b;
-  checki "one boot" 1 !boots;
-  checki "booted" 1 (Vmpool.booted p);
-  checki "none free while leased" 0 (Vmpool.available p)
+let test_lease_affinity_hit () =
+  let a = Exec.lease_env cfg ~worker:100 in
+  Exec.release_env ~worker:100 a;
+  let b = Exec.lease_env cfg ~worker:100 in
+  checkb "a worker gets its own env back" true (b == a);
+  Exec.release_env ~worker:100 b
 
-let test_vmpool_never_steals_other_workers_machine () =
-  (* worker 1 must boot its own machine rather than take worker 0's
-     release — boot counts must not depend on lease/release timing *)
-  let p, boots = counting_pool () in
-  let a = Vmpool.lease p ~worker:0 in
-  Vmpool.release p ~worker:0 a;
-  let b = Vmpool.lease p ~worker:1 in
-  checkb "fresh machine for the new worker" true (b <> a);
-  checki "two boots" 2 !boots
+let test_lease_never_another_workers_env () =
+  (* worker 102 must boot its own env rather than take worker 101's
+     release: boot counts must not depend on lease/release timing *)
+  let a = Exec.lease_env cfg ~worker:101 in
+  Exec.release_env ~worker:101 a;
+  let b = Exec.lease_env cfg ~worker:102 in
+  checkb "another worker boots its own env" true (b != a);
+  checkb "worker 101's env still kept" true
+    (Exec.lease_env cfg ~worker:101 == a);
+  Exec.release_env ~worker:101 a;
+  Exec.release_env ~worker:102 b
 
-let test_vmpool_on_release_hook () =
-  let released = ref 0 in
-  let p, _ = counting_pool ~on_release:(fun _ -> incr released) () in
-  let a = Vmpool.lease p ~worker:0 in
-  Vmpool.release p ~worker:0 a;
-  checki "hook ran" 1 !released;
-  checki "machine back on the free list" 1 (Vmpool.available p)
+let test_lease_not_handed_out_twice () =
+  let a = Exec.lease_env cfg ~worker:103 in
+  let b = Exec.lease_env cfg ~worker:103 in
+  checkb "a leased env is not handed out twice" true (b != a);
+  Exec.release_env ~worker:103 a
+
+(* Returning an env forwards the counter tail of its VM's last run to
+   the registry: the run's instructions show up at the release, not at
+   whichever restore next touches the VM. *)
+let test_release_flushes_stats () =
+  let retired = Obs.Metrics.counter "snowboard.vmm/instructions_retired" in
+  let e = Exec.lease_env cfg ~worker:104 in
+  let prog = Fuzzer.Gen.generate (Random.State.make [| 3 |]) in
+  let r = Exec.run_seq e ~tid:0 prog in
+  let before = Obs.Metrics.counter_value retired in
+  Exec.release_env ~worker:104 e;
+  checki "release flushed the run's instructions" r.Exec.sq_steps
+    (Obs.Metrics.counter_value retired - before)
 
 (* ---------------- warm VM lease/restore equivalence ---------------- *)
 
@@ -180,7 +211,7 @@ let small_cfg =
 
 let t = lazy (Harness.Pipeline.prepare small_cfg)
 
-(* Work-stealing corpus profiling must merge to the same profile list
+(* Parallel corpus profiling must merge to the same profile list
    and step count as the inline profiler, for any job count. *)
 let test_profile_parallel_equivalent () =
   let t = Lazy.force t in
@@ -200,8 +231,7 @@ let test_profile_parallel_equivalent () =
 
 (* The explore fan-out must produce identical method stats — bug
    reports, outcome tallies, everything — to the inline run, for several
-   worker counts (the steal seed shapes victim order only, so stats must
-   not move with it). *)
+   worker counts. *)
 let test_explore_parallel_equivalent () =
   let t = Lazy.force t in
   let method_ = Core.Select.Strategy Core.Cluster.S_MEM in
@@ -217,20 +247,35 @@ let test_explore_parallel_equivalent () =
         (par = seq))
     [ 1; 2; 4 ]
 
-(* Different campaign seeds change the victim permutation the pool
-   uses; the permutation must never leak into results. *)
-let prop_steal_seed_invisible =
-  QCheck.Test.make ~name:"steal seed does not shape results" ~count:8
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let items = Array.init 23 (fun i -> i) in
-      let expected = Array.map (fun x -> x * 3) items in
-      Workpool.run ~jobs:4 ~seed
-        ~worker:(fun w -> w)
-        ~f:(fun _ _ x -> x * 3)
-        ~fallback:(fun _ _ exn -> raise exn)
-        items
-      = expected)
+(* Phase-boundary counter totals must not depend on which worker ran
+   which test last: [release_env] flushes each returned VM's counter
+   tail, so the instructions retired over a method equal the steps its
+   trials ran.  The warm-up method on a different plan leaves every
+   worker's VM with a tail of its own; without the flush it would be
+   counted in the measured window and the measured method's tails left
+   out.  Only parallel runs lease kept VMs; the inline path flushes its
+   tail at the env's next restore. *)
+let test_parallel_counters_flushed () =
+  let t = Lazy.force t in
+  let retired = Obs.Metrics.counter "snowboard.vmm/instructions_retired" in
+  List.iter
+    (fun jobs ->
+      let t =
+        { t with Harness.Pipeline.cfg = { small_cfg with Harness.Pipeline.jobs } }
+      in
+      ignore
+        (Harness.Pipeline.run_method t
+           (Core.Select.Strategy Core.Cluster.S_INS) ~budget:7);
+      let before = Obs.Metrics.counter_value retired in
+      let s =
+        Harness.Pipeline.run_method t
+          (Core.Select.Strategy Core.Cluster.S_MEM) ~budget:10
+      in
+      checki
+        (Printf.sprintf "instructions retired = steps run at jobs=%d" jobs)
+        s.Harness.Pipeline.total_steps
+        (Obs.Metrics.counter_value retired - before))
+    [ 2; 3 ]
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -241,7 +286,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_pool_equals_map;
           QCheck_alcotest.to_alcotest prop_pool_passes_global_index;
-          QCheck_alcotest.to_alcotest prop_steal_seed_invisible;
+          QCheck_alcotest.to_alcotest prop_pool_runs_each_index_once;
           Alcotest.test_case "failed item uses fallback" `Quick
             test_pool_failed_item_uses_fallback;
           Alcotest.test_case "dead worker retires, survivors finish" `Quick
@@ -251,14 +296,17 @@ let () =
           Alcotest.test_case "finish runs per worker" `Quick
             test_pool_finish_runs_per_worker;
         ] );
+      (* the kept VM per worker behind [Exec.lease_env] *)
       ( "vmpool",
         qsuite [ prop_lease_restore_equivalent ]
         @ [
-            Alcotest.test_case "affinity hit" `Quick test_vmpool_affinity_hit;
+            Alcotest.test_case "affinity hit" `Quick test_lease_affinity_hit;
             Alcotest.test_case "never steals another worker's machine" `Quick
-              test_vmpool_never_steals_other_workers_machine;
+              test_lease_never_another_workers_env;
             Alcotest.test_case "on_release hook" `Quick
-              test_vmpool_on_release_hook;
+              test_release_flushes_stats;
+            Alcotest.test_case "leased env not handed out twice" `Quick
+              test_lease_not_handed_out_twice;
           ] );
       ( "parallel oracle",
         [
@@ -266,5 +314,7 @@ let () =
             test_profile_parallel_equivalent;
           Alcotest.test_case "explore phase equals sequential" `Slow
             test_explore_parallel_equivalent;
+          Alcotest.test_case "returned VMs flush their counters" `Slow
+            test_parallel_counters_flushed;
         ] );
     ]
