@@ -394,10 +394,10 @@ let extension () =
     (fun i chain ->
       if !found = None && i < 8 then
         let res =
-          Sched.Explore3.run env ~progs ~chain:(Some chain) ~trials:64
+          Sched.Explore.run_chain env ~progs ~chain:(Some chain) ~trials:64
             ~seed:(100 + i) ~stop_on_bug:true ()
         in
-        match res.Sched.Explore3.first_bug with
+        match res.Sched.Explore.first_bug with
         | Some n -> found := Some (chain, n, res)
         | None -> ())
     (Core.Chain.select rng chains);
@@ -407,7 +407,7 @@ let extension () =
       pf "  %a@." Core.Chain.pp chain;
       List.iter
         (fun f -> pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
-        (Sched.Explore3.findings_found res)
+        (Sched.Explore.findings_found res)
   | None -> pf "not reproduced with these seeds@.");
   pf "@.The bug needs all three threads inside the producer's window -@.";
   pf "evidence for the paper's conjecture that PMCs generalise to@.";

@@ -330,14 +330,19 @@ let seed_corpus_flag =
           "Seed the fuzzing corpus with the distilled per-issue scenario \
            programs (Moonshine-style seed selection).")
 
+(* OCaml 5.1 runs at most 128 domains, the main one included. *)
+let max_jobs = 127
+
 let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for corpus profiling and concurrent-test \
-           execution (the paper's distributed-queue analogue); results are \
-           identical to a sequential run.")
+          (Printf.sprintf
+             "Worker domains for corpus profiling and concurrent-test \
+              execution (the paper's distributed-queue analogue), 1-%d; \
+              results are identical to a sequential run."
+             max_jobs))
 
 let log_verbose =
   Arg.(value & flag & info [ "log" ] ~doc:"Log pipeline phases to stderr.")
@@ -468,6 +473,8 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
     checkpoint resume stop_after crash_at summary_out flame_out provenance_out
     (_ : telem) (_ : obs) =
   setup_logs ~debug:verbose ~info:log ();
+  if jobs < 1 || jobs > max_jobs then
+    fail_cli "--jobs must be in the range 1-%d (got %d)" max_jobs jobs;
   if resume && checkpoint = None then
     fail_cli "--resume requires --checkpoint FILE";
   if stop_after <> None && jobs > 1 then
@@ -509,7 +516,7 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
       fuzz_iters = iters;
       trials_per_test = trials;
       seed_corpus = seeds;
-      jobs = max 1 jobs;
+      jobs;
     }
   in
   let t = Harness.Pipeline.prepare cfg in
@@ -766,6 +773,7 @@ let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
       let env = Sched.Exec.make_env kernel in
       Obs.Telemetry.phase "diagnose";
       let ident, hints = Harness.Scenarios.identify env s in
+      let progs = [| s.Harness.Scenarios.writer; s.Harness.Scenarios.reader |] in
       let found = ref None in
       List.iteri
         (fun hi hint ->
@@ -774,27 +782,12 @@ let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
               let rng = Random.State.make [| seed + sd + (1000 * hi) |] in
               let st = Sched.Policies.snowboard_state (Some hint) in
               let rec_ = Sched.Replay.record (Sched.Policies.snowboard rng st) in
-              let race = Detectors.Race.create () in
-              let observer =
-                {
-                  Sched.Exec.default_observer with
-                  Sched.Exec.on_access =
-                    (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-                }
+              let c =
+                Sched.Explore.check env ~progs ~policy:rec_.Sched.Replay.policy
+                  ()
               in
-              let res =
-                Sched.Exec.run_conc env ~writer:s.Harness.Scenarios.writer
-                  ~reader:s.Harness.Scenarios.reader
-                  ~policy:rec_.Sched.Replay.policy ~observer ()
-              in
-              let findings =
-                Detectors.Oracle.analyze ~console:res.Sched.Exec.cc_console
-                  ~races:(Detectors.Race.reports race)
-                  ~deadlocked:res.Sched.Exec.cc_deadlocked
-              in
-              if List.mem issue (Detectors.Oracle.issues findings) then
-                found :=
-                  Some (rec_.Sched.Replay.finish (), res, Detectors.Race.reports race);
+              if List.mem issue (Detectors.Oracle.issues c.Sched.Explore.findings)
+              then found := Some (rec_.Sched.Replay.finish (), c);
               Obs.Telemetry.tick ()
             end
           done)
@@ -803,7 +796,7 @@ let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
       | None ->
           pf "issue #%d not reproduced in the diagnosis budget@." issue;
           exit 2
-      | Some (trace, res, races) ->
+      | Some (trace, { Sched.Explore.run = res; races; _ }) ->
           pf "issue #%d reproduced; deterministic replay trace (%d decisions, %d switches):@."
             issue
             (Sched.Replay.length trace)
@@ -1017,22 +1010,11 @@ let run_explain kernel replay_arg issue trace_out text_out () (_ : obs) =
      trace is byte-stable across runs *)
   Obs.Event.configure ~deterministic:true ~enabled:true ();
   let env = Sched.Exec.make_env kernel in
-  let race = Detectors.Race.create () in
-  let observer =
-    {
-      Sched.Exec.default_observer with
-      Sched.Exec.on_access = (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-    }
-  in
-  let res =
-    Sched.Exec.run_conc env ~writer:input.ei_writer ~reader:input.ei_reader
+  let { Sched.Explore.run = res; races; findings } =
+    Sched.Explore.check env
+      ~progs:[| input.ei_writer; input.ei_reader |]
       ~policy:(Sched.Replay.replay input.ei_trace)
-      ~observer ()
-  in
-  let races = Detectors.Race.reports race in
-  let findings =
-    Detectors.Oracle.analyze ~console:res.Sched.Exec.cc_console ~races
-      ~deadlocked:res.Sched.Exec.cc_deadlocked
+      ()
   in
   let events = Obs.Event.events () in
   let issues = Detectors.Oracle.issues findings in
@@ -1487,10 +1469,10 @@ let run_three kernel seed () (_ : obs) =
     (fun i chain ->
       if (not !found) && i < 12 then begin
         let res =
-          Sched.Explore3.run env ~progs ~chain:(Some chain) ~trials:64
+          Sched.Explore.run_chain env ~progs ~chain:(Some chain) ~trials:64
             ~seed:(seed + (37 * i)) ~stop_on_bug:true ()
         in
-        match res.Sched.Explore3.first_bug with
+        match res.Sched.Explore.first_bug with
         | Some n ->
             found := true;
             pf "chain %a@." Core.Chain.pp chain;
@@ -1498,7 +1480,7 @@ let run_three kernel seed () (_ : obs) =
             List.iter
               (fun f ->
                 pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
-              (Sched.Explore3.findings_found res)
+              (Sched.Explore.findings_found res)
         | None -> ()
       end)
     exemplars;

@@ -68,17 +68,17 @@ let () =
     (fun i chain ->
       if (not !found) && i < 8 then begin
         let res =
-          Sched.Explore3.run env ~progs ~chain:(Some chain) ~trials:64
+          Sched.Explore.run_chain env ~progs ~chain:(Some chain) ~trials:64
             ~seed:(100 + i) ~stop_on_bug:true ()
         in
-        match res.Sched.Explore3.first_bug with
+        match res.Sched.Explore.first_bug with
         | Some n ->
             found := true;
             pf "@.three-thread run with %a@." Core.Chain.pp chain;
             pf "trial %d crashes the kernel:@." n;
             List.iter
               (fun f -> pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
-              (Sched.Explore3.findings_found res)
+              (Sched.Explore.findings_found res)
         | None -> ()
       end)
     exemplars;

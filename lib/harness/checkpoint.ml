@@ -59,17 +59,6 @@ let json_of_outcome = function
   | Supervise.Quarantined detail ->
       [ ("outcome", J.String "quarantined"); ("detail", J.String detail) ]
 
-let json_of_bug (b : Pipeline.bug_report) =
-  J.Obj
-    [
-      ("issues", J.List (List.map (fun i -> J.Int i) b.Pipeline.br_issues));
-      ("test", J.Int b.Pipeline.br_test);
-      ("trial", J.Int b.Pipeline.br_trial);
-      ("writer", J.String (Prog.to_line b.Pipeline.br_writer));
-      ("reader", J.String (Prog.to_line b.Pipeline.br_reader));
-      ("replay", J.String b.Pipeline.br_replay);
-    ]
-
 let json_of_entry e =
   let r = e.ck_result in
   J.Obj
@@ -97,7 +86,7 @@ let json_of_entry e =
         ( "bug",
           match r.Pipeline.tr_bug with
           | None -> J.Null
-          | Some b -> json_of_bug b );
+          | Some b -> Report.json_of_bug b );
       ])
 
 (* v3 record payloads: the header line, then one compact line per entry *)

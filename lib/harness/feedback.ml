@@ -65,17 +65,13 @@ let execute t ~writer ~reader ~hint ~ident ~trials ~seed =
   t.executed <- t.executed + 1;
   let st = Sched.Policies.snowboard_state hint in
   let novel = ref false in
+  let progs = [| writer; reader |] in
   for trial = 0 to trials - 1 do
     let rng = Random.State.make [| seed + trial |] in
     let policy = Sched.Policies.snowboard rng st in
-    let race = Detectors.Race.create () in
-    let observer =
-      {
-        Exec.default_observer with
-        Exec.on_access = (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-      }
+    let { Sched.Explore.run = res; findings; _ } =
+      Sched.Explore.check t.env ~progs ~policy ()
     in
-    let res = Exec.run_conc t.env ~writer ~reader ~policy ~observer () in
     Hashtbl.iter
       (fun pair () ->
         if not (Hashtbl.mem t.seen_pairs pair) then begin
@@ -83,11 +79,6 @@ let execute t ~writer ~reader ~hint ~ident ~trials ~seed =
           novel := true
         end)
       (comm_pairs res);
-    let findings =
-      Detectors.Oracle.analyze ~console:res.Exec.cc_console
-        ~races:(Detectors.Race.reports race)
-        ~deadlocked:res.Exec.cc_deadlocked
-    in
     List.iter
       (fun id ->
         if not (List.mem_assoc id t.issues) then

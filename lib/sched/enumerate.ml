@@ -53,6 +53,7 @@ let run (env : Exec.env) ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
   let first_bug = ref None in
   let exhausted = ref true in
   let base_points = ref 0 in
+  let progs = [| writer; reader |] in
   (* queue of (first thread, preemption positions ascending) *)
   let queue = Queue.create () in
   Queue.add (0, []) queue;
@@ -66,22 +67,11 @@ let run (env : Exec.env) ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
        let first, positions = Queue.pop queue in
        incr executions;
        let count = ref 0 in
-       let race = Detectors.Race.create () in
-       let observer =
-         {
-           Exec.default_observer with
-           Exec.on_access =
-             (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-         }
-       in
        let policy = vector_policy ~first ~positions ~count in
-       let res = Exec.run_conc env ~writer ~reader ~policy ~observer () in
-       let findings =
-         Detectors.Oracle.analyze ~console:res.Exec.cc_console
-           ~races:(Detectors.Race.reports race)
-           ~deadlocked:res.Exec.cc_deadlocked
+       let found =
+         Detectors.Oracle.issues
+           (Explore.check env ~progs ~policy ()).Explore.findings
        in
-       let found = Detectors.Oracle.issues findings in
        if found <> [] && !first_bug = None then begin
          first_bug := Some !executions;
          if stop_on_bug then begin

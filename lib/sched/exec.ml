@@ -181,14 +181,14 @@ type observer = {
       (* flight-recorder feed; only called while [Obs.Event.enabled ()] *)
 }
 
-let null_observer =
-  { on_access = (fun _ ~ctx:_ -> ()); on_event = (fun _ ~tid:_ -> ()) }
-
 (* The default observer routes executor events into the global flight
-   recorder; detectors usually extend it with [{ default_observer with
-   on_access = ... }] so recording keeps working under them. *)
+   recorder and ignores accesses; [Explore.check] splices the race
+   detector into it, so recording keeps working under the detector. *)
 let default_observer =
-  { null_observer with on_event = (fun k ~tid -> Obs.Event.emit ~tid k) }
+  {
+    on_access = (fun _ ~ctx:_ -> ());
+    on_event = (fun k ~tid -> Obs.Event.emit ~tid k);
+  }
 
 (* Shadow call stacks and access attribution.  One int array per vCPU,
    innermost frame last, kept per domain (see [frames_key]) and reused

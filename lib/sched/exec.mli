@@ -89,14 +89,12 @@ type observer = {
           is true, so a custom sink never pays when recording is off *)
 }
 
-val null_observer : observer
-(** Ignores everything. *)
-
 val default_observer : observer
 (** Routes executor events into the global flight recorder
-    ({!Obs.Event.emit}).  Extend it with functional update —
-    [{ default_observer with on_access = ... }] — to keep recording
-    working under a detector. *)
+    ({!Obs.Event.emit}) and ignores accesses.  The bug oracles attach
+    through {!Explore.check}, which splices the race detector into this
+    observer's [on_access]; a run that wants verdicts goes through
+    [check] rather than wiring a detector itself. *)
 
 type frames
 (** A shadow call stack: the pcs of the kernel functions a vCPU has

@@ -4,7 +4,10 @@
    scheduler, with the race detector and the console checker attached.
    After a trial, incidental PMCs - other identified PMCs whose write and
    read both occurred, in opposite threads - are added to the set under
-   test, one random pick per trial (lines 26-27). *)
+   test, one random pick per trial (lines 26-27).  [run_chain] is the
+   same loop over three programs and a PMC chain (section 6).  Both, and
+   every other driver that wants bug verdicts, check their trials
+   through [check]. *)
 
 module Trace = Vmm.Trace
 
@@ -114,6 +117,41 @@ let last_write (res : Exec.conc_result) =
 
 let default_trials = 64
 
+type checked = {
+  run : Exec.conc_result;
+  races : Detectors.Race.report list;
+  findings : Detectors.Oracle.finding list;
+}
+
+(* One interleaving with the bug oracles of section 4.4 attached: the
+   race detector sees every shared access, then [Oracle.analyze] triages
+   the races, the console and the liveness verdict.  A run that raises
+   (watchdog, injected fault) still finishes the detector, so the
+   domain's race table is handed back for the next trial; the normal
+   path installs a handler and allocates nothing for it. *)
+let check env ~progs ~policy ?watchdog ?fault ?prof () =
+  let race = Detectors.Race.create ~nthreads:(Array.length progs) () in
+  let observer =
+    {
+      Exec.default_observer with
+      Exec.on_access = (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
+    }
+  in
+  match
+    Exec.run_multi env ~progs ~policy ~observer ?watchdog ?fault ?prof ()
+  with
+  | run ->
+      let races = Detectors.Race.reports race in
+      let findings =
+        Detectors.Oracle.analyze ~console:run.Exec.cc_console ~races
+          ~deadlocked:run.Exec.cc_deadlocked
+      in
+      { run; races; findings }
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Detectors.Race.reports race);
+      Printexc.raise_with_backtrace e bt
+
 (* Explore one concurrent test for up to [trials] interleavings. *)
 let run (env : Exec.env) ~(ident : Core.Identify.t option)
     ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
@@ -136,6 +174,7 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
      [result.prof] so the caller flushes the counts exactly once (the
      rows ride in test results and the checkpoint journal) *)
   let prof = Obs.Profguest.collector () in
+  let progs = [| writer; reader |] in
   (try
      for trial = 0 to trials - 1 do
        let rng = Random.State.make [| seed + trial |] in
@@ -150,30 +189,15 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
           per decision, and it makes any buggy trial reproducible from
           the report alone (section 6) *)
        let recorder = Replay.record policy in
-       let race = Detectors.Race.create () in
-       let observer =
-         {
-           Exec.default_observer with
-           Exec.on_access =
-             (fun a ~ctx ->
-               Detectors.Race.on_access race a ~ctx;
-               Exec.default_observer.Exec.on_access a ~ctx);
-         }
-       in
        let verdict =
          match fault with
          | None -> Fault.No_fault
          | Some (plan, test) -> Fault.draw plan ~test ~trial ~attempt
        in
        let windows_before = st.Policies.windows_seen in
-       let res =
-         Exec.run_conc env ~writer ~reader ~policy:recorder.Replay.policy
-           ~observer ?watchdog ~fault:verdict ~prof ()
-       in
-       let findings =
-         Detectors.Oracle.analyze ~console:res.Exec.cc_console
-           ~races:(Detectors.Race.reports race)
-           ~deadlocked:res.Exec.cc_deadlocked
+       let { run = res; findings; _ } =
+         check env ~progs ~policy:recorder.Replay.policy ?watchdog
+           ~fault:verdict ~prof ()
        in
        let issues = Detectors.Oracle.issues findings in
        let exercised = channel_exercised hint res in
@@ -285,8 +309,65 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
     prof = Obs.Profguest.drain prof;
   }
 
+(* Three programs on three vCPUs with both PMCs of a chain under test,
+   so Algorithm 2's performed_pmc_access/flags machinery steers all
+   three threads toward the chained communication (section 6).  After
+   the policy's own draw, each trial draws the thread that starts. *)
+let run_chain (env : Exec.env) ~(progs : Fuzzer.Prog.t array)
+    ~(chain : Core.Chain.t option) ?(trials = default_trials) ~(seed : int)
+    ?(stop_on_bug = true) () =
+  let st = Policies.snowboard_state ~nthreads:(Array.length progs) None in
+  Option.iter
+    (fun ch ->
+      Policies.add_pmc st ch.Core.Chain.first;
+      Policies.add_pmc st ch.Core.Chain.second)
+    chain;
+  let trial_results = ref [] in
+  let first_bug = ref None in
+  let total_steps = ref 0 in
+  let total_switches = ref 0 in
+  (try
+     for trial = 0 to trials - 1 do
+       let rng = Random.State.make [| seed + trial |] in
+       let policy = Policies.snowboard rng st in
+       let first = Random.State.int rng (Array.length progs) in
+       let recorder = Replay.record { policy with Exec.first } in
+       let { run = res; findings; _ } =
+         check env ~progs ~policy:recorder.Replay.policy ()
+       in
+       total_steps := !total_steps + res.Exec.cc_steps;
+       total_switches := !total_switches + res.Exec.cc_switches;
+       trial_results :=
+         {
+           findings;
+           issues = Detectors.Oracle.issues findings;
+           exercised = false;
+           steps = res.Exec.cc_steps;
+           replay = recorder.Replay.finish ();
+         }
+         :: !trial_results;
+       if findings <> [] && Option.is_none !first_bug then begin
+         first_bug := Some (trial + 1);
+         if stop_on_bug then raise Exit
+       end
+     done
+   with Exit -> ());
+  {
+    trials = List.rev !trial_results;
+    first_bug = !first_bug;
+    any_exercised = false;
+    any_pmc_observed = false;
+    total_steps = !total_steps;
+    total_switches = !total_switches;
+    hint_hits = 0;
+    miss_no_write = 0;
+    miss_no_read = 0;
+    miss_value = 0;
+    prof = [];
+  }
+
 (* All distinct issues seen across the trials of a result. *)
 let issues_found r =
   List.concat_map (fun t -> t.issues) r.trials |> List.sort_uniq compare
 
-let findings_found r = List.concat_map (fun t -> t.findings) r.trials
+let findings_found r = List.concat_map (fun (t : trial) -> t.findings) r.trials

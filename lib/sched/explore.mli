@@ -2,7 +2,12 @@
     Algorithm 2.  Each trial reseeds the RNG with SEED + trial, restores
     the boot snapshot and runs the two tests under the chosen scheduler
     with the race detector and console checker attached; incidental PMCs
-    discovered in a trial join the set under test. *)
+    discovered in a trial join the set under test.  {!run_chain} is the
+    section 6 extension over three programs.
+
+    {!check} is the one checked trial: every driver of a concurrent run
+    that wants bug verdicts ({!run}, {!run_chain}, {!Enumerate.run}, the
+    feedback loop, [snowboard diagnose] and [explain]) goes through it. *)
 
 type kind =
   | Snowboard  (** Algorithm 2 with the PMC as scheduling hint *)
@@ -12,16 +17,45 @@ type kind =
 
 val kind_name : kind -> string
 
+type checked = {
+  run : Exec.conc_result;
+  races : Detectors.Race.report list;
+      (** the race detector's reports, in detection order *)
+  findings : Detectors.Oracle.finding list;
+      (** {!Detectors.Oracle.analyze} over [races], the console and the
+          deadlock verdict *)
+}
+
+val check :
+  Exec.env ->
+  progs:Fuzzer.Prog.t array ->
+  policy:Exec.policy ->
+  ?watchdog:int ->
+  ?fault:Fault.verdict ->
+  ?prof:Obs.Profguest.collector ->
+  unit ->
+  checked
+(** Run one interleaving through {!Exec.run_multi} with a
+    {!Detectors.Race} detector over [Array.length progs] threads spliced
+    into {!Exec.default_observer}, then finish the detector and triage
+    the trial.  Exceptions of the run ({!Fault.Watchdog_timeout},
+    injected faults) escape unchanged, after the detector has handed its
+    table back to the domain. *)
+
 type trial = {
   findings : Detectors.Oracle.finding list;
   issues : int list;
-  exercised : bool;  (** the hinted PMC channel actually occurred *)
+  exercised : bool;
+      (** the hinted PMC channel actually occurred; [false] under
+          {!run_chain} *)
   steps : int;
   replay : Replay.trace;
       (** the trial's recorded switch decisions, enough to re-execute it
           exactly ({!Replay.replay}) *)
 }
 
+(** What an exploration found.  {!run_chain} has no single hint: its
+    hint and PMC fields read [false] and [0], and [prof] is [[]]. *)
 type result = {
   trials : trial list;
   first_bug : int option;  (** 1-based index of the first buggy trial *)
@@ -65,9 +99,6 @@ val channel_exercised : Core.Pmc.t option -> Exec.conc_result -> bool
     writer thread and a matching read in the reader thread saw a value
     different from its sequential profile. *)
 
-val default_trials : int
-(** 64, the paper's per-PMC trial cap. *)
-
 val run :
   Exec.env ->
   ident:Core.Identify.t option ->
@@ -84,8 +115,9 @@ val run :
   ?attempt:int ->
   unit ->
   result
-(** Explore up to [trials] interleavings.  With [stop_on_bug], stop at
-    the first finding (or at the first [target_issue] hit if given).
+(** Explore up to [trials] (default 64, the paper's per-PMC trial cap)
+    interleavings.  With [stop_on_bug], stop at the first finding (or at
+    the first [target_issue] hit if given).
 
     [watchdog] caps every trial at that many guest steps, raising
     {!Fault.Watchdog_timeout} past it.  [fault] is a seeded fault plan
@@ -94,6 +126,23 @@ val run :
     ({!Exec.run_multi}).  [attempt] (default 0) is the supervised retry
     attempt, so re-runs of a faulted test draw fresh verdicts.  Fault
     and watchdog exceptions escape to the caller mid-exploration. *)
+
+val run_chain :
+  Exec.env ->
+  progs:Fuzzer.Prog.t array ->
+  chain:Core.Chain.t option ->
+  ?trials:int ->
+  seed:int ->
+  ?stop_on_bug:bool ->
+  unit ->
+  result
+(** Three-thread exploration over a PMC chain (the paper's section 6
+    extension): the programs run on [Array.length progs] vCPUs under
+    Algorithm 2's policy with both chain PMCs as hints, for up to
+    [trials] (default 64) interleavings, stopping at the first finding
+    with [stop_on_bug] (default [true]).  Each trial seeds its RNG with
+    [seed + trial]; after the policy's own draw, a second draw picks the
+    thread that starts.  Trials record their decisions as {!run}'s do. *)
 
 val issues_found : result -> int list
 

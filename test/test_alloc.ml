@@ -1,7 +1,9 @@
 (* Allocation on the guest-access path, pinned.
 
-   The zero-allocation cases count [Gc.minor_words] across a call, net of
-   the count across an empty call (the measurement's own cost), after
+   The zero-allocation cases count the words a call allocates on either
+   heap ([Gc.minor_words], plus the blocks too large for the minor heap,
+   which go straight to the major one), net of the count across an
+   empty call (the measurement's own cost), after
    one warm-up call that takes the first-touch costs: dirty pages, the
    coverage table and edge cache, buffer growth, learned flags.  Each
    must come to exactly 0 words.  What a trial still allocates sits
@@ -14,7 +16,8 @@
 
    The other cases cover what sharing and not retaining made possible:
    the per-domain sink (trials back to back, and after aborted trials,
-   match) and the environments a run leaves behind (freed once
+   match), the per-domain race table (an aborted checked trial hands it
+   back) and the environments a run leaves behind (freed once
    dropped). *)
 
 module Vm = Vmm.Vm
@@ -28,10 +31,15 @@ module Fault = Sched.Fault
 
 let checkb = Alcotest.(check bool)
 
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
 let measure f =
-  let before = Gc.minor_words () in
+  let major = direct_major_words () in
+  let minor = Gc.minor_words () in
   f ();
-  Gc.minor_words () -. before
+  Gc.minor_words () -. minor +. (direct_major_words () -. major)
 
 (* Words [f ()] allocates, net of the measurement itself. *)
 let words f =
@@ -414,6 +422,27 @@ let test_shared_sink () =
   checkb "a sequential run after an injected crash matches" true
     (seq () = first_seq)
 
+(* A checked trial the watchdog aborts still hands the domain's race
+   table back, so the next detector reuses it instead of building a
+   table (about 11.6k words for two threads). *)
+let test_race_table_after_abort () =
+  let e = Lazy.force buggy_env and s = Lazy.force scenario in
+  let check ?watchdog () =
+    Sched.Explore.check e
+      ~progs:[| s.Harness.Scenarios.writer; s.Harness.Scenarios.reader |]
+      ~policy:(Policies.naive (Random.State.make [| 5 |]) ~period:4)
+      ?watchdog ()
+  in
+  let detector () = ignore (Race.reports (Race.create ())) in
+  ignore (check ());
+  let reused = words detector in
+  (match check ~watchdog:40 () with
+  | exception Fault.Watchdog_timeout _ -> ()
+  | _ -> Alcotest.fail "the watchdog must abort the trial");
+  Alcotest.(check (float 0.))
+    "a detector after an aborted check builds no table" reused
+    (words detector)
+
 (* ---------------- nothing retained past its owner ---------------- *)
 
 let live_words () =
@@ -474,8 +503,11 @@ let () =
           Alcotest.test_case "incidental search" `Quick test_find_incidental;
         ] );
       ( "per-domain sink",
-        [ Alcotest.test_case "trials after aborts match" `Quick test_shared_sink ]
-      );
+        [
+          Alcotest.test_case "trials after aborts match" `Quick test_shared_sink;
+          Alcotest.test_case "race table after an aborted check" `Quick
+            test_race_table_after_abort;
+        ] );
       ( "retention",
         [
           Alcotest.test_case "dropped envs are freed" `Quick test_make_env_freed;

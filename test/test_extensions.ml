@@ -92,24 +92,17 @@ let test_postmortem () =
   let tty_races = ref [] in
   for seed = 1 to 50 do
     if !tty_races = [] then begin
-      let race = Detectors.Race.create () in
-      let observer =
-        {
-          Exec.default_observer with
-          Exec.on_access = (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-        }
-      in
       let rng = Random.State.make [| seed |] in
-      let _ =
-        Exec.run_conc e ~writer:s.Harness.Scenarios.writer
-          ~reader:s.Harness.Scenarios.reader
+      let c =
+        Sched.Explore.check e
+          ~progs:[| s.Harness.Scenarios.writer; s.Harness.Scenarios.reader |]
           ~policy:(Sched.Policies.naive rng ~period:2)
-          ~observer ()
+          ()
       in
       tty_races :=
         List.filter
           (fun r -> Detectors.Oracle.issue_of_race r = Some 14)
-          (Detectors.Race.reports race)
+          c.Sched.Explore.races
     end
   done;
   match !tty_races with
@@ -260,11 +253,11 @@ let test_three_threads_crash_relay () =
     (fun i chain ->
       if not !found then
         let res =
-          Sched.Explore3.run e
+          Sched.Explore.run_chain e
             ~progs:[| producer; forwarder; consumer |]
             ~chain:(Some chain) ~trials:64 ~seed:(100 + i) ~stop_on_bug:true ()
         in
-        if List.mem 18 (Sched.Explore3.issues_found res) then found := true)
+        if List.mem 18 (Sched.Explore.issues_found res) then found := true)
     chains;
   checkb "three-thread crash found via chain hints" true !found
 
@@ -273,21 +266,21 @@ let test_three_threads_need_the_chain_hints () =
      threads serialise and the window never opens: the hints do the work *)
   let e = Lazy.force env in
   let res =
-    Sched.Explore3.run e
+    Sched.Explore.run_chain e
       ~progs:[| producer; forwarder; consumer |]
       ~chain:None ~trials:64 ~seed:77 ~stop_on_bug:true ()
   in
   checkb "hint-free three-thread run stays silent" true
-    (not (List.mem 18 (Sched.Explore3.issues_found res)))
+    (not (List.mem 18 (Sched.Explore.issues_found res)))
 
 let test_relay_fixed_clean () =
   let e = Exec.make_env Kernel.Config.all_fixed in
   let res =
-    Sched.Explore3.run e
+    Sched.Explore.run_chain e
       ~progs:[| producer; forwarder; consumer |]
       ~chain:None ~trials:32 ~seed:9 ~stop_on_bug:false ()
   in
-  checkb "fixed relay silent" true (Sched.Explore3.issues_found res = [])
+  checkb "fixed relay silent" true (Sched.Explore.issues_found res = [])
 
 let tests =
   [

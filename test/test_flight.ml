@@ -187,25 +187,14 @@ let buggy =
    issues and the captured events. *)
 let replay_with_recorder e (s : Scenarios.scenario) trace =
   E.configure ~deterministic:true ~enabled:true ();
-  let race = Detectors.Race.create () in
-  let observer =
-    {
-      Exec.default_observer with
-      Exec.on_access = (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-    }
-  in
-  let res =
-    Exec.run_conc e ~writer:s.Scenarios.writer ~reader:s.Scenarios.reader
-      ~policy:(Replay.replay trace) ~observer ()
-  in
-  let findings =
-    Detectors.Oracle.analyze ~console:res.Exec.cc_console
-      ~races:(Detectors.Race.reports race)
-      ~deadlocked:res.Exec.cc_deadlocked
+  let c =
+    Explore.check e
+      ~progs:[| s.Scenarios.writer; s.Scenarios.reader |]
+      ~policy:(Replay.replay trace) ()
   in
   let events = E.events () in
   off ();
-  (Detectors.Oracle.issues findings, events)
+  (Detectors.Oracle.issues c.Explore.findings, events)
 
 let test_replay_reproduces_verdict () =
   let e = Lazy.force env in

@@ -324,19 +324,11 @@ let test_pipe_no_false_races () =
     ]
   in
   for seed = 1 to 10 do
-    let race = Detectors.Race.create () in
-    let observer =
-      {
-        Sched.Exec.default_observer with
-        Sched.Exec.on_access =
-          (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-      }
-    in
     let rng = Random.State.make [| seed |] in
-    let res =
-      Sched.Exec.run_conc e ~writer:prog ~reader:prog
+    let { Sched.Explore.run = res; races; _ } =
+      Sched.Explore.check e ~progs:[| prog; prog |]
         ~policy:(Sched.Policies.naive rng ~period:2)
-        ~observer ()
+        ()
     in
     checkb "completes" false res.Sched.Exec.cc_deadlocked;
     (* only the known-benign slab-stats race may appear *)
@@ -344,7 +336,7 @@ let test_pipe_no_false_races () =
       (fun r ->
         checkb "no pipe race" true
           (Detectors.Oracle.issue_of_race r = Some 13))
-      (Detectors.Race.reports race)
+      races
   done
 
 let test_determinism () =

@@ -20,20 +20,13 @@ let env = lazy (Exec.make_env Kernel.Config.all_buggy)
 (* Run one concurrent trial under a seeded dense policy with the race
    detector attached; returns (result, race reports). *)
 let trial ?(period = 2) e ~writer ~reader ~seed =
-  let race = Detectors.Race.create () in
-  let observer =
-    {
-      Exec.default_observer with
-      Exec.on_access = (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-    }
-  in
   let rng = Random.State.make [| seed |] in
-  let res =
-    Exec.run_conc e ~writer ~reader
+  let c =
+    Sched.Explore.check e ~progs:[| writer; reader |]
       ~policy:(Sched.Policies.naive rng ~period)
-      ~observer ()
+      ()
   in
-  (res, Detectors.Race.reports race)
+  (c.Sched.Explore.run, c.Sched.Explore.races)
 
 let test_issue12_is_pure_order_violation () =
   (* when the l2tp crash triggers, no l2tp data race may be reported:

@@ -1,8 +1,8 @@
 (* The explore trial loop against fixed ground: golden digests of a small
-   campaign and of its per-step (PCT) trials pinned across commits, and
-   the race detector and the incidental-PMC search each checked against
-   the reference implementation it replaced ([Race_legacy],
-   [Incidental_legacy]). *)
+   campaign, of its per-step (PCT) trials and of the other trial drivers
+   pinned across commits, and the race detector and the incidental-PMC
+   search each checked against the reference implementation it replaced
+   ([Race_legacy], [Incidental_legacy]). *)
 
 module Trace = Vmm.Trace
 module P = Harness.Pipeline
@@ -149,6 +149,152 @@ let pct_digest () =
 let test_golden_pct () =
   Alcotest.(check string) "per-step digest equals the pinned one" golden_pct
     (pct_digest ())
+
+(* ------------------------------------------------------------------ *)
+(* Golden digest of the other trial drivers.                            *)
+
+(* The two digests above cover [Explore.run].  This MD5 pins the other
+   drivers of a checked trial: bounded enumeration (scenario 13 at bound
+   2 on the buggy and the fixed kernel, scenario 16 at bound 1), the
+   three-thread relay chain over seeds 100-103 (the last two stopping at
+   their first bug), the feedback loop on the golden configuration, and
+   a recorded scenario-13 trial replayed the way [snowboard explain]
+   replays it (issues, then each race report's pcs and functions).  The
+   constant was computed on commit 57ebb60, before these drivers shared
+   one checked-trial function. *)
+let golden_drivers = "9e57605c95692ae72f20252828dafef2"
+
+let buggy_env = lazy (Sched.Exec.make_env Kernel.Config.all_buggy)
+
+let scenario id =
+  match Harness.Scenarios.find id with
+  | Some s -> s
+  | None -> Alcotest.failf "scenario %d missing" id
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let enumerate_lines b =
+  let fixed = Sched.Exec.make_env Kernel.Config.all_fixed in
+  List.iter
+    (fun (name, env, id, bound) ->
+      let s = scenario id in
+      let r =
+        Sched.Enumerate.run (Lazy.force env) ~writer:s.Harness.Scenarios.writer
+          ~reader:s.Harness.Scenarios.reader ~preemption_bound:bound ()
+      in
+      Printf.bprintf b "\nenumerate %s %d/%d: %d %d [%s] %s %b" name id bound
+        r.Sched.Enumerate.executions r.Sched.Enumerate.decision_points
+        (ints r.Sched.Enumerate.issues)
+        (match r.Sched.Enumerate.first_bug_execution with
+        | Some n -> string_of_int n
+        | None -> "-")
+        r.Sched.Enumerate.exhausted)
+    [
+      ("buggy", buggy_env, 13, 2);
+      ("fixed", lazy fixed, 13, 2);
+      ("buggy", buggy_env, 16, 1);
+    ]
+
+let relay op =
+  { Fuzzer.Prog.nr = Kernel.Abi.sys_relay; args = [ Fuzzer.Prog.Const op ] }
+
+let chain_lines b =
+  let env = Lazy.force buggy_env in
+  let progs = [| [ relay 1 ]; [ relay 2 ]; [ relay 3 ] |] in
+  let ident =
+    Core.Identify.run
+      (Array.to_list
+         (Array.mapi
+            (fun i p ->
+              Core.Profile.of_shared ~test_id:i
+                (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+            progs))
+  in
+  let chain = List.hd (Core.Chain.find ident) in
+  for seed = 100 to 103 do
+    let r =
+      Sched.Explore.run_chain env ~progs ~chain:(Some chain) ~seed
+        ~stop_on_bug:(seed >= 102) ()
+    in
+    Printf.bprintf b "\nchain %d: %s %d" seed
+      (match r.Sched.Explore.first_bug with
+      | Some n -> string_of_int n
+      | None -> "-")
+      r.Sched.Explore.total_steps;
+    List.iter
+      (fun (t : Sched.Explore.trial) ->
+        Printf.bprintf b "\n  [%s] %d %s" (ints t.Sched.Explore.issues)
+          t.Sched.Explore.steps
+          (String.concat "; "
+             (List.map
+                (fun (f : Detectors.Oracle.finding) ->
+                  Format.asprintf "%a" Detectors.Oracle.pp_kind
+                    f.Detectors.Oracle.kind)
+                t.Sched.Explore.findings)))
+      r.Sched.Explore.trials
+  done
+
+let feedback_lines b =
+  let r =
+    Harness.Feedback.run (P.prepare golden_cfg) ~budget:6 ~trials:4 ~seed:5
+  in
+  Printf.bprintf b "\nfeedback: %d %d [%s] [%s]" r.Harness.Feedback.executed
+    r.Harness.Feedback.comm_coverage
+    (String.concat ","
+       (List.map
+          (fun (i, t) -> Printf.sprintf "%d@%d" i t)
+          r.Harness.Feedback.issues))
+    (ints r.Harness.Feedback.coverage_curve)
+
+(* The first trial of scenario 13's first hinted exploration that finds
+   its issue, replayed from its trace with the race detector and the
+   oracle attached. *)
+let explain_lines b =
+  let env = Lazy.force buggy_env in
+  let s = scenario 13 in
+  let ident, hints = Harness.Scenarios.identify env s in
+  let writer = s.Harness.Scenarios.writer
+  and reader = s.Harness.Scenarios.reader in
+  let r =
+    Sched.Explore.run env ~ident:(Some ident) ~writer ~reader
+      ~hint:(Some (List.hd hints)) ~kind:Sched.Explore.Snowboard ~trials:64
+      ~seed:1 ()
+  in
+  let t =
+    match
+      List.find_opt
+        (fun (t : Sched.Explore.trial) -> List.mem 13 t.Sched.Explore.issues)
+        r.Sched.Explore.trials
+    with
+    | Some t -> t
+    | None -> Alcotest.fail "scenario 13 not reproduced"
+  in
+  let c =
+    Sched.Explore.check env ~progs:[| writer; reader |]
+      ~policy:(Sched.Replay.replay t.Sched.Explore.replay)
+      ()
+  in
+  Printf.bprintf b "\nexplain %s: [%s]"
+    (Sched.Replay.to_string t.Sched.Explore.replay)
+    (ints (Detectors.Oracle.issues c.Sched.Explore.findings));
+  List.iter
+    (fun (r : Detectors.Race.report) ->
+      Printf.bprintf b "\n  %d %s / %d %s" r.Detectors.Race.write_pc
+        r.Detectors.Race.write_ctx r.Detectors.Race.other_pc
+        r.Detectors.Race.other_ctx)
+    c.Sched.Explore.races
+
+let drivers_digest () =
+  let b = Buffer.create 16384 in
+  enumerate_lines b;
+  chain_lines b;
+  feedback_lines b;
+  explain_lines b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_drivers () =
+  Alcotest.(check string) "drivers digest equals the pinned one"
+    golden_drivers (drivers_digest ())
 
 (* ------------------------------------------------------------------ *)
 (* Race detector against the parent's detector.                         *)
@@ -492,6 +638,7 @@ let () =
         [
           Alcotest.test_case "campaign digest" `Quick test_golden;
           Alcotest.test_case "per-step digest" `Quick test_golden_pct;
+          Alcotest.test_case "drivers digest" `Quick test_golden_drivers;
         ] );
       ( "race oracle",
         [
