@@ -1401,9 +1401,10 @@ let bound_arg =
   Arg.(
     value & opt int 2
     & info [ "bound" ] ~docv:"N"
-        ~doc:"Preemption bound for the exhaustive enumeration.")
+        ~doc:"Preemption bound for the exhaustive enumeration (0 or more).")
 
 let run_verify kernel issue bound () (_ : obs) =
+  if bound < 0 then fail_cli "--bound must be 0 or more (got %d)" bound;
   match Harness.Scenarios.find issue with
   | None ->
       pf "no scenario for issue #%d@." issue;

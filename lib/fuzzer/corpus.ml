@@ -5,6 +5,7 @@
    overlap of exercised behaviors" (paper section 4.1). *)
 
 module Log = (val Logs.src_log Gen.src : Logs.LOG)
+module Edges = Vmm.Vm.Edge_set
 
 let m_accepted = Obs.Metrics.counter "snowboard.fuzzer/corpus_accepted"
 let m_rejected = Obs.Metrics.counter "snowboard.fuzzer/corpus_rejected"
@@ -24,7 +25,7 @@ type t = {
   mutable arr : entry array;  (* first [count] slots are live *)
   mutable count : int;
   seen_progs : (int, unit) Hashtbl.t;
-  seen_edges : (int * int, unit) Hashtbl.t;
+  seen_edges : Edges.t;
 }
 
 let dummy_entry = { id = -1; prog = []; new_edges = 0 }
@@ -34,7 +35,7 @@ let create () =
     arr = Array.make 16 dummy_entry;
     count = 0;
     seen_progs = Hashtbl.create 256;
-    seen_edges = Hashtbl.create 4096;
+    seen_edges = Edges.create ();
   }
 
 let push t e =
@@ -47,39 +48,35 @@ let push t e =
   t.count <- t.count + 1
 
 (* Offer a program together with the control-flow edges its sequential
-   execution covered.  Returns the corpus id if kept. *)
+   execution covered.  Returns the corpus id if kept.  [fresh] counts the
+   listed edges absent before the call, repeats included, and is taken
+   before anything changes, so an edge the set rejects leaves the corpus
+   as it was. *)
 let consider t prog ~edges =
   let h = Prog.hash prog in
-  if Hashtbl.mem t.seen_progs h then begin
+  let absent n e = if Edges.mem t.seen_edges e then n else n + 1 in
+  let fresh = if Hashtbl.mem t.seen_progs h then 0 else List.fold_left absent 0 edges in
+  Hashtbl.replace t.seen_progs h ();
+  if fresh = 0 then begin
     Obs.Metrics.incr m_rejected;
     None
   end
   else begin
-    Hashtbl.replace t.seen_progs h ();
-    let fresh = List.filter (fun e -> not (Hashtbl.mem t.seen_edges e)) edges in
-    if fresh = [] then begin
-      Obs.Metrics.incr m_rejected;
-      None
-    end
-    else begin
-      List.iter (fun e -> Hashtbl.replace t.seen_edges e ()) fresh;
-      let id = t.count in
-      push t { id; prog; new_edges = List.length fresh };
-      Obs.Metrics.incr m_accepted;
-      Obs.Metrics.observe h_new_edges (List.length fresh);
-      Obs.Metrics.set g_edges (Hashtbl.length t.seen_edges);
-      Log.debug (fun m ->
-          m "corpus accepts test %d (+%d edges, %d total): %s" id
-            (List.length fresh)
-            (Hashtbl.length t.seen_edges)
-            (Prog.to_string prog));
-      Some id
-    end
+    List.iter (fun e -> ignore (Edges.add t.seen_edges e)) edges;
+    let id = t.count and total = Edges.length t.seen_edges in
+    push t { id; prog; new_edges = fresh };
+    Obs.Metrics.incr m_accepted;
+    Obs.Metrics.observe h_new_edges fresh;
+    Obs.Metrics.set g_edges total;
+    Log.debug (fun m ->
+        m "corpus accepts test %d (+%d edges, %d total): %s" id fresh total
+          (Prog.to_string prog));
+    Some id
   end
 
 let size t = t.count
 
-let total_edges t = Hashtbl.length t.seen_edges
+let total_edges t = Edges.length t.seen_edges
 
 let to_list t = Array.to_list (Array.sub t.arr 0 t.count)
 

@@ -10,11 +10,17 @@ val create : unit -> t
 
 val consider : t -> Prog.t -> edges:(int * int) list -> int option
 (** Offer a program with the edges its sequential run covered; returns
-    its corpus id if it was kept (structurally new and coverage-novel). *)
+    its corpus id if it was kept (structurally new and coverage-novel).
+    A kept entry's [new_edges] counts every listed edge that was absent
+    before the call, repeats included; a rejected program adds no edge.
+    Raises [Invalid_argument], before changing anything, on an edge with
+    a pc outside [[0, Vmm.Vm.edge_pc_max]] ({!Vmm.Vm.Edge_set.mem}); the
+    edges of a program already seen are not read. *)
 
 val size : t -> int
 
 val total_edges : t -> int
+(** The number of distinct edges the kept entries covered. *)
 
 val to_list : t -> entry list
 (** Entries in insertion (id) order. *)

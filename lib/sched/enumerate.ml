@@ -48,6 +48,8 @@ let vector_policy ~first ~(positions : int list) ~(count : int ref) : Exec.polic
 let run (env : Exec.env) ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
     ?(preemption_bound = 2) ?(max_executions = 20_000) ?(stop_on_bug = false)
     () =
+  if preemption_bound < 0 then
+    invalid_arg "Enumerate.run: negative preemption bound";
   let executions = ref 0 in
   let issues = ref [] in
   let first_bug = ref None in
@@ -72,14 +74,11 @@ let run (env : Exec.env) ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
          Detectors.Oracle.issues
            (Explore.check env ~progs ~policy ()).Explore.findings
        in
+       issues := found @ !issues;
        if found <> [] && !first_bug = None then begin
          first_bug := Some !executions;
-         if stop_on_bug then begin
-           issues := found @ !issues;
-           raise Exit
-         end
+         if stop_on_bug then raise Exit
        end;
-       issues := found @ !issues;
        if positions = [] && first = 0 then base_points := !count;
        (* children: one more preemption strictly after the last *)
        if List.length positions < preemption_bound then begin

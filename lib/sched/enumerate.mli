@@ -29,3 +29,5 @@ val run :
   ?stop_on_bug:bool ->
   unit ->
   result
+(** Raises [Invalid_argument] on a negative [preemption_bound] (default
+    2), before running anything. *)

@@ -289,7 +289,7 @@ type seq_result = {
   sq_panicked : bool;
   sq_retvals : int array;
   sq_steps : int;
-  sq_edges : (int * int) list;  (* control-flow edges this run covered *)
+  sq_edges : (int * int) list;  (* distinct edges, in first-seen order *)
 }
 
 let syscall_budget = 100_000

@@ -117,7 +117,9 @@ type seq_result = {
   sq_panicked : bool;
   sq_retvals : int array;
   sq_steps : int;
-  sq_edges : (int * int) list;  (** control-flow edges covered *)
+  sq_edges : (int * int) list;
+      (** the distinct control-flow edges covered, in the order the run
+          first took them *)
 }
 
 val syscall_budget : int

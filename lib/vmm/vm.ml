@@ -70,11 +70,92 @@ let kpages = Layout.kmem_size lsr page_bits
 let upages = Layout.user_size lsr page_bits
 let num_pages = kpages + (Layout.max_threads * upages)
 
-(* Direct-mapped cache in front of the coverage table: recording an
-   already-known edge (the common case - loop backedges, repeated calls)
-   must not pay a Hashtbl lookup per branch.  8192 slots of one tagged
-   int each (64 KiB per VM). *)
-let edge_cache_slots = 8192
+(* Coverage keys pack (from_pc, to_pc) into one int, 24 bits per side.
+   Both sides must fit or distinct edges alias under the packing.  An
+   out-of-range pc is not a code location - e.g. a Ret through a
+   corrupted stack slot - so the VM drops such edges rather than record
+   them under a wrong key. *)
+let edge_pc_max = 0xffffff
+
+(* A set of packed edge keys: an open-addressed table with linear
+   probing, each slot holding [key lor (gen lsl 48)] for the generation
+   that filled it, beside the members in first-seen order.  A slot of
+   any other generation is free, so [clear] bumps the generation instead
+   of refilling the table.  Generations run from 1 to [gen_max], and
+   the slots are zeroed when it wraps: 14 bits above the 48-bit key keep
+   every slot non-negative, and a zeroed slot (generation 0) is never
+   live.  The table doubles before a new member would pass 3/4 load. *)
+module Edge_set = struct
+  type t = {
+    mutable slots : int array;  (* power-of-two length *)
+    mutable gen : int;
+    mutable keys : int array;  (* members in first-seen order: the first [n] *)
+    mutable n : int;
+  }
+
+  let gen_max = 0x3fff
+
+  let create () =
+    { slots = Array.make 1024 0; gen = 1; keys = Array.make 768 0; n = 0 }
+
+  let length s = s.n
+  let stamp s key = key lor (s.gen lsl 48)
+
+  let rec probe slots mask gen stamp i =
+    let v = Array.unsafe_get slots i in
+    if v = stamp || v lsr 48 <> gen then i
+    else probe slots mask gen stamp ((i + 1) land mask)
+
+  (* The slot holding [key], or the free slot where it belongs. *)
+  let slot s key =
+    let mask = Array.length s.slots - 1 in
+    let home = (key * 0x2545F4914F6CDD1D) lsr 32 land mask in
+    probe s.slots mask s.gen (stamp s key) home
+
+  (* True if [key] was not yet a member. *)
+  let rec add_key s key =
+    let i = slot s key in
+    if s.slots.(i) = stamp s key then false
+    else if s.n < Array.length s.keys then begin
+      s.slots.(i) <- stamp s key;
+      s.keys.(s.n) <- key;
+      s.n <- s.n + 1;
+      true
+    end
+    else begin
+      (* double the table and re-add the members in first-seen order *)
+      let keys = Array.sub s.keys 0 s.n in
+      s.slots <- Array.make (2 * Array.length s.slots) 0;
+      s.keys <- Array.make (Array.length s.slots / 4 * 3) 0;
+      s.n <- 0;
+      Array.iter (fun k -> ignore (add_key s k)) keys;
+      add_key s key
+    end
+
+  let clear s =
+    s.n <- 0;
+    if s.gen = gen_max then Array.fill s.slots 0 (Array.length s.slots) 0;
+    s.gen <- (s.gen mod gen_max) + 1
+
+  (* A pc outside [0, edge_pc_max] has a bit at 24 or above. *)
+  let key (a, b) =
+    if (a lor b) lsr 24 <> 0 then
+      invalid_arg (Printf.sprintf "Vm.Edge_set: edge (%d, %d) outside 24 bits" a b);
+    (a lsl 24) lor b
+
+  let mem s e =
+    let k = key e in
+    s.slots.(slot s k) = stamp s k
+
+  let add s e = add_key s (key e)
+
+  let edges s =
+    let acc = ref [] in
+    for j = s.n - 1 downto 0 do
+      acc := (s.keys.(j) lsr 24, s.keys.(j) land edge_pc_max) :: !acc
+    done;
+    !acc
+end
 
 (* Snapshot identities: a restore may only take the dirty-page shortcut
    against the exact snapshot the VM last synchronized with. *)
@@ -87,11 +168,7 @@ type t = {
   cpus : cpu array;
   mutable console : string list;  (* reversed *)
   mutable panicked : bool;
-  coverage : (int, unit) Hashtbl.t;
-  edge_cache : int array;  (* direct-mapped filter in front of [coverage] *)
-  mutable cov_gen : int;  (* generation tag validating [edge_cache] entries *)
-  mutable edge_log : int array;  (* keys inserted via [record_edge_fast] *)
-  mutable n_edge_log : int;
+  coverage : Edge_set.t;  (* edges since the last [reset_coverage] *)
   mutable steps : int;
   mutable accesses : int;  (* traced accesses since creation *)
   mutable events_sunk : int;  (* events written into caller sinks *)
@@ -122,11 +199,7 @@ let create image =
     cpus = Array.init Layout.max_threads (fun _ -> make_cpu ());
     console = [];
     panicked = false;
-    coverage = Hashtbl.create 4096;
-    edge_cache = Array.make edge_cache_slots (-1);
-    cov_gen = 0;
-    edge_log = Array.make 1024 0;
-    n_edge_log = 0;
+    coverage = Edge_set.create ();
     steps = 0;
     accesses = 0;
     events_sunk = 0;
@@ -328,90 +401,15 @@ let mem_write t tid addr size v =
 let peek = mem_read
 let poke = mem_write
 
-(* Coverage keys pack (from_pc, to_pc) into one int, 24 bits per side.
-   Both sides must fit or distinct edges alias under the packing (only
-   [to_pc] used to be masked, so an out-of-range [from_pc] silently bled
-   into the other half).  An out-of-range pc is not a code location -
-   e.g. a Ret through a corrupted stack slot - so such edges are dropped
-   rather than recorded under a wrong key. *)
-let edge_pc_max = 0xffffff
-
+(* The one recording path, for the threaded interpreter and the oracle
+   [step] alike. *)
 let record_edge t from_pc to_pc =
-  if
-    from_pc >= 0 && from_pc <= edge_pc_max && to_pc >= 0 && to_pc <= edge_pc_max
-  then Hashtbl.replace t.coverage ((from_pc lsl 24) lor to_pc) ()
+  if (from_pc lor to_pc) lsr 24 = 0 then
+    ignore (Edge_set.add_key t.coverage ((from_pc lsl 24) lor to_pc))
 
-let edge_log_push t key =
-  let n = t.n_edge_log in
-  if n = Array.length t.edge_log then begin
-    let bigger = Array.make (2 * n) 0 in
-    Array.blit t.edge_log 0 bigger 0 n;
-    t.edge_log <- bigger
-  end;
-  t.edge_log.(n) <- key;
-  t.n_edge_log <- n + 1
-
-(* [record_edge] through the edge cache.  The tag packs the 48-bit edge
-   key with the current coverage generation, so a cache hit proves the
-   edge entered [t.coverage] after the last [reset_coverage] and the
-   Hashtbl lookup can be skipped; collisions and first touches fall
-   through.  A genuinely new edge is also appended to [edge_log], which
-   lets [coverage_edges] skip the O(buckets) table fold when the whole
-   run went through this path.  Used by the threaded-code interpreter;
-   the oracle [step] keeps the uncached [record_edge]. *)
-let record_edge_fast t from_pc to_pc =
-  if
-    from_pc >= 0 && from_pc <= edge_pc_max && to_pc >= 0 && to_pc <= edge_pc_max
-  then begin
-    let key = (from_pc lsl 24) lor to_pc in
-    let tagged = key lor (t.cov_gen lsl 48) in
-    let slot = (key * 0x2545F4914F6CDD1D) lsr 49 land (edge_cache_slots - 1) in
-    if t.edge_cache.(slot) <> tagged then begin
-      if not (Hashtbl.mem t.coverage key) then begin
-        Hashtbl.replace t.coverage key ();
-        edge_log_push t key
-      end;
-      t.edge_cache.(slot) <- tagged
-    end
-  end
-
-let coverage_size t = Hashtbl.length t.coverage
-
-(* Covered edges, sorted by (from, to).  The log holds exactly the
-   distinct keys [record_edge_fast] inserted since the last reset, so
-   when its length matches the table every edge went through the fast
-   path and the table fold (O(buckets), dominated by empty buckets on
-   short runs) is skipped.  Both sources sort to the identical list:
-   the packed key orders exactly like the pair. *)
-let coverage_edges t =
-  let n = Hashtbl.length t.coverage in
-  let keys =
-    if t.n_edge_log = n then Array.sub t.edge_log 0 n
-    else begin
-      let a = Array.make n 0 in
-      let i = ref 0 in
-      Hashtbl.iter
-        (fun k () ->
-          a.(!i) <- k;
-          incr i)
-        t.coverage;
-      a
-    end
-  in
-  Array.sort Int.compare keys;
-  Array.fold_right (fun k acc -> (k lsr 24, k land 0xffffff) :: acc) keys []
-
-(* Bumping the generation invalidates every cache entry at once; on the
-   (rare) 15-bit wrap the slots are cleared so stale tags from 32768
-   resets ago can never validate again. *)
-let reset_coverage t =
-  Hashtbl.reset t.coverage;
-  t.n_edge_log <- 0;
-  if t.cov_gen >= 0x7fff then begin
-    t.cov_gen <- 0;
-    Array.fill t.edge_cache 0 edge_cache_slots (-1)
-  end
-  else t.cov_gen <- t.cov_gen + 1
+let coverage_size t = Edge_set.length t.coverage
+let coverage_edges t = Edge_set.edges t.coverage
+let reset_coverage t = Edge_set.clear t.coverage
 
 let steps t = t.steps
 
@@ -689,7 +687,7 @@ let step t tid =
    makes the threaded-code interpreter allocate nothing per instruction,
    loads and stores included; what still allocates is a console or panic
    line (the formatted string), a fault (the exception and the oops
-   line) and the first recording of a coverage edge.
+   line) and a coverage edge that grows the edge set past its table.
 
    An instruction produces at most two memory accesses (Cas and Faa:
    read then write), at most one control event of each remaining kind,
@@ -1030,7 +1028,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
   (* All of the loop state lives in non-escaping refs, which compile to
      stack slots, and the memory arms return no pair, so neither the call
      nor a memory-touching instruction allocates (console and panic
-     lines, faults and first-seen coverage edges aside; the tests pin a
+     lines, faults and edge-set growth aside; the tests pin a
      whole system call at 0 words).  [c.pc] is synced only
      at event arms — which need it for [sink_acc]'s pc-recording
      semantics and for the fault handler — and at exits.  [fault_rem]
@@ -1140,38 +1138,38 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
        (* br reg,imm: Eq Ne Lt Le Gt Ge *)
        | 20 ->
            let dest = if ug regs (ug f0 p) = ug f1 p then ug f2 p else p + 1 in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 21 ->
            let dest =
              if ug regs (ug f0 p) <> ug f1 p then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 22 ->
            let dest = if ug regs (ug f0 p) < ug f1 p then ug f2 p else p + 1 in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 23 ->
            let dest =
              if ug regs (ug f0 p) <= ug f1 p then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 24 ->
            let dest = if ug regs (ug f0 p) > ug f1 p then ug f2 p else p + 1 in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 25 ->
            let dest =
              if ug regs (ug f0 p) >= ug f1 p then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        (* br reg,reg *)
@@ -1179,48 +1177,48 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            let dest =
              if ug regs (ug f0 p) = ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 27 ->
            let dest =
              if ug regs (ug f0 p) <> ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 28 ->
            let dest =
              if ug regs (ug f0 p) < ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 29 ->
            let dest =
              if ug regs (ug f0 p) <= ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 30 ->
            let dest =
              if ug regs (ug f0 p) > ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        | 31 ->
            let dest =
              if ug regs (ug f0 p) >= ug regs (ug f1 p) then ug f2 p else p + 1
            in
-           if not conc then record_edge_fast t p dest;
+           if not conc then record_edge t p dest;
            pc := dest;
            rem := !rem - 1
        (* jmp *)
        | 32 ->
            let target = ug f0 p in
-           if not conc then record_edge_fast t p target;
+           if not conc then record_edge t p target;
            pc := target;
            rem := !rem - 1
        (* load *)
@@ -1326,7 +1324,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            regs.(Isa.sp) <- nsp;
            sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:(p + 1)
              ~atomic:false;
-           if not conc then record_edge_fast t p target;
+           if not conc then record_edge t p target;
            c.pc <- target;
            sink.sk_call <- target;
            t.events_sunk <- t.events_sunk + 1;
@@ -1350,7 +1348,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            regs.(Isa.sp) <- nsp;
            sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:(p + 1)
              ~atomic:false;
-           if not conc then record_edge_fast t p target;
+           if not conc then record_edge t p target;
            c.pc <- target;
            sink.sk_call <- target;
            t.events_sunk <- t.events_sunk + 1;
@@ -1381,7 +1379,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              stop := true
            end
            else begin
-             if not conc then record_edge_fast t p target;
+             if not conc then record_edge t p target;
              c.pc <- target;
              pc := target;
              sink.sk_return <- true;
@@ -1539,7 +1537,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
                let a = ug regs (ug f0 bpc) in
                let b = if bcode >= 26 then ug regs (ug f1 bpc) else ug f1 bpc in
                let dest = if tc_cond_eval bcode a b then ug f2 bpc else bpc + 1 in
-               if not conc then record_edge_fast t bpc dest;
+               if not conc then record_edge t bpc dest;
                pc := dest;
                rem := !rem - 2
              end
@@ -1595,7 +1593,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              let dest =
                if tc_cond_eval bbcode ba bb then ug f2 bpc else bpc + 1
              in
-             if not conc then record_edge_fast t bpc dest;
+             if not conc then record_edge t bpc dest;
              pc := dest;
              rem := !rem - 2
            end

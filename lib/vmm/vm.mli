@@ -98,7 +98,7 @@ val step : t -> int -> event list
     executor keeps one per domain and reads fields straight out of it.
     With the sink, the threaded-code interpreter allocates nothing per
     instruction, memory accesses included; only console and panic
-    lines, faults and a coverage edge's first recording allocate.
+    lines, faults and a coverage edge that grows the edge set allocate.
     An instruction produces at most two memory accesses (Cas/Faa: read
     then write) and at most one control event of each kind, so the fixed
     frame below represents any event list [step] can return.  The access
@@ -278,25 +278,41 @@ val coverage_size : t -> int
 
 val coverage_edges : t -> (int * int) list
 (** The distinct [(from_pc, to_pc)] edges observed since the last reset,
-    sorted lexicographically. *)
+    in the order they were first recorded. *)
 
 val record_edge : t -> int -> int -> unit
-(** [record_edge t from_pc to_pc] records a control-flow edge.  Both pcs
-    must fit in 24 bits (the packing width of a coverage key); an edge
-    with an out-of-range side is dropped rather than recorded under an
-    aliased key. *)
+(** [record_edge t from_pc to_pc] records a control-flow edge: the one
+    recording path, for the threaded-code interpreter and {!step} alike.
+    Both pcs must fit in 24 bits (the packing width of a coverage key);
+    an edge with an out-of-range side is dropped rather than recorded
+    under an aliased key.  Allocates nothing unless the edge is new and
+    the VM's edge set must grow (it starts with room for 768 edges). *)
 
 val edge_pc_max : int
 (** The largest pc representable in a coverage-edge key (24 bits). *)
 
-val record_edge_fast : t -> int -> int -> unit
-(** {!record_edge} through a per-VM direct-mapped cache: a hit proves the
-    edge entered the coverage table after the last {!reset_coverage} and
-    skips the table lookup.  Same observable effect as {!record_edge}
-    (same edges, same bounds checks); the threaded-code interpreter uses
-    this, the oracle {!step} keeps the uncached path. *)
-
 val reset_coverage : t -> unit
+(** Empty the coverage, allocating nothing: a generation bump, with the
+    edge set's slots zeroed once every 16,383 resets. *)
+
+(** A set of control-flow edges, packed [(from_pc lsl 24) lor to_pc]
+    into one int each: the table the VM records coverage into, which
+    the fuzzer's corpus also keeps its coverage union in. *)
+module Edge_set : sig
+  type t
+
+  val create : unit -> t
+
+  val length : t -> int
+
+  val mem : t -> int * int -> bool
+  (** Raises [Invalid_argument] on an edge with a pc outside
+      [[0, edge_pc_max]], which the packing could not tell from another
+      edge. *)
+
+  val add : t -> int * int -> bool
+  (** Add an edge; true if it was not yet a member.  Raises like {!mem}. *)
+end
 
 val steps : t -> int
 (** Total instructions executed since creation. *)

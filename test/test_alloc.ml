@@ -4,8 +4,8 @@
    heap ([Gc.minor_words], plus the blocks too large for the minor heap,
    which go straight to the major one), net of the count across an
    empty call (the measurement's own cost), after
-   one warm-up call that takes the first-touch costs: dirty pages, the
-   coverage table and edge cache, buffer growth, learned flags.  Each
+   one warm-up call that takes the first-touch costs: dirty pages,
+   buffer growth, learned flags.  Each
    must come to exactly 0 words.  What a trial still allocates sits
    above these layers: one [Trace.access] record and list cell per
    shared access, the final [List.rev], the replay recorder's buffer and
@@ -110,6 +110,22 @@ let test_syscall_passes () =
       Vm.run_tblock e.Exec.vm e.Exec.tcode ~tid:0 ~quantum:1000 sink);
   syscall_words "run_tblock_conc, quantum 1" (fun e ->
       Vm.run_tblock_conc e.Exec.vm e.Exec.tcode ~tid:0 ~quantum:1 sink)
+
+(* Coverage: recording a known edge, recording new ones while the edge
+   set has room, and emptying it. *)
+let test_coverage () =
+  let vm = tiny_vm () in
+  Vm.record_edge vm 3 4;
+  check_zero "a known edge" (fun () -> Vm.record_edge vm 3 4);
+  let next = ref 0 in
+  check_zero "new edges within capacity" (fun () ->
+      for _ = 1 to 64 do
+        incr next;
+        Vm.record_edge vm (100 + !next) 0
+      done);
+  Alcotest.(check int) "every one was new" 129 (Vm.coverage_size vm);
+  check_zero "reset_coverage" (fun () -> Vm.reset_coverage vm);
+  Alcotest.(check int) "and the set is empty" 0 (Vm.coverage_size vm)
 
 let test_is_shared_at () =
   let sps = [| Layout.stack_top 0 - 8; Layout.stack_top 3 - 64; -8; max_int |] in
@@ -490,6 +506,7 @@ let () =
           Alcotest.test_case "one syscall per interpreter" `Quick
             test_syscall_passes;
           Alcotest.test_case "is_shared_at" `Quick test_is_shared_at;
+          Alcotest.test_case "coverage edges" `Quick test_coverage;
           Alcotest.test_case "private accesses in run_seq" `Quick
             test_private_accesses_free;
           Alcotest.test_case "policy decide" `Quick test_snowboard_decide;

@@ -216,6 +216,17 @@ let test_enumerate_budget_cap () =
   checkb "cap respected" true (r.Sched.Enumerate.executions <= 50);
   checkb "reported as not exhausted" false r.Sched.Enumerate.exhausted
 
+let test_enumerate_negative_bound () =
+  (* a negative bound admits no schedule at all, so it must not read as
+     a verified-silent space *)
+  let env = Sched.Exec.make_env Kernel.Config.all_fixed in
+  let s = Option.get (Harness.Scenarios.find 13) in
+  Alcotest.check_raises "negative bound rejected"
+    (Invalid_argument "Enumerate.run: negative preemption bound") (fun () ->
+      ignore
+        (Sched.Enumerate.run env ~writer:s.Harness.Scenarios.writer
+           ~reader:s.Harness.Scenarios.reader ~preemption_bound:(-1) ()))
+
 let tests =
   [
     Alcotest.test_case "enumerate finds exhaustively" `Quick
@@ -223,6 +234,8 @@ let tests =
     Alcotest.test_case "enumerate verifies fixed kernel" `Slow
       test_enumerate_verifies_fixed_kernel;
     Alcotest.test_case "enumerate budget cap" `Quick test_enumerate_budget_cap;
+    Alcotest.test_case "enumerate negative bound" `Quick
+      test_enumerate_negative_bound;
     Alcotest.test_case "RMW vs RMW clean" `Quick test_rmw_vs_rmw_clean;
     Alcotest.test_case "RMW vs plain races" `Quick test_rmw_vs_plain_races;
     Alcotest.test_case "unrelated acquire does not order" `Quick

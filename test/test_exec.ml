@@ -236,53 +236,48 @@ let test_fingerprint_console_unambiguous () =
   checkb "console lines are length-prefixed" false
     (Vm.fingerprint v1 = Vm.fingerprint v2)
 
-(* ---------------- edge keys and the edge cache ---------------------- *)
+(* ---------------- edge keys and the edge set ------------------------ *)
 
 let test_edge_key_boundaries () =
-  List.iter
-    (fun record ->
-      let vm = tiny_vm () in
-      Vm.reset_coverage vm;
-      (* the extreme in-range edge survives the key packing intact *)
-      record vm Vm.edge_pc_max Vm.edge_pc_max;
-      checkb "max edge roundtrips" true
-        (Vm.coverage_edges vm = [ (Vm.edge_pc_max, Vm.edge_pc_max) ]);
-      (* out-of-range on either side is dropped, not aliased *)
-      record vm (Vm.edge_pc_max + 1) 5;
-      record vm 5 (Vm.edge_pc_max + 1);
-      record vm (-1) 5;
-      record vm 5 (-1);
-      checki "out-of-range edges dropped" 1 (Vm.coverage_size vm))
-    [ Vm.record_edge; Vm.record_edge_fast ]
-
-let test_edge_cache_reset () =
-  (* a cached edge must not survive reset_coverage: if a stale cache hit
-     skipped the table insert, the edge would be lost after a reset *)
   let vm = tiny_vm () in
   Vm.reset_coverage vm;
-  Vm.record_edge_fast vm 3 4;
-  Vm.record_edge_fast vm 3 4;
+  (* the extreme in-range edge survives the key packing intact *)
+  Vm.record_edge vm Vm.edge_pc_max Vm.edge_pc_max;
+  checkb "max edge roundtrips" true
+    (Vm.coverage_edges vm = [ (Vm.edge_pc_max, Vm.edge_pc_max) ]);
+  (* out-of-range on either side is dropped, not aliased *)
+  Vm.record_edge vm (Vm.edge_pc_max + 1) 5;
+  Vm.record_edge vm 5 (Vm.edge_pc_max + 1);
+  Vm.record_edge vm (-1) 5;
+  Vm.record_edge vm 5 (-1);
+  checki "out-of-range edges dropped" 1 (Vm.coverage_size vm)
+
+let test_edge_cache_reset () =
+  (* a recorded edge must not survive reset_coverage: the generation
+     bump frees its slot, and re-recording must find it absent again *)
+  let vm = tiny_vm () in
+  Vm.reset_coverage vm;
+  Vm.record_edge vm 3 4;
+  Vm.record_edge vm 3 4;
   checki "one edge, once" 1 (Vm.coverage_size vm);
   Vm.reset_coverage vm;
   checki "reset clears coverage" 0 (Vm.coverage_size vm);
-  Vm.record_edge_fast vm 3 4;
+  Vm.record_edge vm 3 4;
   checki "re-recorded after reset" 1 (Vm.coverage_size vm);
   checkb "and extractable" true (Vm.coverage_edges vm = [ (3, 4) ])
 
-let test_edges_sorted_and_mixed () =
-  (* both extraction sources (insertion log / table fold) must agree,
-     and the list is sorted *)
+let test_edges_first_seen () =
+  (* the edges come back in the order they were first recorded, a
+     repeat keeping its first place *)
   let vm = tiny_vm () in
   Vm.reset_coverage vm;
-  Vm.record_edge_fast vm 9 1;
-  Vm.record_edge_fast vm 2 8;
-  Vm.record_edge_fast vm 2 3;
-  checkb "log path sorted" true (Vm.coverage_edges vm = [ (2, 3); (2, 8); (9, 1) ]);
-  (* a legacy insert invalidates the log; the fold path must return the
-     same sorted list *)
+  Vm.record_edge vm 9 1;
+  Vm.record_edge vm 2 8;
+  Vm.record_edge vm 9 1;
+  Vm.record_edge vm 2 3;
   Vm.record_edge vm 1 1;
-  checkb "fold path sorted" true
-    (Vm.coverage_edges vm = [ (1, 1); (2, 3); (2, 8); (9, 1) ])
+  checkb "first-seen order" true
+    (Vm.coverage_edges vm = [ (9, 1); (2, 8); (2, 3); (1, 1) ])
 
 (* ---------------- sink frame plumbing ------------------------------- *)
 
@@ -564,20 +559,20 @@ let test_conc_batch_trace_replays () =
           checkb "batch-recorded trace replays per-step" true (b.res = r_r))
   | _ -> Alcotest.fail "one trial expected"
 
-(* ---------------- edge cache generation wrap ------------------------ *)
+(* ---------------- edge set generation wrap -------------------------- *)
 
 let test_edge_cache_generation_wrap () =
-  (* the 15-bit generation tag wraps after 0x7fff resets; the wrap clears
-     the cache outright, so a pre-wrap entry can never validate against a
-     post-wrap generation and swallow a fresh edge *)
+  (* the generation stamp wraps long before 0x8000 resets; the wrap
+     zeroes the table outright, so a pre-wrap slot can never pass for a
+     post-wrap member and swallow a fresh edge *)
   let vm = tiny_vm () in
   Vm.reset_coverage vm;
-  Vm.record_edge_fast vm 3 4;
+  Vm.record_edge vm 3 4;
   for _ = 1 to 0x8000 do
     Vm.reset_coverage vm
   done;
   checki "wrap leaves coverage empty" 0 (Vm.coverage_size vm);
-  Vm.record_edge_fast vm 3 4;
+  Vm.record_edge vm 3 4;
   checki "edge re-recorded across the wrap" 1 (Vm.coverage_size vm);
   checkb "and extractable" true (Vm.coverage_edges vm = [ (3, 4) ])
 
@@ -615,8 +610,7 @@ let tests =
       test_fingerprint_console_unambiguous;
     Alcotest.test_case "edge key boundaries" `Quick test_edge_key_boundaries;
     Alcotest.test_case "edge cache reset" `Quick test_edge_cache_reset;
-    Alcotest.test_case "edges sorted, log and fold" `Quick
-      test_edges_sorted_and_mixed;
+    Alcotest.test_case "edges in first-seen order" `Quick test_edges_first_seen;
     Alcotest.test_case "sink capacity" `Quick test_sink_access_capacity;
     Alcotest.test_case "events sunk counter" `Quick test_events_sunk_counter;
     Alcotest.test_case "threaded decode + cache" `Quick test_threaded_decode;

@@ -87,6 +87,50 @@ let test_corpus_novelty () =
   | None -> Alcotest.fail "id 0 missing");
   checkb "unknown id" true (Corpus.find c 99 = None)
 
+(* What [consider] counts and keeps: every listed edge absent before
+   the call, repeats included; nothing from a rejected program; the
+   distinct union as the total; and no packing of an edge whose pc does
+   not fit the 24-bit key. *)
+let test_corpus_consider_counts () =
+  let c = Corpus.create () in
+  let prog nr = [ { P.nr; args = [ P.Const 1 ] } ] in
+  let new_edges id =
+    match Corpus.find c id with
+    | Some e -> e.Corpus.new_edges
+    | None -> Alcotest.failf "id %d missing" id
+  in
+  checkb "kept" true
+    (Corpus.consider c (prog 0) ~edges:[ (1, 2); (1, 2); (3, 4) ] = Some 0);
+  checki "a repeat counts twice" 3 (new_edges 0);
+  checki "the total is the distinct union" 2 (Corpus.total_edges c);
+  (* a program already seen is rejected before its edges are read *)
+  checkb "duplicate rejected" true
+    (Corpus.consider c (prog 0) ~edges:[ (5, 6) ] = None);
+  checkb "no covered edge new" true
+    (Corpus.consider c (prog 1) ~edges:[ (3, 4); (1, 2) ] = None);
+  checki "rejections insert nothing" 2 (Corpus.total_edges c);
+  checkb "the duplicate's edge is still new" true
+    (Corpus.consider c (prog 2) ~edges:[ (3, 4); (5, 6); (5, 6); (1, 2) ]
+    = Some 1);
+  checki "only absent edges count" 2 (new_edges 1);
+  checki "union grows by the distinct new edge" 3 (Corpus.total_edges c);
+  let max = Vmm.Vm.edge_pc_max in
+  checkb "the widest key fits" true
+    (Corpus.consider c (prog 3) ~edges:[ (max, max); (max, 0); (0, max) ]
+    = Some 2);
+  List.iter
+    (fun e ->
+      Alcotest.check_raises "a pc outside 24 bits"
+        (Invalid_argument
+           (Printf.sprintf "Vm.Edge_set: edge (%d, %d) outside 24 bits"
+              (fst e) (snd e)))
+        (fun () -> ignore (Corpus.consider c (prog 4) ~edges:[ (7, 8); e ])))
+    [ (max + 1, 0); (0, max + 1); (-1, 0); (0, -1) ];
+  checki "a raising offer changes nothing" 6 (Corpus.total_edges c);
+  checki "nor the corpus" 3 (Corpus.size c);
+  checkb "and leaves the program unseen" true
+    (Corpus.consider c (prog 4) ~edges:[ (7, 8) ] = Some 3)
+
 let test_pp () =
   let p =
     [
@@ -183,6 +227,8 @@ let tests =
     Alcotest.test_case "templates cover syscalls" `Quick test_templates_cover_syscalls;
     Alcotest.test_case "resource flow" `Quick test_resource_flow;
     Alcotest.test_case "corpus novelty" `Quick test_corpus_novelty;
+    Alcotest.test_case "consider counts and keeps" `Quick
+      test_corpus_consider_counts;
     Alcotest.test_case "pretty printing" `Quick test_pp;
   ]
 

@@ -33,6 +33,29 @@ let test_fuzz_grows_coverage () =
   checkb "more iterations, at least as much coverage" true
     (Fuzzer.Corpus.total_edges c2 >= Fuzzer.Corpus.total_edges c1)
 
+(* A golden digest of one long fuzzing run: every entry's program and
+   new-edge count, then the corpus's edge total.  20,000 iterations
+   reset the VM's coverage set more often than its generation counter
+   can count, so the run crosses at least one wrap.  The constant was
+   computed on commit 5c8686f, while coverage lived in a Hashtbl, and
+   pins the coverage feedback the fuzzer's decisions depend on
+   (72 entries, 592 edges). *)
+let golden_corpus = "e9da0ae159d5bdabc73b824694cf2539"
+
+let corpus_digest () =
+  let env = Exec.make_env Kernel.Config.v5_12_rc3 in
+  let c, _ = Harness.Pipeline.fuzz env ~seed:3 ~iters:20_000 in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (e : Fuzzer.Corpus.entry) ->
+      Printf.bprintf b "%d %s +%d\n" e.id (P.to_line e.prog) e.new_edges)
+    (Fuzzer.Corpus.to_list c);
+  Printf.bprintf b "total %d\n" (Fuzzer.Corpus.total_edges c);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_corpus () =
+  Alcotest.(check string) "fuzz corpus digest" golden_corpus (corpus_digest ())
+
 let test_seed_corpus_offered_first () =
   let env = Exec.make_env Kernel.Config.v5_12_rc3 in
   let seeds = Harness.Pipeline.scenario_seeds () in
@@ -177,6 +200,7 @@ let tests =
   [
     Alcotest.test_case "fuzz deterministic" `Quick test_fuzz_deterministic;
     Alcotest.test_case "fuzz grows coverage" `Quick test_fuzz_grows_coverage;
+    Alcotest.test_case "golden fuzz corpus" `Quick test_golden_corpus;
     Alcotest.test_case "seed corpus" `Quick test_seed_corpus_offered_first;
     Alcotest.test_case "profiles and identification" `Quick
       test_profiles_and_ident_nonempty;

@@ -384,4 +384,10 @@ let tests =
     Alcotest.test_case "step counter" `Quick test_step_counts;
   ]
 
-let () = Alcotest.run "vmm" [ ("vm", tests); ("layout", Test_vmm_layout.tests) ]
+let () =
+  Alcotest.run "vmm"
+    [
+      ("vm", tests);
+      ("layout", Test_vmm_layout.tests);
+      ("edge set", Test_vmm_edges.tests);
+    ]
