@@ -249,7 +249,7 @@ let perf () =
     List.mapi
       (fun i p ->
         Core.Profile.of_accesses ~test_id:i
-          (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+          (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
       progs
   in
   let ident = Core.Identify.run profiles in
@@ -260,7 +260,7 @@ let perf () =
       Test.make ~name:"profile-one-test"
         (Staged.stage (fun () ->
              let p = List.hd progs in
-             let r = Sched.Exec.run_seq env ~tid:0 p in
+             let r = Sched.Exec.run_seq ~accesses:true env ~tid:0 p in
              Core.Profile.of_accesses ~test_id:0 r.Sched.Exec.sq_accesses));
       Test.make ~name:"identify-32-tests"
         (Staged.stage (fun () -> Core.Identify.run profiles));
@@ -369,7 +369,7 @@ let extension () =
       (Array.mapi
          (fun i p ->
            Core.Profile.of_accesses ~test_id:i
-             (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+             (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
          progs)
   in
   let ident = Core.Identify.run profiles in
@@ -458,7 +458,7 @@ let ablations () =
     List.mapi
       (fun i p ->
         Core.Profile.of_accesses ~test_id:i
-          (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+          (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
       progs
   in
   let ident = Core.Identify.run profiles in
@@ -933,7 +933,7 @@ let exec_bench () =
     (fun i p ->
       let r_step = Sched.Exec.run_seq_step env ~tid:0 p in
       let fp_step = Vmm.Vm.fingerprint env.Sched.Exec.vm in
-      let r = Sched.Exec.run_seq env ~tid:0 p in
+      let r = Sched.Exec.run_seq ~accesses:true env ~tid:0 p in
       let fp = Vmm.Vm.fingerprint env.Sched.Exec.vm in
       let filtered =
         {
@@ -956,8 +956,10 @@ let exec_bench () =
      workload.  The corpus is small, so each path runs many
      repetitions to get the measurement out of timer-noise territory. *)
   let reps = 30 in
-  (* [run_seq] without its optional collector, to pass as a value *)
+  (* [run_seq] without its optional collector, to pass as a value: as
+     fuzzing runs it (no access records) and as profiling does *)
   let run_seq env ~tid p = Sched.Exec.run_seq env ~tid p in
+  let run_seq_records env ~tid p = Sched.Exec.run_seq ~accesses:true env ~tid p in
   let run_corpus f =
     let steps = ref 0 in
     for _ = 1 to reps do
@@ -985,7 +987,10 @@ let exec_bench () =
   pf "threaded code: %d ops, %d fused pairs@."
     (Vmm.Tcode.length env.Sched.Exec.tcode)
     (Vmm.Tcode.fused_pairs env.Sched.Exec.tcode);
-  (* mean instructions per block, from the registry histogram *)
+  (* mean instructions per block, from the registry histogram; a
+     sequential block runs on past calls, returns and lock and RCU
+     hypercalls to the next return to user space, console line, pause,
+     halt, panic or fault *)
   let block_len_mean =
     match
       List.find_opt
@@ -1022,7 +1027,7 @@ let exec_bench () =
   in
   let steps_pnew, dt_pnew =
     time (fun () ->
-        profile_corpus run_seq Core.Profile.of_shared)
+        profile_corpus run_seq_records Core.Profile.of_shared)
   in
   let profiling_speedup = dt_pleg /. max 1e-9 dt_pnew in
   pf "profiling phase (run + profile per test):@.";

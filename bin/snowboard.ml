@@ -15,6 +15,11 @@ let fail_cli fmt =
       exit 1)
     fmt
 
+(* Count options parse as any int (Cmdliner takes a negative one as
+   [--flag=-N]); a value below [least] exits 1 before any phase runs. *)
+let check_at_least flag ~least v =
+  if v < least then fail_cli "%s must be %d or more (got %d)" flag least v
+
 (* Worker domains log too (a test's supervision warning), and the
    format reporter's formatter is not domain-safe. *)
 let setup_logs ?(debug = false) ?(info = false) () =
@@ -219,22 +224,26 @@ let fuzz_iters =
   Arg.(
     value & opt int 600
     & info [ "fuzz-iters" ] ~docv:"N"
-        ~doc:"Sequential fuzzing iterations used to build the corpus.")
+        ~doc:"Sequential fuzzing iterations used to build the corpus (0 or more).")
 
 let trials =
   Arg.(
     value & opt int 16
     & info [ "trials" ] ~docv:"N"
-        ~doc:"Interleavings explored per concurrent test (max 64 in the paper).")
+        ~doc:
+          "Interleavings explored per concurrent test, 0 or more (max 64 in \
+           the paper).")
 
 let budget =
   Arg.(
     value & opt int 150
-    & info [ "budget" ] ~docv:"N" ~doc:"Concurrent tests per generation method.")
+    & info [ "budget" ] ~docv:"N"
+        ~doc:"Concurrent tests per generation method (0 or more).")
 
 (* ---------------- fuzz ---------------- *)
 
 let run_fuzz kernel seed iters verbose out (_ : obs) =
+  check_at_least "--fuzz-iters" ~least:0 iters;
   setup_logs ~debug:verbose ();
   let env = Sched.Exec.make_env kernel in
   let corpus, steps = Harness.Pipeline.fuzz env ~seed ~iters in
@@ -275,6 +284,7 @@ let fuzz_cmd =
 (* ---------------- identify ---------------- *)
 
 let run_identify kernel seed iters () (_ : obs) =
+  check_at_least "--fuzz-iters" ~least:0 iters;
   let cfg =
     { Harness.Pipeline.default with Harness.Pipeline.kernel; seed; fuzz_iters = iters }
   in
@@ -381,8 +391,8 @@ let watchdog_arg =
     & opt (some int) None
     & info [ "watchdog" ] ~docv:"N"
         ~doc:
-          "Per-trial watchdog: abort any trial past $(docv) guest steps and \
-           record the test as timed out.")
+          "Per-trial watchdog: abort any trial past $(docv) guest steps (1 or \
+           more) and record the test as timed out.")
 
 let max_retries_arg =
   Arg.(
@@ -390,7 +400,7 @@ let max_retries_arg =
     & info [ "max-retries" ] ~docv:"N"
         ~doc:
           "Retries for transient harness failures before a test is \
-           quarantined.")
+           quarantined (0 or more).")
 
 let checkpoint_arg =
   Arg.(
@@ -475,6 +485,11 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
   setup_logs ~debug:verbose ~info:log ();
   if jobs < 1 || jobs > max_jobs then
     fail_cli "--jobs must be in the range 1-%d (got %d)" max_jobs jobs;
+  check_at_least "--fuzz-iters" ~least:0 iters;
+  check_at_least "--trials" ~least:0 trials;
+  check_at_least "--budget" ~least:0 budget;
+  check_at_least "--max-retries" ~least:0 max_retries;
+  Option.iter (check_at_least "--watchdog" ~least:1) watchdog;
   if resume && checkpoint = None then
     fail_cli "--resume requires --checkpoint FILE";
   if stop_after <> None && jobs > 1 then
@@ -1404,7 +1419,7 @@ let bound_arg =
         ~doc:"Preemption bound for the exhaustive enumeration (0 or more).")
 
 let run_verify kernel issue bound () (_ : obs) =
-  if bound < 0 then fail_cli "--bound must be 0 or more (got %d)" bound;
+  check_at_least "--bound" ~least:0 bound;
   match Harness.Scenarios.find issue with
   | None ->
       pf "no scenario for issue #%d@." issue;
@@ -1456,7 +1471,7 @@ let run_three kernel seed () (_ : obs) =
       (Array.mapi
          (fun i p ->
            Core.Profile.of_shared ~test_id:i
-             (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+             (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
          progs)
   in
   let ident = Core.Identify.run profiles in

@@ -33,7 +33,7 @@ let () =
 
   (* 3. profile both from the same snapshot; identify PMCs *)
   let profile id prog =
-    let r = Sched.Exec.run_seq env ~tid:0 prog in
+    let r = Sched.Exec.run_seq ~accesses:true env ~tid:0 prog in
     Core.Profile.of_shared ~test_id:id r.Sched.Exec.sq_accesses
   in
   let pw = profile 0 writer and pr = profile 1 reader in

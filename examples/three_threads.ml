@@ -30,7 +30,7 @@ let () =
       (Array.mapi
          (fun i p ->
            Core.Profile.of_shared ~test_id:i
-             (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+             (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
          progs)
   in
   let ident = Core.Identify.run profiles in

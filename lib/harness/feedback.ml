@@ -103,7 +103,7 @@ let mutate_pair t rng (writer, reader) =
   let w' = mutate writer and r' = mutate reader in
   let profile id prog =
     Core.Profile.of_shared ~test_id:id
-      (Exec.run_seq t.env ~tid:0 prog).Exec.sq_accesses
+      (Exec.run_seq ~accesses:true t.env ~tid:0 prog).Exec.sq_accesses
   in
   let ident = Core.Identify.run [ profile 0 w'; profile 1 r' ] in
   let hint = ref None in

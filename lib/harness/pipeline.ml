@@ -117,7 +117,7 @@ let profile_corpus ?(jobs = 1) env corpus =
     Workpool.run ~jobs ~worker ~finish
       ~f:(fun env _ (e : Fuzzer.Corpus.entry) ->
         let prof = Obs.Profguest.collector () in
-        let r = Exec.run_seq ~prof env ~tid:0 e.prog in
+        let r = Exec.run_seq ~prof ~accesses:true env ~tid:0 e.prog in
         Obs.Profguest.flush prof Obs.Profguest.Profile;
         (* a no-op off the main domain *)
         Obs.Telemetry.tick ();

@@ -101,8 +101,8 @@ let find issue = List.find_opt (fun s -> s.issue = issue) all
 
 (* Profile the scenario's two programs and identify their mutual PMCs. *)
 let identify env (s : scenario) =
-  let rw = Sched.Exec.run_seq env ~tid:0 s.writer in
-  let rr = Sched.Exec.run_seq env ~tid:0 s.reader in
+  let rw = Sched.Exec.run_seq ~accesses:true env ~tid:0 s.writer in
+  let rr = Sched.Exec.run_seq ~accesses:true env ~tid:0 s.reader in
   let pw = Core.Profile.of_shared ~test_id:0 rw.Sched.Exec.sq_accesses in
   let pr = Core.Profile.of_shared ~test_id:1 rr.Sched.Exec.sq_accesses in
   let ident = Core.Identify.run [ pw; pr ] in

@@ -11,12 +11,17 @@
    ([env.tcode]) through [Vm.run_tblock] and [Vm.run_tblock_conc],
    writing events into a [Vm.sink] (one per domain, see [sink_key])
    instead of returning lists, and allocate nothing per instruction,
-   loads and stores included.  Sequential runs retire plain instructions
-   in blocks, only surfacing at trace-relevant events (the SKI/QEMU-style
-   batched guest execution the paper's scale depends on, section 4.4).
-   What a run allocates is what it reports: a Trace.access record and a
-   list cell per shared access, the final [List.rev], the result
-   record (and, above this module, the policy's recorder buffer).
+   loads and stores included.  Both retire instructions in blocks that
+   surface only where the runner acts (the SKI/QEMU-style batched guest
+   execution the paper's scale depends on, section 4.4), running past
+   calls and returns (each block's frame log feeds the shadow stacks
+   and the guest profiler) and lock and RCU hypercalls.  Sequential
+   blocks end at a return to user space, a halt, panic or fault, a
+   console line or a pause.  What a run allocates is what it reports:
+   with [~accesses:true] (profiling) or concurrently, a Trace.access
+   record and a list cell per shared access and the final [List.rev];
+   always the result record (and, above this module, the policy's
+   recorder buffer).  A fuzzing run builds no access record at all.
    Concurrent blocks end only where the executor or an event-only
    policy acts (Algorithm 2 reschedules only at shared accesses): a
    shared access, a pause, a return to user space, a halt, panic or
@@ -27,11 +32,12 @@
    list-returning [Vm.step]: the observational-equivalence oracle and
    benchmark baseline.
 
-   The executor also maintains a per-thread shadow call stack, replayed
-   from each block's frame log of calls and returns.  Each access is
-   attributed to the innermost non-helper kernel function, which is
-   what the race detector and the oracle use to name racing code (the
-   stand-in for the paper's post-mortem analysis tools). *)
+   The concurrent executor also maintains a per-thread shadow call
+   stack, replayed from each block's frame log of calls and returns.
+   Each access is attributed to the innermost non-helper kernel
+   function, which is what the race detector and the oracle use to name
+   racing code (the stand-in for the paper's post-mortem analysis
+   tools). *)
 
 module Vm = Vmm.Vm
 module Asm = Vmm.Asm
@@ -223,22 +229,27 @@ let apply_frames f (sink : Vm.sink) =
 
 (* The guest profiler's charges for one block that started at a pc of
    function [fid]: each stretch up to a frame-log entry goes to the
-   function at the stretch's first pc, and the rest of the block, with
-   its [shared] accesses (all in the last instruction), to the function
-   the last entry continued in.  Per instruction, these are exactly the
-   per-step charges. *)
-let charge_block prof attr (sink : Vm.sink) ~fid ~shared =
-  let fid = ref fid and charged = ref 0 in
-  for e = 0 to sink.Vm.sk_n_frames - 1 do
-    let upto = sink.Vm.sk_fr_steps.(e) in
-    if upto > !charged then
-      Obs.Profguest.collect prof ~fid:!fid ~steps:(upto - !charged) ~shared:0;
+   function at the stretch's first pc, and the rest of the block to the
+   function the last entry continued in, each with the shared accesses
+   made in it (an access's [sk_acc_frames] names its stretch).  Per
+   instruction, these are exactly the per-step charges. *)
+let charge_block prof attr (sink : Vm.sink) ~fid =
+  let n = sink.Vm.sk_n_frames in
+  let fid = ref fid and charged = ref 0 and k = ref 0 in
+  for e = 0 to n do
+    (* stretch [e] ends at entry [e], the last one at the block's end *)
+    let upto = if e < n then sink.Vm.sk_fr_steps.(e) else sink.Vm.sk_steps in
+    let shared = ref 0 in
+    while !k < sink.Vm.sk_n_acc && sink.Vm.sk_acc_frames.(!k) <= e do
+      if sink.Vm.sk_acc_shared.(!k) then incr shared;
+      incr k
+    done;
+    if upto > !charged || !shared > 0 then
+      Obs.Profguest.collect prof ~fid:!fid ~steps:(upto - !charged)
+        ~shared:!shared;
     charged := upto;
-    fid := attr_fid attr sink.Vm.sk_fr_pc.(e)
-  done;
-  let rest = sink.Vm.sk_steps - !charged in
-  if rest > 0 || shared > 0 then
-    Obs.Profguest.collect prof ~fid:!fid ~steps:rest ~shared
+    if e < n then fid := attr_fid attr sink.Vm.sk_fr_pc.(e)
+  done
 
 (* The innermost non-helper frame below index [i], else [pc]'s own
    function. *)
@@ -313,22 +324,26 @@ let seq_epilogue env ~steps ~accesses ~retvals =
   }
 
 (* The sequential runner: threaded-code block execution.  Each
-   [run_tblock] retires a run of plain instructions plus at most one
-   trace-relevant instruction (accesses from consecutive loads and
-   stores batch into one block); the per-syscall budget is enforced
-   through the block quantum and [sk_steps], so instruction counts (and
-   thus budget aborts) are exactly those of [run_seq_step].  Only shared
-   accesses, as the VM flagged them in the sink, become records. *)
-let run_seq ?(prof = Obs.Profguest.null_collector) env ~tid
-    (prog : Fuzzer.Prog.t) =
+   [run_tblock] runs until an instruction this loop acts on (a return to
+   user space, a halt, panic or fault, a console line or a pause),
+   crossing loads and stores, calls and returns, and lock and RCU
+   hypercalls, or until its access arrays or frame log fill; the
+   per-syscall budget is enforced through the block quantum and
+   [sk_steps], so instruction counts (and thus budget aborts) are
+   exactly those of [run_seq_step].  With [accesses], the shared
+   accesses, as the VM flagged them in the sink, become records;
+   without, a run allocates nothing per access, which is all fuzzing
+   needs (it reads only coverage). *)
+let run_seq ?(prof = Obs.Profguest.null_collector) ?(accesses = false) env
+    ~tid (prog : Fuzzer.Prog.t) =
   let retvals = seq_prologue env ~tid prog in
-  let accesses = ref [] in
+  let records = ref [] in
   let steps = ref 0 in
   let blocks = ref 0 in
   let sink = Domain.DLS.get sink_key in
-  (* Guest profiler: a block never crosses a Call/Ret ([Vm.run_tblock]
-     stops at every singleton event), so attributing all of a block's
-     retired instructions to the function at its starting pc is exact. *)
+  (* Guest profiler: a block can cross calls and returns, so its charges
+     follow its frame log ([charge_block]), from the function at its
+     starting pc. *)
   let prof_on = Obs.Profguest.active prof in
   (try
      List.iteri
@@ -346,16 +361,12 @@ let run_seq ?(prof = Obs.Profguest.null_collector) env ~tid
            budget := !budget - sink.Vm.sk_steps;
            steps := !steps + sink.Vm.sk_steps;
            incr blocks;
-           let nsh = ref 0 in
-           for k = 0 to sink.Vm.sk_n_acc - 1 do
-             if sink.Vm.sk_acc_shared.(k) then begin
-               incr nsh;
-               accesses := Vm.sink_access sink ~thread:tid k :: !accesses
-             end
-           done;
-           if prof_on then
-             Obs.Profguest.collect prof ~fid:bfid ~steps:sink.Vm.sk_steps
-               ~shared:!nsh;
+           if accesses && sink.Vm.sk_any_shared then
+             for k = 0 to sink.Vm.sk_n_acc - 1 do
+               if sink.Vm.sk_acc_shared.(k) then
+                 records := Vm.sink_access sink ~thread:tid k :: !records
+             done;
+           if prof_on then charge_block prof env.attr sink ~fid:bfid;
            match reason with
            | Vm.Rret_to_user ->
                retvals.(i) <- Vm.reg env.vm tid Isa.r0;
@@ -366,7 +377,7 @@ let run_seq ?(prof = Obs.Profguest.null_collector) env ~tid
        prog
    with Exit -> ());
   if !blocks > 0 then Obs.Metrics.observe h_block_len (!steps / !blocks);
-  seq_epilogue env ~steps:!steps ~accesses:!accesses ~retvals
+  seq_epilogue env ~steps:!steps ~accesses:!records ~retvals
 
 (* Section 4.1: "Snowboard can grow the number of initial kernel states
    it utilizes to increase diversity."  [with_setup] derives a new
@@ -374,7 +385,8 @@ let run_seq ?(prof = Obs.Profguest.null_collector) env ~tid
    vCPU 0 from the parent snapshot - e.g. a state with a tunnel already
    registered or the filesystem already dirtied.  The setup must be clean
    (no panic); the guest console is part of the snapshot and stays
-   empty. *)
+   empty.  Only the final state matters, so the run keeps no access
+   records. *)
 let with_setup env (setup : Fuzzer.Prog.t) =
   if (run_seq env ~tid:0 setup).sq_panicked then
     invalid_arg "exec: setup program panicked";
@@ -662,12 +674,10 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
             gives it. *)
          let fr = th.frames in
          apply_frames fr sink;
-         let psh = ref 0 in
          if sink.Vm.sk_any_shared then
            for k = 0 to sink.Vm.sk_n_acc - 1 do
              if sink.Vm.sk_acc_shared.(k) then begin
                let a = Vm.sink_access sink ~thread:tid k in
-               incr psh;
                accesses.(tid) := a :: !(accesses.(tid));
                let ctx = attribute env.attr fr a.Trace.pc in
                observer.on_access a ~ctx;
@@ -684,7 +694,7 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
                       })
              end
            done;
-         if prof_on then charge_block prof env.attr sink ~fid:bfid ~shared:!psh;
+         if prof_on then charge_block prof env.attr sink ~fid:bfid;
          (match reason with
          | Vm.Rret_to_user ->
              th.retvals.(th.next_call) <- Vm.reg env.vm tid Isa.r0;

@@ -7,14 +7,16 @@
     {!Vmm.Vm.run_tblock_conc}.  Both write events into a {!Vmm.Vm.sink}
     (one per domain, shared by every runner) and allocate nothing per
     instruction, memory-touching ones included; both retire
-    instructions in blocks.  A concurrent block ends only where the
-    executor or an event-only policy acts: a shared access, a pause, a
-    return to user space, a halt, panic or fault, or a console line.
-    What a run does allocate is its product: one {!Vmm.Trace.access}
-    record and list cell per *shared* access, the final [List.rev], and
-    the result record.  {!run_seq_step} drives the list-returning
-    {!Vmm.Vm.step}, the observational-equivalence oracle and benchmark
-    baseline.
+    instructions in blocks that run past calls, returns, and lock and
+    RCU hypercalls.  A sequential block ends where {!run_seq} acts: a
+    return to user space, a halt, panic or fault, a console line or a
+    pause.  A concurrent block also ends where an event-only policy
+    acts: a shared access.  What a run does allocate is its product:
+    one {!Vmm.Trace.access} record and list cell per *shared* access
+    and the final [List.rev] (for {!run_seq}, only with
+    [~accesses:true]), and the result record.  {!run_seq_step} drives
+    the list-returning {!Vmm.Vm.step}, the observational-equivalence
+    oracle and benchmark baseline.
 
     The executor also maintains per-thread shadow call stacks, replayed
     from each block's frame log, and attributes every access to the
@@ -112,7 +114,9 @@ val apply_frames : frames -> Vmm.Vm.sink -> unit
     nothing unless the stack outgrows its array. *)
 
 type seq_result = {
-  sq_accesses : Vmm.Trace.access list;  (** shared accesses, in order *)
+  sq_accesses : Vmm.Trace.access list;
+      (** shared accesses, in order; [[]] unless {!run_seq} was asked
+          for them ([~accesses:true]) *)
   sq_console : string list;
   sq_panicked : bool;
   sq_retvals : int array;
@@ -126,19 +130,32 @@ val syscall_budget : int
 (** Instruction budget per system call; exceeding it aborts the test. *)
 
 val run_seq :
-  ?prof:Obs.Profguest.collector -> env -> tid:int -> Fuzzer.Prog.t -> seq_result
+  ?prof:Obs.Profguest.collector ->
+  ?accesses:bool ->
+  env ->
+  tid:int ->
+  Fuzzer.Prog.t ->
+  seq_result
 (** Restore the snapshot and run the program to completion on one vCPU,
     in {!Vmm.Vm.run_tblock} blocks over [env.tcode]: the sequential
     runner for fuzzing, profiling ({!Core.Profile.of_shared}) and
-    {!with_setup}.  Only shared accesses (kernel-space, non-stack)
-    become records, filtered on the sink's raw fields.  Equals
-    {!run_seq_step} with [sq_accesses] filtered through
-    {!Vmm.Trace.is_shared}, final VM state included.
+    {!with_setup}.
+
+    [accesses] (default false) asks for [sq_accesses]: the shared
+    accesses (kernel-space, non-stack) become records, filtered on the
+    sink's raw fields, and the result equals {!run_seq_step} with
+    [sq_accesses] filtered through {!Vmm.Trace.is_shared}, final VM
+    state included.  Without it, [sq_accesses] is [[]], nothing is
+    allocated per access, and every other field and the final VM state
+    are the same: the path for fuzzing, which reads only coverage, and
+    for {!with_setup}.
 
     [prof] (default inactive) is a caller-owned guest-profiler
-    collector; when active, each block's instructions and shared
-    accesses are charged to the function at its starting pc (exact: a
-    block never crosses a function boundary).  The caller flushes it. *)
+    collector; when active, each instruction and shared access is
+    charged to the function it ran in, from each block's starting pc
+    and its frame log ({!Vmm.Vm.sink}): the charges of stepping one
+    instruction at a time.  It counts shared accesses with or without
+    [accesses].  The caller flushes it. *)
 
 val run_seq_step : env -> tid:int -> Fuzzer.Prog.t -> seq_result
 (** {!run_seq} one instruction per {!Vmm.Vm.step} call, returning every

@@ -697,9 +697,10 @@ let step t tid =
    (in the legacy order) for tests and slow consumers.
 
    Each access also records whether it is shared, classified once here
-   so that no consumer re-derives it, and a concurrent block that runs
-   past calls and returns logs them in the frame log for the executor's
-   shadow stacks (see vm.mli). *)
+   so that no consumer re-derives it, and how many frame-log entries
+   precede it: a block that runs past calls and returns logs them in
+   the frame log, for the executor's shadow stacks and its guest
+   profiler (see vm.mli). *)
 
 type sink = {
   mutable sk_steps : int;  (* instructions retired into this sink *)
@@ -712,6 +713,7 @@ type sink = {
   sk_acc_atomic : bool array;
   sk_acc_sp : int array;
   sk_acc_shared : bool array;  (* [Trace.is_shared_at] on addr and sp *)
+  sk_acc_frames : int array;  (* frame-log entries recorded before it *)
   mutable sk_any_shared : bool;  (* some recorded access is shared *)
   mutable sk_n_frames : int;  (* frame-log entries recorded *)
   sk_fr_push : bool array;  (* a call (true) or a return to kernel code *)
@@ -750,9 +752,9 @@ let max_sink_accesses = 2
    max_sink_accesses] entries used). *)
 let sink_capacity = 32
 
-(* A concurrent block crosses calls and returns, logging each; it stops
-   once the log is full.  A campaign trial makes ~50 calls, so a
-   full log is rare and costs one extra block. *)
+(* A block crosses calls and returns, logging each; it stops once the
+   log is full.  A campaign trial makes ~50 calls, so a full log is rare
+   and costs one extra block. *)
 let frame_capacity = 16
 
 let make_sink () =
@@ -767,6 +769,7 @@ let make_sink () =
     sk_acc_atomic = Array.make sink_capacity false;
     sk_acc_sp = Array.make sink_capacity 0;
     sk_acc_shared = Array.make sink_capacity false;
+    sk_acc_frames = Array.make sink_capacity 0;
     sk_any_shared = false;
     sk_n_frames = 0;
     sk_fr_push = Array.make frame_capacity false;
@@ -839,6 +842,7 @@ let sink_push_access s (a : Trace.access) =
   s.sk_acc_sp.(i) <- a.Trace.sp;
   let sh = Trace.is_shared a in
   s.sk_acc_shared.(i) <- sh;
+  s.sk_acc_frames.(i) <- s.sk_n_frames;
   if sh then s.sk_any_shared <- true;
   s.sk_n_acc <- i + 1
 
@@ -892,6 +896,7 @@ let sink_acc t c s ~addr ~size ~write ~value ~atomic =
   s.sk_acc_sp.(i) <- sp;
   let sh = shared_at ~addr ~sp in
   s.sk_acc_shared.(i) <- sh;
+  s.sk_acc_frames.(i) <- s.sk_n_frames;
   if sh then s.sk_any_shared <- true;
   s.sk_n_acc <- i + 1
 
@@ -914,14 +919,14 @@ let sink_acc t c s ~addr ~size ~write ~value ~atomic =
    accounting, identical fault handling.  The qcheck equivalence and
    lockstep properties in the tests enforce it.
 
-   The two modes differ only in where a block stops.  A sequential block
-   runs through plain instructions and loads and stores, and stops at
-   any other event.  A concurrent block ([conc]) runs through everything
-   no event-only policy reads: accesses that are all non-shared, lock
-   and RCU hypercalls, and calls and returns to kernel code (logged with
-   [tc_cross_frame]).  It stops after a shared access, a pause, a return
-   to user space, a halt, panic or fault, or a console line, and records
-   no coverage edges. *)
+   Both modes run past loads and stores, lock and RCU hypercalls, and
+   calls and returns to kernel code (logged with [tc_cross_frame]), and
+   stop after a pause, a return to user space, a halt, panic or fault,
+   or a console line: the events the sequential runner acts on.  The
+   two differ in one stop and in coverage.  A concurrent block ([conc])
+   also stops after its first shared access, the only access an
+   event-only policy reads, and records no coverage edges; a sequential
+   block records an edge at every control transfer. *)
 
 (* Monomorphic on [int array]: a polymorphic wrapper would compile to
    generic-array accesses (float-tag check per load, [caml_modify] per
@@ -957,15 +962,14 @@ let[@inline] tc_cond_eval bcode a b =
 (* Continue the block past an instruction that recorded accesses?
    Either mode needs room for another instruction's worth.  A
    concurrent block ([conc]) also stops at its first shared access,
-   the only access an event-only policy reads.  (No singleton event can
-   precede an access in a sequential block: each one ends it.) *)
+   the only access an event-only policy reads. *)
 let[@inline] tc_keep_going conc sink =
   sink.sk_n_acc + max_sink_accesses <= sink_capacity
   && not (conc && sink.sk_any_shared)
 
-(* Log a call, or a return to kernel code, that a concurrent block runs
-   past: [pc] is where execution continues, [steps] the instructions
-   retired so far.  True while the block may keep going (room left in
+(* Log a call, or a return to kernel code, that a block runs past: [pc]
+   is where execution continues, [steps] the instructions retired so
+   far.  True while the block may keep going (room left in
    the log and in the access arrays). *)
 let[@inline] tc_cross_frame sink ~push ~pc ~steps =
   let n = sink.sk_n_frames in
@@ -1333,9 +1337,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            rem := !rem - 1;
            if
              not
-               (conc
-               && tc_cross_frame sink ~push:true ~pc:target
-                    ~steps:(quantum - !rem))
+               (tc_cross_frame sink ~push:true ~pc:target
+                  ~steps:(quantum - !rem))
            then stop := true
        (* callind *)
        | 43 ->
@@ -1357,9 +1360,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            rem := !rem - 1;
            if
              not
-               (conc
-               && tc_cross_frame sink ~push:true ~pc:target
-                    ~steps:(quantum - !rem))
+               (tc_cross_frame sink ~push:true ~pc:target
+                  ~steps:(quantum - !rem))
            then stop := true
        (* ret *)
        | 44 ->
@@ -1388,9 +1390,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
                 the next entry rejects, as [step] would *)
              if
                not
-                 (conc
-                 && tc_cross_frame sink ~push:false ~pc:target
-                      ~steps:(quantum - !rem)
+                 (tc_cross_frame sink ~push:false ~pc:target
+                    ~steps:(quantum - !rem)
                  && target >= 0 && target < len)
              then stop := true
            end
@@ -1485,7 +1486,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
+           sink.sk_evt_steps <- quantum - !rem
        | 52 ->
            c.pc <- p + 1;
            sink.sk_lock <- regs.(0);
@@ -1494,7 +1495,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
+           sink.sk_evt_steps <- quantum - !rem
        (* hrcu_lock / hrcu_unlock *)
        | 53 ->
            c.pc <- p + 1;
@@ -1503,7 +1504,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
+           sink.sk_evt_steps <- quantum - !rem
        | 54 ->
            c.pc <- p + 1;
            sink.sk_rcu <- `Unlock;
@@ -1511,7 +1512,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if conc then sink.sk_evt_steps <- quantum - !rem else stop := true
+           sink.sk_evt_steps <- quantum - !rem
        (* superop load+br *)
        | 55 ->
            c.pc <- p;

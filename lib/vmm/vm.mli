@@ -110,21 +110,24 @@ val step : t -> int -> event list
     keeps that quirk), computed once by the interpreter; consumers read
     [sk_acc_shared] instead of re-classifying.
 
-    A concurrent block ({!run_tblock_conc}) can run past calls and
-    returns to kernel code.  Each one goes into the frame log, in
-    execution order: [sk_fr_push.(i)] tells a call from a return,
-    [sk_fr_pc.(i)] is the pc execution continued at (the callee's entry,
-    or the return address), and [sk_fr_steps.(i)] counts the
-    instructions the block had retired up to and including it.  The
-    executor replays the log onto its shadow call stacks.  Sequential
-    blocks stop at every call and return and log nothing.
+    A block of either mode can run past calls and returns to kernel
+    code.  Each one goes into the frame log, in execution order:
+    [sk_fr_push.(i)] tells a call from a return, [sk_fr_pc.(i)] is the
+    pc execution continued at (the callee's entry, or the return
+    address), and [sk_fr_steps.(i)] counts the instructions the block
+    had retired up to and including it.  Each access records in
+    [sk_acc_frames] how many entries the log held when it was made, so
+    a consumer can tell which function between two entries made it (a
+    call's own stack write comes before the call's entry, a return's
+    stack read before the return's).  The executor replays the log onto
+    its shadow call stacks and charges its guest profiler from it.
 
     The singleton fields ([sk_call] to [sk_rcu]) describe the block's
     last instruction when the block retired one instruction, or when the
     field belongs to an instruction that ends every block (return to
-    user, pause, halt, panic, fault, console line).  A concurrent block
-    that ran past calls, returns, lock or RCU hypercalls keeps the last
-    value of each of [sk_call], [sk_return], [sk_lock]/[sk_lock_acq] and
+    user, pause, halt, panic, fault, console line).  A block that ran
+    past calls, returns, lock or RCU hypercalls keeps the last value of
+    each of [sk_call], [sk_return], [sk_lock]/[sk_lock_acq] and
     [sk_rcu]; so {!sink_events} reproduces [step]'s list only for a
     one-instruction block. *)
 
@@ -140,6 +143,8 @@ type sink = {
   sk_acc_sp : int array;
   sk_acc_shared : bool array;
       (** {!Trace.is_shared_at} on the recorded addr and sp *)
+  sk_acc_frames : int array;
+      (** frame-log entries recorded before this access *)
   mutable sk_any_shared : bool;  (** some recorded access is shared *)
   mutable sk_n_frames : int;  (** frame-log entries recorded *)
   sk_fr_push : bool array;  (** a call (true) or a return *)
@@ -174,7 +179,7 @@ type stop_reason =
           decision point: its last instruction made a shared access,
           paused or printed a console line.  (A sequential block returns
           it whenever it recorded any event; the sequential runner does
-          not tell the two apart.) *)
+          not tell it from [Rnone].) *)
   | Rret_to_user  (** the current system call returned to user space *)
   | Rdead  (** halt, panic or fault: the vCPU left kernel mode *)
 
@@ -191,9 +196,9 @@ val sink_access : sink -> thread:int -> int -> Trace.access
     lists, tests).  Raises [Invalid_argument] if [i >= sk_n_acc]. *)
 
 val sink_push_access : sink -> Trace.access -> unit
-(** Append a access to the sink, setting its shared flag and
-    [sk_any_shared] as the interpreter would, for exercising sink
-    consumers (policies, observers) without running guest code. *)
+(** Append an access to the sink, setting its shared flag, its frame
+    count and [sk_any_shared] as the interpreter would, for exercising
+    sink consumers (policies, observers) without running guest code. *)
 
 val sink_events : sink -> thread:int -> event list
 (** The legacy event list for this sink, in the exact order {!step} would
@@ -208,12 +213,17 @@ val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
     load+branch / bin+store / bin+branch pairs and runs of plain
     instructions in one dispatch.  Plain instructions (the ones {!step}
     returns no events for: Li/Mov/Bin/Br/Jmp) run in a tight loop,
-    memory accesses from loads, stores and atomics accumulate in the
-    sink as they come, and the block stops at the first instruction that
-    produced any other event (call, return, lock, console line, pause,
-    or leaving kernel mode) or when the access arrays are nearly full.
-    The sink's accesses are in execution order across the whole block;
-    the singleton event fields always belong to the final instruction.
+    memory accesses from loads, stores, atomics, calls and returns
+    accumulate in the sink as they come, calls and returns to kernel
+    code go into the frame log, and lock and RCU hypercalls run past.
+    The block stops after the first instruction that the sequential
+    runner acts on: a return to user space, a halt, panic or fault, a
+    console line or a pause.  It also stops when the quantum expires,
+    or when the access arrays or the frame log have no room for another
+    instruction.  Coverage edges are recorded at every control transfer,
+    in execution order.  The sink's accesses are in execution order
+    across the whole block, each with its frame count; the sink section
+    above says which singleton fields belong to the final instruction.
     [sk_steps] counts everything retired, so block execution is
     invisible to instruction budgets.
 
@@ -226,16 +236,16 @@ val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
 
 val run_tblock_conc :
   t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
-(** {!run_tblock} for the concurrent executor, with its own stop rule:
-    the block ends after the first instruction that the executor or an
+(** {!run_tblock} for the concurrent executor, with one more stop: the
+    block ends after the first instruction that the executor or an
     event-only policy acts on — a shared access, a pause, a return to
     user space, a halt, panic or fault, or a console line — and returns
-    [Revent] (or [Rret_to_user]/[Rdead]) there.  It runs past
-    instructions whose accesses are all non-shared (stack traffic), lock
-    and RCU hypercalls, and calls and returns to kernel code, logging
-    the latter in the frame log.  So any shared access in the sink
-    belongs to the block's last instruction, after every logged call and
-    return.  The block also ends, with [Rnone], when the quantum
+    [Revent] (or [Rret_to_user]/[Rdead]) there.  Like a sequential
+    block, it runs past instructions whose accesses are all non-shared
+    (stack traffic), lock and RCU hypercalls, and calls and returns to
+    kernel code, logging the latter in the frame log.  So any shared
+    access in the sink belongs to the block's last instruction, after
+    every logged call and return.  The block also ends, with [Rnone], when the quantum
     expires, or when the access arrays or the frame log have no room
     for another instruction.
 

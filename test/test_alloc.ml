@@ -10,7 +10,8 @@
    above these layers: one [Trace.access] record and list cell per
    shared access, the final [List.rev], the replay recorder's buffer and
    the result records.  A private (stack) access costs a sequential run
-   nothing at all.  The two analyses after a trial are pinned the same
+   nothing at all, and a shared one costs a record-free run (fuzzing's)
+   nothing either.  The two analyses after a trial are pinned the same
    way: the race detector allocates nothing per access once warm, and
    the incidental-PMC search allocates only the list it returns.
 
@@ -151,17 +152,47 @@ let test_private_accesses_free () =
   let e = Lazy.force env in
   let cost k =
     let prog = List.init k (fun _ -> { Fuzzer.Prog.nr = 99; args = [] }) in
-    let r = Exec.run_seq e ~tid:0 prog in
+    let r = Exec.run_seq ~accesses:true e ~tid:0 prog in
     checkb "no access reported" true (r.Exec.sq_accesses = []);
     checkb "every call returned -EINVAL" true
       (Array.for_all (( = ) Kernel.Abi.einval) r.Exec.sq_retvals);
-    words (fun () -> ignore (Exec.run_seq e ~tid:0 prog))
+    words (fun () -> ignore (Exec.run_seq ~accesses:true e ~tid:0 prog))
   in
   let w1 = cost 1 and w8 = cost 8 in
   let per_call = (w8 -. w1) /. 7. in
   checkb
     (Printf.sprintf "%.1f words per extra call (< 25)" per_call)
     true (per_call < 25.)
+
+(* A record-free run, as fuzzing makes it, allocates nothing per shared
+   access.  Writing 1 or 16 bytes into a pipe takes the same control
+   flow (the same edges) but makes 60 more shared accesses: a recording
+   run pays 15 words for each (the 9-word record, its list cell and its
+   [List.rev] cell), a record-free run nothing. *)
+let test_record_free_per_access () =
+  let e = Lazy.force env in
+  let prog n =
+    Fuzzer.Prog.
+      [
+        { nr = Kernel.Abi.sys_pipe; args = [] };
+        { nr = Kernel.Abi.sys_write; args = [ Res 0; Const n ] };
+      ]
+  in
+  let run ~accesses n = Exec.run_seq ~accesses e ~tid:0 (prog n) in
+  let shared n = List.length (run ~accesses:true n).Exec.sq_accesses in
+  let cost ~accesses n =
+    ignore (run ~accesses n);
+    words (fun () -> ignore (run ~accesses n))
+  in
+  let extra = shared 16 - shared 1 in
+  checkb "16 bytes make more shared accesses than 1" true (extra > 0);
+  Alcotest.(check (float 0.))
+    "recording: 15 words per extra shared access"
+    (float_of_int (15 * extra))
+    (cost ~accesses:true 16 -. cost ~accesses:true 1);
+  Alcotest.(check (float 0.))
+    "record-free: not a word per shared access" 0.
+    (cost ~accesses:false 16 -. cost ~accesses:false 1)
 
 (* ---------------- policies and the recorder ---------------- *)
 
@@ -420,7 +451,7 @@ let trial ?watchdog ?fault () =
 
 let seq () =
   let e = Lazy.force buggy_env and s = Lazy.force scenario in
-  Exec.run_seq e ~tid:0 s.Harness.Scenarios.writer
+  Exec.run_seq ~accesses:true e ~tid:0 s.Harness.Scenarios.writer
 
 let test_shared_sink () =
   let first = trial () and first_seq = seq () in
@@ -509,6 +540,8 @@ let () =
           Alcotest.test_case "coverage edges" `Quick test_coverage;
           Alcotest.test_case "private accesses in run_seq" `Quick
             test_private_accesses_free;
+          Alcotest.test_case "shared accesses in a record-free run_seq" `Quick
+            test_record_free_per_access;
           Alcotest.test_case "policy decide" `Quick test_snowboard_decide;
           Alcotest.test_case "policy decide, unwatched pcs" `Quick
             test_snowboard_decide_unwatched;

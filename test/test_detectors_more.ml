@@ -165,7 +165,7 @@ let test_chain_select_deterministic () =
     List.mapi
       (fun i p ->
         Core.Profile.of_accesses ~test_id:i
-          (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+          (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
       [ [ relay 1 ]; [ relay 2 ]; [ relay 3 ] ]
   in
   let ident = Core.Identify.run profiles in

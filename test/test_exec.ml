@@ -2,7 +2,9 @@
    interpreter against the [Vm.step] oracle (whole runs, with the fast
    profile builder against the oracle builder, also on the profiling
    path with an active collector, and lockstep, one instruction at a
-   time), batched concurrent trials against per-step ones, the edge
+   time), the record-free sequential runner against the recording one,
+   batched concurrent trials against per-step ones, the guest
+   profiler's per-function rows against a golden digest, the edge
    cache, and the fingerprint/edge-key regressions. *)
 
 module Vm = Vmm.Vm
@@ -36,7 +38,7 @@ let prop_run_seq_equivalent =
       let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
       let r_step = Exec.run_seq_step env ~tid:0 prog in
       let fp_step = Vm.fingerprint env.Exec.vm in
-      let r = Exec.run_seq env ~tid:0 prog in
+      let r = Exec.run_seq ~accesses:true env ~tid:0 prog in
       let filtered =
         {
           r_step with
@@ -67,17 +69,44 @@ let prop_shared_profile_equivalent =
       let r =
         Fun.protect
           ~finally:(fun () -> Obs.Profguest.set_enabled false)
-          (fun () -> Exec.run_seq ~prof env ~tid:0 prog)
+          (fun () -> Exec.run_seq ~prof ~accesses:true env ~tid:0 prog)
       in
       let rows = Obs.Profguest.drain prof in
       let instr = List.fold_left (fun a (_, n, _) -> a + n) 0 rows in
       let shared = List.fold_left (fun a (_, _, s) -> a + s) 0 rows in
-      r = Exec.run_seq env ~tid:0 prog
+      r = Exec.run_seq ~accesses:true env ~tid:0 prog
       && r.Exec.sq_accesses = List.filter Trace.is_shared r_step.Exec.sq_accesses
       && Core.Profile.of_shared ~test_id:7 r.Exec.sq_accesses
          = Core.Profile.of_accesses ~test_id:7 r_step.Exec.sq_accesses
       && instr = r.Exec.sq_steps
       && shared = List.length r.Exec.sq_accesses)
+
+(* The record-free path, as fuzzing and [with_setup] run it: without
+   [~accesses:true], [run_seq] must return the recording run's steps,
+   edges, return values, console and panic flag with no access record,
+   and leave the VM in the same state; with the guest profiler on, it
+   must charge the same rows. *)
+let prop_record_free_equivalent =
+  QCheck.Test.make ~name:"record-free run_seq matches the recording one"
+    ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let env = Lazy.force env in
+      let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
+      let profiled ~accesses =
+        Obs.Profguest.set_enabled true;
+        let prof = Obs.Profguest.collector () in
+        Fun.protect
+          ~finally:(fun () -> Obs.Profguest.set_enabled false)
+          (fun () -> ignore (Exec.run_seq ~prof ~accesses env ~tid:0 prog));
+        Obs.Profguest.drain prof
+      in
+      let r_rec = Exec.run_seq ~accesses:true env ~tid:0 prog in
+      let fp_rec = Vm.fingerprint env.Exec.vm in
+      let r = Exec.run_seq env ~tid:0 prog in
+      r = { r_rec with Exec.sq_accesses = [] }
+      && Vm.fingerprint env.Exec.vm = fp_rec
+      && profiled ~accesses:false = profiled ~accesses:true)
 
 (* Lockstep: stepping one VM with [Vm.step] and its twin with
    [Vm.run_tblock_conc] at quantum 1 (the executor's per-step cadence for
@@ -559,6 +588,51 @@ let test_conc_batch_trace_replays () =
           checkb "batch-recorded trace replays per-step" true (b.res = r_r))
   | _ -> Alcotest.fail "one trial expected"
 
+(* ---------------- guest profiler rows, pinned ----------------------- *)
+
+(* MD5 of the guest profiler's merged per-function rows (name, then the
+   profile and explore phases' instructions and shared accesses) after a
+   small fixed campaign: [Pipeline.prepare] profiles a seed-3 fuzz
+   corpus through [run_seq], and two methods' explore trials run
+   through [run_multi].  The properties above check only the rows'
+   totals; this pins which function each instruction and shared access
+   is charged to.  Computed at both worker counts on the commit before
+   sequential blocks crossed calls and returns. *)
+let golden_rows = "619a95857a6cc58465729d52fd160aa4"
+
+let profiler_rows_digest ~jobs =
+  let module P = Harness.Pipeline in
+  Obs.Profguest.reset ();
+  Obs.Profguest.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Profguest.set_enabled false;
+      Obs.Profguest.reset ())
+    (fun () ->
+      let p =
+        P.prepare
+          { P.default with P.seed = 3; fuzz_iters = 150; trials_per_test = 4; jobs }
+      in
+      List.iter
+        (fun m -> ignore (P.run_method p m ~budget:6))
+        [ Core.Select.Strategy Core.Cluster.S_INS_PAIR; Core.Select.Random_pairing ];
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun (r : Obs.Profguest.row) ->
+          Printf.bprintf b "%s %d %d %d %d\n" r.Obs.Profguest.r_name
+            r.Obs.Profguest.r_profile_instr r.Obs.Profguest.r_profile_shared
+            r.Obs.Profguest.r_explore_instr r.Obs.Profguest.r_explore_shared)
+        (Obs.Profguest.rows ());
+      Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_profiler_rows_golden () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "profiler rows at jobs=%d equal the pinned ones" jobs)
+        golden_rows (profiler_rows_digest ~jobs))
+    [ 1; 2 ]
+
 (* ---------------- edge set generation wrap -------------------------- *)
 
 let test_edge_cache_generation_wrap () =
@@ -598,6 +672,7 @@ let qtests =
     [
       prop_run_seq_equivalent;
       prop_shared_profile_equivalent;
+      prop_record_free_equivalent;
       prop_lockstep_events;
       prop_conc_batch ~hinted:false;
       prop_conc_batch ~hinted:true;
@@ -624,6 +699,7 @@ let tests =
       test_edge_cache_generation_wrap;
     Alcotest.test_case "throughput gauge guard" `Quick
       test_note_throughput_guard;
+    Alcotest.test_case "profiler rows golden" `Quick test_profiler_rows_golden;
   ]
 
 let () = Alcotest.run "exec" [ ("sink+block", qtests @ tests) ]

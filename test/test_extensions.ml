@@ -210,7 +210,7 @@ let test_chain_identification () =
     List.mapi
       (fun i p ->
         Core.Profile.of_accesses ~test_id:i
-          (Exec.run_seq e ~tid:0 p).Exec.sq_accesses)
+          (Exec.run_seq ~accesses:true e ~tid:0 p).Exec.sq_accesses)
       [ producer; forwarder; consumer ]
   in
   let ident = Core.Identify.run profiles in
@@ -243,7 +243,7 @@ let test_three_threads_crash_relay () =
     List.mapi
       (fun i p ->
         Core.Profile.of_accesses ~test_id:i
-          (Exec.run_seq e ~tid:0 p).Exec.sq_accesses)
+          (Exec.run_seq ~accesses:true e ~tid:0 p).Exec.sq_accesses)
       [ producer; forwarder; consumer ]
   in
   let ident = Core.Identify.run profiles in

@@ -348,6 +348,7 @@ let test_determinism () =
       c Abi.sys_read [ P.Res 2; k 64 ];
     ]
   in
+  let run prog = Exec.run_seq ~accesses:true (Lazy.force env) ~tid:0 prog in
   let r1 = run prog and r2 = run prog in
   checkb "identical access traces from snapshot" true
     (r1.Exec.sq_accesses = r2.Exec.sq_accesses);

@@ -176,8 +176,8 @@ let test_heap_deterministic_across_restore () =
       c 17 [] (* pipe: a 64-byte object, different size class *);
     ]
   in
-  let r1 = Exec.run_seq e ~tid:0 prog in
-  let r2 = Exec.run_seq e ~tid:0 prog in
+  let r1 = Exec.run_seq ~accesses:true e ~tid:0 prog in
+  let r2 = Exec.run_seq ~accesses:true e ~tid:0 prog in
   checkb "byte-identical traces" true (r1.Exec.sq_accesses = r2.Exec.sq_accesses)
 
 let test_allocator_reuse_and_classes () =

@@ -33,9 +33,9 @@ let prop_dirty_restore_equivalent =
     (fun seed ->
       let env_dirty, env_full = Lazy.force envs in
       let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
-      let r1 = Exec.run_seq env_dirty ~tid:0 prog in
+      let r1 = Exec.run_seq ~accesses:true env_dirty ~tid:0 prog in
       Vm.restore_full env_full.Exec.vm env_full.Exec.snap;
-      let r2 = Exec.run_seq env_full ~tid:0 prog in
+      let r2 = Exec.run_seq ~accesses:true env_full ~tid:0 prog in
       r1 = r2
       && Vm.fingerprint env_dirty.Exec.vm = Vm.fingerprint env_full.Exec.vm)
 

@@ -140,14 +140,14 @@ let test_with_setup_changes_state () =
       { P.nr = Abi.sys_connect; args = [ P.Res 0; P.Const 5; P.Const 0 ] };
     ]
   in
-  let base = Exec.run_seq e ~tid:0 probe in
-  let derived = Exec.run_seq e' ~tid:0 probe in
+  let base = Exec.run_seq ~accesses:true e ~tid:0 probe in
+  let derived = Exec.run_seq ~accesses:true e' ~tid:0 probe in
   checkb "probe runs in both states" true
     ((not base.Exec.sq_panicked) && not derived.Exec.sq_panicked);
   checkb "profiles diverge across initial states" true
     (base.Exec.sq_accesses <> derived.Exec.sq_accesses);
   (* and the parent snapshot is unaffected *)
-  let again = Exec.run_seq e ~tid:0 probe in
+  let again = Exec.run_seq ~accesses:true e ~tid:0 probe in
   checkb "parent state unchanged" true (base.Exec.sq_accesses = again.Exec.sq_accesses)
 
 let test_with_setup_rejects_panics () =

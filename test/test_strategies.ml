@@ -21,7 +21,7 @@ let ident_of progs =
   let profiles =
     List.mapi
       (fun i p ->
-        Core.Profile.of_accesses ~test_id:i (Exec.run_seq e ~tid:0 p).Exec.sq_accesses)
+        Core.Profile.of_accesses ~test_id:i (Exec.run_seq ~accesses:true e ~tid:0 p).Exec.sq_accesses)
       progs
   in
   Core.Identify.run profiles

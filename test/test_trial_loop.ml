@@ -207,7 +207,7 @@ let chain_lines b =
          (Array.mapi
             (fun i p ->
               Core.Profile.of_shared ~test_id:i
-                (Sched.Exec.run_seq env ~tid:0 p).Sched.Exec.sq_accesses)
+                (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
             progs))
   in
   let chain = List.hd (Core.Chain.find ident) in
