@@ -1143,8 +1143,23 @@ let exec_bench () =
   let dt_hot_ev_threaded =
     hot_time hot_vm_e hot_entry_e (hot_threaded hot_vm_e hot_tc_e)
   in
-  let dt_hot_conc_ps = hot_time hot_vm_e hot_entry_e hot_conc_perstep in
-  let dt_hot_conc_b = hot_time hot_vm_e hot_entry_e hot_conc_batched in
+  (* The speedup gate's two legs: one untimed warm-up pass each, then
+     [hot_passes] alternating passes (per-step, batched, per-step, ...),
+     each leg keeping its best, so one preempted moment on a shared host
+     cannot decide the verdict (as bench scaling does since E18). *)
+  let hot_passes = 7 in
+  let hot_pass f =
+    Vmm.Vm.start_call hot_vm_e 0 hot_entry_e [];
+    snd (time (fun () -> f hot_target))
+  in
+  ignore (hot_pass hot_conc_perstep);
+  ignore (hot_pass hot_conc_batched);
+  let dt_hot_conc_ps = ref infinity and dt_hot_conc_b = ref infinity in
+  for _ = 1 to hot_passes do
+    dt_hot_conc_ps := Float.min !dt_hot_conc_ps (hot_pass hot_conc_perstep);
+    dt_hot_conc_b := Float.min !dt_hot_conc_b (hot_pass hot_conc_batched)
+  done;
+  let dt_hot_conc_ps = !dt_hot_conc_ps and dt_hot_conc_b = !dt_hot_conc_b in
   let hot_rate dt = float_of_int hot_target /. max 1e-9 dt in
   let hot_conc_speedup = dt_hot_conc_ps /. max 1e-9 dt_hot_conc_b in
   Sched.Exec.note_throughput ~steps:hot_target ~seconds:dt_hot_threaded;
@@ -1154,7 +1169,9 @@ let exec_bench () =
   pf "event hot loop (store+load per 14-instruction iteration):@.";
   pf "  threaded code:        %.3fs  %10.0f instr/s@." dt_hot_ev_threaded
     (hot_rate dt_hot_ev_threaded);
-  pf "concurrent cadence on it (policy consultations at events only):@.";
+  pf "concurrent cadence on it (policy consultations at events only; best \
+      of %d alternating passes):@."
+    hot_passes;
   pf "  per-step + decide:    %.3fs  %10.0f instr/s@." dt_hot_conc_ps
     (hot_rate dt_hot_conc_ps);
   pf "  batched + decide:     %.3fs  %10.0f instr/s (%.2fx)@." dt_hot_conc_b
@@ -1751,7 +1768,6 @@ let durability_bench () =
    artifact is a pure function of the seed. *)
 let scaling_bench () =
   section "E18: shared work queue + kept VMs scaling (BENCH_scaling.json)";
-  Obs.Storage.declare_site "bench.scaling";
   let jobs = max 1 !bench_jobs in
   let det = !bench_deterministic in
   let passes = 7 in

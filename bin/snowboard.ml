@@ -508,13 +508,7 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
     Obs.Profguest.set_enabled true
   end;
   let faults = Option.map (fun spec -> Sched.Fault.plan ~seed spec) fault_spec in
-  let sup =
-    {
-      Harness.Supervise.default with
-      Harness.Supervise.step_budget = watchdog;
-      max_retries;
-    }
-  in
+  let sup = { Harness.Supervise.step_budget = watchdog; max_retries } in
   let seeds =
     (if seeded then Harness.Pipeline.scenario_seeds () else [])
     @ (match corpus_file with
@@ -577,26 +571,24 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
           "snowboard: no journal at %s; starting a fresh campaign@." path;
         []
     | true, Some path -> (
-        match Harness.Checkpoint.load_ex path with
+        match Harness.Checkpoint.load path with
         | Error msg -> fail_cli "cannot resume: %s" msg
-        | Ok (f, recovery) ->
+        | Ok (f, rc) ->
             if f.Harness.Checkpoint.ck_fingerprint <> fingerprint then
               fail_cli
                 "cannot resume: %s was journaled by a different campaign \
                  configuration"
                 path;
-            (match recovery with
-            | Some rc when not (Harness.Durable.clean rc) ->
-                Format.eprintf
-                  "snowboard: journal %s recovered %d record(s), dropped a \
-                   torn tail of %d record(s) / %d byte(s)%s@."
-                  path rc.Harness.Durable.rc_records
-                  rc.Harness.Durable.rc_dropped_records
-                  rc.Harness.Durable.rc_dropped_bytes
-                  (match rc.Harness.Durable.rc_reason with
-                  | Some why -> " (" ^ why ^ ")"
-                  | None -> "")
-            | _ -> ());
+            if not (Harness.Durable.clean rc) then
+              Format.eprintf
+                "snowboard: journal %s recovered %d record(s), dropped a \
+                 torn tail of %d record(s) / %d byte(s)%s@."
+                path rc.Harness.Durable.rc_records
+                rc.Harness.Durable.rc_dropped_records
+                rc.Harness.Durable.rc_dropped_bytes
+                (match rc.Harness.Durable.rc_reason with
+                | Some why -> " (" ^ why ^ ")"
+                | None -> "");
             f.Harness.Checkpoint.ck_entries)
     | _ -> []
   in
@@ -1561,7 +1553,9 @@ let fsck_cmd =
            `S Manpage.s_exit_status;
            `P "0: journal is clean (or was just repaired).";
            `P "1: the file cannot be read at all.";
-           `P "4: journal is corrupt and was not repaired (no --repair).";
+           `P "4: journal is corrupt and was not repaired: no --repair, or \
+               a file that does not start with a frame (which --repair \
+               never rewrites).";
          ])
     Term.(
       const run_fsck $ fsck_path_arg $ fsck_repair_arg $ fsck_json_arg

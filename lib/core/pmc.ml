@@ -75,8 +75,6 @@ let matches_read (p : t) (a : Trace.access) =
   matches_read_at p ~pc:a.Trace.pc ~addr:a.Trace.addr ~size:a.Trace.size
     ~write:(a.Trace.kind = Trace.Write)
 
-let matches p a = matches_write p a || matches_read p a
-
 (* Field by field: every field is an int or a bool, so this is the
    structural equality, without the polymorphic compare's dispatch. *)
 let equal_side (a : side) (b : side) =

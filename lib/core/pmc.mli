@@ -41,10 +41,6 @@ val matches_write : t -> Vmm.Trace.access -> bool
 
 val matches_read : t -> Vmm.Trace.access -> bool
 
-val matches : t -> Vmm.Trace.access -> bool
-(** [matches_write] or [matches_read]; the scheduler's
-    performed_pmc_access test. *)
-
 val matches_write_at : t -> pc:int -> addr:int -> size:int -> write:bool -> bool
 (** {!matches_write} on raw fields; lets the scheduler's sink path test a
     live access without materialising a record. *)
@@ -52,6 +48,8 @@ val matches_write_at : t -> pc:int -> addr:int -> size:int -> write:bool -> bool
 val matches_read_at : t -> pc:int -> addr:int -> size:int -> write:bool -> bool
 
 val matches_at : t -> pc:int -> addr:int -> size:int -> write:bool -> bool
+(** [matches_write_at] or [matches_read_at]: the scheduler's
+    performed_pmc_access test. *)
 
 val equal : t -> t -> bool
 

@@ -103,8 +103,6 @@ let templates =
       None;
   ]
 
-let num_templates = List.length templates
-
 let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
 let random_bytes rng n = String.init n (fun _ -> Char.chr (Random.State.int rng 256))

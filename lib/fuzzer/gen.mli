@@ -22,8 +22,6 @@ type template = {
 
 val templates : template list
 
-val num_templates : int
-
 val generate : Random.State.t -> Prog.t
 (** A fresh random program of 1 to [Prog.max_calls] calls. *)
 

@@ -6,20 +6,14 @@
    the final frame, and the Durable reader recovers the longest valid
    prefix from arbitrary truncation or bit corruption without ever
    raising — resuming from the recovered prefix reproduces the
-   uninterrupted campaign byte-for-byte.  v2's rewrite-the-world JSON
-   document is still readable for journals written before the format
-   change. *)
+   uninterrupted campaign byte-for-byte.  A file that is not framed
+   (such as a pre-v3 whole-document JSON journal) has no recoverable
+   header and is refused. *)
 
 module J = Obs.Export
 module Prog = Fuzzer.Prog
 
 let schema = "snowboard/checkpoint/v3"
-
-(* v2 added the Algorithm 2 hint-outcome tallies and the guest-profiler
-   rows to every entry; v1 journals are rejected (the fingerprint
-   discipline already forces a fresh campaign on any config drift, and a
-   v1 journal cannot reconstruct provenance or flamegraph artifacts). *)
-let schema_v2 = "snowboard/checkpoint/v2"
 
 (* crashpoint names of the journal's two durable write sites *)
 let site_header = "checkpoint.header"
@@ -187,20 +181,10 @@ let entry_of_json o =
   in
   { ck_method = string_field o "method"; ck_result = result }
 
-(* the legacy v2 whole-document shape *)
-let file_of_json j =
-  let s = string_field j "schema" in
-  if s <> schema_v2 then bad "unsupported checkpoint schema %S" s;
-  {
-    ck_fingerprint = string_field j "fingerprint";
-    ck_entries =
-      List.map entry_of_json (to_list "entries" (get_field j "entries"));
-  }
-
 (* ------------------------------------------------------------------ *)
 (* File I/O.  [save] atomically replaces the whole journal with framed
    v3 records; [load] recovers the longest valid prefix of a v3
-   journal (total over corruption) and still reads v2 documents. *)
+   journal (total over corruption). *)
 
 let records_of_file f =
   header_payload f.ck_fingerprint :: List.map entry_payload f.ck_entries
@@ -210,11 +194,11 @@ let save path f =
   | Ok () -> ()
   | Error e -> raise (Sys_error (Obs.Storage.err_to_string e))
 
-(* Decode the recovered v3 record payloads.  The header must be intact
-   (a journal whose first record is torn identifies nothing and is
-   treated as empty-with-everything-dropped rather than an error);
-   entry records that fail shape-parsing end the valid prefix there, in
-   the same never-raise spirit as the frame scanner. *)
+(* Decode the recovered v3 record payloads.  The header must be intact:
+   a journal whose first record cannot be recovered identifies nothing,
+   so it is an [Error] (a torn header, or a file that is not framed at
+   all).  Entry records that fail shape-parsing end the valid prefix
+   there, in the same never-raise spirit as the frame scanner. *)
 let file_of_records records recovery =
   match records with
   | [] ->
@@ -255,42 +239,13 @@ let file_of_records records recovery =
                       recovery.Durable.rc_dropped_records + extra_dropped;
                   } )))
 
-let looks_framed path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic 4 with
-          | s -> s = "SB3 "
-          | exception End_of_file -> false)
-
-let load_ex path =
-  if looks_framed path then
-    match Durable.read_journal path with
-    | Error msg -> Error msg
-    | Ok (records, recovery) -> (
-        match file_of_records records recovery with
-        | Ok (f, rc) -> Ok (f, Some rc)
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-  else
-    (* legacy v2: one JSON document, parsed strictly *)
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error msg -> Error msg
-    | text -> (
-        match J.of_string_opt text with
-        | None -> Error (Printf.sprintf "%s: not valid JSON" path)
-        | Some j -> (
-            try Ok (file_of_json j, None)
-            with Bad msg -> Error (Printf.sprintf "%s: %s" path msg)))
-
-let load path = Result.map fst (load_ex path)
+let load path =
+  match Durable.read_journal path with
+  | Error msg -> Error msg
+  | Ok (records, recovery) -> (
+      match file_of_records records recovery with
+      | Ok _ as ok -> ok
+      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 
 let lookup entries ~method_ index =
   List.find_map

@@ -12,9 +12,10 @@
     On [--resume] the recovered entries are fed to
     [Pipeline.run_method]'s [resume] hook: finished work is skipped,
     and because per-test seeds derive from the plan index, the merged
-    statistics are byte-identical to an uninterrupted run's.  Journals
-    written by the previous (v2, whole-JSON-document) format are still
-    readable.
+    statistics are byte-identical to an uninterrupted run's.  There is
+    one format: a file that is not framed, such as a journal of the
+    whole-JSON-document v2 format, has no recoverable header and is
+    refused.
 
     A fingerprint of the campaign parameters guards against resuming
     with a different configuration, which would silently mix
@@ -48,17 +49,14 @@ val save : string -> file -> unit
     (unique temp, fsync, rename, directory fsync).  Raises [Sys_error]
     only after the storage layer's bounded retries are exhausted. *)
 
-val load : string -> (file, string) result
-(** Parse a journal (framed v3, or a legacy v2 JSON document).  For v3
-    journals the read is total over corruption: the longest valid
+val load : string -> (file * Durable.recovery, string) result
+(** Parse a framed v3 journal, with what the frame scanner recovered
+    and dropped.  The read is total over corruption: the longest valid
     record prefix is returned, never an exception.  [Error] is reserved
     for an unreadable file, a wrong schema, or a journal whose header
-    record cannot be recovered. *)
-
-val load_ex : string -> (file * Durable.recovery option, string) result
-(** Like {!load}, additionally reporting what the frame scanner
-    recovered and dropped ([None] for legacy v2 documents, which are
-    all-or-nothing). *)
+    record cannot be recovered, which includes any file that is not
+    framed.  Except for an unreadable file, whose message is the
+    system's, the message names the file. *)
 
 val lookup : entry list -> method_:string -> int -> Pipeline.test_result option
 (** The journaled result for this method's plan index, if any. *)

@@ -165,7 +165,7 @@ let close_writer w = Obs.Storage.close_chan w.w_chan
 (* ------------------------------------------------------------------ *)
 (* fsck.                                                               *)
 
-type format = V3 | Legacy_json | Unknown
+type format = V3 | Unknown
 
 type fsck_report = {
   fk_path : string;
@@ -180,7 +180,6 @@ type fsck_report = {
 
 let format_name = function
   | V3 -> "v3 (CRC-framed)"
-  | Legacy_json -> "legacy (whole-document JSON)"
   | Unknown -> "unknown"
 
 let jfield k = function J.Obj l -> List.assoc_opt k l | _ -> None
@@ -190,7 +189,8 @@ let fsck ?(repair = false) path =
   match read_file path with
   | Error msg -> Error msg
   | Ok bytes ->
-      if String.length bytes >= 4 && String.sub bytes 0 4 = magic then begin
+      let n = String.length bytes in
+      if n >= 4 && String.sub bytes 0 4 = magic then begin
         let records, rc = scan bytes in
         let schema, fingerprint =
           match records with
@@ -220,36 +220,25 @@ let fsck ?(repair = false) path =
           }
       end
       else
-        (* not framed: a legacy whole-document JSON journal, or junk *)
-        let doc = J.of_string_opt bytes in
-        let schema = Option.bind doc (fun d -> jstring (jfield "schema" d)) in
-        let entries =
-          match Option.bind doc (fun d -> jfield "entries" d) with
-          | Some (J.List l) -> List.length l
-          | _ -> 0
-        in
-        let fmt = if doc = None then Unknown else Legacy_json in
+        (* not framed: nothing in it is recoverable, so nothing is
+           repaired either *)
         Ok
           {
             fk_path = path;
-            fk_format = fmt;
+            fk_format = Unknown;
             fk_recovery =
               {
-                rc_records = (if doc = None then 0 else 1);
-                rc_valid_bytes =
-                  (if doc = None then 0 else String.length bytes);
-                rc_total_bytes = String.length bytes;
-                rc_dropped_bytes =
-                  (if doc = None then String.length bytes else 0);
+                rc_records = 0;
+                rc_valid_bytes = 0;
+                rc_total_bytes = n;
+                rc_dropped_bytes = n;
                 rc_dropped_records = 0;
-                rc_reason =
-                  (if doc = None then Some "not a journal" else None);
+                rc_reason = Some "not a journal";
               };
-            fk_schema = schema;
-            fk_fingerprint =
-              Option.bind doc (fun d -> jstring (jfield "fingerprint" d));
-            fk_entries = entries;
-            fk_clean = doc <> None;
+            fk_schema = None;
+            fk_fingerprint = None;
+            fk_entries = 0;
+            fk_clean = false;
             fk_repaired = false;
           }
 

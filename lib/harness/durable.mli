@@ -77,7 +77,7 @@ val close_writer : writer -> unit
 
 (** {1 fsck} *)
 
-type format = V3 | Legacy_json | Unknown
+type format = V3 | Unknown  (** [Unknown]: no [SB3 ] magic at offset 0 *)
 
 type fsck_report = {
   fk_path : string;
@@ -94,8 +94,10 @@ val fsck : ?repair:bool -> string -> (fsck_report, string) result
 (** Validate a journal; with [repair], atomically truncate a corrupt v3
     journal to its longest valid prefix (byte-exact, so a subsequent
     resume sees exactly the recovered records).  [Error] only when the
-    file cannot be read.  Legacy (v2 JSON-document) journals are
-    recognised and validated but never rewritten. *)
+    file cannot be read.  A file that does not start with a frame
+    (junk, or a whole-document JSON journal of the v2 format) is
+    [Unknown] and never clean: [Checkpoint.load] refuses it, and
+    [repair] never rewrites it. *)
 
 val fsck_json : fsck_report -> Obs.Export.json
 (** The recovery dossier as JSON (the [--json] form of

@@ -331,7 +331,7 @@ let run_one_test ~env ~ident ~(cfg : config) ~kind
   let writer = prog_of_id ct.writer and reader = prog_of_id ct.reader in
   let seed = cfg.seed + (1000 * index) in
   let sv =
-    Supervise.run ~policy:sup ~seed (fun ~attempt ->
+    Supervise.run ~policy:sup (fun ~attempt ->
         Sched.Explore.run env ~ident:(Some ident) ~writer ~reader
           ~hint:ct.hint ~kind ~trials:cfg.trials_per_test ~seed
           ~stop_on_bug:false ?watchdog:sup.Supervise.step_budget

@@ -34,29 +34,14 @@ let pp_outcome fmt = function
   | Crashed msg -> Format.fprintf fmt "crashed: %s" msg
   | Quarantined msg -> Format.fprintf fmt "quarantined: %s" msg
 
-type policy = {
-  step_budget : int option;
-  max_retries : int;
-  backoff_base : int;
-}
+type policy = { step_budget : int option; max_retries : int }
 
-let default = { step_budget = None; max_retries = 2; backoff_base = 64 }
-
-(* Deterministic bounded backoff: exponential in the attempt, with a
-   seed-dependent jitter folded in by the same splitmix mixer the fault
-   planner uses.  Virtual units only — recorded, never slept. *)
-let backoff p ~seed ~attempt =
-  let attempt = max 1 attempt in
-  let base = max 1 p.backoff_base in
-  let expo = base * (1 lsl min attempt 10) in
-  let jitter = Fault.mix (seed + (31 * attempt)) land (base - 1) in
-  min (expo + jitter) (base * 4096)
+let default = { step_budget = None; max_retries = 2 }
 
 type 'a supervised = {
   sv_result : 'a option;
   sv_outcome : outcome;
   sv_retries : int;
-  sv_backoff : int;
 }
 
 let transient = function
@@ -69,24 +54,13 @@ let emit_fault kind detail =
   if Obs.Event.enabled () then
     Obs.Event.emit ~tid:Obs.Event.sched_tid (Obs.Event.Fault { kind; detail })
 
-let run ?(policy = default) ~seed f =
-  let rec go ~attempt ~backoff_acc =
+let run ?(policy = default) f =
+  let rec go ~attempt =
     match f ~attempt with
-    | v ->
-        {
-          sv_result = Some v;
-          sv_outcome = Ok;
-          sv_retries = attempt;
-          sv_backoff = backoff_acc;
-        }
+    | v -> { sv_result = Some v; sv_outcome = Ok; sv_retries = attempt }
     | exception Fault.Watchdog_timeout steps ->
         Obs.Metrics.incr m_timeouts;
-        {
-          sv_result = None;
-          sv_outcome = Timed_out steps;
-          sv_retries = attempt;
-          sv_backoff = backoff_acc;
-        }
+        { sv_result = None; sv_outcome = Timed_out steps; sv_retries = attempt }
     | exception e when transient e ->
         if attempt >= policy.max_retries then begin
           Obs.Metrics.incr m_quarantined;
@@ -95,22 +69,14 @@ let run ?(policy = default) ~seed f =
             sv_result = None;
             sv_outcome = Quarantined (describe e);
             sv_retries = attempt;
-            sv_backoff = backoff_acc;
           }
         end
         else begin
           let next = attempt + 1 in
-          let pause = backoff policy ~seed ~attempt:next in
           Obs.Metrics.incr m_retries;
           emit_fault "retry"
-            (Printf.sprintf "attempt %d after %s (backoff %d)" next
-               (describe e) pause);
-          (* a token spin stands in for the backoff, keeping supervised
-             runs wall-clock free while still yielding the core *)
-          for _ = 1 to min pause 256 do
-            Domain.cpu_relax ()
-          done;
-          go ~attempt:next ~backoff_acc:(backoff_acc + pause)
+            (Printf.sprintf "attempt %d after %s" next (describe e));
+          go ~attempt:next
         end
     | exception e ->
         Obs.Metrics.incr m_crashes;
@@ -118,7 +84,6 @@ let run ?(policy = default) ~seed f =
           sv_result = None;
           sv_outcome = Crashed (describe e);
           sv_retries = attempt;
-          sv_backoff = backoff_acc;
         }
   in
-  go ~attempt:0 ~backoff_acc:0
+  go ~attempt:0

@@ -5,12 +5,12 @@
     re-issued lost work when a VM died (section 4.4.1).  This module is
     the single-machine analogue: every concurrent test runs under a
     supervisor that enforces a per-trial step budget, classifies
-    failures, retries transient ones with bounded deterministic backoff
-    and quarantines tests that exhaust their retries — so one sick test
-    (or injected fault) degrades the campaign instead of killing it.
+    failures, retries transient ones at once and quarantines tests that
+    exhaust their retries — so one sick test (or injected fault)
+    degrades the campaign instead of killing it.
 
-    Determinism rule: the retry schedule and backoff are pure functions
-    of the supervision seed and the attempt number — no wall clock, no
+    Determinism rule: a retry re-runs the test with the next attempt
+    number and nothing else changes — no wall clock, no pause, no
     global RNG — so a supervised campaign is exactly as reproducible as
     an unsupervised one. *)
 
@@ -36,27 +36,18 @@ type policy = {
       (** per-trial watchdog in guest steps; [None] disables it *)
   max_retries : int;  (** retries after the first attempt (so
       [max_retries + 1] attempts total) *)
-  backoff_base : int;  (** base backoff in virtual units (see {!backoff}) *)
 }
 
 val default : policy
-(** No step budget, 2 retries, base backoff 64. *)
-
-val backoff : policy -> seed:int -> attempt:int -> int
-(** Virtual backoff units charged before retry [attempt] (1-based):
-    exponential in the attempt with a deterministic seed-dependent
-    jitter, bounded.  Pure — the supervisor only {e records} the units
-    (plus a brief [Domain.cpu_relax] spin) rather than sleeping, so
-    supervised runs stay fast and wall-clock free. *)
+(** No step budget, 2 retries. *)
 
 type 'a supervised = {
   sv_result : 'a option;  (** [Some] iff the outcome is [Ok] *)
   sv_outcome : outcome;
   sv_retries : int;  (** retries actually performed *)
-  sv_backoff : int;  (** total virtual backoff units charged *)
 }
 
-val run : ?policy:policy -> seed:int -> (attempt:int -> 'a) -> 'a supervised
+val run : ?policy:policy -> (attempt:int -> 'a) -> 'a supervised
 (** Run [f ~attempt:0] under supervision.  {!Sched.Fault.Watchdog_timeout}
     becomes [Timed_out]; the transient taxonomy ({!Sched.Fault.Injected_crash},
     {!Sched.Fault.Trace_truncated}) is retried — [f ~attempt:k] for

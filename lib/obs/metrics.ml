@@ -12,10 +12,9 @@
    [Atomic] cell: they are last-writer-wins by nature and only the
    orchestration layer sets them.
 
-   Hot-path discipline: [add]/[observe] check the global enabled flag
-   first, so instrumented code never needs its own guard, and the
-   subsystems only call into this module at run boundaries (never per
-   guest instruction) - see DESIGN.md "Observability". *)
+   Hot-path discipline: the subsystems only call into this module at run
+   boundaries (never per guest instruction) - see DESIGN.md
+   "Observability". *)
 
 type value =
   | Vcounter of int  (* shard counter id *)
@@ -30,12 +29,8 @@ type histogram = int
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 128
 let lock = Mutex.create ()
-let enabled_flag = Atomic.make true
 let next_counter = ref 0
 let next_hist = ref 0
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
 
 let with_lock f =
   Mutex.lock lock;
@@ -102,17 +97,15 @@ let unlisted_counter () : int =
       Stdlib.incr next_counter;
       id)
 
-let add c n =
-  if Atomic.get enabled_flag then Shard.add (Shard.local ()) c n
+let add c n = Shard.add (Shard.local ()) c n
 
 let incr c = add c 1
 let counter_value (c : counter) = Shard.counter_total c
 
-let set g v = if Atomic.get enabled_flag then Atomic.set g v
+let set g v = Atomic.set g v
 let gauge_value (g : gauge) = Atomic.get g
 
-let observe (h : histogram) v =
-  if Atomic.get enabled_flag then Shard.observe (Shard.local ()) h v
+let observe (h : histogram) v = Shard.observe (Shard.local ()) h v
 
 let merged (h : histogram) = Shard.merged_hist h
 

@@ -3,21 +3,15 @@
 
     Registration is idempotent per (name, kind): registering an existing
     name returns the existing handle; registering it under a different
-    kind raises [Invalid_argument].  All mutation is guarded by the global
-    enabled flag, so instrumented code needs no guard of its own, and a
-    disabled registry costs one atomic load per call.
+    kind raises [Invalid_argument].  The registry is always on:
+    instrumented code updates it at run boundaries, never per guest
+    instruction, and needs no guard of its own.
 
     Counter and histogram storage is sharded per domain (see {!Shard}):
     updates go to the calling domain's private shard, and every read API
     here merges across shards on demand.  Totals are exact once worker
     domains are joined, and monotone (possibly slightly stale) while they
     run.  Gauges are a single last-writer-wins atomic cell. *)
-
-val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-(** Enabled by default.  When disabled, [add], [set] and [observe] are
-    no-ops. *)
 
 (** {1 Counters} *)
 

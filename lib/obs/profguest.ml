@@ -18,8 +18,6 @@
 
 type phase = Profile | Explore
 
-let phase_name = function Profile -> "profile" | Explore -> "explore"
-
 (* Off by default: campaigns opt in via --flame-out/--provenance-out. *)
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
@@ -219,28 +217,6 @@ let rows () =
          then None
          else Some r)
   |> List.sort (fun a b -> String.compare a.r_name b.r_name)
-
-(* Hot-function table: one line per function, hottest first (total
-   instructions desc, name asc as tie-break). *)
-let hot_table () =
-  let rs =
-    List.sort
-      (fun a b ->
-        let ta = a.r_profile_instr + a.r_explore_instr
-        and tb = b.r_profile_instr + b.r_explore_instr in
-        if ta <> tb then compare tb ta else String.compare a.r_name b.r_name)
-      (rows ())
-  in
-  let header =
-    Printf.sprintf "%-28s %12s %12s %12s %12s" "function" "prof-instr"
-      "prof-shared" "expl-instr" "expl-shared"
-  in
-  header
-  :: List.map
-       (fun r ->
-         Printf.sprintf "%-28s %12d %12d %12d %12d" r.r_name r.r_profile_instr
-           r.r_profile_shared r.r_explore_instr r.r_explore_shared)
-       rs
 
 (* Collapsed-stack flamegraph lines: "phase;function count", sorted
    lexicographically (the flamegraph.pl convention).  Only instruction

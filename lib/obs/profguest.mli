@@ -15,9 +15,6 @@
 
 type phase = Profile | Explore
 
-val phase_name : phase -> string
-(** ["profile"] / ["explore"] — the frame prefix in flamegraph lines. *)
-
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
@@ -82,10 +79,6 @@ type row = {
 
 val rows : unit -> row list
 (** Merged nonzero rows, sorted by function name. *)
-
-val hot_table : unit -> string list
-(** Header plus one line per function, hottest first (total instructions
-    desc, name asc). *)
 
 val flame_lines : unit -> string list
 (** Collapsed-stack flamegraph lines ["phase;function count"], sorted

@@ -32,7 +32,7 @@ let stack : live list ref = ref []
 let finished : span list ref = ref []  (* reversed roots *)
 
 let start name =
-  if Metrics.enabled () && Domain.is_main_domain () then
+  if Domain.is_main_domain () then
     stack :=
       {
         l_name = name;
@@ -74,7 +74,7 @@ let stop () =
       | [] -> finished := sp :: !finished)
 
 let with_span name f =
-  if not (Metrics.enabled () && Domain.is_main_domain ()) then f ()
+  if not (Domain.is_main_domain ()) then f ()
   else begin
     start name;
     Fun.protect ~finally:stop f

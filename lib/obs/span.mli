@@ -16,14 +16,14 @@ type span = {
 
 val start : string -> unit
 (** Open a span; it becomes a child of the innermost open span, if any.
-    A no-op when metrics are disabled. *)
+    A no-op on a worker domain. *)
 
 val stop : unit -> unit
 (** Close the innermost open span (no-op on an empty stack). *)
 
 val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span; the span is closed even if
-    [f] raises.  When metrics are disabled this is exactly [f ()]. *)
+    [f] raises.  On a worker domain this is exactly [f ()]. *)
 
 val roots : unit -> span list
 (** All finished top-level spans, oldest first. *)

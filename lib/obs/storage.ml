@@ -60,21 +60,6 @@ let get_site name =
           Hashtbl.add site_table name s;
           s)
 
-let declare_site name = ignore (get_site name)
-
-let sites () =
-  Mutex.lock site_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock site_mutex)
-    (fun () ->
-      Hashtbl.fold (fun name _ acc -> name :: acc) site_table []
-      |> List.sort compare)
-
-let site_writes name =
-  match Hashtbl.find_opt site_table name with
-  | Some s -> s.s_writes
-  | None -> 0
-
 (* the "any" pseudo-site counts every durable write, for site-agnostic
    crash plans *)
 let any_site = get_site "any"
@@ -288,7 +273,7 @@ let sweep_stale_tmp path =
 (* ------------------------------------------------------------------ *)
 (* Append/stream channels.                                             *)
 
-type chan = { c_site : site; c_fd : Unix.file_descr; c_path : string }
+type chan = { c_site : site; c_fd : Unix.file_descr }
 
 let open_chan ~site ?(append = false) path =
   let s = get_site site in
@@ -297,7 +282,7 @@ let open_chan ~site ?(append = false) path =
     @ if append then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ]
   in
   match Unix.openfile path flags 0o644 with
-  | fd -> Ok { c_site = s; c_fd = fd; c_path = path }
+  | fd -> Ok { c_site = s; c_fd = fd }
   | exception Unix.Unix_error (ue, _, _) ->
       let e = err_of_unix ue in
       note_degraded s.s_name e;
@@ -309,7 +294,5 @@ let chan_write c payload =
       really_write c.c_fd payload 0 (String.length payload);
       fsync_fd c.c_fd;
       Metrics.add (Lazy.force c_bytes) (String.length payload))
-
-let chan_path c = c.c_path
 
 let close_chan c = try Unix.close c.c_fd with Unix.Unix_error _ -> ()

@@ -44,17 +44,6 @@ val max_attempts : int
 
 (** {1 Sites and crashpoints} *)
 
-val declare_site : string -> unit
-(** Idempotently register a crashpoint name before any write happens
-    there (useful for discovery/sweeps). Writing at a site declares it
-    implicitly. *)
-
-val sites : unit -> string list
-(** Every declared-or-seen site name, sorted. *)
-
-val site_writes : string -> int
-(** Write attempts made at this site so far (0 if unknown). *)
-
 type crash_mode =
   | Kill  (** tear the write, then [Unix._exit crash_exit_code] *)
   | Raise  (** tear the write, then raise {!Crash_simulated} (tests) *)
@@ -124,7 +113,5 @@ val open_chan : site:string -> ?append:bool -> string -> (chan, err) result
 
 val chan_write : chan -> string -> (unit, err) result
 (** Write the bytes and fsync; the unit a crash can tear. *)
-
-val chan_path : chan -> string
 
 val close_chan : chan -> unit

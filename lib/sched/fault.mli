@@ -53,11 +53,6 @@ val draw : plan -> test:int -> trial:int -> attempt:int -> verdict
 (** The fault (if any) injected into this trial; pure and deterministic
     in all four inputs. *)
 
-val mix : int -> int
-(** The splitmix-style integer finalizer behind {!draw}; exposed so
-    other deterministic components (e.g. supervision backoff jitter)
-    can share it instead of growing their own. *)
-
 (** {1 Failure taxonomy}
 
     Raised out of the executor; {!Supervise} classifies them.  The

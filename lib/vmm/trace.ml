@@ -6,8 +6,6 @@
 
 type kind = Read | Write
 
-let kind_name = function Read -> "R" | Write -> "W"
-
 type access = {
   thread : int;  (* guest thread (vCPU) performing the access *)
   pc : int;  (* instruction address *)
@@ -51,9 +49,3 @@ let project_value a ~lo ~hi =
 let overlap_range a b =
   let lo = max a.addr b.addr and hi = min (a.addr + a.size) (b.addr + b.size) in
   if lo < hi then Some (lo, hi) else None
-
-let pp ppf a =
-  Format.fprintf ppf "[t%d pc=%d %s%s addr=0x%x+%d val=%d]" a.thread a.pc
-    (kind_name a.kind)
-    (if a.atomic then ".a" else "")
-    a.addr a.size a.value

@@ -6,8 +6,6 @@
 
 type kind = Read | Write
 
-val kind_name : kind -> string
-
 type access = {
   thread : int;  (** guest thread (vCPU) performing the access *)
   pc : int;  (** instruction address *)
@@ -36,5 +34,3 @@ val project_value : access -> lo:int -> hi:int -> int
 
 val overlap_range : access -> access -> (int * int) option
 (** The intersection of the two byte ranges, if non-empty. *)
-
-val pp : Format.formatter -> access -> unit

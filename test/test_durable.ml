@@ -311,31 +311,32 @@ let test_checkpoint_recovers_torn_tail () =
   let whole = read_raw path in
   (* tear mid-way through the final frame, as a power loss would *)
   write_raw path (String.sub whole 0 (String.length whole - 12));
-  (match Checkpoint.load_ex path with
+  (match Checkpoint.load path with
   | Error msg -> Alcotest.failf "recovery must not error: %s" msg
-  | Ok (f, recovery) ->
+  | Ok (f, rc) ->
       checks "fingerprint survives" "fp-t" f.Checkpoint.ck_fingerprint;
       checki "one entry lost" 5 (List.length f.Checkpoint.ck_entries);
       checkb "recovered prefix in order" true
         (List.map (fun e -> e.Checkpoint.ck_result.Pipeline.tr_index)
            f.Checkpoint.ck_entries
         = [ 1; 2; 3; 4; 5 ]);
-      match recovery with
-      | Some rc ->
-          checkb "drop reported" true (rc.Durable.rc_dropped_records >= 1)
-      | None -> Alcotest.fail "framed journal must report recovery");
+      checkb "drop reported" true (rc.Durable.rc_dropped_records >= 1));
   Sys.remove path
 
-let test_checkpoint_v2_compat () =
+(* a whole-document JSON journal of the v2 format, as written before
+   the framed v3 journal replaced it *)
+let v2_document =
+  "{\"schema\": \"snowboard/checkpoint/v2\", \"fingerprint\": \"fp-legacy\", \
+   \"entries\": []}"
+
+let test_checkpoint_v2_refused () =
   let path = Filename.temp_file "snowboard_durable" ".ck" in
-  write_raw path
-    "{\"schema\": \"snowboard/checkpoint/v2\", \"fingerprint\": \"fp-legacy\", \
-     \"entries\": []}";
-  (match Checkpoint.load_ex path with
-  | Error msg -> Alcotest.failf "v2 must stay readable: %s" msg
-  | Ok (f, recovery) ->
-      checks "fingerprint" "fp-legacy" f.Checkpoint.ck_fingerprint;
-      checkb "no frame recovery for v2" true (recovery = None));
+  write_raw path v2_document;
+  (match Checkpoint.load path with
+  | Error msg ->
+      checkb "names the file" true (contains ~sub:path msg);
+      checkb "no journal header" true (contains ~sub:"bad magic" msg)
+  | Ok _ -> Alcotest.fail "a v2 document must be refused");
   Sys.remove path
 
 let test_checkpoint_wrong_framed_schema () =
@@ -360,7 +361,7 @@ let test_sink_append_only_grows () =
     (String.length after_two > String.length after_one
     && String.sub after_two 0 (String.length after_one) = after_one);
   (match Checkpoint.load path with
-  | Ok f -> checki "both records" 2 (List.length f.Checkpoint.ck_entries)
+  | Ok (f, _) -> checki "both records" 2 (List.length f.Checkpoint.ck_entries)
   | Error msg -> Alcotest.failf "load: %s" msg);
   Sys.remove path
 
@@ -413,24 +414,28 @@ let test_fsck_clean_and_repair () =
   | Error msg -> Alcotest.failf "fsck: %s" msg);
   (* the repaired journal loads as the recovered prefix *)
   (match Checkpoint.load path with
-  | Ok f -> checki "loadable prefix" 3 (List.length f.Checkpoint.ck_entries)
+  | Ok (f, _) ->
+      checki "loadable prefix" 3 (List.length f.Checkpoint.ck_entries)
   | Error msg -> Alcotest.failf "load after repair: %s" msg);
   Sys.remove path
 
 let test_fsck_legacy_and_junk () =
   let path = Filename.temp_file "snowboard_durable" ".ck" in
-  write_raw path "{\"schema\": \"snowboard/checkpoint/v2\", \"entries\": []}";
-  (match Durable.fsck path with
-  | Ok r ->
-      checkb "legacy recognised" true (r.Durable.fk_format = Durable.Legacy_json);
-      checkb "legacy clean" true r.Durable.fk_clean
-  | Error msg -> Alcotest.failf "fsck: %s" msg);
-  write_raw path "complete nonsense";
-  (match Durable.fsck path with
-  | Ok r ->
-      checkb "junk flagged" true (r.Durable.fk_format = Durable.Unknown);
-      checkb "junk not clean" false r.Durable.fk_clean
-  | Error msg -> Alcotest.failf "fsck: %s" msg);
+  List.iter
+    (fun (what, bytes) ->
+      write_raw path bytes;
+      List.iter
+        (fun repair ->
+          match Durable.fsck ~repair path with
+          | Ok r ->
+              checkb (what ^ " flagged") true
+                (r.Durable.fk_format = Durable.Unknown);
+              checkb (what ^ " not clean") false r.Durable.fk_clean;
+              checkb (what ^ " not repaired") false r.Durable.fk_repaired;
+              checks (what ^ " bytes untouched") bytes (read_raw path)
+          | Error msg -> Alcotest.failf "fsck: %s" msg)
+        [ false; true ])
+    [ ("v2 document", v2_document); ("junk", "complete nonsense") ];
   Sys.remove path;
   match Durable.fsck path with
   | Error _ -> ()
@@ -502,7 +507,7 @@ let prop_checkpoint_recovery_prefix_consistent =
               (* only acceptable when even the header record is gone *)
               let recs, _ = Durable.scan (String.sub whole 0 cut) in
               recs = []
-          | Ok f ->
+          | Ok (f, _) ->
               (* the recovered entries are exactly a prefix of what was
                  journaled: resuming re-runs the tail and nothing else *)
               f.Checkpoint.ck_fingerprint = "fp-q"
@@ -537,7 +542,7 @@ let tests =
       test_seeded_plan_deterministic;
     Alcotest.test_case "checkpoint recovers a torn tail" `Quick
       test_checkpoint_recovers_torn_tail;
-    Alcotest.test_case "checkpoint v2 compat" `Quick test_checkpoint_v2_compat;
+    Alcotest.test_case "checkpoint v2 refused" `Quick test_checkpoint_v2_refused;
     Alcotest.test_case "wrong framed schema" `Quick
       test_checkpoint_wrong_framed_schema;
     Alcotest.test_case "sink is append-only" `Quick test_sink_append_only_grows;

@@ -3,7 +3,6 @@
    instrumentation actually populates the registry. *)
 
 let reset () =
-  Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
   Obs.Span.reset ()
 
@@ -34,17 +33,6 @@ let test_kind_clash () =
   Alcotest.check_raises "gauge under a counter name"
     (Invalid_argument "Obs.Metrics: test/clash already registered as a counter")
     (fun () -> ignore (Obs.Metrics.gauge "test/clash"))
-
-let test_disabled () =
-  reset ();
-  let c = Obs.Metrics.counter "test/off" in
-  let h = Obs.Metrics.histogram "test/off_h" in
-  Obs.Metrics.set_enabled false;
-  Obs.Metrics.incr c;
-  Obs.Metrics.observe h 5;
-  Obs.Metrics.set_enabled true;
-  Alcotest.(check int) "disabled add is a no-op" 0 (Obs.Metrics.counter_value c);
-  Alcotest.(check int) "disabled observe is a no-op" 0 (Obs.Metrics.hist_count h)
 
 let test_reset () =
   reset ();
@@ -312,7 +300,6 @@ let () =
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "kind clash" `Quick test_kind_clash;
-          Alcotest.test_case "disabled" `Quick test_disabled;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "histograms",

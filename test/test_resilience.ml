@@ -102,26 +102,24 @@ let test_draw_extremes () =
 (* ---------------- supervised execution ---------------- *)
 
 let test_supervise_ok () =
-  let sv = Supervise.run ~seed:1 (fun ~attempt:_ -> 41 + 1) in
+  let sv = Supervise.run (fun ~attempt:_ -> 41 + 1) in
   checkb "result" true (sv.Supervise.sv_result = Some 42);
   checkb "outcome" true (sv.Supervise.sv_outcome = Supervise.Ok);
-  checki "no retries" 0 sv.Supervise.sv_retries;
-  checki "no backoff" 0 sv.Supervise.sv_backoff
+  checki "no retries" 0 sv.Supervise.sv_retries
 
 let test_supervise_retry_then_succeed () =
   let sv =
-    Supervise.run ~seed:1 (fun ~attempt ->
+    Supervise.run (fun ~attempt ->
         if attempt = 0 then raise (Fault.Injected_crash "flaky vm") else "done")
   in
   checkb "recovered" true (sv.Supervise.sv_result = Some "done");
   checkb "outcome ok" true (Supervise.is_ok sv.Supervise.sv_outcome);
-  checki "one retry" 1 sv.Supervise.sv_retries;
-  checkb "backoff charged" true (sv.Supervise.sv_backoff > 0)
+  checki "one retry" 1 sv.Supervise.sv_retries
 
 let test_supervise_quarantine () =
   let attempts = ref 0 in
   let sv =
-    Supervise.run ~seed:1 (fun ~attempt:_ ->
+    Supervise.run (fun ~attempt:_ ->
         incr attempts;
         raise (Fault.Trace_truncated "always"))
   in
@@ -137,7 +135,7 @@ let test_supervise_quarantine () =
 let test_supervise_crash_no_retry () =
   let attempts = ref 0 in
   let sv =
-    Supervise.run ~seed:1 (fun ~attempt:_ ->
+    Supervise.run (fun ~attempt:_ ->
         incr attempts;
         failwith "harness bug")
   in
@@ -149,23 +147,12 @@ let test_supervise_crash_no_retry () =
 let test_supervise_timeout_no_retry () =
   let attempts = ref 0 in
   let sv =
-    Supervise.run ~seed:1 (fun ~attempt:_ ->
+    Supervise.run (fun ~attempt:_ ->
         incr attempts;
         raise (Fault.Watchdog_timeout 123))
   in
   checkb "timed out at step" true (sv.Supervise.sv_outcome = Supervise.Timed_out 123);
   checki "deterministic timeout never retried" 1 !attempts
-
-let test_backoff_deterministic_bounded () =
-  let p = { Supervise.default with Supervise.backoff_base = 64 } in
-  for attempt = 1 to 12 do
-    let b = Supervise.backoff p ~seed:9 ~attempt in
-    checkb "positive" true (b > 0);
-    checkb "bounded" true (b <= 64 * 4096);
-    checki "pure in (seed, attempt)" b (Supervise.backoff p ~seed:9 ~attempt)
-  done;
-  checkb "grows with attempt (early)" true
-    (Supervise.backoff p ~seed:9 ~attempt:1 < Supervise.backoff p ~seed:9 ~attempt:4)
 
 let test_outcome_names () =
   checks "ok" "ok" (Supervise.outcome_name Supervise.Ok);
@@ -306,7 +293,7 @@ let test_checkpoint_roundtrip () =
   Checkpoint.save path file;
   (match Checkpoint.load path with
   | Error msg -> Alcotest.failf "load failed: %s" msg
-  | Ok loaded ->
+  | Ok (loaded, _) ->
       checks "fingerprint" "fp-1" loaded.Checkpoint.ck_fingerprint;
       checkb "entries round-trip" true (loaded.Checkpoint.ck_entries = entries));
   Sys.remove path
@@ -332,9 +319,11 @@ let test_checkpoint_load_errors () =
   let oc = open_out path in
   output_string oc "{\"schema\": \"other/v9\", \"fingerprint\": \"x\", \"entries\": []}";
   close_out oc;
+  (* not framed: refused before any schema is read (the framed case is
+     test_durable's "wrong framed schema") *)
   (match Checkpoint.load path with
-  | Error msg -> checkb "names the schema" true (contains ~sub:"schema" msg)
-  | Ok _ -> Alcotest.fail "foreign schema must be an error");
+  | Error msg -> checkb "names the file" true (contains ~sub:path msg)
+  | Ok _ -> Alcotest.fail "foreign document must be an error");
   Sys.remove path
 
 let test_checkpoint_sink () =
@@ -346,7 +335,7 @@ let test_checkpoint_sink () =
     (sample_result ~index:2 ~outcome:(Supervise.Timed_out 10) ~bug:None);
   (match Checkpoint.load path with
   | Error msg -> Alcotest.failf "load failed: %s" msg
-  | Ok f ->
+  | Ok (f, _) ->
       checki "both journaled" 2 (List.length f.Checkpoint.ck_entries);
       checkb "order preserved" true
         (List.map
@@ -571,8 +560,6 @@ let tests =
       test_supervise_crash_no_retry;
     Alcotest.test_case "supervise: timeout not retried" `Quick
       test_supervise_timeout_no_retry;
-    Alcotest.test_case "backoff deterministic and bounded" `Quick
-      test_backoff_deterministic_bounded;
     Alcotest.test_case "outcome names stable" `Quick test_outcome_names;
     Alcotest.test_case "injected crash/truncate raise" `Quick
       test_injected_crash_raises;

@@ -13,7 +13,6 @@ let reset () =
   Obs.Telemetry.set_clock None;
   Obs.Telemetry.set_source None;
   Obs.Event.configure ~enabled:false ();
-  Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
   Obs.Span.reset ()
 
