@@ -293,10 +293,15 @@ let run_identify kernel seed iters () (_ : obs) =
   pf "@.clusters per strategy:@.";
   List.iter
     (fun s ->
-      let c = Core.Cluster.run s t.Harness.Pipeline.ident in
-      let sizes = List.sort compare (Core.Cluster.sizes c) in
-      let n = List.length sizes in
-      let median = if n = 0 then 0 else List.nth sizes (n / 2) in
+      (* uncommon-first: ascending size *)
+      let c =
+        Core.Cluster.clusters
+          (Harness.Frontier.clusters t.Harness.Pipeline.frontier s)
+      in
+      let n = Array.length c in
+      let median =
+        if n = 0 then 0 else Array.length c.(n / 2).Core.Cluster.members
+      in
       pf "  %-16s %8d clusters (median size %d)@." (Core.Cluster.name s) n median)
     Core.Cluster.all
 
@@ -528,25 +533,14 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
       jobs;
     }
   in
-  let t = Harness.Pipeline.prepare cfg in
-  Harness.Report.pmc_summary t;
   let methods =
     match methods with [] -> Core.Select.all_paper_methods | l -> l
   in
-  (* from here on, every telemetry snapshot carries the live coverage
-     frontier, and the HUD shows per-strategy bars and a test-count ETA *)
-  if Obs.Telemetry.enabled () then begin
-    Obs.Telemetry.set_source
-      (Some
-         (fun () ->
-           [ ("frontier", Harness.Frontier.json t.Harness.Pipeline.frontier) ]));
-    Obs.Telemetry.set_hud
-      (Some (fun () -> Harness.Frontier.hud_lines t.Harness.Pipeline.frontier));
-    Obs.Telemetry.set_total (Some (budget * List.length methods))
-  end;
   (* the checkpoint fingerprint covers everything that shapes the plan,
      the per-test seeds and the fault schedule, so a resume with any
-     incompatible knob is refused instead of silently mixing results *)
+     incompatible knob is refused instead of silently mixing results;
+     it needs only the configuration, so the journal is checked before
+     the prepare phase spends anything *)
   let fingerprint =
     Harness.Checkpoint.fingerprint ~cfg ~budget
       ~methods:(List.map Core.Select.method_name methods)
@@ -592,6 +586,19 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
             f.Harness.Checkpoint.ck_entries)
     | _ -> []
   in
+  let t = Harness.Pipeline.prepare cfg in
+  Harness.Report.pmc_summary t;
+  (* from here on, every telemetry snapshot carries the live coverage
+     frontier, and the HUD shows per-strategy bars and a test-count ETA *)
+  if Obs.Telemetry.enabled () then begin
+    Obs.Telemetry.set_source
+      (Some
+         (fun () ->
+           [ ("frontier", Harness.Frontier.json t.Harness.Pipeline.frontier) ]));
+    Obs.Telemetry.set_hud
+      (Some (fun () -> Harness.Frontier.hud_lines t.Harness.Pipeline.frontier));
+    Obs.Telemetry.set_total (Some (budget * List.length methods))
+  end;
   let sink =
     Option.map
       (fun path ->
@@ -812,7 +819,7 @@ let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
           List.iter (fun l -> pf "console: %s@." l) res.Sched.Exec.cc_console;
           (* re-execute the recorded interleaving with the flight
              recorder on, so each diagnosis carries the event trace *)
-          Obs.Event.configure ~deterministic:true ~enabled:true ();
+          Obs.Event.configure ~enabled:true ();
           ignore
             (Sched.Exec.run_conc env ~writer:s.Harness.Scenarios.writer
                ~reader:s.Harness.Scenarios.reader
@@ -1015,7 +1022,7 @@ let run_explain kernel replay_arg issue trace_out text_out () (_ : obs) =
   let input = resolve_explain_input ~issue replay_arg in
   (* deterministic recording: virtual-clock stamps only, so the emitted
      trace is byte-stable across runs *)
-  Obs.Event.configure ~deterministic:true ~enabled:true ();
+  Obs.Event.configure ~enabled:true ();
   let env = Sched.Exec.make_env kernel in
   let { Sched.Explore.run = res; races; findings } =
     Sched.Explore.check env

@@ -68,13 +68,22 @@ let keys strategy (p : Pmc.t) : key list =
   | S_INS_PAIR -> [ [ w.Pmc.ins; r.Pmc.ins ] ]
   | S_MEM -> [ [ w.Pmc.addr; w.Pmc.size; r.Pmc.addr; r.Pmc.size ] ]
 
-type clusters = {
+type cluster = { key : key; members : Pmc.t array }
+
+type t = {
   strategy : strategy;
-  table : (key, Pmc.t list ref) Hashtbl.t;
+  clusters : cluster array;  (* uncommon-first; index = cluster id *)
+  ids : (key, int) Hashtbl.t;  (* key -> cluster id *)
 }
 
-(* Cluster all identified PMCs under a strategy.  Each run feeds the
-   per-strategy cluster-size histogram (Table 3's population shape). *)
+let by_size_then_key a b =
+  let n = Int.compare (Array.length a.members) (Array.length b.members) in
+  if n <> 0 then n else List.compare Int.compare a.key b.key
+
+(* Cluster all identified PMCs under a strategy, least to most populous
+   (the paper's uncommon-first order), ties broken by key.  A cluster's
+   id is its rank in that order.  Each run feeds the per-strategy
+   cluster-size histogram (Table 3's population shape). *)
 let run strategy (ident : Identify.t) =
   let table = Hashtbl.create 1024 in
   Identify.iter
@@ -86,25 +95,30 @@ let run strategy (ident : Identify.t) =
           | None -> Hashtbl.replace table key (ref [ pmc ]))
         (keys strategy pmc))
     ident;
+  let clusters =
+    Hashtbl.fold
+      (fun key pmcs acc -> { key; members = Array.of_list !pmcs } :: acc)
+      table []
+    |> Array.of_list
+  in
+  (* keys are unique, so any sort gives this order; a merge sort makes
+     the fewest comparisons *)
+  Array.stable_sort by_size_then_key clusters;
   let h =
     Obs.Metrics.histogram ~unit_:"pmcs"
       ("snowboard.core/cluster_size." ^ name strategy)
   in
-  Hashtbl.iter (fun _ pmcs -> Obs.Metrics.observe h (List.length !pmcs)) table;
-  { strategy; table }
+  let ids = Hashtbl.create (Array.length clusters) in
+  Array.iteri
+    (fun id c ->
+      Obs.Metrics.observe h (Array.length c.members);
+      Hashtbl.replace ids c.key id)
+    clusters;
+  { strategy; clusters; ids }
 
-let num_clusters c = Hashtbl.length c.table
+let clusters t = t.clusters
+let num_clusters t = Array.length t.clusters
 
-(* Clusters ordered from least to most populous (the paper's uncommon-
-   first order), deterministically tie-broken by key. *)
-let ordered c =
-  let l =
-    Hashtbl.fold (fun key pmcs acc -> (key, !pmcs) :: acc) c.table []
-  in
-  List.sort
-    (fun (k1, p1) (k2, p2) ->
-      let n = compare (List.length p1) (List.length p2) in
-      if n <> 0 then n else compare k1 k2)
-    l
-
-let sizes c = Hashtbl.fold (fun _ pmcs acc -> List.length !pmcs :: acc) c.table []
+let ids t pmc =
+  List.filter_map (Hashtbl.find_opt t.ids) (keys t.strategy pmc)
+  |> List.sort_uniq compare

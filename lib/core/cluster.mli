@@ -25,17 +25,27 @@ type key = int list
 val keys : strategy -> Pmc.t -> key list
 (** Cluster keys of a PMC under a strategy; [] means filtered out. *)
 
-type clusters = {
-  strategy : strategy;
-  table : (key, Pmc.t list ref) Hashtbl.t;
+type cluster = {
+  key : key;
+  members : Pmc.t array;
+      (** the PMCs with this key, in reverse {!Identify.iter} order *)
 }
 
-val run : strategy -> Identify.t -> clusters
+type t
+(** One strategy's clusters of one identification. *)
 
-val num_clusters : clusters -> int
+val run : strategy -> Identify.t -> t
+(** Cluster every identified PMC, least to most populous (the paper's
+    uncommon-first order), ties broken by key; a cluster's id is its
+    rank in that order.  Observes each cluster's size in the
+    [snowboard.core/cluster_size.<S>] histogram. *)
 
-val ordered : clusters -> (key * Pmc.t list) list
-(** Clusters from least to most populous (the paper's uncommon-first
-    order), deterministically tie-broken by key. *)
+val clusters : t -> cluster array
+(** The clusters, indexed by id.  Shared by every reader of the table:
+    copy it before reordering. *)
 
-val sizes : clusters -> int list
+val num_clusters : t -> int
+
+val ids : t -> Pmc.t -> int list
+(** Ids of the clusters holding a PMC, ascending; [] if the strategy
+    filters it out or the table never saw it. *)

@@ -45,28 +45,32 @@ let shuffle rng arr =
 
 let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
-(* Build the ordered test list for a clustering strategy.  One exemplar
-   PMC is drawn per cluster (line 2 of Algorithm 2); a PMC already chosen
-   for an earlier cluster (possible under S-INS, whose clusters overlap)
-   is skipped. *)
-let plan_strategy ~random_order strategy (ident : Identify.t) rng ~max =
-  let clusters = Cluster.run strategy ident in
-  let ordered =
+(* Build the ordered test list for a clustering strategy from its
+   prebuilt table, in the table's uncommon-first order or, for a
+   random-order method, in a shuffled copy of it.  One exemplar PMC is
+   drawn per cluster (line 2 of Algorithm 2); a PMC already chosen for
+   an earlier cluster (possible under S-INS, whose clusters overlap) is
+   skipped. *)
+let plan_strategy method_ ~random_order (clusters : Cluster.t)
+    (ident : Identify.t) rng ~max =
+  let order = Cluster.clusters clusters in
+  let order =
     if random_order then begin
-      let arr = Array.of_list (Cluster.ordered clusters) in
+      let arr = Array.copy order in
       shuffle rng arr;
-      Array.to_list arr
+      arr
     end
-    else Cluster.ordered clusters
+    else order
   in
   let chosen = Hashtbl.create 256 in
   let tests = ref [] in
   let count = ref 0 in
   (try
-     List.iter
-       (fun (_key, pmcs) ->
+     Array.iter
+       (fun (c : Cluster.cluster) ->
          if !count >= max then raise Exit;
-         let pmc = pick rng pmcs in
+         let members = c.Cluster.members in
+         let pmc = members.(Random.State.int rng (Array.length members)) in
          if not (Hashtbl.mem chosen pmc) then begin
            Hashtbl.replace chosen pmc ();
            match Identify.pairs ident pmc with
@@ -76,10 +80,10 @@ let plan_strategy ~random_order strategy (ident : Identify.t) rng ~max =
                tests := { writer = w; reader = r; hint = Some pmc } :: !tests;
                incr count
          end)
-       ordered
+       order
    with Exit -> ());
   {
-    method_ = (if random_order then Random_order strategy else Strategy strategy);
+    method_;
     tests = List.rev !tests;
     num_clusters = Cluster.num_clusters clusters;
   }
@@ -101,9 +105,11 @@ let plan_random_pairing ~duplicate (corpus_ids : int list) rng ~max =
     num_clusters = 0;
   }
 
-let plan method_ (ident : Identify.t) ~corpus_ids rng ~max =
+let plan method_ (ident : Identify.t) ~clusters ~corpus_ids rng ~max =
   match method_ with
-  | Strategy s -> plan_strategy ~random_order:false s ident rng ~max
-  | Random_order s -> plan_strategy ~random_order:true s ident rng ~max
+  | Strategy s ->
+      plan_strategy method_ ~random_order:false (clusters s) ident rng ~max
+  | Random_order s ->
+      plan_strategy method_ ~random_order:true (clusters s) ident rng ~max
   | Random_pairing -> plan_random_pairing ~duplicate:false corpus_ids rng ~max
   | Duplicate_pairing -> plan_random_pairing ~duplicate:true corpus_ids rng ~max

@@ -31,10 +31,13 @@ type plan = {
 val plan :
   method_ ->
   Identify.t ->
+  clusters:(Cluster.strategy -> Cluster.t) ->
   corpus_ids:int list ->
   Random.State.t ->
   max:int ->
   plan
 (** Build an ordered list of at most [max] concurrent tests.  Strategy
-    methods draw one exemplar PMC per cluster and one of its test pairs
-    at random; baselines draw uniformly from [corpus_ids]. *)
+    methods walk the strategy's table from [clusters] (built from the
+    same identification), uncommon-first or, for {!Random_order}, in a
+    shuffled copy, and draw one exemplar PMC per cluster and one of its
+    test pairs at random; baselines draw uniformly from [corpus_ids]. *)

@@ -133,7 +133,9 @@ let run (p : Pipeline.t) ~budget ~trials ~seed =
   in
   let plan =
     Core.Select.plan (Core.Select.Strategy Core.Cluster.S_INS_PAIR)
-      p.Pipeline.ident ~corpus_ids rng ~max:budget
+      p.Pipeline.ident
+      ~clusters:(Frontier.clusters p.Pipeline.frontier)
+      ~corpus_ids rng ~max:budget
   in
   let queue = Queue.create () in
   List.iter

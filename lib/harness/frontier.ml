@@ -4,10 +4,11 @@
    is best read as "how many clusters has the campaign tested under each
    Table 1 strategy, and how many remain" — the untested remainder is
    the frontier.  This module maintains that table online: [create]
-   clusters the identification output once under every strategy, and
-   [note] marks the hinted PMC's clusters tested as each concurrent test
-   completes, also recording the tests-to-find curve (which test first
-   found each issue).
+   clusters the identification output once under every strategy (the
+   campaign's only clustering: selection and provenance read the tables
+   back through [clusters]), and [note] marks the hinted PMC's cluster
+   ids tested as each concurrent test completes, also recording the
+   tests-to-find curve (which test first found each issue).
 
    Everything here is deterministic: the cluster tables are pure
    functions of the identification, notes arrive in plan order (the
@@ -17,9 +18,8 @@
 
 type strat_cov = {
   sc_strategy : Core.Cluster.strategy;
-  sc_total : int;
-  sc_member : (Core.Cluster.key, unit) Hashtbl.t;  (* existing cluster keys *)
-  sc_seen : (Core.Cluster.key, unit) Hashtbl.t;  (* keys tested so far *)
+  sc_clusters : Core.Cluster.t;
+  sc_tested : bool array;  (* by cluster id *)
 }
 
 type t = {
@@ -34,15 +34,10 @@ let create (ident : Core.Identify.t) =
     List.map
       (fun strategy ->
         let clusters = Core.Cluster.run strategy ident in
-        let member = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun key _ -> Hashtbl.replace member key ())
-          clusters.Core.Cluster.table;
         {
           sc_strategy = strategy;
-          sc_total = Core.Cluster.num_clusters clusters;
-          sc_member = member;
-          sc_seen = Hashtbl.create 64;
+          sc_clusters = clusters;
+          sc_tested = Array.make (Core.Cluster.num_clusters clusters) false;
         })
       Core.Cluster.all
   in
@@ -62,36 +57,24 @@ let note t ?hint ~issues ~trials () =
       List.iter
         (fun sc ->
           List.iter
-            (fun key ->
-              if Hashtbl.mem sc.sc_member key then
-                Hashtbl.replace sc.sc_seen key ())
-            (Core.Cluster.keys sc.sc_strategy pmc))
+            (fun id -> sc.sc_tested.(id) <- true)
+            (Core.Cluster.ids sc.sc_clusters pmc))
         t.strategies
 
 let tests t = t.tests
 let trials t = t.trials
-let tested sc = Hashtbl.length sc.sc_seen
-let frontier_of sc = sc.sc_total - tested sc
+let total sc = Array.length sc.sc_tested
+
+let tested sc =
+  Array.fold_left (fun n b -> if b then n + 1 else n) 0 sc.sc_tested
+
+let frontier_of sc = total sc - tested sc
 
 let find_strat t strategy =
-  List.find_opt (fun sc -> sc.sc_strategy = strategy) t.strategies
+  List.find (fun sc -> sc.sc_strategy = strategy) t.strategies
 
-(* Point queries for the provenance layer: has this cluster key been
-   covered by any noted test (under any method)? *)
-let is_tested t strategy key =
-  match find_strat t strategy with
-  | None -> false
-  | Some sc -> Hashtbl.mem sc.sc_seen key
-
-let untested_keys t strategy =
-  match find_strat t strategy with
-  | None -> []
-  | Some sc ->
-      Hashtbl.fold
-        (fun key () acc ->
-          if Hashtbl.mem sc.sc_seen key then acc else key :: acc)
-        sc.sc_member []
-      |> List.sort compare
+let clusters t strategy = (find_strat t strategy).sc_clusters
+let is_tested t strategy id = (find_strat t strategy).sc_tested.(id)
 
 let frontier t =
   List.map (fun sc -> (sc.sc_strategy, frontier_of sc)) t.strategies
@@ -118,7 +101,7 @@ let json t =
                  [
                    ( "strategy",
                      Obs.Export.String (Core.Cluster.name sc.sc_strategy) );
-                   ("clusters", Obs.Export.Int sc.sc_total);
+                   ("clusters", Obs.Export.Int (total sc));
                    ("tested", Obs.Export.Int (tested sc));
                    ("frontier", Obs.Export.Int (frontier_of sc));
                  ])
@@ -130,17 +113,17 @@ let hud_lines ?(width = 22) t =
   List.map
     (fun sc ->
       let name = Core.Cluster.name sc.sc_strategy in
-      if sc.sc_total = 0 then Printf.sprintf "  %-15s (no clusters)" name
+      if total sc = 0 then Printf.sprintf "  %-15s (no clusters)" name
       else begin
         let seen = tested sc in
         let filled =
-          min width (width * seen / max 1 sc.sc_total)
+          min width (width * seen / max 1 (total sc))
         in
         let bar =
           String.concat ""
             (List.init width (fun i -> if i < filled then "█" else "░"))
         in
         Printf.sprintf "  %-15s %s %d/%d (frontier %d)" name bar seen
-          sc.sc_total (frontier_of sc)
+          (total sc) (frontier_of sc)
       end)
     t.strategies

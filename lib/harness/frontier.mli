@@ -11,14 +11,19 @@ type t
 
 val create : Core.Identify.t -> t
 (** Cluster the identification under every {!Core.Cluster.all} strategy
-    and start with an empty tested set. *)
+    and start with an empty tested set.  These tables are the campaign's
+    only clustering: selection and provenance read them through
+    {!clusters}. *)
+
+val clusters : t -> Core.Cluster.strategy -> Core.Cluster.t
+(** The strategy's cluster table, built once by {!create}. *)
 
 val note :
   t -> ?hint:Core.Pmc.t -> issues:int list -> trials:int -> unit -> unit
-(** Record one completed concurrent test: marks the hinted PMC's cluster
-    keys tested under every strategy (hint-less tests only advance the
-    test/trial tallies), and extends the tests-to-find curve with any
-    newly seen issue ids. *)
+(** Record one completed concurrent test: marks the hinted PMC's
+    clusters tested under every strategy (hint-less tests only advance
+    the test/trial tallies), and extends the tests-to-find curve with
+    any newly seen issue ids. *)
 
 val tests : t -> int
 
@@ -28,14 +33,10 @@ val frontier : t -> (Core.Cluster.strategy * int) list
 (** Untested clusters remaining per strategy, in {!Core.Cluster.all}
     order. *)
 
-val is_tested : t -> Core.Cluster.strategy -> Core.Cluster.key -> bool
-(** Has this cluster key been covered by any noted test, under any
-    method?  The provenance layer's "why is this cluster untested"
+val is_tested : t -> Core.Cluster.strategy -> int -> bool
+(** Has the cluster with this id been covered by any noted test, under
+    any method?  The provenance layer's "why is this cluster untested"
     queries start here. *)
-
-val untested_keys : t -> Core.Cluster.strategy -> Core.Cluster.key list
-(** The frontier itself: cluster keys of this strategy not yet tested,
-    sorted. *)
 
 val tests_to_find : t -> (int * int) list
 (** Issue id paired with the ordinal of the noted test that first found

@@ -432,7 +432,8 @@ let plan_method t method_ ~budget =
     List.map (fun (e : Fuzzer.Corpus.entry) -> e.id) (Fuzzer.Corpus.to_list t.corpus)
   in
   Obs.Span.with_span "select" (fun () ->
-      Core.Select.plan method_ t.ident ~corpus_ids rng ~max:budget)
+      Core.Select.plan method_ t.ident
+        ~clusters:(Frontier.clusters t.frontier) ~corpus_ids rng ~max:budget)
 
 (* Spend a budget under one method over [t.cfg.jobs] workers pulling
    from one queue (the single-machine analogue of the paper's

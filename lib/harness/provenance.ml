@@ -2,17 +2,19 @@
 
    The campaign runners note plans and per-test outcomes as they go; at
    export time this module joins those notes with the identification
-   (writer/reader instructions attributed to function+offset), the
-   Table 1 cluster tables (assignments and per-strategy selection
-   verdicts) and the coverage frontier (why untested clusters are
-   untested), and renders one self-contained `snowboard-provenance/1`
-   JSON artifact.  `snowboard why` is a pure reader of that artifact.
+   (writer/reader instructions attributed to function+offset) and the
+   coverage frontier, whose Table 1 cluster tables give each PMC's
+   cluster ids and whose tested marks leave a why to find for each
+   untested cluster, and renders one self-contained
+   `snowboard-provenance/1` JSON artifact.  `snowboard why` is a pure
+   reader of that artifact.
 
-   Determinism: PMC ids are ranks in a canonical structural sort,
-   cluster ids are ranks in [Core.Cluster.ordered], notes are keyed (so
-   re-noting a resumed test replaces rather than duplicates) and every
-   list in the artifact is sorted — the artifact is byte-identical
-   across --jobs and --resume given the same campaign. *)
+   Determinism: PMC ids are ranks in a canonical structural sort, taken
+   at export; cluster ids are the frontier's (ranks in the
+   uncommon-first order), notes are keyed (so re-noting a resumed test
+   replaces rather than duplicates) and every list in the artifact is
+   sorted — the artifact is byte-identical across --jobs and --resume
+   given the same campaign. *)
 
 module J = Obs.Export
 module Cluster = Core.Cluster
@@ -29,18 +31,12 @@ let v_filtered = "filtered"
 let v_method_not_run = "method-not-run"
 let u_planned_not_executed = "planned-but-not-executed"
 
-type plan_note = {
-  pn_num_clusters : int;
-  pn_tests : (int * int * int option) list;
-      (* (writer id, reader id, hinted provenance pmc id) in plan order *)
-}
-
 type test_note = {
   tn_method : string;
   tn_index : int;  (* 1-based index in its method's plan *)
   tn_writer : int;
   tn_reader : int;
-  tn_pmc : int option;  (* provenance id of the hint *)
+  tn_hint : Pmc.t option;
   tn_outcome : string;
   tn_retries : int;
   tn_exercised : bool;
@@ -55,34 +51,21 @@ type test_note = {
 type t = {
   image : Vmm.Asm.image;
   ident : Core.Identify.t;
-  pmcs : Pmc.t array;  (* canonical order; index = provenance id *)
-  pmc_ids : (Pmc.t, int) Hashtbl.t;
   mutable methods : string list;  (* noted methods, reversed *)
-  plans : (string, plan_note) Hashtbl.t;
+  plans : (string, Select.plan) Hashtbl.t;
   tests : (string * int, test_note) Hashtbl.t;  (* (method, index) *)
 }
 
-(* Canonical PMC order: structural compare over the all-scalar record,
-   so ids depend only on the identification, never on hash layout. *)
 let create ~image ~(ident : Core.Identify.t) =
-  let pmcs =
-    Core.Identify.fold (fun pmc _ acc -> pmc :: acc) ident []
-    |> List.sort compare |> Array.of_list
-  in
-  let pmc_ids = Hashtbl.create (Array.length pmcs) in
-  Array.iteri (fun i p -> Hashtbl.replace pmc_ids p i) pmcs;
   {
     image;
     ident;
-    pmcs;
-    pmc_ids;
     methods = [];
     plans = Hashtbl.create 16;
     tests = Hashtbl.create 256;
   }
 
-let num_pmcs t = Array.length t.pmcs
-let pmc_id t pmc = Hashtbl.find_opt t.pmc_ids pmc
+let num_pmcs t = Core.Identify.num_pmcs t.ident
 
 (* function+offset attribution of an instruction address, e.g.
    "tunnel_ioctl+0x12"; total thanks to Asm.func_name's unknown form. *)
@@ -94,17 +77,7 @@ let func_offset t pc =
 
 let note_plan t ~method_ ~(plan : Select.plan) =
   if not (List.mem method_ t.methods) then t.methods <- method_ :: t.methods;
-  Hashtbl.replace t.plans method_
-    {
-      pn_num_clusters = plan.Select.num_clusters;
-      pn_tests =
-        List.map
-          (fun (ct : Select.conc_test) ->
-            ( ct.Select.writer,
-              ct.Select.reader,
-              Option.bind ct.Select.hint (pmc_id t) ))
-          plan.Select.tests;
-    }
+  Hashtbl.replace t.plans method_ plan
 
 let note_test t ~method_ ~index ~writer ~reader ~hint ~outcome ~retries
     ~exercised ~issues ~trials ~hits ~miss_no_write ~miss_no_read ~miss_value
@@ -115,7 +88,7 @@ let note_test t ~method_ ~index ~writer ~reader ~hint ~outcome ~retries
       tn_index = index;
       tn_writer = writer;
       tn_reader = reader;
-      tn_pmc = Option.bind hint (pmc_id t);
+      tn_hint = hint;
       tn_outcome = outcome;
       tn_retries = retries;
       tn_exercised = exercised;
@@ -146,29 +119,6 @@ let ordered_tests t =
 
 let strategy_method s = Select.method_name (Select.Strategy s)
 
-(* Selection verdict of one PMC under one Table 1 strategy. *)
-let verdict t pid strategy =
-  let pmc = t.pmcs.(pid) in
-  let keys = Cluster.keys strategy pmc in
-  if keys = [] then v_filtered
-  else
-    match Hashtbl.find_opt t.plans (strategy_method strategy) with
-    | None -> v_method_not_run
-    | Some plan ->
-        let hinted_pid =
-          List.filter_map (fun (_, _, h) -> h) plan.pn_tests
-        in
-        if List.mem pid hinted_pid then v_selected
-        else if
-          List.exists
-            (fun hid ->
-              List.exists
-                (fun k -> List.mem k (Cluster.keys strategy t.pmcs.(hid)))
-                keys)
-            hinted_pid
-        then v_deduplicated
-        else v_beyond_budget
-
 let json_of_side t (s : Pmc.side) =
   J.Obj
     [
@@ -179,7 +129,7 @@ let json_of_side t (s : Pmc.side) =
       ("value", J.Int s.Pmc.value);
     ]
 
-let json_of_test (gid, tn) =
+let json_of_test (gid, tn, pid) =
   J.Obj
     [
       ("id", J.Int gid);
@@ -187,7 +137,7 @@ let json_of_test (gid, tn) =
       ("index", J.Int tn.tn_index);
       ("writer", J.Int tn.tn_writer);
       ("reader", J.Int tn.tn_reader);
-      ("pmc", match tn.tn_pmc with None -> J.Null | Some p -> J.Int p);
+      ("pmc", match pid with None -> J.Null | Some p -> J.Int p);
       ("outcome", J.String tn.tn_outcome);
       ("retries", J.Int tn.tn_retries);
       ("exercised", J.Bool tn.tn_exercised);
@@ -200,26 +150,66 @@ let json_of_test (gid, tn) =
     ]
 
 let json t ~(frontier : Frontier.t) =
-  let tests = ordered_tests t in
-  (* per-strategy cluster tables, each key mapped to its ordered rank *)
-  let strat_tables =
+  (* canonical PMC ids: ranks in a structural sort of the all-scalar
+     record, so ids depend only on the identification, never on hash
+     layout *)
+  let pmcs =
+    Core.Identify.fold (fun pmc _ acc -> pmc :: acc) t.ident []
+    |> List.sort compare |> Array.of_list
+  in
+  let pmc_ids = Hashtbl.create (Array.length pmcs) in
+  Array.iteri (fun i p -> Hashtbl.replace pmc_ids p i) pmcs;
+  let pmc_id pmc = Hashtbl.find_opt pmc_ids pmc in
+  let tests =
+    List.map
+      (fun (gid, tn) -> (gid, tn, Option.bind tn.tn_hint pmc_id))
+      (ordered_tests t)
+  in
+  (* per strategy: the frontier's table and, if the strategy's method
+     ran, its plan's hints with the cluster ids they fall in *)
+  let strategies =
     List.map
       (fun strategy ->
-        let ordered = Cluster.ordered (Cluster.run strategy t.ident) in
-        let rank = Hashtbl.create 64 in
-        List.iteri (fun cid (key, _) -> Hashtbl.replace rank key cid) ordered;
-        (strategy, ordered, rank))
+        let table = Frontier.clusters frontier strategy in
+        let hinted =
+          Option.map
+            (fun (plan : Select.plan) ->
+              let hints =
+                List.filter_map
+                  (fun (ct : Select.conc_test) -> ct.Select.hint)
+                  plan.Select.tests
+              in
+              let ids = Array.make (Cluster.num_clusters table) false in
+              List.iter
+                (fun h ->
+                  List.iter (fun id -> ids.(id) <- true) (Cluster.ids table h))
+                hints;
+              (hints, ids))
+            (Hashtbl.find_opt t.plans (strategy_method strategy))
+        in
+        (strategy, table, hinted))
       Cluster.all
   in
-  let cluster_ids strategy rank pmc =
-    List.filter_map (Hashtbl.find_opt rank) (Cluster.keys strategy pmc)
-    |> List.sort_uniq compare
+  (* selection verdict of one PMC, in clusters [ids] of a strategy *)
+  let verdict pmc ids hinted =
+    match (ids, hinted) with
+    | [], _ -> v_filtered
+    | _, None -> v_method_not_run
+    | _, Some (hints, hinted_ids) ->
+        if List.mem pmc hints then v_selected
+        else if List.exists (fun id -> hinted_ids.(id)) ids then
+          v_deduplicated
+        else v_beyond_budget
   in
   let pmc_json pid pmc =
-    let hinted =
-      List.filter (fun (_, tn) -> tn.tn_pmc = Some pid) tests
+    let hinted = List.filter (fun (_, _, p) -> p = Some pid) tests in
+    let sum f = List.fold_left (fun n (_, tn, _) -> n + f tn) 0 hinted in
+    let per_strategy =
+      List.map
+        (fun (strategy, table, hinted) ->
+          (Cluster.name strategy, Cluster.ids table pmc, hinted))
+        strategies
     in
-    let sum f = List.fold_left (fun n (_, tn) -> n + f tn) 0 hinted in
     J.Obj
       [
         ("id", J.Int pid);
@@ -235,22 +225,18 @@ let json t ~(frontier : Frontier.t) =
         ( "clusters",
           J.Obj
             (List.filter_map
-               (fun (strategy, _, rank) ->
-                 match cluster_ids strategy rank pmc with
-                 | [] -> None
-                 | ids ->
-                     Some
-                       ( Cluster.name strategy,
-                         J.List (List.map (fun i -> J.Int i) ids) ))
-               strat_tables) );
+               (fun (name, ids, _) ->
+                 if ids = [] then None
+                 else Some (name, J.List (List.map (fun i -> J.Int i) ids)))
+               per_strategy) );
         ( "verdicts",
           J.Obj
             (List.map
-               (fun (strategy, _, _) ->
-                 (Cluster.name strategy, J.String (verdict t pid strategy)))
-               strat_tables) );
+               (fun (name, ids, hinted) ->
+                 (name, J.String (verdict pmc ids hinted)))
+               per_strategy) );
         ( "tests",
-          J.List (List.map (fun (gid, _) -> J.Int gid) hinted) );
+          J.List (List.map (fun (gid, _, _) -> J.Int gid) hinted) );
         ("hint_hits", J.Int (sum (fun tn -> tn.tn_hits)));
         ( "misses",
           J.Obj
@@ -260,54 +246,45 @@ let json t ~(frontier : Frontier.t) =
               ("value", J.Int (sum (fun tn -> tn.tn_miss_value)));
             ] );
         ( "exercised",
-          J.Bool (List.exists (fun (_, tn) -> tn.tn_exercised) hinted) );
+          J.Bool (List.exists (fun (_, tn, _) -> tn.tn_exercised) hinted) );
       ]
   in
-  (* why is an untested cluster untested?  Joined against the frontier
-     (which saw every executed test) and the noted plans. *)
-  let why_untested strategy key =
-    match Hashtbl.find_opt t.plans (strategy_method strategy) with
+  (* why is an untested cluster untested?  The frontier saw every
+     executed test; the noted plan says whether a hint was meant for it. *)
+  let why_untested cid = function
     | None -> v_method_not_run
-    | Some plan ->
-        let planned_hits_key hid =
-          List.mem key (Cluster.keys strategy t.pmcs.(hid))
-        in
-        if
-          List.exists
-            (fun (_, _, h) ->
-              match h with Some hid -> planned_hits_key hid | None -> false)
-            plan.pn_tests
-        then u_planned_not_executed
-        else v_beyond_budget
+    | Some (_, hinted_ids) ->
+        if hinted_ids.(cid) then u_planned_not_executed else v_beyond_budget
   in
-  let cluster_block (strategy, ordered, _) =
+  let cluster_block (strategy, table, hinted) =
     J.Obj
       [
         ("strategy", J.String (Cluster.name strategy));
-        ("total", J.Int (List.length ordered));
+        ("total", J.Int (Cluster.num_clusters table));
         ( "clusters",
           J.List
-            (List.mapi
-               (fun cid (key, members) ->
-                 let tested = Frontier.is_tested frontier strategy key in
-                 J.Obj
-                   ([
-                      ("id", J.Int cid);
-                      ("key", J.List (List.map (fun k -> J.Int k) key));
-                      ("size", J.Int (List.length members));
-                      ( "pmcs",
-                        J.List
-                          (List.filter_map
-                             (fun p ->
-                               Option.map (fun i -> J.Int i) (pmc_id t p))
-                             members
-                          |> List.sort_uniq compare) );
-                      ("tested", J.Bool tested);
-                    ]
-                   @
-                   if tested then []
-                   else [ ("why", J.String (why_untested strategy key)) ]))
-               ordered) );
+            (Array.to_list
+               (Array.mapi
+                  (fun cid (c : Cluster.cluster) ->
+                    let tested = Frontier.is_tested frontier strategy cid in
+                    J.Obj
+                      ([
+                         ("id", J.Int cid);
+                         ( "key",
+                           J.List (List.map (fun k -> J.Int k) c.Cluster.key) );
+                         ("size", J.Int (Array.length c.Cluster.members));
+                         ( "pmcs",
+                           J.List
+                             (Array.to_list c.Cluster.members
+                             |> List.filter_map pmc_id
+                             |> List.sort_uniq compare
+                             |> List.map (fun i -> J.Int i)) );
+                         ("tested", J.Bool tested);
+                       ]
+                      @
+                      if tested then []
+                      else [ ("why", J.String (why_untested cid hinted)) ]))
+                  (Cluster.clusters table))) );
       ]
   in
   let profiler_rows =
@@ -326,7 +303,7 @@ let json t ~(frontier : Frontier.t) =
   J.Obj
     [
       ("schema", J.String schema);
-      ("num_pmcs", J.Int (Array.length t.pmcs));
+      ("num_pmcs", J.Int (Array.length pmcs));
       ( "methods",
         J.List
           (List.map
@@ -335,13 +312,13 @@ let json t ~(frontier : Frontier.t) =
                J.Obj
                  [
                    ("method", J.String m);
-                   ("num_clusters", J.Int plan.pn_num_clusters);
-                   ("planned", J.Int (List.length plan.pn_tests));
+                   ("num_clusters", J.Int plan.Select.num_clusters);
+                   ("planned", J.Int (List.length plan.Select.tests));
                  ])
              (noted_methods t)) );
       ("tests", J.List (List.map json_of_test tests));
-      ("pmcs", J.List (List.mapi pmc_json (Array.to_list t.pmcs)));
-      ("clusters", J.List (List.map cluster_block strat_tables));
+      ("pmcs", J.List (List.mapi pmc_json (Array.to_list pmcs)));
+      ("clusters", J.List (List.map cluster_block strategies));
       ( "profiler",
         J.Obj
           [

@@ -11,9 +11,9 @@
     per completed test (notes are keyed, so resumed results replace
     rather than duplicate); everything else is joined at export time.
     PMC ids are ranks in a canonical structural sort of the
-    identification and cluster ids are ranks in
-    {!Core.Cluster.ordered}, so the artifact is byte-identical across
-    [--jobs] and [--resume]. *)
+    identification, taken at export, and cluster ids are the ids of the
+    frontier's tables ({!Frontier.clusters}), so the artifact is
+    byte-identical across [--jobs] and [--resume]. *)
 
 type t
 
@@ -23,13 +23,6 @@ val schema : string
 val create : image:Vmm.Asm.image -> ident:Core.Identify.t -> t
 
 val num_pmcs : t -> int
-
-val pmc_id : t -> Core.Pmc.t -> int option
-(** Canonical provenance id of a PMC (rank in the structural sort). *)
-
-val func_offset : t -> int -> string
-(** [function+0xoffset] attribution of an instruction address; total
-    (unknown pcs yield {!Vmm.Asm.unknown_name}). *)
 
 val note_plan : t -> method_:string -> plan:Core.Select.plan -> unit
 (** Record a method's selection plan (idempotent per method). *)
@@ -56,8 +49,10 @@ val note_test :
     byte-identical. *)
 
 val json : t -> frontier:Frontier.t -> Obs.Export.json
-(** The full artifact.  [frontier] answers "is this cluster tested";
-    the untested ones additionally carry a why —
+(** The full artifact.  [frontier] supplies the cluster tables (it must
+    be the campaign's, built from the same identification) and answers
+    "is this cluster tested"; the untested ones additionally carry a
+    why —
     ["method-not-run"], ["beyond-budget"] or
     ["planned-but-not-executed"]. *)
 

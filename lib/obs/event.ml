@@ -35,7 +35,7 @@ type kind =
   | Fault of { kind : string; detail : string }
   | Note of { name : string; detail : string }
 
-type t = { seq : int; vclock : int; wall_us : int; tid : int; kind : kind }
+type t = { seq : int; vclock : int; tid : int; kind : kind }
 
 let kind_label = function
   | Trial_begin _ -> "trial-begin"
@@ -55,34 +55,31 @@ let kind_label = function
 let default_capacity = 65_536
 
 let dummy =
-  { seq = 0; vclock = 0; wall_us = 0; tid = 0; kind = Note { name = ""; detail = "" } }
+  { seq = 0; vclock = 0; tid = 0; kind = Note { name = ""; detail = "" } }
 
 type state = {
   mutable buf : t array;
   mutable next : int;  (* next write slot *)
   mutable size : int;  (* valid entries, <= capacity *)
   mutable seen : int;  (* total emitted since configure/reset *)
-  mutable det : bool;
 }
 
-let st = { buf = Array.make default_capacity dummy; next = 0; size = 0; seen = 0; det = true }
+let st = { buf = Array.make default_capacity dummy; next = 0; size = 0; seen = 0 }
 let enabled_flag = Atomic.make false
 let clock : (unit -> int) ref = ref (fun () -> 0)
 
 let enabled () = Atomic.get enabled_flag
-let deterministic () = st.det
 
 let set_clock = function
   | Some f -> clock := f
   | None -> clock := fun () -> 0
 
-let configure ?(capacity = default_capacity) ?(deterministic = true) ~enabled () =
+let configure ?(capacity = default_capacity) ~enabled () =
   let capacity = max 1 capacity in
   st.buf <- Array.make capacity dummy;
   st.next <- 0;
   st.size <- 0;
   st.seen <- 0;
-  st.det <- deterministic;
   Atomic.set enabled_flag enabled
 
 let reset () =
@@ -93,10 +90,7 @@ let reset () =
 
 let emit ~tid kind =
   if Atomic.get enabled_flag then begin
-    let wall_us =
-      if st.det then 0 else int_of_float (Unix.gettimeofday () *. 1e6)
-    in
-    let ev = { seq = st.seen; vclock = !clock (); wall_us; tid; kind } in
+    let ev = { seq = st.seen; vclock = !clock (); tid; kind } in
     let cap = Array.length st.buf in
     st.buf.(st.next) <- ev;
     st.next <- (st.next + 1) mod cap;

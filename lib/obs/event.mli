@@ -4,12 +4,11 @@
     enter/exit per vCPU, shared-access samples and detector verdicts.
 
     Every event is stamped with the {e virtual clock} (guest instructions
-    retired), so a trace is a pure function of the seed and replays
-    byte-for-byte in deterministic mode; an optional wall-clock stamp is
-    added when deterministic mode is off.  The recorder is disabled by
-    default and [emit] is a no-op until [configure ~enabled:true] runs;
-    instrumented code guards payload construction behind [enabled ()] so
-    a disabled recorder costs one atomic load per hook site. *)
+    retired) and nothing else, so a trace is a pure function of the seed
+    and replays byte-for-byte.  The recorder is disabled by default and
+    [emit] is a no-op until [configure ~enabled:true] runs; instrumented
+    code guards payload construction behind [enabled ()] so a disabled
+    recorder costs one atomic load per hook site. *)
 
 val sched_tid : int
 (** The pseudo-thread id ([-1]) used for scheduler-level events; real
@@ -62,7 +61,6 @@ type kind =
 type t = {
   seq : int;  (** emission index since the last [reset] *)
   vclock : int;  (** virtual clock: guest instructions retired *)
-  wall_us : int;  (** wall clock (us); 0 in deterministic mode *)
   tid : int;  (** vCPU, or [sched_tid] for scheduler-level events *)
   kind : kind;
 }
@@ -72,16 +70,12 @@ val kind_label : kind -> string
 
 val default_capacity : int
 
-val configure :
-  ?capacity:int -> ?deterministic:bool -> enabled:bool -> unit -> unit
+val configure : ?capacity:int -> enabled:bool -> unit -> unit
 (** Reset the recorder with a new configuration.  [capacity] bounds the
     ring (default {!default_capacity}); on overflow the oldest events are
-    overwritten, so the newest always survive.  [deterministic] (default
-    [true]) suppresses the wall-clock stamp. *)
+    overwritten, so the newest always survive. *)
 
 val enabled : unit -> bool
-
-val deterministic : unit -> bool
 
 val set_clock : (unit -> int) option -> unit
 (** Install the virtual-clock source (the executor points this at the

@@ -57,9 +57,6 @@ val openmetrics_valid : string -> bool
     [_total], cumulative histogram buckets, mandatory [# EOF]
     terminator with nothing after it. *)
 
-val spans_json : ?deterministic:bool -> unit -> json
-(** Finished span trees; deterministic mode omits durations. *)
-
 val registry_json :
   ?deterministic:bool -> ?extra:(string * json) list -> unit -> json
 (** The full artifact: schema tag, metrics, spans and any [extra]

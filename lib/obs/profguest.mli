@@ -32,10 +32,6 @@ val intern : string -> int
 (** Stable id for a function name; first-intern order, never recycled
     (fids survive [reset], so cached per-image fid arrays stay valid). *)
 
-val name_of_fid : int -> string
-
-val num_fids : unit -> int
-
 val reset : unit -> unit
 (** Zero all accumulated counts and clear the phase; interned fids keep
     their values. *)

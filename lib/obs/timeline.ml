@@ -101,10 +101,7 @@ let trace_event ~t0 ev =
     ]
   in
   let scope = if phase = "i" then [ ("s", J.String "t") ] else [] in
-  let wall =
-    if ev.E.wall_us = 0 then [] else [ ("wall_us", J.Int ev.E.wall_us) ]
-  in
-  J.Obj (base @ scope @ [ ("args", J.Obj (event_args ev @ wall)) ])
+  J.Obj (base @ scope @ [ ("args", J.Obj (event_args ev)) ])
 
 let thread_meta ~tid ~name =
   J.Obj
@@ -137,7 +134,8 @@ let chrome_json ?(extra = []) events =
          J.Obj
            [
              ("clock", J.String "virtual-instructions-retired");
-             ("deterministic", J.Bool (E.deterministic ()));
+             (* always: events carry only the virtual clock *)
+             ("deterministic", J.Bool true);
              ("events", J.Int (List.length events));
              ("dropped", J.Int (E.dropped ()));
            ] );

@@ -5,8 +5,7 @@
     scheduler track, with syscalls as duration events and everything else
     as instants.  Timestamps are the virtual clock (instructions
     retired) rebased to the first buffered event, so the JSON is
-    byte-stable across re-executions of the same interleaving in
-    deterministic mode.
+    byte-stable across re-executions of the same interleaving.
 
     [interleaving] renders the classic two-column plain-text report (one
     column per vCPU, scheduler events full-width) and draws the PMC

@@ -27,28 +27,12 @@ val src : Logs.src
 (** The [snowboard.sched] log source, shared by the execution and
     exploration layers. *)
 
-val helper_functions : string list
-(** Runtime helpers (memcpy, locks, allocator internals, ...) skipped by
-    access attribution. *)
-
 type attr
 (** Cached access attribution for one kernel image: per-pc function name,
-    is-helper bit and interned {!Obs.Profguest} function id, precomputed
-    so attributing an access is two array reads instead of a name lookup
-    plus a list scan. *)
-
-val attr_of_image : Vmm.Asm.image -> attr
-
-val attr_name : attr -> int -> string
-(** Function containing [pc]; total like {!Vmm.Asm.func_name} — an
-    out-of-range or padding pc yields [Vmm.Asm.unknown_name pc]. *)
-
-val attr_is_helper : attr -> int -> bool
-(** Is [pc] inside one of {!helper_functions}?  [false] out of range. *)
-
-val attr_fid : attr -> int -> int
-(** Profiler fid of the function containing [pc]; out-of-image pcs intern
-    their unknown name on the fly (slow path). *)
+    bit for runtime helpers (memcpy, locks, allocator internals, ...),
+    which attribution skips, and interned {!Obs.Profguest} function id,
+    precomputed so attributing an access is two array reads instead of a
+    name lookup plus a list scan. *)
 
 type env = {
   kern : Kernel.t;
@@ -125,9 +109,6 @@ type seq_result = {
       (** the distinct control-flow edges covered, in the order the run
           first took them *)
 }
-
-val syscall_budget : int
-(** Instruction budget per system call; exceeding it aborts the test. *)
 
 val run_seq :
   ?prof:Obs.Profguest.collector ->
@@ -211,9 +192,6 @@ type conc_result = {
   cc_retvals : int array array;
 }
 
-val conc_budget : int
-(** Global instruction budget for one concurrent trial. *)
-
 val injected_timeout_horizon : int
 (** The effective step budget an injected {!Fault.Timeout} clamps the
     watchdog to, so the trial reliably "livelocks" even without a
@@ -263,8 +241,8 @@ val run_multi :
     [env] behind.
 
     [watchdog] is a per-trial step budget: exceeding it raises
-    {!Fault.Watchdog_timeout} (unlike [conc_budget], which merely flags
-    the trial as deadlocked).  [fault] (default [Fault.No_fault]) applies
+    {!Fault.Watchdog_timeout} (unlike the global instruction budget of a
+    concurrent trial, which merely flags the trial as deadlocked).  [fault] (default [Fault.No_fault]) applies
     one drawn fault verdict: [Crash]/[Truncate] raise the matching
     exception at the drawn step, [Timeout] clamps the watchdog to
     {!injected_timeout_horizon}.  These exceptions escape to the caller;

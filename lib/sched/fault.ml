@@ -65,8 +65,6 @@ let plan ~seed spec = { seed; spec }
 
 let disabled = { seed = 0; spec = none }
 
-let spec_of p = p.spec
-
 type verdict = No_fault | Timeout | Crash of int | Truncate of int
 
 (* splitmix-style finalizer on the native int; overflow wraps, which is

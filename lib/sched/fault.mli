@@ -41,8 +41,6 @@ val plan : seed:int -> spec -> plan
 val disabled : plan
 (** The empty plan: every draw is [No_fault]. *)
 
-val spec_of : plan -> spec
-
 type verdict =
   | No_fault
   | Timeout  (** force the trial past its step budget (watchdog fires) *)

@@ -245,12 +245,12 @@ let test_cluster_ordering () =
   in
   let clusters = Cluster.run Cluster.S_INS_PAIR ident in
   checki "two clusters" 2 (Cluster.num_clusters clusters);
-  (match Cluster.ordered clusters with
-  | (k1, l1) :: (_k2, l2) :: [] ->
-      checki "rare first" 1 (List.length l1);
+  (match Cluster.clusters clusters with
+  | [| c1; c2 |] ->
+      checki "rare first" 1 (Array.length c1.Cluster.members);
       (* the common channel pairs 3 write variants with 3 read variants *)
-      checki "common second" 9 (List.length l2);
-      checkb "rare is (7,8)" true (k1 = [ 7; 8 ])
+      checki "common second" 9 (Array.length c2.Cluster.members);
+      checkb "rare is (7,8)" true (c1.Cluster.key = [ 7; 8 ])
   | _ -> Alcotest.fail "expected two clusters")
 
 let test_select_budget_and_dedup () =
@@ -260,7 +260,9 @@ let test_select_budget_and_dedup () =
   in
   let rng = Random.State.make [| 1 |] in
   let plan =
-    Select.plan (Select.Strategy Cluster.S_INS_PAIR) ident ~corpus_ids:[] rng ~max:2
+    Select.plan (Select.Strategy Cluster.S_INS_PAIR) ident
+      ~clusters:(fun s -> Cluster.run s ident)
+      ~corpus_ids:[] rng ~max:2
   in
   checki "budget respected" 2 (List.length plan.Select.tests);
   checki "clusters counted" 3 plan.Select.num_clusters;
@@ -271,14 +273,21 @@ let test_select_budget_and_dedup () =
 let test_select_baselines () =
   let ident = ident_of_pairs [ (1, 2, 0x100, 10) ] in
   let rng = Random.State.make [| 2 |] in
-  let plan = Select.plan Select.Random_pairing ident ~corpus_ids:[ 4; 5; 6 ] rng ~max:10 in
+  let clusters s = Cluster.run s ident in
+  let plan =
+    Select.plan Select.Random_pairing ident ~clusters ~corpus_ids:[ 4; 5; 6 ]
+      rng ~max:10
+  in
   checki "random pairing count" 10 (List.length plan.Select.tests);
   List.iter
     (fun (t : Select.conc_test) ->
       checkb "no hint" true (t.Select.hint = None);
       checkb "ids from corpus" true (List.mem t.Select.writer [ 4; 5; 6 ]))
     plan.Select.tests;
-  let dup = Select.plan Select.Duplicate_pairing ident ~corpus_ids:[ 4; 5 ] rng ~max:5 in
+  let dup =
+    Select.plan Select.Duplicate_pairing ident ~clusters ~corpus_ids:[ 4; 5 ]
+      rng ~max:5
+  in
   List.iter
     (fun (t : Select.conc_test) -> checki "duplicate" t.Select.writer t.Select.reader)
     dup.Select.tests

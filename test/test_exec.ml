@@ -516,7 +516,7 @@ let check_batch_identical env ~(s : Harness.Scenarios.scenario) ~hint ~seed
     (List.mapi (fun i bp -> (i, bp)) (List.combine (run true) (run false)))
 
 let with_recording f =
-  Obs.Event.configure ~capacity:65536 ~deterministic:true ~enabled:true ();
+  Obs.Event.configure ~capacity:65536 ~enabled:true ();
   Obs.Profguest.set_enabled true;
   Fun.protect
     ~finally:(fun () ->

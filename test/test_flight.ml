@@ -72,15 +72,14 @@ let test_virtual_clock_stamps () =
   (match E.events () with
   | [ a; b ] ->
       checki "first stamp" 100 a.E.vclock;
-      checki "second stamp" 250 b.E.vclock;
-      checki "deterministic mode has no wall clock" 0 a.E.wall_us
+      checki "second stamp" 250 b.E.vclock
   | l -> Alcotest.failf "expected 2 events, got %d" (List.length l));
   off ()
 
 (* ---------------- exporters on a synthetic trace ---------------- *)
 
 let synthetic_events =
-  let mk seq vclock tid kind = { E.seq; vclock; wall_us = 0; tid; kind } in
+  let mk seq vclock tid kind = { E.seq; vclock; tid; kind } in
   [
     mk 0 1000 E.sched_tid (E.Trial_begin { threads = 2; first = 0 });
     mk 1 1001 0 (E.Syscall_enter { index = 0; nr = 7 });
@@ -186,7 +185,7 @@ let buggy =
 (* Re-execute a replay trace with the recorder on; returns the verdict
    issues and the captured events. *)
 let replay_with_recorder e (s : Scenarios.scenario) trace =
-  E.configure ~deterministic:true ~enabled:true ();
+  E.configure ~enabled:true ();
   let c =
     Explore.check e
       ~progs:[| s.Scenarios.writer; s.Scenarios.reader |]
@@ -226,7 +225,7 @@ let test_deterministic_trace_is_byte_stable () =
   let s, trial = Lazy.force buggy in
   let render () =
     let _, events = replay_with_recorder e s trial.Explore.replay in
-    E.configure ~deterministic:true ~enabled:true ();
+    E.configure ~enabled:true ();
     let chrome = J.to_string (Obs.Timeline.chrome_json events) in
     let text = Obs.Timeline.interleaving events in
     off ();

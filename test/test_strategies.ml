@@ -38,8 +38,13 @@ let in_region name (p : Core.Pmc.t) =
   && p.Core.Pmc.write.Core.Pmc.addr < r.Vmm.Asm.addr + r.Vmm.Asm.size
 
 let cluster_pmcs strategy ident =
-  let cl = Cluster.run strategy ident in
-  List.concat_map snd (Cluster.ordered cl)
+  Cluster.clusters (Cluster.run strategy ident)
+  |> Array.to_list
+  |> List.concat_map (fun (c : Cluster.cluster) -> Array.to_list c.Cluster.members)
+
+let sizes strategy ident =
+  Array.to_list (Cluster.clusters (Cluster.run strategy ident))
+  |> List.map (fun (c : Cluster.cluster) -> Array.length c.Cluster.members)
 
 let test_s_ch_double_catches_block_toctou () =
   (* issue #4's reader fetches the block-map word twice (submission and
@@ -89,14 +94,10 @@ let test_partition_strategies_cover_all () =
   let n = Core.Identify.num_pmcs ident in
   List.iter
     (fun strategy ->
-      let sum =
-        List.fold_left ( + ) 0 (Cluster.sizes (Cluster.run strategy ident))
-      in
+      let sum = List.fold_left ( + ) 0 (sizes strategy ident) in
       checki (Cluster.name strategy ^ " partitions") n sum)
     [ Cluster.S_FULL; Cluster.S_CH; Cluster.S_INS_PAIR; Cluster.S_MEM ];
-  let sum_ins =
-    List.fold_left ( + ) 0 (Cluster.sizes (Cluster.run Cluster.S_INS ident))
-  in
+  let sum_ins = List.fold_left ( + ) 0 (sizes Cluster.S_INS ident) in
   checki "S-INS double counts" (2 * n) sum_ins
 
 let test_filter_strategies_subset_s_ch () =
@@ -140,9 +141,7 @@ let test_exemplar_order_prioritises_rare () =
      S-INS-PAIR ordering its cluster must come before the hottest one *)
   let s = match Harness.Scenarios.find 12 with Some s -> s | None -> assert false in
   let ident = ident_of [ s.Harness.Scenarios.writer; s.Harness.Scenarios.reader ] in
-  let cl = Cluster.run Cluster.S_INS_PAIR ident in
-  let ordered = Cluster.ordered cl in
-  let sizes = List.map (fun (_, l) -> List.length l) ordered in
+  let sizes = sizes Cluster.S_INS_PAIR ident in
   checkb "sizes ascending" true (List.sort compare sizes = sizes)
 
 let tests =

@@ -107,7 +107,7 @@ let test_span_nesting_with_worker_domains () =
 
 let test_ring_wraparound_mid_stream () =
   reset ();
-  Obs.Event.configure ~capacity:32 ~deterministic:true ~enabled:true ();
+  Obs.Event.configure ~capacity:32 ~enabled:true ();
   let path = Filename.temp_file "tel_ring" ".ndjson" in
   Obs.Telemetry.configure ~out:path ~deterministic:true ~enabled:true ();
   for i = 1 to 100 do

@@ -151,6 +151,89 @@ let test_golden_pct () =
     (pct_digest ())
 
 (* ------------------------------------------------------------------ *)
+(* Golden selection digest.                                             *)
+
+(* The campaign digest runs two methods.  This MD5 pins all eleven
+   paper methods' plans at budget 6 from the golden prepared state
+   (cluster count, then writer, reader and hint of every test), then the
+   provenance artifact and the frontier block after all eleven ran:
+   selection, cluster ids, verdicts and untested-whys.  The constant was
+   computed on commit 86d3528, while selection, the frontier and
+   provenance each clustered the identification on their own. *)
+let golden_selection = "36b4e97cb825fb7d8f8740b7020a6b71"
+
+let selection_budget = 6
+
+let hist_count strategy =
+  Obs.Metrics.hist_count
+    (Obs.Metrics.histogram ~unit_:"pmcs"
+       ("snowboard.core/cluster_size." ^ Core.Cluster.name strategy))
+
+(* One prepared golden campaign, all eleven methods run: the digest
+   input, the pipeline, each strategy's cluster count right after
+   [prepare], and how many cluster sizes each histogram gained. *)
+let selection_campaign =
+  lazy
+    (let before = List.map (fun s -> (s, hist_count s)) Core.Cluster.all in
+     let p = P.prepare golden_cfg in
+     let clusters = Harness.Frontier.frontier p.P.frontier in
+     let b = Buffer.create 65536 in
+     List.iter
+       (fun m ->
+         let plan = P.plan_method p m ~budget:selection_budget in
+         Printf.bprintf b "%s %d\n" (Core.Select.method_name m)
+           plan.Core.Select.num_clusters;
+         List.iter
+           (fun (ct : Core.Select.conc_test) ->
+             Printf.bprintf b "  %d %d %s\n" ct.Core.Select.writer
+               ct.Core.Select.reader
+               (match ct.Core.Select.hint with
+               | None -> "-"
+               | Some pmc -> Format.asprintf "%a" Core.Pmc.pp pmc))
+           plan.Core.Select.tests;
+         ignore (P.run_method p m ~budget:selection_budget))
+       Core.Select.all_paper_methods;
+     Buffer.add_string b
+       (Obs.Export.to_string
+          (Harness.Provenance.json p.P.prov ~frontier:p.P.frontier));
+     Buffer.add_string b
+       (Obs.Export.to_string (Harness.Frontier.json p.P.frontier));
+     let observed =
+       List.map (fun (s, n) -> (s, hist_count s - n)) before
+     in
+     (Digest.to_hex (Digest.string (Buffer.contents b)), p, clusters, observed))
+
+let test_golden_selection () =
+  let digest, _, _, _ = Lazy.force selection_campaign in
+  Alcotest.(check string) "selection digest equals the pinned one"
+    golden_selection digest
+
+(* Each strategy is clustered once per campaign: planning every method
+   and writing the provenance artifact add no cluster sizes to the
+   exported histograms. *)
+let test_one_clustering () =
+  let _, _, clusters, observed = Lazy.force selection_campaign in
+  List.iter
+    (fun (s, n) ->
+      Alcotest.(check int)
+        (Core.Cluster.name s ^ " histogram holds one size per cluster")
+        (List.assoc s clusters) n)
+    observed
+
+(* A random-order plan must leave the shared uncommon-first order as it
+   found it: the same strategy planned before and after it, from the
+   same seed, gives the same plan. *)
+let test_random_order_shares_nothing () =
+  let _, p, _, _ = Lazy.force selection_campaign in
+  let plan m = (P.plan_method p m ~budget:selection_budget).Core.Select.tests in
+  let s = Core.Select.Strategy Core.Cluster.S_INS_PAIR in
+  let first = plan s in
+  ignore (plan (Core.Select.Random_order Core.Cluster.S_INS_PAIR));
+  Alcotest.(check bool) "S-INS-PAIR plans equal around a random-order plan"
+    true
+    (first = plan s)
+
+(* ------------------------------------------------------------------ *)
 (* Golden digest of the other trial drivers.                            *)
 
 (* The two digests above cover [Explore.run].  This MD5 pins the other
@@ -639,6 +722,14 @@ let () =
           Alcotest.test_case "campaign digest" `Quick test_golden;
           Alcotest.test_case "per-step digest" `Quick test_golden_pct;
           Alcotest.test_case "drivers digest" `Quick test_golden_drivers;
+          Alcotest.test_case "selection digest" `Quick test_golden_selection;
+        ] );
+      ( "clustering",
+        [
+          Alcotest.test_case "one clustering per campaign" `Quick
+            test_one_clustering;
+          Alcotest.test_case "random order leaves the shared order" `Quick
+            test_random_order_shares_nothing;
         ] );
       ( "race oracle",
         [
