@@ -250,7 +250,7 @@ let perf () =
   let profiles =
     List.mapi
       (fun i p ->
-        Core.Profile.of_accesses ~test_id:i
+        Core.Profile.of_shared ~test_id:i
           (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
       progs
   in
@@ -264,7 +264,7 @@ let perf () =
         (Staged.stage (fun () ->
              let p = List.hd progs in
              let r = Sched.Exec.run_seq ~accesses:true env ~tid:0 p in
-             Core.Profile.of_accesses ~test_id:0 r.Sched.Exec.sq_accesses));
+             Core.Profile.of_shared ~test_id:0 r.Sched.Exec.sq_accesses));
       Test.make ~name:"identify-32-tests"
         (Staged.stage (fun () -> Core.Identify.run profiles));
       Test.make ~name:"cluster-S-INS-PAIR"
@@ -324,22 +324,15 @@ let case issue ~figure ~blurb =
   | Some s ->
       pf "writer: %s@." (Fuzzer.Prog.to_string s.Harness.Scenarios.writer);
       pf "reader: %s@." (Fuzzer.Prog.to_string s.Harness.Scenarios.reader);
-      let rec attempt seed =
-        if seed > 40 then pf "not reproduced in the seed budget@."
-        else
-          let a =
-            Harness.Scenarios.reproduce env s ~kind:Sched.Explore.Snowboard
-              ~trials:64 ~seed:(seed * 997) ()
-          in
-          if a.Harness.Scenarios.found then
-            pf "reproduced after %s trials (hints tried: %d)@."
-              (match a.Harness.Scenarios.trials_to_expose with
-              | Some n -> string_of_int n
-              | None -> "?")
-              a.Harness.Scenarios.hints_tried
-          else attempt (seed + 1)
+      let a =
+        Harness.Scenarios.reproduce env s ~kind:Sched.Explore.Snowboard
+          ~trials:64 ~seed:997 ()
       in
-      attempt 1
+      match a.Harness.Scenarios.trials_to_expose with
+      | Some n ->
+          pf "reproduced after %d trials (hints tried: %d)@." n
+            a.Harness.Scenarios.hints_tried
+      | None -> pf "not reproduced@."
 
 let cases () =
   section "E7 (Figures 1, 3, 4): case-study reproduction";
@@ -365,22 +358,10 @@ let cases () =
 let extension () =
   section "E8 (section 6 extension): three testing threads via PMC chains";
   let env = Sched.Exec.make_env Kernel.Config.all_buggy in
-  let relay op =
-    { Fuzzer.Prog.nr = Kernel.Abi.sys_relay; args = [ Fuzzer.Prog.Const op ] }
-  in
-  let progs = [| [ relay 1 ]; [ relay 2 ]; [ relay 3 ] |] in
-  let profiles =
-    Array.to_list
-      (Array.mapi
-         (fun i p ->
-           Core.Profile.of_accesses ~test_id:i
-             (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
-         progs)
-  in
-  let ident = Core.Identify.run profiles in
-  let chains = Core.Chain.find ident in
+  let progs = Harness.Scenarios.relay in
+  let h = Harness.Scenarios.hunt_relay env ~seed:100 in
   pf "%d pairwise PMCs; %d chains join producer -> forwarder -> consumer@."
-    (Core.Identify.num_pmcs ident) (List.length chains);
+    h.Harness.Scenarios.pmcs h.Harness.Scenarios.chains;
   let safe =
     List.for_all
       (fun (w, r) ->
@@ -393,22 +374,10 @@ let extension () =
       ]
   in
   pf "all two-thread combinations crash-free (100 dense trials each): %b@." safe;
-  let rng = Random.State.make [| 11 |] in
-  let found = ref None in
-  List.iteri
-    (fun i chain ->
-      if !found = None && i < 8 then
-        let res =
-          Sched.Explore.run_chain env ~progs ~chain:(Some chain) ~trials:64
-            ~seed:(100 + i) ~stop_on_bug:true ()
-        in
-        match res.Sched.Explore.first_bug with
-        | Some n -> found := Some (chain, n, res)
-        | None -> ())
-    (Core.Chain.select rng chains);
-  (match !found with
-  | Some (chain, n, res) ->
-      pf "@.three threads + chain hints crash the kernel on trial %d:@." n;
+  (match h.Harness.Scenarios.crash with
+  | Some (chain, res) ->
+      pf "@.three threads + chain hints crash the kernel on trial %d:@."
+        (Option.get res.Sched.Explore.first_bug);
       pf "  %a@." Core.Chain.pp chain;
       List.iter
         (fun f -> pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
@@ -462,7 +431,7 @@ let ablations () =
   let profiles =
     List.mapi
       (fun i p ->
-        Core.Profile.of_accesses ~test_id:i
+        Core.Profile.of_shared ~test_id:i
           (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
       progs
   in
@@ -638,36 +607,20 @@ let tracing () =
   pf "%d events recorded (%.0f events/sec; ring dropped %d)@." events
     (float_of_int events /. max 1e-9 dt_on)
     (Obs.Event.dropped ());
+  Obs.Event.configure ~enabled:false ();
   (* artifact: one deterministic replay of the Figure 4 bug, exported as
-     a Chrome trace.  Hunt for the bug once, then re-execute its recorded
-     trace with the ring armed. *)
-  let ident, hints = Harness.Scenarios.identify env s in
-  let found = ref None in
-  List.iteri
-    (fun i hint ->
-      if !found = None then begin
-        let r =
-          Sched.Explore.run env ~ident:(Some ident) ~writer ~reader
-            ~hint:(Some hint) ~kind:Sched.Explore.Snowboard ~trials:64
-            ~seed:(1001 + i) ~target_issue:(Some 1) ~stop_on_bug:true ()
-        in
-        match
-          List.find_opt
-            (fun (t : Sched.Explore.trial) -> t.Sched.Explore.issues <> [])
-            r.Sched.Explore.trials
-        with
-        | Some t -> found := Some t.Sched.Explore.replay
-        | None -> ()
-      end)
-    hints;
-  (match !found with
+     a Chrome trace: the trial [Scenarios.reproduce] exposes it with,
+     replayed with the ring armed *)
+  (match
+     (Harness.Scenarios.reproduce env s ~kind:Sched.Explore.Snowboard
+        ~trials:64 ~seed:1 ())
+       .Harness.Scenarios.exposed
+   with
   | None -> pf "bug #1 not reproduced in the hint budget; no trace written@."
-  | Some trace ->
-      Obs.Event.configure ~enabled:true ();
-      ignore
-        (Sched.Exec.run_conc env ~writer ~reader
-           ~policy:(Sched.Replay.replay trace) ());
-      let evs = Obs.Event.events () in
+  | Some { Sched.Explore.replay = trace; _ } ->
+      let _, evs =
+        Sched.Explore.replay env ~progs:(Harness.Scenarios.progs s) trace
+      in
       let json =
         Obs.Timeline.chrome_json
           ~extra:
@@ -675,8 +628,7 @@ let tracing () =
           evs
       in
       write_json "BENCH_trace.json" json;
-      pf "%d events in the trace@." (List.length evs));
-  Obs.Event.configure ~enabled:false ()
+      pf "%d events in the trace@." (List.length evs))
 
 (* ------------------------------------------------------------------ *)
 (* E12: supervision overhead and fault-injected campaign               *)

@@ -508,7 +508,8 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
       | Ok (site, k) -> Obs.Storage.arm_crash ~site ~k ()));
   (* either artifact flag turns the guest profiler on for the whole
      campaign; reset first so repeated in-process campaigns stay clean *)
-  if flame_out <> None || provenance_out <> None then begin
+  let profiler = flame_out <> None || provenance_out <> None in
+  if profiler then begin
     Obs.Profguest.reset ();
     Obs.Profguest.set_enabled true
   end;
@@ -540,19 +541,21 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
      the per-test seeds and the fault schedule, so a resume with any
      incompatible knob is refused instead of silently mixing results;
      it needs only the configuration, so the journal is checked before
-     the prepare phase spends anything *)
+     the prepare phase spends anything.  It covers the guest profiler
+     too: a leg without it journals empty profiler rows, which a leg
+     with it would count as its tests' whole share *)
   let fingerprint =
     Harness.Checkpoint.fingerprint ~cfg ~budget
       ~methods:(List.map Core.Select.method_name methods)
       ~extra:
-        (Printf.sprintf "faults=%s watchdog=%s retries=%d"
+        (Printf.sprintf "faults=%s watchdog=%s retries=%d profiler=%b"
            (match fault_spec with
            | None -> "none"
            | Some s -> Sched.Fault.to_string s)
            (match watchdog with
            | None -> "none"
            | Some w -> string_of_int w)
-           max_retries)
+           max_retries profiler)
       ()
   in
   let journaled =
@@ -774,7 +777,8 @@ let repro_cmd =
 
 (* ---------------- diagnose ---------------- *)
 
-(* Reproduce an issue while recording the scheduling decisions, then
+(* Reproduce an issue with [Scenarios.reproduce], then replay the trial
+   that exposed it with the flight recorder on, as [explain] does, and
    print the developer-facing evidence: the replayable trace, the kernel
    console, and a post-mortem diagnosis of each data race (section 4.4.1
    and the section 6 reproduction discussion). *)
@@ -783,49 +787,28 @@ let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
   | None ->
       pf "no scenario for issue #%d@." issue;
       exit 1
-  | Some s ->
+  | Some s -> (
       let env = Sched.Exec.make_env kernel in
       Obs.Telemetry.phase "diagnose";
-      let ident, hints = Harness.Scenarios.identify env s in
-      let progs = [| s.Harness.Scenarios.writer; s.Harness.Scenarios.reader |] in
-      let found = ref None in
-      List.iteri
-        (fun hi hint ->
-          for sd = 1 to 100 do
-            if !found = None then begin
-              let rng = Random.State.make [| seed + sd + (1000 * hi) |] in
-              let st = Sched.Policies.snowboard_state (Some hint) in
-              let rec_ = Sched.Replay.record (Sched.Policies.snowboard rng st) in
-              let c =
-                Sched.Explore.check env ~progs ~policy:rec_.Sched.Replay.policy
-                  ()
-              in
-              if List.mem issue (Detectors.Oracle.issues c.Sched.Explore.findings)
-              then found := Some (rec_.Sched.Replay.finish (), c);
-              Obs.Telemetry.tick ()
-            end
-          done)
-        hints;
-      (match !found with
+      let a =
+        Harness.Scenarios.reproduce env s ~kind:Sched.Explore.Snowboard
+          ~trials:64 ~seed ()
+      in
+      Obs.Telemetry.tick ();
+      match a.Harness.Scenarios.exposed with
       | None ->
           pf "issue #%d not reproduced in the diagnosis budget@." issue;
           exit 2
-      | Some (trace, { Sched.Explore.run = res; races; _ }) ->
+      | Some { Sched.Explore.replay = trace; _ } ->
           pf "issue #%d reproduced; deterministic replay trace (%d decisions, %d switches):@."
             issue
             (Sched.Replay.length trace)
             (Sched.Replay.num_switches trace);
           pf "  %s@." (Sched.Replay.to_string trace);
+          let { Sched.Explore.run = res; races; _ }, events =
+            Sched.Explore.replay env ~progs:(Harness.Scenarios.progs s) trace
+          in
           List.iter (fun l -> pf "console: %s@." l) res.Sched.Exec.cc_console;
-          (* re-execute the recorded interleaving with the flight
-             recorder on, so each diagnosis carries the event trace *)
-          Obs.Event.configure ~enabled:true ();
-          ignore
-            (Sched.Exec.run_conc env ~writer:s.Harness.Scenarios.writer
-               ~reader:s.Harness.Scenarios.reader
-               ~policy:(Sched.Replay.replay trace) ());
-          let events = Obs.Event.events () in
-          Obs.Event.configure ~enabled:false ();
           (* surface the bug in the --metrics-out artifact so `snowboard
              explain --replay <artifact>` can pick it up directly *)
           let bug =
@@ -845,7 +828,8 @@ let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
             (fun r ->
               let d =
                 Detectors.Postmortem.diagnose
-                  ~image:env.Sched.Exec.kern.Kernel.image ~ident
+                  ~image:env.Sched.Exec.kern.Kernel.image
+                  ~ident:a.Harness.Scenarios.ident
                   ~replay:(Sched.Replay.to_string trace) ~events r
               in
               pf "@.%a@." Detectors.Postmortem.pp d)
@@ -1020,17 +1004,12 @@ let text_out_arg =
 
 let run_explain kernel replay_arg issue trace_out text_out () (_ : obs) =
   let input = resolve_explain_input ~issue replay_arg in
-  (* deterministic recording: virtual-clock stamps only, so the emitted
-     trace is byte-stable across runs *)
-  Obs.Event.configure ~enabled:true ();
   let env = Sched.Exec.make_env kernel in
-  let { Sched.Explore.run = res; races; findings } =
-    Sched.Explore.check env
+  let { Sched.Explore.run = res; races; findings }, events =
+    Sched.Explore.replay env
       ~progs:[| input.ei_writer; input.ei_reader |]
-      ~policy:(Sched.Replay.replay input.ei_trace)
-      ()
+      input.ei_trace
   in
-  let events = Obs.Event.events () in
   let issues = Detectors.Oracle.issues findings in
   pf "replayed %d decisions (%d switches): %d guest steps, %d findings@."
     (Sched.Replay.length input.ei_trace)
@@ -1075,7 +1054,6 @@ let run_explain kernel replay_arg issue trace_out text_out () (_ : obs) =
           Format.eprintf "snowboard: cannot write interleaving report: %s@."
             (Obs.Storage.err_to_string e))
   | None -> pf "@.%s@." (Obs.Timeline.interleaving events));
-  Obs.Event.configure ~enabled:false ();
   (* the acceptance check: the stored verdict must reproduce *)
   if input.ei_issues <> [] && not (List.exists (fun id -> List.mem id issues) input.ei_issues)
   then begin
@@ -1463,46 +1441,20 @@ let verify_cmd =
 
 let run_three kernel seed () (_ : obs) =
   let env = Sched.Exec.make_env kernel in
-  let relay op = { Fuzzer.Prog.nr = Kernel.Abi.sys_relay; args = [ Fuzzer.Prog.Const op ] } in
-  let progs = [| [ relay 1 ]; [ relay 2 ]; [ relay 3 ] |] in
-  let profiles =
-    Array.to_list
-      (Array.mapi
-         (fun i p ->
-           Core.Profile.of_shared ~test_id:i
-             (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
-         progs)
-  in
-  let ident = Core.Identify.run profiles in
-  let chains = Core.Chain.find ident in
+  let h = Harness.Scenarios.hunt_relay env ~seed in
   pf "%d PMCs, %d chains across producer/forwarder/consumer@."
-    (Core.Identify.num_pmcs ident) (List.length chains);
-  let rng = Random.State.make [| seed |] in
-  let exemplars = Core.Chain.select rng chains in
-  let found = ref false in
-  List.iteri
-    (fun i chain ->
-      if (not !found) && i < 12 then begin
-        let res =
-          Sched.Explore.run_chain env ~progs ~chain:(Some chain) ~trials:64
-            ~seed:(seed + (37 * i)) ~stop_on_bug:true ()
-        in
-        match res.Sched.Explore.first_bug with
-        | Some n ->
-            found := true;
-            pf "chain %a@." Core.Chain.pp chain;
-            pf "three-thread crash on trial %d:@." n;
-            List.iter
-              (fun f ->
-                pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
-              (Sched.Explore.findings_found res)
-        | None -> ()
-      end)
-    exemplars;
-  if not !found then begin
-    pf "no crash found (is the kernel all-fixed?)@.";
-    exit 2
-  end
+    h.Harness.Scenarios.pmcs h.Harness.Scenarios.chains;
+  match h.Harness.Scenarios.crash with
+  | Some (chain, res) ->
+      pf "chain %a@." Core.Chain.pp chain;
+      pf "three-thread crash on trial %d:@."
+        (Option.get res.Sched.Explore.first_bug);
+      List.iter
+        (fun f -> pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
+        (Sched.Explore.findings_found res)
+  | None ->
+      pf "no crash found (is the kernel all-fixed?)@.";
+      exit 2
 
 let three_cmd =
   Cmd.v

@@ -27,39 +27,21 @@ let () =
        (Array.to_list (Array.map string_of_int seq.Sched.Exec.sq_retvals)))
     (seq.Sched.Exec.sq_console = []);
 
-  (* the PMC between the two tests: the rcu list-head publish *)
-  let ident, hints = Harness.Scenarios.identify env s in
-  pf "@.%d candidate PMCs between the tests; exploring with Algorithm 2...@."
-    (List.length hints);
-  let found = ref false in
-  List.iteri
-    (fun i hint ->
-      if not !found then begin
-        let res =
-          Sched.Explore.run env ~ident:(Some ident)
-            ~writer:s.Harness.Scenarios.writer ~reader:s.Harness.Scenarios.reader
-            ~hint:(Some hint) ~kind:Sched.Explore.Snowboard ~trials:64
-            ~seed:(42 + i) ~stop_on_bug:true ~target_issue:(Some 12) ()
-        in
-        match res.Sched.Explore.first_bug with
-        | Some n when List.mem 12 (Sched.Explore.issues_found res) ->
-            found := true;
-            pf "@.hint %a@." Core.Pmc.pp hint;
-            pf "trial %d panics the kernel:@." n;
-            List.iter
-              (fun t ->
-                List.iter
-                  (fun f ->
-                    pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
-                  t.Sched.Explore.findings)
-              res.Sched.Explore.trials
-        | _ -> ()
-      end)
-    hints;
-  if not !found then pf "no panic found - rerun with another seed@."
-  else begin
-    pf "@.Note the interleaving: writer list_add_rcu -> reader tunnel_get +@.";
-    pf "sendmsg -> writer sets tunnel->sock (too late).  The paper notes this@.";
-    pf "bug was introduced by a patch fixing another concurrency bug, and is@.";
-    pf "user-triggerable as a denial of service (section 5.2, case 2).@."
-  end
+  (* Algorithm 2, one exploration per PMC between the two tests (the rcu
+     list-head publish among them), until one panics the kernel *)
+  let a =
+    Harness.Scenarios.reproduce env s ~kind:Sched.Explore.Snowboard
+      ~trials:64 ~seed:42 ()
+  in
+  match (a.Harness.Scenarios.exposed, a.Harness.Scenarios.trials_to_expose) with
+  | Some t, Some n ->
+      pf "@.trial %d, across %d hinted PMC(s), panics the kernel:@." n
+        a.Harness.Scenarios.hints_tried;
+      List.iter
+        (fun f -> pf "  %a@." Detectors.Oracle.pp_kind f.Detectors.Oracle.kind)
+        t.Sched.Explore.findings;
+      pf "@.Note the interleaving: writer list_add_rcu -> reader tunnel_get +@.";
+      pf "sendmsg -> writer sets tunnel->sock (too late).  The paper notes this@.";
+      pf "bug was introduced by a patch fixing another concurrency bug, and is@.";
+      pf "user-triggerable as a denial of service (section 5.2, case 2).@."
+  | _ -> pf "@.no panic found - rerun with another seed@."

@@ -101,18 +101,8 @@ let execute t ~writer ~reader ~hint ~ident ~trials ~seed =
 let mutate_pair t rng (writer, reader) =
   let mutate p = Fuzzer.Gen.mutate rng p in
   let w' = mutate writer and r' = mutate reader in
-  let profile id prog =
-    Core.Profile.of_shared ~test_id:id
-      (Exec.run_seq ~accesses:true t.env ~tid:0 prog).Exec.sq_accesses
-  in
-  let ident = Core.Identify.run [ profile 0 w'; profile 1 r' ] in
-  let hint = ref None in
-  Core.Identify.iter
-    (fun pmc info ->
-      if !hint = None && List.mem (0, 1) info.Core.Identify.pairs then
-        hint := Some pmc)
-    ident;
-  ((w', r'), !hint, ident)
+  let ident, hints = Scenarios.identify t.env [| w'; r' |] in
+  ((w', r'), List.nth_opt hints 0, ident)
 
 type result = {
   executed : int;

@@ -145,12 +145,10 @@ let prepare cfg =
             fuzz ~seeds:cfg.seed_corpus env ~seed:cfg.seed ~iters:cfg.fuzz_iters)
       in
       Obs.Telemetry.phase "profile";
-      Obs.Profguest.set_phase (Some Obs.Profguest.Profile);
       let profiles, profile_steps =
         Obs.Span.with_span "profile" (fun () ->
             profile_corpus ~jobs:cfg.jobs env corpus)
       in
-      Obs.Profguest.set_phase None;
       Obs.Telemetry.phase "identify";
       let ident =
         Obs.Span.with_span "identify" (fun () -> Core.Identify.run profiles)
@@ -449,7 +447,6 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
   Obs.Telemetry.phase ("execute:" ^ name);
   let plan = plan_method t method_ ~budget in
   Provenance.note_plan t.prov ~method_:name ~plan;
-  Obs.Profguest.set_phase (Some Obs.Profguest.Explore);
   let tests = Array.of_list plan.Core.Select.tests in
   let stored = Array.mapi (fun i _ -> resume (i + 1)) tests in
   let inline = t.cfg.jobs <= 1 in
@@ -503,7 +500,6 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
     Obs.Telemetry.tick ~tests:(Array.length results) ()
   end;
   let results = List.filter_map Fun.id (Array.to_list results) in
-  Obs.Profguest.set_phase None;
   let stats =
     stats_of_results ~method_ ~num_clusters:plan.Core.Select.num_clusters
       ~planned:(Array.length tests) results

@@ -4,7 +4,8 @@
    (Figures 1, 3 and 4) and the section 5.4 interleavings-to-expose
    benchmark.  The fuzzing pipeline finds the same issues from random
    corpora; these exist so that per-issue behaviour is testable in
-   isolation and deterministically. *)
+   isolation and deterministically.  [reproduce] is the one hunt over a
+   scenario, and [hunt_relay] the one hunt over section 6's relay. *)
 
 module Abi = Kernel.Abi
 module P = Fuzzer.Prog
@@ -99,13 +100,17 @@ let all : scenario list =
 
 let find issue = List.find_opt (fun s -> s.issue = issue) all
 
-(* Profile the scenario's two programs and identify their mutual PMCs. *)
-let identify env (s : scenario) =
-  let rw = Sched.Exec.run_seq ~accesses:true env ~tid:0 s.writer in
-  let rr = Sched.Exec.run_seq ~accesses:true env ~tid:0 s.reader in
-  let pw = Core.Profile.of_shared ~test_id:0 rw.Sched.Exec.sq_accesses in
-  let pr = Core.Profile.of_shared ~test_id:1 rr.Sched.Exec.sq_accesses in
-  let ident = Core.Identify.run [ pw; pr ] in
+let progs s = [| s.writer; s.reader |]
+
+(* Profile the programs, program i as test i, and identify their PMCs;
+   the hints are the PMCs from test 0's write to test 1's read, in
+   identification order. *)
+let identify env progs =
+  let profile i prog =
+    Core.Profile.of_shared ~test_id:i
+      (Sched.Exec.run_seq ~accesses:true env ~tid:0 prog).Sched.Exec.sq_accesses
+  in
+  let ident = Core.Identify.run (Array.to_list (Array.mapi profile progs)) in
   let hints = ref [] in
   Core.Identify.iter
     (fun pmc info ->
@@ -114,45 +119,77 @@ let identify env (s : scenario) =
   (ident, List.rev !hints)
 
 type attempt = {
-  found : bool;
+  ident : Core.Identify.t;
   hints_tried : int;
   trials_to_expose : int option;
       (* total trials across hints until the issue fired *)
   other_issues : int list;
+  exposed : Sched.Explore.trial option;
 }
 
-(* Drive the scenario with a scheduler until the target issue fires or
+(* Drive the scenario with a scheduler, one exploration per hinted PMC
+   (hint i seeded with SEED + 131 i), until the target issue fires or
    hints are exhausted. *)
 let reproduce env (s : scenario) ~kind ?(trials = 64) ~seed () =
-  let ident, hints = identify env s in
-  let found = ref false in
-  let tried = ref 0 in
-  let total_trials = ref 0 in
-  let others = ref [] in
-  (try
-     List.iter
-       (fun hint ->
-         incr tried;
-         let res =
-           Sched.Explore.run env ~ident:(Some ident) ~writer:s.writer
-             ~reader:s.reader ~hint:(Some hint) ~kind ~trials
-             ~seed:(seed + (131 * !tried))
-             ~stop_on_bug:true ~target_issue:(Some s.issue) ()
-         in
-         let issues = Sched.Explore.issues_found res in
-         others := issues @ !others;
-         (match res.Sched.Explore.first_bug with
-         | Some n when List.mem s.issue issues ->
-             total_trials := !total_trials + n;
-             found := true;
-             raise Exit
-         | _ -> total_trials := !total_trials + List.length res.Sched.Explore.trials);
-         ())
-       hints
-   with Exit -> ());
+  let ident, hints = identify env (progs s) in
+  (* (hints tried, (trials until exposed, exposing trial), issues seen) *)
+  let rec go tried total others = function
+    | [] -> (tried, None, others)
+    | hint :: rest -> (
+        let tried = tried + 1 in
+        let res =
+          Sched.Explore.run env ~ident:(Some ident) ~writer:s.writer
+            ~reader:s.reader ~hint:(Some hint) ~kind ~trials
+            ~seed:(seed + (131 * tried))
+            ~stop_on_bug:true ~target_issue:(Some s.issue) ()
+        in
+        let others = Sched.Explore.issues_found res @ others in
+        match res.Sched.Explore.first_bug with
+        | Some n ->
+            let trial = List.nth res.Sched.Explore.trials (n - 1) in
+            (tried, Some (total + n, trial), others)
+        | None ->
+            go tried (total + List.length res.Sched.Explore.trials) others rest)
+  in
+  let tried, exposed, others = go 0 0 [] hints in
   {
-    found = !found;
-    hints_tried = !tried;
-    trials_to_expose = (if !found then Some !total_trials else None);
-    other_issues = List.sort_uniq compare (List.filter (fun i -> i <> s.issue) !others);
+    ident;
+    hints_tried = tried;
+    trials_to_expose = Option.map fst exposed;
+    other_issues =
+      List.sort_uniq compare (List.filter (fun i -> i <> s.issue) others);
+    exposed = Option.map snd exposed;
+  }
+
+(* Section 6's relay: a producer publishes a message before initialising
+   its payload, a forwarder copies the pointer onward and a consumer
+   dereferences it, an order violation no two of them can trigger. *)
+let relay = Array.map (fun op -> [ c Abi.sys_relay [ k op ] ]) [| 1; 2; 3 |]
+
+type relay_hunt = {
+  pmcs : int;
+  chains : int;
+  crash : (Core.Chain.t * Sched.Explore.result) option;
+}
+
+(* Identify the relay's PMC chains and explore up to 12 exemplars, drawn
+   with SEED and uncommon first, chain i seeded with SEED + 37 i, until
+   one crashes the kernel. *)
+let hunt_relay env ~seed =
+  let ident, _ = identify env relay in
+  let chains = Core.Chain.find ident in
+  let rec go i = function
+    | chain :: rest when i < 12 ->
+        let res =
+          Sched.Explore.run_chain env ~progs:relay ~chain:(Some chain)
+            ~seed:(seed + (37 * i)) ()
+        in
+        if Option.is_some res.Sched.Explore.first_bug then Some (chain, res)
+        else go (i + 1) rest
+    | _ -> None
+  in
+  {
+    pmcs = Core.Identify.num_pmcs ident;
+    chains = List.length chains;
+    crash = go 0 (Core.Chain.select (Random.State.make [| seed |]) chains);
   }

@@ -23,21 +23,6 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-(* 0 = off, 1 = profile, 2 = explore; a global so worker domains spawned
-   inside a phase inherit it. *)
-let cur_phase = Atomic.make 0
-
-let set_phase = function
-  | None -> Atomic.set cur_phase 0
-  | Some Profile -> Atomic.set cur_phase 1
-  | Some Explore -> Atomic.set cur_phase 2
-
-let phase () =
-  match Atomic.get cur_phase with
-  | 1 -> Some Profile
-  | 2 -> Some Explore
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Interning.  fids are handed out in first-intern order and never
    recycled; [reset] re-allocates the backing cells but keeps the fids,
@@ -102,8 +87,7 @@ let reset () =
   with_lock (fun () ->
       for fid = 0 to !n_fids - 1 do
         !cells.(fid) <- fresh_cells ()
-      done);
-  set_phase None
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Collectors: run-local accumulation, flushed at run boundaries so the

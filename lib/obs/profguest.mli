@@ -22,19 +22,12 @@ val set_enabled : bool -> unit
     [--provenance-out].  When disabled, [collector] returns an inactive
     collector and all accumulation is a no-op. *)
 
-val set_phase : phase option -> unit
-(** Global current phase; worker domains spawned inside a phase inherit
-    it.  [None] = outside any profiled phase. *)
-
-val phase : unit -> phase option
-
 val intern : string -> int
 (** Stable id for a function name; first-intern order, never recycled
     (fids survive [reset], so cached per-image fid arrays stay valid). *)
 
 val reset : unit -> unit
-(** Zero all accumulated counts and clear the phase; interned fids keep
-    their values. *)
+(** Zero all accumulated counts; interned fids keep their values. *)
 
 (** {1 Collectors} *)
 

@@ -4,9 +4,9 @@
    scheduler, with the race detector and the console checker attached.
    After a trial, incidental PMCs - other identified PMCs whose write and
    read both occurred, in opposite threads - are added to the set under
-   test, one random pick per trial (lines 26-27).  [run_chain] is the
-   same loop over three programs and a PMC chain (section 6).  Both, and
-   every other driver that wants bug verdicts, check their trials
+   test, one random pick per trial (lines 26-27).  [run] and [run_chain]
+   (three programs and a PMC chain, section 6) share that loop, and it
+   and every other driver that wants bug verdicts check their trials
    through [check]. *)
 
 module Trace = Vmm.Trace
@@ -152,13 +152,22 @@ let check env ~progs ~policy ?watchdog ?fault ?prof () =
       ignore (Detectors.Race.reports race);
       Printexc.raise_with_backtrace e bt
 
-(* Explore one concurrent test for up to [trials] interleavings. *)
-let run (env : Exec.env) ~(ident : Core.Identify.t option)
-    ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
-    ~(hint : Core.Pmc.t option) ~(kind : kind) ?(trials = default_trials)
-    ~(seed : int) ?(stop_on_bug = true) ?(target_issue = None) ?watchdog
-    ?fault ?(attempt = 0) () =
-  let st = Policies.snowboard_state hint in
+(* Re-execute a recorded trial from the boot snapshot with the flight
+   recorder on.  Events carry virtual-clock stamps only, so what a replay
+   records is byte-stable across runs. *)
+let replay env ~progs trace =
+  Obs.Event.configure ~enabled:true ();
+  Fun.protect
+    ~finally:(fun () -> Obs.Event.configure ~enabled:false ())
+    (fun () ->
+      let c = check env ~progs ~policy:(Replay.replay trace) () in
+      (c, Obs.Event.events ()))
+
+(* The trial loop: explore [progs] for up to [trials] interleavings,
+   starting from the PMCs under test that [st] holds.  [hint] is the
+   single hinted PMC the hit and miss statistics are kept for. *)
+let explore (env : Exec.env) ~ident ~progs ~st ~hint ~kind ~trials ~seed
+    ~stop_on_bug ~target_issue ~watchdog ~fault ~attempt =
   let adopts = match kind with Snowboard -> true | Ski | Naive _ | Pct _ -> false in
   let trial_results = ref [] in
   let first_bug = ref None in
@@ -174,7 +183,7 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
      [result.prof] so the caller flushes the counts exactly once (the
      rows ride in test results and the checkpoint journal) *)
   let prof = Obs.Profguest.collector () in
-  let progs = [| writer; reader |] in
+  let nprogs = Array.length progs in
   (try
      for trial = 0 to trials - 1 do
        let rng = Random.State.make [| seed + trial |] in
@@ -184,6 +193,12 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
          | Ski -> Policies.ski rng hint
          | Naive period -> Policies.naive rng ~period
          | Pct depth -> Policies.pct rng ~depth ~est_len:pct_est_len
+       in
+       (* past two programs, a second draw picks the thread that starts *)
+       let policy =
+         if nprogs > 2 then
+           { policy with Exec.first = Random.State.int rng nprogs }
+         else policy
        in
        (* every trial records its switch decisions: recording is a byte
           per decision, and it makes any buggy trial reproducible from
@@ -309,10 +324,19 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
     prof = Obs.Profguest.drain prof;
   }
 
+(* Explore one concurrent test for up to [trials] interleavings. *)
+let run (env : Exec.env) ~(ident : Core.Identify.t option)
+    ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
+    ~(hint : Core.Pmc.t option) ~(kind : kind) ?(trials = default_trials)
+    ~(seed : int) ?(stop_on_bug = true) ?(target_issue = None) ?watchdog
+    ?fault ?(attempt = 0) () =
+  explore env ~ident ~progs:[| writer; reader |]
+    ~st:(Policies.snowboard_state hint) ~hint ~kind ~trials ~seed ~stop_on_bug
+    ~target_issue ~watchdog ~fault ~attempt
+
 (* Three programs on three vCPUs with both PMCs of a chain under test,
    so Algorithm 2's performed_pmc_access/flags machinery steers all
-   three threads toward the chained communication (section 6).  After
-   the policy's own draw, each trial draws the thread that starts. *)
+   three threads toward the chained communication (section 6). *)
 let run_chain (env : Exec.env) ~(progs : Fuzzer.Prog.t array)
     ~(chain : Core.Chain.t option) ?(trials = default_trials) ~(seed : int)
     ?(stop_on_bug = true) () =
@@ -322,49 +346,8 @@ let run_chain (env : Exec.env) ~(progs : Fuzzer.Prog.t array)
       Policies.add_pmc st ch.Core.Chain.first;
       Policies.add_pmc st ch.Core.Chain.second)
     chain;
-  let trial_results = ref [] in
-  let first_bug = ref None in
-  let total_steps = ref 0 in
-  let total_switches = ref 0 in
-  (try
-     for trial = 0 to trials - 1 do
-       let rng = Random.State.make [| seed + trial |] in
-       let policy = Policies.snowboard rng st in
-       let first = Random.State.int rng (Array.length progs) in
-       let recorder = Replay.record { policy with Exec.first } in
-       let { run = res; findings; _ } =
-         check env ~progs ~policy:recorder.Replay.policy ()
-       in
-       total_steps := !total_steps + res.Exec.cc_steps;
-       total_switches := !total_switches + res.Exec.cc_switches;
-       trial_results :=
-         {
-           findings;
-           issues = Detectors.Oracle.issues findings;
-           exercised = false;
-           steps = res.Exec.cc_steps;
-           replay = recorder.Replay.finish ();
-         }
-         :: !trial_results;
-       if findings <> [] && Option.is_none !first_bug then begin
-         first_bug := Some (trial + 1);
-         if stop_on_bug then raise Exit
-       end
-     done
-   with Exit -> ());
-  {
-    trials = List.rev !trial_results;
-    first_bug = !first_bug;
-    any_exercised = false;
-    any_pmc_observed = false;
-    total_steps = !total_steps;
-    total_switches = !total_switches;
-    hint_hits = 0;
-    miss_no_write = 0;
-    miss_no_read = 0;
-    miss_value = 0;
-    prof = [];
-  }
+  explore env ~ident:None ~progs ~st ~hint:None ~kind:Snowboard ~trials ~seed
+    ~stop_on_bug ~target_issue:None ~watchdog:None ~fault:None ~attempt:0
 
 (* All distinct issues seen across the trials of a result. *)
 let issues_found r =

@@ -3,11 +3,11 @@
     the boot snapshot and runs the two tests under the chosen scheduler
     with the race detector and console checker attached; incidental PMCs
     discovered in a trial join the set under test.  {!run_chain} is the
-    section 6 extension over three programs.
+    section 6 extension over three programs, on the same loop.
 
     {!check} is the one checked trial: every driver of a concurrent run
-    that wants bug verdicts ({!run}, {!run_chain}, {!Enumerate.run}, the
-    feedback loop, [snowboard diagnose] and [explain]) goes through it. *)
+    that wants bug verdicts ({!run}, {!run_chain}, {!replay},
+    {!Enumerate.run} and the feedback loop) goes through it. *)
 
 type kind =
   | Snowboard  (** Algorithm 2 with the PMC as scheduling hint *)
@@ -42,6 +42,16 @@ val check :
     injected faults) escape unchanged, after the detector has handed its
     table back to the domain. *)
 
+val replay :
+  Exec.env ->
+  progs:Fuzzer.Prog.t array ->
+  Replay.trace ->
+  checked * Obs.Event.t list
+(** Re-execute a recorded trial ({!check} under {!Replay.replay}) with
+    the flight recorder on, and return it with the events it recorded;
+    the recorder is off again afterwards.  [snowboard diagnose] and
+    [explain] replay through this. *)
+
 type trial = {
   findings : Detectors.Oracle.finding list;
   issues : int list;
@@ -55,7 +65,7 @@ type trial = {
 }
 
 (** What an exploration found.  {!run_chain} has no single hint: its
-    hint and PMC fields read [false] and [0], and [prof] is [[]]. *)
+    hint and PMC fields read [false] and [0]. *)
 type result = {
   trials : trial list;
   first_bug : int option;  (** 1-based index of the first buggy trial *)
@@ -137,12 +147,12 @@ val run_chain :
   unit ->
   result
 (** Three-thread exploration over a PMC chain (the paper's section 6
-    extension): the programs run on [Array.length progs] vCPUs under
-    Algorithm 2's policy with both chain PMCs as hints, for up to
-    [trials] (default 64) interleavings, stopping at the first finding
-    with [stop_on_bug] (default [true]).  Each trial seeds its RNG with
-    [seed + trial]; after the policy's own draw, a second draw picks the
-    thread that starts.  Trials record their decisions as {!run}'s do. *)
+    extension): {!run}'s trial loop over [Array.length progs] vCPUs
+    under Algorithm 2's policy, with both chain PMCs under test from the
+    first trial and no incidental adoption, for up to [trials] (default
+    64) interleavings, stopping at the first finding with [stop_on_bug]
+    (default [true]).  With more than two programs, a second draw after
+    the policy's own picks the thread that starts. *)
 
 val issues_found : result -> int list
 

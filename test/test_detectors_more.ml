@@ -131,7 +131,9 @@ let test_explore_target_issue () =
      fires early but must not stop the search for #12 *)
   let env = Sched.Exec.make_env Kernel.Config.all_buggy in
   let s = match Harness.Scenarios.find 12 with Some s -> s | None -> assert false in
-  let _, hints = Harness.Scenarios.identify env s in
+  let _, hints =
+    Harness.Scenarios.identify env (Harness.Scenarios.progs s)
+  in
   let res =
     Sched.Explore.run env ~ident:None ~writer:s.Harness.Scenarios.writer
       ~reader:s.Harness.Scenarios.reader

@@ -528,7 +528,8 @@ let scenario_hints =
   lazy
     (let env = Lazy.force env in
      List.map
-       (fun s -> (s, snd (Harness.Scenarios.identify env s)))
+       (fun s ->
+         (s, snd (Harness.Scenarios.identify env (Harness.Scenarios.progs s))))
        Harness.Scenarios.all)
 
 (* Run every scenario batched and per step, with the flight recorder and
@@ -562,7 +563,9 @@ let prop_conc_batch ~hinted =
 let test_conc_batch_panics () =
   let env = Exec.make_env Kernel.Config.all_buggy in
   let s = Option.get (Harness.Scenarios.find 12) in
-  let hint = List.hd (snd (Harness.Scenarios.identify env s)) in
+  let hint =
+    List.hd (snd (Harness.Scenarios.identify env (Harness.Scenarios.progs s)))
+  in
   let panics =
     with_recording (fun () ->
         check_batch_identical env ~s ~hint:(Some hint) ~seed:0 ~trials:6)

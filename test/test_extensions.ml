@@ -50,7 +50,7 @@ let test_replay_reproduces_bug () =
      console line - the paper's deterministic reproduction claim *)
   let e = Lazy.force env in
   let s = List.nth Harness.Scenarios.all 0 (* #1 rhashtable *) in
-  let _, hints = Harness.Scenarios.identify e s in
+  let _, hints = Harness.Scenarios.identify e (Harness.Scenarios.progs s) in
   let found = ref None in
   List.iter
     (fun hint ->
@@ -85,7 +85,7 @@ let test_replay_reproduces_bug () =
 let test_postmortem () =
   let e = Lazy.force env in
   let s = List.nth Harness.Scenarios.all 13 (* #14 tty *) in
-  let ident, _ = Harness.Scenarios.identify e s in
+  let ident, _ = Harness.Scenarios.identify e (Harness.Scenarios.progs s) in
   (* run dense random trials until tty races are among the reports; a
      write-write race on the flags word and the write-read race both map
      to #14, but only the write-read pair is a PMC verbatim *)
@@ -238,28 +238,12 @@ let test_two_threads_cannot_crash_relay () =
     [ (producer, forwarder); (producer, consumer); (forwarder, consumer) ]
 
 let test_three_threads_crash_relay () =
-  let e = Lazy.force env in
-  let profiles =
-    List.mapi
-      (fun i p ->
-        Core.Profile.of_accesses ~test_id:i
-          (Exec.run_seq ~accesses:true e ~tid:0 p).Exec.sq_accesses)
-      [ producer; forwarder; consumer ]
-  in
-  let ident = Core.Identify.run profiles in
-  let chains = Core.Chain.find ident in
-  let found = ref false in
-  List.iteri
-    (fun i chain ->
-      if not !found then
-        let res =
-          Sched.Explore.run_chain e
-            ~progs:[| producer; forwarder; consumer |]
-            ~chain:(Some chain) ~trials:64 ~seed:(100 + i) ~stop_on_bug:true ()
-        in
-        if List.mem 18 (Sched.Explore.issues_found res) then found := true)
-    chains;
-  checkb "three-thread crash found via chain hints" true !found
+  (* the chain hunt [snowboard three] and the bench run *)
+  let h = Harness.Scenarios.hunt_relay (Lazy.force env) ~seed:100 in
+  checkb "three-thread crash found via chain hints" true
+    (match h.Harness.Scenarios.crash with
+    | Some (_, res) -> List.mem 18 (Sched.Explore.issues_found res)
+    | None -> false)
 
 let test_three_threads_need_the_chain_hints () =
   (* without chain hints the Algorithm 2 policy has no switch points, so

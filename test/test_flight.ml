@@ -162,7 +162,7 @@ let buggy =
   lazy
     (let e = Lazy.force env in
      let s = Option.get (Scenarios.find 1) in
-     let _, hints = Scenarios.identify e s in
+     let _, hints = Scenarios.identify e (Scenarios.progs s) in
      let rec hunt seed = function
        | [] -> Alcotest.fail "issue #1 did not reproduce (seed exhausted?)"
        | hint :: rest -> (
@@ -262,7 +262,7 @@ let test_exploration_records_hint_events () =
 let test_bug_report_carries_replay () =
   let e = Lazy.force env in
   let s, _ = Lazy.force buggy in
-  let _, hints = Scenarios.identify e s in
+  let _, hints = Scenarios.identify e (Scenarios.progs s) in
   let r =
     Explore.run e ~ident:None ~writer:s.Scenarios.writer
       ~reader:s.Scenarios.reader

@@ -150,7 +150,9 @@ let test_scenarios_inventory () =
   let env = Exec.make_env Kernel.Config.all_buggy in
   List.iter
     (fun s ->
-      let _, hints = Harness.Scenarios.identify env s in
+      let _, hints =
+        Harness.Scenarios.identify env (Harness.Scenarios.progs s)
+      in
       checkb
         (Printf.sprintf "scenario #%d has hints" s.Harness.Scenarios.issue)
         true (hints <> []))

@@ -278,21 +278,10 @@ let enumerate_lines b =
       ("buggy", buggy_env, 16, 1);
     ]
 
-let relay op =
-  { Fuzzer.Prog.nr = Kernel.Abi.sys_relay; args = [ Fuzzer.Prog.Const op ] }
-
 let chain_lines b =
   let env = Lazy.force buggy_env in
-  let progs = [| [ relay 1 ]; [ relay 2 ]; [ relay 3 ] |] in
-  let ident =
-    Core.Identify.run
-      (Array.to_list
-         (Array.mapi
-            (fun i p ->
-              Core.Profile.of_shared ~test_id:i
-                (Sched.Exec.run_seq ~accesses:true env ~tid:0 p).Sched.Exec.sq_accesses)
-            progs))
-  in
+  let progs = Harness.Scenarios.relay in
+  let ident, _ = Harness.Scenarios.identify env progs in
   let chain = List.hd (Core.Chain.find ident) in
   for seed = 100 to 103 do
     let r =
@@ -335,7 +324,9 @@ let feedback_lines b =
 let explain_lines b =
   let env = Lazy.force buggy_env in
   let s = scenario 13 in
-  let ident, hints = Harness.Scenarios.identify env s in
+  let ident, hints =
+    Harness.Scenarios.identify env (Harness.Scenarios.progs s)
+  in
   let writer = s.Harness.Scenarios.writer
   and reader = s.Harness.Scenarios.reader in
   let r =
