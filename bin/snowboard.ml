@@ -198,24 +198,48 @@ let logging_term =
 
 (* ---------------- shared options ---------------- *)
 
+(* The --kernel names, each with its configuration. *)
+let kernel_versions =
+  [
+    ("5.3.10", Kernel.Config.v5_3_10);
+    ("5.12-rc3", Kernel.Config.v5_12_rc3);
+    ("all-buggy", Kernel.Config.all_buggy);
+    ("all-fixed", Kernel.Config.all_fixed);
+  ]
+
+let default_kernel = Kernel.Config.v5_12_rc3
+
+(* The --kernel name of a configuration; configurations are plain bool
+   records, so structural equality identifies them. *)
+let kernel_name cfg =
+  match List.find_opt (fun (_, c) -> c = cfg) kernel_versions with
+  | Some (name, _) -> name
+  | None -> "<kernel version>"
+
 let version_conv =
-  let parse = function
-    | "5.3.10" -> Ok Kernel.Config.v5_3_10
-    | "5.12-rc3" -> Ok Kernel.Config.v5_12_rc3
-    | "all-buggy" -> Ok Kernel.Config.all_buggy
-    | "all-fixed" -> Ok Kernel.Config.all_fixed
-    | s -> Error (`Msg (Printf.sprintf "unknown kernel version %S" s))
+  let parse s =
+    match List.assoc_opt s kernel_versions with
+    | Some cfg -> Ok cfg
+    | None -> Error (`Msg (Printf.sprintf "unknown kernel version %S" s))
   in
-  let print ppf _ = Format.pp_print_string ppf "<kernel version>" in
+  let print ppf cfg = Format.pp_print_string ppf (kernel_name cfg) in
   Arg.conv (parse, print)
+
+let version_doc =
+  "Guest kernel to test: 5.3.10, 5.12-rc3, all-buggy or all-fixed."
 
 let version =
   Arg.(
     value
-    & opt version_conv Kernel.Config.v5_12_rc3
-    & info [ "kernel" ] ~docv:"VERSION"
-        ~doc:
-          "Guest kernel to test: 5.3.10, 5.12-rc3, all-buggy or all-fixed.")
+    & opt version_conv default_kernel
+    & info [ "kernel" ] ~docv:"VERSION" ~doc:version_doc)
+
+(* Record the kernel a run tested at the top level of its --metrics-out
+   document, where [explain --replay] looks for it; the summary object
+   (and so --summary-out) stays as it was. *)
+let record_kernel kernel =
+  obs_extra :=
+    ("kernel", Obs.Export.String (kernel_name kernel)) :: !obs_extra
 
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
@@ -506,6 +530,7 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
       | Error msg -> fail_cli "%s" msg
       | Ok ("seed", n) -> Obs.Storage.arm_crash_seeded ~seed:n ()
       | Ok (site, k) -> Obs.Storage.arm_crash ~site ~k ()));
+  record_kernel kernel;
   (* either artifact flag turns the guest profiler on for the whole
      campaign; reset first so repeated in-process campaigns stay clean *)
   let profiler = flame_out <> None || provenance_out <> None in
@@ -643,7 +668,7 @@ let run_campaign kernel seed iters trials budget methods seeded jobs
           ~storage_degraded:(Obs.Storage.degraded () <> [])
           ~stats ~found ()
       in
-      obs_extra := [ ("summary", summary) ];
+      obs_extra := !obs_extra @ [ ("summary", summary) ];
       (* artifact writes degrade gracefully: a full disk must not cost
          the campaign its console report or its exit verdict *)
       let try_write what f =
@@ -783,6 +808,7 @@ let repro_cmd =
    console, and a post-mortem diagnosis of each data race (section 4.4.1
    and the section 6 reproduction discussion). *)
 let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
+  record_kernel kernel;
   match Harness.Scenarios.find issue with
   | None ->
       pf "no scenario for issue #%d@." issue;
@@ -891,6 +917,7 @@ type explain_input = {
   ei_reader : Fuzzer.Prog.t;
   ei_trace : Sched.Replay.trace;
   ei_issues : int list;  (* the stored verdict; [] when unknown *)
+  ei_kernel : string option;  (* the --kernel the report recorded *)
 }
 
 let input_of_bug b =
@@ -913,6 +940,7 @@ let input_of_bug b =
               ei_reader = reader;
               ei_trace = trace;
               ei_issues = issues;
+              ei_kernel = None;
             }
       | None, _, _ -> Error "malformed writer program in bug report"
       | _, None, _ -> Error "malformed reader program in bug report"
@@ -941,6 +969,7 @@ let resolve_explain_input ~issue replay_arg =
                   ei_reader = sc.Harness.Scenarios.reader;
                   ei_trace = trace;
                   ei_issues = [ id ];
+                  ei_kernel = None;
                 }))
   in
   if Sys.file_exists replay_arg then
@@ -961,10 +990,20 @@ let resolve_explain_input ~issue replay_arg =
                   | None -> "")
             | b :: _ -> (
                 match input_of_bug b with
-                | Ok i -> i
+                | Ok i -> { i with ei_kernel = jstring (jfield "kernel" doc) }
                 | Error msg -> fail_cli "%s: %s" replay_arg msg)))
     | None -> from_raw_trace contents
   else from_raw_trace replay_arg
+
+let explain_version =
+  Arg.(
+    value
+    & opt (some version_conv) None
+    & info [ "kernel" ] ~docv:"VERSION"
+        ~doc:
+          (version_doc
+         ^ "  Defaults to the kernel a campaign or diagnose report recorded \
+            (its top-level \"kernel\" field), else 5.12-rc3."))
 
 let replay_arg_t =
   Arg.(
@@ -1002,9 +1041,21 @@ let text_out_arg =
         ~doc:
           "Write the plain-text interleaving report here instead of stdout.")
 
+(* An explicit --kernel wins; else the kernel the report recorded; else
+   the default. *)
+let explain_kernel ~replay_arg kernel input =
+  match (kernel, input.ei_kernel) with
+  | Some k, _ -> k
+  | None, Some name -> (
+      match List.assoc_opt name kernel_versions with
+      | Some k -> k
+      | None ->
+          fail_cli "%s: unknown recorded kernel version %S" replay_arg name)
+  | None, None -> default_kernel
+
 let run_explain kernel replay_arg issue trace_out text_out () (_ : obs) =
   let input = resolve_explain_input ~issue replay_arg in
-  let env = Sched.Exec.make_env kernel in
+  let env = Sched.Exec.make_env (explain_kernel ~replay_arg kernel input) in
   let { Sched.Explore.run = res; races; findings }, events =
     Sched.Explore.replay env
       ~progs:[| input.ei_writer; input.ei_reader |]
@@ -1072,7 +1123,7 @@ let explain_cmd =
           export its flight-recorder trace: Chrome trace-event JSON and a \
           two-column interleaving report.")
     Term.(
-      const run_explain $ version $ replay_arg_t $ issue_opt_arg
+      const run_explain $ explain_version $ replay_arg_t $ issue_opt_arg
       $ trace_out_arg $ text_out_arg $ logging_term $ obs_term)
 
 (* ---------------- why ---------------- *)

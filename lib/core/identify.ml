@@ -255,7 +255,8 @@ let pmcs_at_write t pc =
 
 (* Incidental-PMC discovery for Algorithm 2 line 26: PMCs (other than
    those already under test) whose write side appears among one thread's
-   accesses and whose read side appears among the other thread's.
+   accesses and whose read side appears among the other thread's.  The
+   search reads a run's shared-access log by index.
 
    First the read ranges that some live read hits are marked with a
    fresh stamp; then each live write scans its pc's slice of the index,
@@ -266,56 +267,80 @@ let pmcs_at_write t pc =
    The stamps live in a per-domain array, since worker domains share one
    [t]: a stamp is never reused on a domain, so marks left by an earlier
    search, of this index or another, never match. *)
-type marks = { mutable stamp : int array; mutable now : int }
+type marks = {
+  mutable stamp : int array;
+  mutable now : int;
+  mutable scratch : Trace.log option;  (* the list form's, made on demand *)
+}
 
-let marks = Domain.DLS.new_key (fun () -> { stamp = [||]; now = 0 })
+let marks =
+  Domain.DLS.new_key (fun () -> { stamp = [||]; now = 0; scratch = None })
 
-let rec mark ix stamp now = function
-  | [] -> ()
-  | (r : Trace.access) :: rest ->
-      (if r.Trace.kind = Trace.Read then
-         let k = r.Trace.pc - ix.r_base in
-         if k >= 0 && k < Array.length ix.r_lo - 1 then
-           let lo = r.Trace.addr and hi = r.Trace.addr + r.Trace.size in
-           for id = ix.r_lo.(k) to ix.r_lo.(k + 1) - 1 do
-             if ix.r_addr.(id) < hi && lo < ix.r_end.(id) then
-               stamp.(id) <- now
-           done);
-      mark ix stamp now rest
-
-(* The PMCs at positions [i] to [hi - 1] whose write [w] performs and
-   whose read range is marked, consed onto [found] in order. *)
-let rec scan_slice ix stamp now exclude (w : Trace.access) found i hi =
-  if i = hi then found
-  else
-    let found =
-      if
-        ix.w_addr.(i) < w.Trace.addr + w.Trace.size
-        && w.Trace.addr < ix.w_end.(i)
-        && stamp.(ix.w_rid.(i)) = now
-        && not (exclude ix.w_pmc.(i))
-      then ix.w_pmc.(i) :: found
-      else found
-    in
-    scan_slice ix stamp now exclude w found (i + 1) hi
-
-let rec scan ix stamp now exclude found = function
-  | [] -> found
-  | (w : Trace.access) :: rest ->
-      let k = w.Trace.pc - ix.w_base in
-      let found =
-        if w.Trace.kind = Trace.Write && k >= 0 && k < Array.length ix.w_lo - 1
-        then scan_slice ix stamp now exclude w found ix.w_lo.(k) ix.w_lo.(k + 1)
-        else found
-      in
-      scan ix stamp now exclude found rest
-
-let find_incidental t ~(writes : Trace.access list) ~(reads : Trace.access list)
-    ~(exclude : Pmc.t -> bool) =
+let search t (lg : Trace.log) ~writer ~reader ~exclude found =
   let ix = t.index in
   let m = Domain.DLS.get marks in
   if Array.length m.stamp < Array.length ix.r_addr then
     m.stamp <- Array.make (Array.length ix.r_addr) 0;
   m.now <- m.now + 1;
-  mark ix m.stamp m.now reads;
-  scan ix m.stamp m.now exclude [] writes
+  let stamp = m.stamp and now = m.now in
+  let nr = Array.length ix.r_lo - 1 and nw = Array.length ix.w_lo - 1 in
+  for i = 0 to lg.Trace.len - 1 do
+    if lg.Trace.l_thread.(i) = reader && not lg.Trace.l_write.(i) then begin
+      let k = lg.Trace.l_pc.(i) - ix.r_base in
+      if k >= 0 && k < nr then begin
+        let lo = lg.Trace.l_addr.(i) in
+        let hi = lo + lg.Trace.l_size.(i) in
+        for id = ix.r_lo.(k) to ix.r_lo.(k + 1) - 1 do
+          if ix.r_addr.(id) < hi && lo < ix.r_end.(id) then stamp.(id) <- now
+        done
+      end
+    end
+  done;
+  (* each write's slice in index order, consed onto [found] *)
+  let found = ref found in
+  for i = 0 to lg.Trace.len - 1 do
+    if lg.Trace.l_thread.(i) = writer && lg.Trace.l_write.(i) then begin
+      let k = lg.Trace.l_pc.(i) - ix.w_base in
+      if k >= 0 && k < nw then begin
+        let lo = lg.Trace.l_addr.(i) in
+        let hi = lo + lg.Trace.l_size.(i) in
+        for j = ix.w_lo.(k) to ix.w_lo.(k + 1) - 1 do
+          if
+            ix.w_addr.(j) < hi
+            && lo < ix.w_end.(j)
+            && stamp.(ix.w_rid.(j)) = now
+            && not (exclude ix.w_pmc.(j))
+          then found := ix.w_pmc.(j) :: !found
+        done
+      end
+    end
+  done;
+  !found
+
+let find_incidental_log t view ~writer ~reader ~exclude found =
+  search t (Trace.read_view view) ~writer ~reader ~exclude found
+
+(* The list form fills a per-domain scratch log, the writes as thread 0
+   and the reads as thread 1, and runs the same search. *)
+let rec fill lg thread = function
+  | [] -> ()
+  | a :: rest ->
+      Trace.push lg a ~ctx:"";
+      lg.Trace.l_thread.(lg.Trace.len - 1) <- thread;
+      fill lg thread rest
+
+let find_incidental t ~(writes : Trace.access list) ~(reads : Trace.access list)
+    ~(exclude : Pmc.t -> bool) =
+  let m = Domain.DLS.get marks in
+  let lg =
+    match m.scratch with
+    | Some lg -> lg
+    | None ->
+        let lg = Trace.make_log () in
+        m.scratch <- Some lg;
+        lg
+  in
+  lg.Trace.len <- 0;
+  fill lg 0 writes;
+  fill lg 1 reads;
+  search t lg ~writer:0 ~reader:1 ~exclude []

@@ -47,6 +47,26 @@ val pmcs_at_write : t -> int -> Pmc.t list
     index order, newest discovered first; [[]] for a pc outside the
     index. *)
 
+val find_incidental_log :
+  t ->
+  Vmm.Trace.view ->
+  writer:int ->
+  reader:int ->
+  exclude:(Pmc.t -> bool) ->
+  Pmc.t list ->
+  Pmc.t list
+(** [find_incidental_log t v ~writer ~reader ~exclude found]: the
+    incidental-PMC search over a run's shared-access log
+    ({!Vmm.Trace.view}), reading it by index: {!find_incidental} with
+    thread [writer]'s entries as [writes] and thread [reader]'s as
+    [reads], in log order, its result consed onto [found].  So
+    [find_incidental_log t v ~writer:0 ~reader:1 ~exclude
+    (find_incidental_log t v ~writer:1 ~reader:0 ~exclude [])] is the
+    list search's [(0 -> 1) @ (1 -> 0)], order and multiplicity
+    included.  Allocates 3 words per PMC found and nothing else.
+    Raises [Invalid_argument] if a later run has reused the view's
+    log. *)
+
 val find_incidental :
   t ->
   writes:Vmm.Trace.access list ->
@@ -65,4 +85,7 @@ val find_incidental :
     PMCs), and the list is the reverse of the enumeration [writes] in
     order, then, for each write, its pc's PMCs in {!pmcs_at_write} order.
     [exclude] must be pure; it is consulted only for PMCs that pass both
-    match tests.  Safe to call from several domains on one [t]. *)
+    match tests.  Safe to call from several domains on one [t].
+
+    The list-shaped form of {!find_incidental_log}: it copies both lists
+    into a per-domain scratch log and runs the same search. *)

@@ -362,53 +362,59 @@ let check t tb b ~addr ~tid ~clk ~mk ~write ~pc ~fn ~ctx =
     tb.r_fn.(rb + tid) <- fn
   end
 
-(* Feed one shared kernel access (with its attributed function). *)
+(* Feed one shared kernel access, by its fields, with its attributed
+   function: the entry point for the executor's log, which holds shared
+   accesses only. *)
+let on_shared t ~thread:tid ~pc ~addr:first ~size ~write ~atomic:mk ~ctx =
+  if not t.live then invalid_arg "Race.on_shared: reports already taken";
+  let tb = t.tb in
+  let vc = tid * tb.nth in
+  let fn = fn_id t ctx in
+  let last = first + size - 1 in
+  let s =
+    if size = 8 && first land 7 = 0 then claim tb (first lsr 3)
+    else -1
+  in
+  if s >= 0 && tb.uni.(s) then begin
+    (* the whole granule: byte 0 stands for all eight *)
+    let b = 8 * s in
+    if mk && not write then acquire tb b vc;
+    check t tb b ~addr:first ~tid ~clk:tb.vcs.(vc + tid) ~mk ~write ~pc ~fn
+      ~ctx;
+    if mk && write then release tb b vc
+  end
+  else begin
+    for g = first lsr 3 to last lsr 3 do
+      split tb (claim tb g)
+    done;
+    (* acquire edge: a marked read joins the cell's release clock *)
+    if mk && not write then
+      for addr = first to last do
+        acquire tb ((8 * find tb (addr lsr 3)) + (addr land 7)) vc
+      done;
+    let clk = tb.vcs.(vc + tid) in
+    (* an access spans at most two granules: probe once per granule *)
+    let s = ref (find tb (first lsr 3)) in
+    for addr = first to last do
+      if addr land 7 = 0 && addr <> first then s := find tb (addr lsr 3);
+      check t tb ((8 * !s) + (addr land 7)) ~addr ~tid ~clk ~mk ~write ~pc
+        ~fn ~ctx
+    done;
+    (* release edge: a marked write deposits its clock on the cell *)
+    if mk && write then
+      for addr = first to last do
+        release tb ((8 * find tb (addr lsr 3)) + (addr land 7)) vc
+      done
+  end;
+  if mk && write then tb.vcs.(vc + tid) <- tb.vcs.(vc + tid) + 1
+
+(* Feed one access record; non-shared ones are ignored. *)
 let on_access t (a : Trace.access) ~ctx =
   if not t.live then invalid_arg "Race.on_access: reports already taken";
-  if Trace.is_shared a then begin
-    let tb = t.tb in
-    let tid = a.Trace.thread and pc = a.Trace.pc in
-    let vc = tid * tb.nth in
-    let mk = a.Trace.atomic and write = a.Trace.kind = Trace.Write in
-    let fn = fn_id t ctx in
-    let first = a.Trace.addr and last = a.Trace.addr + a.Trace.size - 1 in
-    let s =
-      if a.Trace.size = 8 && first land 7 = 0 then claim tb (first lsr 3)
-      else -1
-    in
-    if s >= 0 && tb.uni.(s) then begin
-      (* the whole granule: byte 0 stands for all eight *)
-      let b = 8 * s in
-      if mk && not write then acquire tb b vc;
-      check t tb b ~addr:first ~tid ~clk:tb.vcs.(vc + tid) ~mk ~write ~pc ~fn
-        ~ctx;
-      if mk && write then release tb b vc
-    end
-    else begin
-      for g = first lsr 3 to last lsr 3 do
-        split tb (claim tb g)
-      done;
-      (* acquire edge: a marked read joins the cell's release clock *)
-      if mk && not write then
-        for addr = first to last do
-          acquire tb ((8 * find tb (addr lsr 3)) + (addr land 7)) vc
-        done;
-      let clk = tb.vcs.(vc + tid) in
-      (* an access spans at most two granules: probe once per granule *)
-      let s = ref (find tb (first lsr 3)) in
-      for addr = first to last do
-        if addr land 7 = 0 && addr <> first then s := find tb (addr lsr 3);
-        check t tb ((8 * !s) + (addr land 7)) ~addr ~tid ~clk ~mk ~write ~pc
-          ~fn ~ctx
-      done;
-      (* release edge: a marked write deposits its clock on the cell *)
-      if mk && write then
-        for addr = first to last do
-          release tb ((8 * find tb (addr lsr 3)) + (addr land 7)) vc
-        done
-    end;
-    if mk && write then tb.vcs.(vc + tid) <- tb.vcs.(vc + tid) + 1
-  end
+  if Trace.is_shared a then
+    on_shared t ~thread:a.Trace.thread ~pc:a.Trace.pc ~addr:a.Trace.addr
+      ~size:a.Trace.size ~write:(a.Trace.kind = Trace.Write)
+      ~atomic:a.Trace.atomic ~ctx
 
 let reports t =
   if t.live then begin

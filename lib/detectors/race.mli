@@ -39,10 +39,28 @@ val create : ?nthreads:int -> unit -> t
     [0 .. nthreads - 1] (default 2).  Raises [Invalid_argument] unless
     [1 <= nthreads <= 127]. *)
 
+val on_shared :
+  t ->
+  thread:int ->
+  pc:int ->
+  addr:int ->
+  size:int ->
+  write:bool ->
+  atomic:bool ->
+  ctx:string ->
+  unit
+(** Feed one shared access by its fields, with its attributed function:
+    the entry point for a run's {!Vmm.Trace.log}, whose entries are all
+    shared, so nothing is filtered here.  {!Sched.Explore.check} feeds
+    the whole log through it after the run.  Allocates nothing once the
+    table holds the access's granules and the function is interned.
+    Raises [Invalid_argument] once {!reports} has been called: the
+    detector no longer owns its table. *)
+
 val on_access : t -> Vmm.Trace.access -> ctx:string -> unit
-(** Feed one access with its attributed function.  Non-shared accesses
-    (stack, user space) are ignored.  Raises [Invalid_argument] once
-    {!reports} has been called: the detector no longer owns its table. *)
+(** {!on_shared} on a record, for list-shaped callers.  Non-shared
+    accesses (stack, user space) are ignored.  Raises
+    [Invalid_argument] once {!reports} has been called. *)
 
 val reports : t -> report list
 (** Reports in detection order, deduplicated by (write pc, other pc).

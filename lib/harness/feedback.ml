@@ -14,8 +14,8 @@
         writer/reader programs are mutated, re-profiled, re-identified,
         and the offspring join the queue with fresh PMC hints.
 
-   The communication-coverage metric is computed from the per-thread
-   shared-access lists of each trial, so it needs no new instrumentation. *)
+   The communication-coverage metric is computed from each trial's
+   shared-access log, so it needs no new instrumentation. *)
 
 module Exec = Sched.Exec
 module Trace = Vmm.Trace
@@ -40,20 +40,23 @@ let create env =
 let coverage t = Hashtbl.length t.seen_pairs
 
 (* Communicating instruction pairs of one trial: cross-thread overlapping
-   (write, read) accesses.  Quadratic in the per-thread access counts,
-   which are small (hundreds). *)
+   (write, read) accesses, read from the trial's shared-access log.
+   Quadratic in the access count, which is small (hundreds). *)
 let comm_pairs (res : Exec.conc_result) =
+  let lg = Trace.read_view res.Exec.cc_log in
   let pairs = Hashtbl.create 64 in
   let scan wt rt =
-    List.iter
-      (fun (w : Trace.access) ->
-        if w.Trace.kind = Trace.Write then
-          List.iter
-            (fun (r : Trace.access) ->
-              if r.Trace.kind = Trace.Read && Trace.overlaps w r then
-                Hashtbl.replace pairs (w.Trace.pc, r.Trace.pc) ())
-            res.Exec.cc_accesses.(rt))
-      res.Exec.cc_accesses.(wt)
+    for w = 0 to lg.Trace.len - 1 do
+      if lg.Trace.l_thread.(w) = wt && lg.Trace.l_write.(w) then
+        for r = 0 to lg.Trace.len - 1 do
+          if
+            lg.Trace.l_thread.(r) = rt
+            && (not lg.Trace.l_write.(r))
+            && lg.Trace.l_addr.(w) < lg.Trace.l_addr.(r) + lg.Trace.l_size.(r)
+            && lg.Trace.l_addr.(r) < lg.Trace.l_addr.(w) + lg.Trace.l_size.(w)
+          then Hashtbl.replace pairs (lg.Trace.l_pc.(w), lg.Trace.l_pc.(r)) ()
+        done
+    done
   in
   scan 0 1;
   scan 1 0;
@@ -86,9 +89,10 @@ let execute t ~writer ~reader ~hint ~ident ~trials ~seed =
       (Detectors.Oracle.issues findings);
     (* grow the PMC set under test from what this trial observed *)
     match
-      Core.Identify.find_incidental ident ~writes:res.Exec.cc_accesses.(0)
-        ~reads:res.Exec.cc_accesses.(1)
+      Core.Identify.find_incidental_log ident res.Exec.cc_log ~writer:0
+        ~reader:1
         ~exclude:(fun p -> List.exists (Core.Pmc.equal p) st.Sched.Policies.current_pmcs)
+        []
     with
     | [] -> ()
     | p :: _ -> Sched.Policies.add_pmc st p

@@ -15,3 +15,10 @@ type result = {
 val run : Pipeline.t -> budget:int -> trials:int -> seed:int -> result
 (** Seed the queue with S-INS-PAIR exemplars from the prepared pipeline,
     then execute/breed until [budget] concurrent tests have run. *)
+
+val comm_pairs : Sched.Exec.conc_result -> (int * int, unit) Hashtbl.t
+(** One trial's communicating instruction pairs: each (write pc, read
+    pc) of a thread-0 write and a thread-1 read, or a thread-1 write and
+    a thread-0 read, whose byte ranges overlap, read by index from the
+    trial's log ([cc_log]).  Raises [Invalid_argument] if a later run
+    has reused that log. *)

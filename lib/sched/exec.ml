@@ -18,10 +18,12 @@
    and the guest profiler) and lock and RCU hypercalls.  Sequential
    blocks end at a return to user space, a halt, panic or fault, a
    console line or a pause.  What a run allocates is what it reports:
-   with [~accesses:true] (profiling) or concurrently, a Trace.access
-   record and a list cell per shared access and the final [List.rev];
-   always the result record (and, above this module, the policy's
-   recorder buffer).  A fuzzing run builds no access record at all.
+   with [~accesses:true] (profiling), a Trace.access record and a list
+   cell per shared access and the final [List.rev]; always the result
+   record (and, above this module, the policy's recorder buffer).  A
+   fuzzing run builds no access record at all, and neither does a
+   concurrent one: it appends its shared accesses to a per-domain log
+   ([conc_key]) that its result views.
    Concurrent blocks end only where the executor or an event-only
    policy acts (Algorithm 2 reschedules only at shared accesses): a
    shared access, a pause, a return to user space, a halt, panic or
@@ -183,13 +185,13 @@ let release_env ~worker env =
 
 type observer = {
   on_access : Trace.access -> ctx:string -> unit;
+      (* [run_conc] only, after the run: each shared access, in order *)
   on_event : Obs.Event.kind -> tid:int -> unit;
       (* flight-recorder feed; only called while [Obs.Event.enabled ()] *)
 }
 
 (* The default observer routes executor events into the global flight
-   recorder and ignores accesses; [Explore.check] splices the race
-   detector into it, so recording keeps working under the detector. *)
+   recorder and ignores accesses. *)
 let default_observer =
   {
     on_access = (fun _ ~ctx:_ -> ());
@@ -197,7 +199,7 @@ let default_observer =
   }
 
 (* Shadow call stacks and access attribution.  One int array per vCPU,
-   innermost frame last, kept per domain (see [frames_key]) and reused
+   innermost frame last, kept per domain (see [conc_key]) and reused
    across trials, so a call pushes without allocating. *)
 type frames = { mutable fs : int array; mutable depth : int }
 
@@ -216,9 +218,20 @@ let pop_frame f = if f.depth > 0 then f.depth <- f.depth - 1
 let make_frames () = { fs = Array.make 64 0; depth = 0 }
 let frames_depth f = f.depth
 
-let frames_key =
+(* What the concurrent runner keeps per domain and reuses across trials:
+   one shadow stack per vCPU, and the log its runs append their shared
+   accesses to, so recording an access writes its fields into arrays
+   instead of allocating a record and a list cell.  A run bumps the
+   log's generation before its first append, which retires the views
+   earlier results hold. *)
+type conc_state = { shadow : frames array; log : Trace.log }
+
+let conc_key =
   Domain.DLS.new_key (fun () ->
-      Array.init Vmm.Layout.max_threads (fun _ -> make_frames ()))
+      {
+        shadow = Array.init Vmm.Layout.max_threads (fun _ -> make_frames ());
+        log = Trace.make_log ();
+      })
 
 (* Replay a block's frame log onto a shadow stack, in execution order. *)
 let apply_frames f (sink : Vm.sink) =
@@ -451,7 +464,10 @@ type conc_result = {
   cc_deadlocked : bool;
   cc_steps : int;
   cc_switches : int;  (* vCPU switches performed (SKI does many more) *)
-  cc_accesses : Trace.access list array;  (* shared accesses per thread *)
+  cc_log : Trace.view;  (* shared accesses, in execution order *)
+  cc_accesses : Trace.access list array;
+      (* per thread, [run_conc]'s list view of [cc_log]; [run_multi]
+         leaves every list empty *)
   cc_retvals : int array array;
 }
 
@@ -472,6 +488,23 @@ let pause_limit = 4_096
    even when the caller configured no step budget of its own. *)
 let injected_timeout_horizon = 192
 
+(* Append shared access [k] of [sink], made by thread [tid] and
+   attributed to [ctx].  Here rather than in [Trace], so the per-access
+   path makes no call across modules (libraries build with -opaque). *)
+let log_append (lg : Trace.log) (sink : Vm.sink) k ~tid ~ctx =
+  if lg.Trace.len = Array.length lg.Trace.l_pc then Trace.grow lg;
+  let i = lg.Trace.len in
+  lg.Trace.l_thread.(i) <- tid;
+  lg.Trace.l_pc.(i) <- sink.Vm.sk_acc_pc.(k);
+  lg.Trace.l_addr.(i) <- sink.Vm.sk_acc_addr.(k);
+  lg.Trace.l_size.(i) <- sink.Vm.sk_acc_size.(k);
+  lg.Trace.l_write.(i) <- sink.Vm.sk_acc_write.(k);
+  lg.Trace.l_atomic.(i) <- sink.Vm.sk_acc_atomic.(k);
+  lg.Trace.l_value.(i) <- sink.Vm.sk_acc_value.(k);
+  lg.Trace.l_sp.(i) <- sink.Vm.sk_acc_sp.(k);
+  lg.Trace.l_ctx.(i) <- ctx;
+  lg.Trace.len <- i + 1
+
 (* Generalised executor: interleave [progs.(i)] on vCPU i (the paper uses
    two threads; the section 6 extension uses three).  Exactly one vCPU
    runs at a time; on a switch request the executor rotates round-robin
@@ -490,9 +523,9 @@ let injected_timeout_horizon = 192
    to per-step stepping).  Policies that step-count ([event_only =
    false], e.g. PCT's change points, or a trace replayer) run one
    instruction per [Vm.run_tblock_conc] call (quantum 1), on the same
-   path.  Either way nothing is allocated per step, and a Trace.access
-   record (plus its list cell) is materialised only for *shared*
-   accesses, the ones result lists and observers actually consume. *)
+   path.  Either way nothing is allocated per step or per access: each
+   *shared* access goes into the domain's log ([log_append]), which the
+   result's [cc_log] views. *)
 let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     ?(observer = default_observer) ?watchdog ?(fault = Fault.No_fault)
     ?(prof = Obs.Profguest.null_collector) () =
@@ -523,7 +556,7 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
   let emit tid kind = observer.on_event kind ~tid in
   Vm.restore env.vm env.snap;
   Array.iteri (fun tid prog -> install_buffers env.vm tid prog) progs;
-  let shadow = Domain.DLS.get frames_key in
+  let { shadow; log = lg } = Domain.DLS.get conc_key in
   let mk tid prog =
     let frames = shadow.(tid) in
     frames.depth <- 0;
@@ -537,7 +570,8 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     }
   in
   let threads = Array.mapi mk progs in
-  let accesses = Array.init n (fun _ -> ref []) in
+  lg.Trace.gen <- lg.Trace.gen + 1;
+  lg.Trace.len <- 0;
   let sink = Domain.DLS.get sink_key in
   let steps = ref 0 in
   let switches = ref 0 in
@@ -677,19 +711,17 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
          if sink.Vm.sk_any_shared then
            for k = 0 to sink.Vm.sk_n_acc - 1 do
              if sink.Vm.sk_acc_shared.(k) then begin
-               let a = Vm.sink_access sink ~thread:tid k in
-               accesses.(tid) := a :: !(accesses.(tid));
-               let ctx = attribute env.attr fr a.Trace.pc in
-               observer.on_access a ~ctx;
+               let ctx = attribute env.attr fr sink.Vm.sk_acc_pc.(k) in
+               log_append lg sink k ~tid ~ctx;
                if ev_on () then
                  emit tid
                    (Obs.Event.Access
                       {
-                        pc = a.Trace.pc;
-                        addr = a.Trace.addr;
-                        size = a.Trace.size;
-                        write = (a.Trace.kind = Trace.Write);
-                        value = a.Trace.value;
+                        pc = sink.Vm.sk_acc_pc.(k);
+                        addr = sink.Vm.sk_acc_addr.(k);
+                        size = sink.Vm.sk_acc_size.(k);
+                        write = sink.Vm.sk_acc_write.(k);
+                        value = sink.Vm.sk_acc_value.(k);
                         ctx;
                       })
              end
@@ -795,12 +827,29 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     cc_deadlocked = !deadlocked;
     cc_steps = !steps;
     cc_switches = !switches;
-    cc_accesses = Array.map (fun r -> List.rev !r) accesses;
+    cc_log = Trace.view lg;
+    cc_accesses = Array.make n [];
     cc_retvals = Array.map (fun th -> th.retvals) threads;
   }
 
+(* The list-shaped interface over [run_multi]: the per-thread lists and
+   the [observer.on_access] stream, both derived from the log after the
+   run, in its order. *)
 let run_conc env ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
     ~(policy : policy) ?(observer = default_observer) ?watchdog
     ?(fault = Fault.No_fault) ?prof () =
-  run_multi env ~progs:[| writer; reader |] ~policy ~observer ?watchdog ~fault
-    ?prof ()
+  let r =
+    run_multi env ~progs:[| writer; reader |] ~policy ~observer ?watchdog
+      ~fault ?prof ()
+  in
+  let lg = Trace.read_view r.cc_log in
+  let records = Array.init lg.Trace.len (Trace.entry lg) in
+  Array.iteri
+    (fun i a -> observer.on_access a ~ctx:lg.Trace.l_ctx.(i))
+    records;
+  let lists = Array.make 2 [] in
+  for i = lg.Trace.len - 1 downto 0 do
+    let t = lg.Trace.l_thread.(i) in
+    lists.(t) <- records.(i) :: lists.(t)
+  done;
+  { r with cc_accesses = lists }

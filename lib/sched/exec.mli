@@ -12,9 +12,11 @@
     return to user space, a halt, panic or fault, a console line or a
     pause.  A concurrent block also ends where an event-only policy
     acts: a shared access.  What a run does allocate is its product:
-    one {!Vmm.Trace.access} record and list cell per *shared* access
-    and the final [List.rev] (for {!run_seq}, only with
-    [~accesses:true]), and the result record.  {!run_seq_step} drives
+    for {!run_seq} with [~accesses:true], one {!Vmm.Trace.access} record
+    and list cell per *shared* access and the final [List.rev]; and the
+    result record.  {!run_multi} appends its shared accesses to a
+    per-domain {!Vmm.Trace.log} instead, which its result views, and
+    {!run_conc} derives the lists from that log.  {!run_seq_step} drives
     the list-returning {!Vmm.Vm.step}, the observational-equivalence
     oracle and benchmark baseline.
 
@@ -68,8 +70,10 @@ val release_env : worker:int -> env -> unit
 
 type observer = {
   on_access : Vmm.Trace.access -> ctx:string -> unit;
-      (** called for every shared kernel access with its attributed
-          function *)
+      (** {!run_conc} only: called for every shared kernel access with
+          its attributed function, in execution order, after the run
+          returns (the stream is derived from the run's log; a run that
+          raises delivers none).  {!run_multi} never calls it. *)
   on_event : Obs.Event.kind -> tid:int -> unit;
       (** flight-recorder feed; only called while [Obs.Event.enabled ()]
           is true, so a custom sink never pays when recording is off *)
@@ -78,9 +82,9 @@ type observer = {
 val default_observer : observer
 (** Routes executor events into the global flight recorder
     ({!Obs.Event.emit}) and ignores accesses.  The bug oracles attach
-    through {!Explore.check}, which splices the race detector into this
-    observer's [on_access]; a run that wants verdicts goes through
-    [check] rather than wiring a detector itself. *)
+    through {!Explore.check}, which feeds the race detector from the
+    run's log; a run that wants verdicts goes through [check] rather
+    than wiring a detector itself. *)
 
 type frames
 (** A shadow call stack: the pcs of the kernel functions a vCPU has
@@ -188,7 +192,16 @@ type conc_result = {
   cc_deadlocked : bool;
   cc_steps : int;
   cc_switches : int;  (** vCPU switches performed *)
-  cc_accesses : Vmm.Trace.access list array;  (** shared accesses per thread *)
+  cc_log : Vmm.Trace.view;
+      (** the shared accesses of every thread, in execution order, each
+          with its attributed function.  The log is the domain's: it
+          stays valid until the next {!run_multi} on the same domain,
+          after which {!Vmm.Trace.read_view} on this view raises
+          [Invalid_argument].  Read it before starting another run. *)
+  cc_accesses : Vmm.Trace.access list array;
+      (** shared accesses per thread: {!run_conc}'s list view of
+          [cc_log], built after the run; {!run_multi} leaves every list
+          empty *)
   cc_retvals : int array array;
 }
 
@@ -229,13 +242,16 @@ val run_multi :
     Other policies (PCT, {!Replay.replay}) are consulted after every
     instruction: they run one instruction per {!Vmm.Vm.run_tblock_conc}
     call at quantum 1, on the same path.
-    Either way the executor allocates nothing per step or switch; per
-    shared access it allocates the {!Vmm.Trace.access} record and list
-    cell that [cc_accesses] and [observer.on_access] receive, and per
-    trial the thread records and result (the shadow stacks are
-    per-domain and reused).  (The policy and recorder are the caller's:
-    Snowboard's and the naive policy's [decide] allocate nothing, and
-    {!Replay.record} appends a byte per decision to a growing buffer.)
+    Either way the executor allocates nothing per step, switch or
+    shared access: each shared access is appended, with its attributed
+    function, to the domain's {!Vmm.Trace.log} (grown, never shrunk,
+    when a run outgrows it), which [cc_log] views.  Per trial it
+    allocates the thread records and the result (the shadow stacks and
+    the log are per-domain and reused).  It leaves [cc_accesses] empty
+    and never calls [observer.on_access]; {!run_conc} derives both.
+    (The policy and recorder are the caller's: Snowboard's and the
+    naive policy's [decide] allocate nothing, and {!Replay.record}
+    appends a byte per decision to a growing buffer.)
     The flight recorder's clock is installed only while
     {!Obs.Event.enabled}, so an unrecorded trial leaves no reference to
     [env] behind.
@@ -266,5 +282,11 @@ val run_conc :
   ?prof:Obs.Profguest.collector ->
   unit ->
   conc_result
-(** [run_multi] specialised to the paper's two-thread setting: the
-    writer on vCPU 0, the reader on vCPU 1. *)
+(** [run_multi] specialised to the paper's two-thread setting, the
+    writer on vCPU 0 and the reader on vCPU 1, with the list-shaped
+    interface: after the run it derives [cc_accesses] (one
+    {!Vmm.Trace.access} record and list cell per shared access, equal
+    field for field to {!Vmm.Vm.sink_access}'s) and the
+    [observer.on_access] stream from the run's log.  [cc_log] views the
+    same log.  The production path ({!Explore.check}) calls {!run_multi}
+    and reads the log by index. *)

@@ -58,11 +58,42 @@ type result = {
          all trials; [] when the profiler is disabled *)
 }
 
-(* Did a read performing [pmc]'s read see a value other than the
-   profiled one? *)
-let observes pmc (a : Trace.access) =
-  Core.Pmc.matches_read pmc a
-  && a.Trace.value <> pmc.Core.Pmc.read.Core.Pmc.value
+(* The trial readers below scan a run's shared-access log by index,
+   each entry with its thread; [cc_log]'s view is checked once per
+   call. *)
+
+(* Did thread [tid] perform [pmc]'s write? *)
+let wrote (lg : Trace.log) pmc ~tid =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < lg.Trace.len do
+    let k = !i in
+    if
+      lg.Trace.l_thread.(k) = tid
+      && Core.Pmc.matches_write_at pmc ~pc:lg.Trace.l_pc.(k)
+           ~addr:lg.Trace.l_addr.(k) ~size:lg.Trace.l_size.(k)
+           ~write:lg.Trace.l_write.(k)
+    then found := true;
+    incr i
+  done;
+  !found
+
+(* Did thread [tid] perform [pmc]'s read, and, with [changed], see a
+   value other than the profiled one? *)
+let read (lg : Trace.log) pmc ~tid ~changed =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < lg.Trace.len do
+    let k = !i in
+    if
+      lg.Trace.l_thread.(k) = tid
+      && Core.Pmc.matches_read_at pmc ~pc:lg.Trace.l_pc.(k)
+           ~addr:lg.Trace.l_addr.(k) ~size:lg.Trace.l_size.(k)
+           ~write:lg.Trace.l_write.(k)
+      && ((not changed)
+         || lg.Trace.l_value.(k) <> pmc.Core.Pmc.read.Core.Pmc.value)
+    then found := true;
+    incr i
+  done;
+  !found
 
 let rec under_test p = function
   | [] -> false
@@ -76,44 +107,34 @@ let channel_exercised hint (res : Exec.conc_result) =
   match hint with
   | None -> false
   | Some pmc ->
-      let wrote =
-        List.exists
-          (fun a -> Core.Pmc.matches_write pmc a)
-          res.Exec.cc_accesses.(0)
-      in
-      let read_changed = List.exists (observes pmc) res.Exec.cc_accesses.(1) in
-      wrote && read_changed
+      let lg = Trace.read_view res.Exec.cc_log in
+      wrote lg pmc ~tid:0 && read lg pmc ~tid:1 ~changed:true
 
-(* Why did a hinted trial miss?  Classified from the same per-thread
-   access lists [channel_exercised] consults, so no ring replay is
-   needed: either the write side never executed, or it did and the
-   reader was preempted before (or re-ordered past) the hinted access,
-   or both sides ran but the read still observed its profiled value. *)
+(* Why did a hinted trial miss?  Classified from the same log
+   [channel_exercised] consults, so no ring replay is needed: either the
+   write side never executed, or it did and the reader was preempted
+   before (or re-ordered past) the hinted access, or both sides ran but
+   the read still observed its profiled value. *)
 let miss_reason_no_write = "write-never-executed"
 let miss_reason_no_read = "reader-preempted"
 let miss_reason_value = "value-mismatch"
 
 let classify_miss pmc (res : Exec.conc_result) =
-  let wrote =
-    List.exists
-      (fun a -> Core.Pmc.matches_write pmc a)
-      res.Exec.cc_accesses.(0)
-  in
-  let read_reached =
-    List.exists (fun a -> Core.Pmc.matches_read pmc a) res.Exec.cc_accesses.(1)
-  in
-  if not wrote then miss_reason_no_write
-  else if not read_reached then miss_reason_no_read
+  let lg = Trace.read_view res.Exec.cc_log in
+  if not (wrote lg pmc ~tid:0) then miss_reason_no_write
+  else if not (read lg pmc ~tid:1 ~changed:false) then miss_reason_no_read
   else miss_reason_value
 
 (* The writer thread's last shared write, as (pc, addr); (-1, -1) if it
    never wrote shared memory. *)
 let last_write (res : Exec.conc_result) =
-  List.fold_left
-    (fun acc (a : Trace.access) ->
-      if a.Trace.kind = Trace.Write then (a.Trace.pc, a.Trace.addr) else acc)
-    (-1, -1)
-    res.Exec.cc_accesses.(0)
+  let lg = Trace.read_view res.Exec.cc_log in
+  let last = ref (-1) in
+  for k = 0 to lg.Trace.len - 1 do
+    if lg.Trace.l_thread.(k) = 0 && lg.Trace.l_write.(k) then last := k
+  done;
+  if !last < 0 then (-1, -1)
+  else (lg.Trace.l_pc.(!last), lg.Trace.l_addr.(!last))
 
 let default_trials = 64
 
@@ -123,34 +144,28 @@ type checked = {
   findings : Detectors.Oracle.finding list;
 }
 
-(* One interleaving with the bug oracles of section 4.4 attached: the
-   race detector sees every shared access, then [Oracle.analyze] triages
-   the races, the console and the liveness verdict.  A run that raises
-   (watchdog, injected fault) still finishes the detector, so the
-   domain's race table is handed back for the next trial; the normal
-   path installs a handler and allocates nothing for it. *)
+(* One interleaving with the bug oracles of section 4.4 attached: after
+   the run, the race detector reads every shared access from the run's
+   log, then [Oracle.analyze] triages the races, the console and the
+   liveness verdict.  The detector takes the domain's race table only
+   once the run has returned, so a run that raises (watchdog, injected
+   fault) leaves nothing to hand back. *)
 let check env ~progs ~policy ?watchdog ?fault ?prof () =
+  let run = Exec.run_multi env ~progs ~policy ?watchdog ?fault ?prof () in
+  let lg = Trace.read_view run.Exec.cc_log in
   let race = Detectors.Race.create ~nthreads:(Array.length progs) () in
-  let observer =
-    {
-      Exec.default_observer with
-      Exec.on_access = (fun a ~ctx -> Detectors.Race.on_access race a ~ctx);
-    }
+  for i = 0 to lg.Trace.len - 1 do
+    Detectors.Race.on_shared race ~thread:lg.Trace.l_thread.(i)
+      ~pc:lg.Trace.l_pc.(i) ~addr:lg.Trace.l_addr.(i) ~size:lg.Trace.l_size.(i)
+      ~write:lg.Trace.l_write.(i) ~atomic:lg.Trace.l_atomic.(i)
+      ~ctx:lg.Trace.l_ctx.(i)
+  done;
+  let races = Detectors.Race.reports race in
+  let findings =
+    Detectors.Oracle.analyze ~console:run.Exec.cc_console ~races
+      ~deadlocked:run.Exec.cc_deadlocked
   in
-  match
-    Exec.run_multi env ~progs ~policy ~observer ?watchdog ?fault ?prof ()
-  with
-  | run ->
-      let races = Detectors.Race.reports race in
-      let findings =
-        Detectors.Oracle.analyze ~console:run.Exec.cc_console ~races
-          ~deadlocked:run.Exec.cc_deadlocked
-      in
-      { run; races; findings }
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      ignore (Detectors.Race.reports race);
-      Printexc.raise_with_backtrace e bt
+  { run; races; findings }
 
 (* Re-execute a recorded trial from the boot snapshot with the flight
    recorder on.  Events carry virtual-clock stamps only, so what a replay
@@ -276,14 +291,15 @@ let explore (env : Exec.env) ~ident ~progs ~st ~hint ~kind ~trials ~seed
        (match ident with
        | Some ident when adopts || not !any_pmc_observed ->
            let exclude p = under_test p st.Policies.current_pmcs in
-           (* each list mixes kinds: the search and [observes] skip the
-              accesses of the other kind *)
-           let a0 = res.Exec.cc_accesses.(0)
-           and a1 = res.Exec.cc_accesses.(1) in
+           (* thread 0's writes against thread 1's reads, then the other
+              way round: the second search's PMCs go first onto the
+              list, so the first's end up in front of them *)
+           let log = res.Exec.cc_log in
            let incidental =
-             Core.Identify.find_incidental ident ~writes:a0 ~reads:a1 ~exclude
-             @ Core.Identify.find_incidental ident ~writes:a1 ~reads:a0
-                 ~exclude
+             Core.Identify.find_incidental_log ident log ~writer:0 ~reader:1
+               ~exclude
+               (Core.Identify.find_incidental_log ident log ~writer:1
+                  ~reader:0 ~exclude [])
            in
            (match incidental with
            | [] -> ()
@@ -291,14 +307,16 @@ let explore (env : Exec.env) ~ident ~progs ~st ~hint ~kind ~trials ~seed
                (* for the accuracy statistic, require the communication
                   to have happened: some matching read observed a value
                   different from its sequential profile *)
-               if
-                 (not !any_pmc_observed)
-                 && List.exists
-                      (fun p ->
-                        List.exists (observes p) a0
-                        || List.exists (observes p) a1)
-                      l
-               then any_pmc_observed := true;
+               if not !any_pmc_observed then begin
+                 let lg = Trace.read_view log in
+                 if
+                   List.exists
+                     (fun p ->
+                       read lg p ~tid:0 ~changed:true
+                       || read lg p ~tid:1 ~changed:true)
+                     l
+                 then any_pmc_observed := true
+               end;
                if adopts then begin
                  let p = List.nth l (Random.State.int rng (List.length l)) in
                  Obs.Metrics.incr m_incidental;

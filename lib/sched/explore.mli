@@ -35,12 +35,15 @@ val check :
   ?prof:Obs.Profguest.collector ->
   unit ->
   checked
-(** Run one interleaving through {!Exec.run_multi} with a
-    {!Detectors.Race} detector over [Array.length progs] threads spliced
-    into {!Exec.default_observer}, then finish the detector and triage
-    the trial.  Exceptions of the run ({!Fault.Watchdog_timeout},
-    injected faults) escape unchanged, after the detector has handed its
-    table back to the domain. *)
+(** Run one interleaving through {!Exec.run_multi}, then feed its
+    shared-access log ([run.cc_log]), in execution order, to a
+    {!Detectors.Race} detector over [Array.length progs] threads through
+    {!Detectors.Race.on_shared}, finish the detector and triage the
+    trial.  It builds no access record or list cell.  The detector is
+    created only once the run has returned, so exceptions of the run
+    ({!Fault.Watchdog_timeout}, injected faults) escape unchanged and
+    leave the domain's race table untouched.  [run.cc_log] stays
+    readable until the next run on the calling domain. *)
 
 val replay :
   Exec.env ->
@@ -102,12 +105,20 @@ val miss_reason_value : string
 
 val classify_miss : Core.Pmc.t -> Exec.conc_result -> string
 (** Why a hinted trial missed, as one of the three reasons above;
-    carried on {!Obs.Event.kind.Hint_miss}. *)
+    carried on {!Obs.Event.kind.Hint_miss}.  Reads the trial's log
+    ([cc_log]) by index, so it must run before the next run on the
+    domain: a stale log raises [Invalid_argument]. *)
+
+val last_write : Exec.conc_result -> int * int
+(** The writer thread's (vCPU 0's) last shared write, as [(pc, addr)];
+    [(-1, -1)] if it wrote no shared memory.  Carried on
+    {!Obs.Event.kind.Hint_miss}; reads [cc_log] like {!classify_miss}. *)
 
 val channel_exercised : Core.Pmc.t option -> Exec.conc_result -> bool
 (** Section 5.3.2's accuracy proxy: the hinted write occurred in the
     writer thread and a matching read in the reader thread saw a value
-    different from its sequential profile. *)
+    different from its sequential profile.  Reads [cc_log] by index,
+    like {!classify_miss}. *)
 
 val run :
   Exec.env ->

@@ -34,3 +34,54 @@ val project_value : access -> lo:int -> hi:int -> int
 
 val overlap_range : access -> access -> (int * int) option
 (** The intersection of the two byte ranges, if non-empty. *)
+
+(** {1 The shared-access log of a concurrent run}
+
+    The executor ({!Sched.Exec.run_multi}) appends each shared access of
+    a concurrent run to a flat log kept per domain: parallel arrays in
+    execution order, across all threads, so a run builds no record or
+    list cell per access.  Entry [i] holds the fields of an {!access}
+    plus the kernel function the access is attributed to.  The log is
+    reused by the next run on the same domain, which bumps its
+    generation; a {!view} remembers the generation it was taken at, and
+    {!read_view} refuses a view a later run has overwritten. *)
+
+type log = {
+  mutable gen : int;  (** bumped each time a run starts refilling the log *)
+  mutable len : int;  (** entries [0 .. len - 1] are the run's *)
+  mutable l_thread : int array;
+  mutable l_pc : int array;
+  mutable l_addr : int array;
+  mutable l_size : int array;
+  mutable l_write : bool array;
+  mutable l_atomic : bool array;
+  mutable l_value : int array;
+  mutable l_sp : int array;
+  mutable l_ctx : string array;  (** attributed kernel function *)
+}
+
+val make_log : unit -> log
+(** An empty log at generation 0. *)
+
+val grow : log -> unit
+(** Double the log's capacity, keeping its entries.  Writers call it
+    when [len] reaches the capacity ([Array.length l_pc]). *)
+
+val push : log -> access -> ctx:string -> unit
+(** Append one access with its attributed function, growing as needed:
+    for adapters and tests that build a log from records.  The
+    executor appends inline instead. *)
+
+val entry : log -> int -> access
+(** Entry [i] as a record (the list view's adapters). *)
+
+type view = private { v_log : log; v_gen : int }
+(** A run's entries: the log as it stood when the run returned. *)
+
+val view : log -> view
+(** The log's current entries, valid until its generation changes. *)
+
+val read_view : view -> log
+(** The log behind a view, for reading entries [0 .. len - 1] by index.
+    Raises [Invalid_argument] if a later run refilled the log since the
+    view was taken: one int compare per call. *)

@@ -7,19 +7,22 @@
    one warm-up call that takes the first-touch costs: dirty pages,
    buffer growth, learned flags.  Each
    must come to exactly 0 words.  What a trial still allocates sits
-   above these layers: one [Trace.access] record and list cell per
-   shared access, the final [List.rev], the replay recorder's buffer and
-   the result records.  A private (stack) access costs a sequential run
-   nothing at all, and a shared one costs a record-free run (fuzzing's)
-   nothing either.  The two analyses after a trial are pinned the same
-   way: the race detector allocates nothing per access once warm, and
-   the incidental-PMC search allocates only the list it returns.
+   above these layers: the replay recorder's buffer and the result
+   records; a concurrent run appends its shared accesses to the
+   domain's log, so it allocates nothing per shared access.  A private
+   (stack) access costs a sequential run nothing at all, and a shared
+   one costs a record-free run (fuzzing's) nothing either.  The two
+   analyses after a trial are pinned the same way: the race detector
+   allocates nothing per access once warm, from records or from the
+   log's fields, and the incidental-PMC search, over lists or the log,
+   allocates only the list it returns.
 
    The other cases cover what sharing and not retaining made possible:
    the per-domain sink (trials back to back, and after aborted trials,
-   match), the per-domain race table (an aborted checked trial hands it
-   back) and the environments a run leaves behind (freed once
-   dropped). *)
+   match), the per-domain race table (an aborted checked trial leaves
+   it free), the per-domain access log (a result's view of it goes
+   stale at the next run) and the environments a run leaves behind
+   (freed once dropped). *)
 
 module Vm = Vmm.Vm
 module Trace = Vmm.Trace
@@ -334,6 +337,33 @@ let test_policy_switch () =
   Alcotest.(check (float 0.)) "run_multi, a policy switch" 0.
     (w_switching -. w_never)
 
+(* A concurrent run appends each shared access to the domain's log:
+   two trials that differ only in how many shared accesses they make
+   (writing 1 or 16 bytes into a pipe, as above) allocate the same. *)
+let test_conc_per_access () =
+  let e = Lazy.force env in
+  let prog n =
+    Fuzzer.Prog.
+      [
+        { nr = Kernel.Abi.sys_pipe; args = [] };
+        { nr = Kernel.Abi.sys_write; args = [ Res 0; Const n ] };
+      ]
+  in
+  let policy =
+    { Exec.first = 0; decide = (fun _ _ -> false); event_only = true;
+      on_plain = ignore }
+  in
+  let trial n = Exec.run_multi e ~progs:[| prog n |] ~policy () in
+  let shared n = (Trace.read_view (trial n).Exec.cc_log).Trace.len in
+  let cost n =
+    ignore (trial n);
+    words (fun () -> ignore (trial n))
+  in
+  checkb "16 bytes make more shared accesses than 1" true
+    (shared 16 > shared 1);
+  Alcotest.(check (float 0.)) "run_multi, a shared access" 0.
+    (cost 16 -. cost 1)
+
 (* ---------------- the trial analyses ---------------- *)
 
 module Race = Detectors.Race
@@ -379,24 +409,35 @@ let rec feed d = function
       Race.on_access d a ~ctx:"f";
       feed d rest
 
+(* The same stream through the raw-field entry point. *)
+let rec feed_shared d = function
+  | [] -> ()
+  | (a : Trace.access) :: rest ->
+      Race.on_shared d ~thread:a.Trace.thread ~pc:a.Trace.pc ~addr:a.Trace.addr
+        ~size:a.Trace.size ~write:(a.Trace.kind = Trace.Write)
+        ~atomic:a.Trace.atomic ~ctx:"f";
+      feed_shared d rest
+
 (* The first pass claims the granules, interns the function and makes
    every report; the second adds none and must allocate nothing. *)
-let test_race_on_access () =
+let race_repeated name feed =
   let d = Race.create () in
   List.iter
-    (fun (name, stream) ->
+    (fun (shape, stream) ->
+      let name = name ^ ", " ^ shape in
       feed d stream;
       let made = Race.num_reports d in
       Alcotest.(check (float 0.)) name 0. (words (fun () -> feed d stream));
       Alcotest.(check int)
         (name ^ ": no report added")
         made (Race.num_reports d))
-    [
-      ("Race.on_access, whole granules", whole_granules);
-      ("Race.on_access, byte by byte", bytewise);
-    ];
+    [ ("whole granules", whole_granules); ("byte by byte", bytewise) ];
   checkb "the streams raced" true (Race.num_reports d >= 2);
   ignore (Race.reports d)
+
+let test_race_on_access () =
+  race_repeated "Race.on_access" feed;
+  race_repeated "Race.on_shared" feed_shared
 
 let never _ = false
 
@@ -426,7 +467,24 @@ let test_find_incidental () =
   Alcotest.(check int) "every PMC found" 24 n;
   Alcotest.(check (float 0.))
     "Identify.find_incidental: 3 words per PMC found" (3. *. float n)
-    (words search)
+    (words search);
+  (* the same accesses as a run's log: thread 0 made [writes] and
+     thread 1 [reads] *)
+  let log = Trace.make_log () in
+  let push thread a = Trace.push log { a with Trace.thread } ~ctx:"f" in
+  List.iter (push 0) writes;
+  List.iter (push 1) reads;
+  let view = Trace.view log in
+  let search_log () =
+    found :=
+      Core.Identify.find_incidental_log ident view ~writer:0 ~reader:1
+        ~exclude:never []
+  in
+  search_log ();
+  Alcotest.(check int) "every PMC found in the log" n (List.length !found);
+  Alcotest.(check (float 0.))
+    "Identify.find_incidental_log: 3 words per PMC found" (3. *. float n)
+    (words search_log)
 
 (* ---------------- one sink per domain ---------------- *)
 
@@ -438,7 +496,8 @@ let scenario =
     | Some s -> s
     | None -> Alcotest.fail "scenario 13 missing")
 
-(* A recorded trial: its full result and its replay string. *)
+(* A recorded trial: its result, but for the log view, and its replay
+   string. *)
 let trial ?watchdog ?fault () =
   let e = Lazy.force buggy_env and s = Lazy.force scenario in
   let r = Replay.record (Policies.naive (Random.State.make [| 5 |]) ~period:4) in
@@ -447,7 +506,7 @@ let trial ?watchdog ?fault () =
       ~reader:s.Harness.Scenarios.reader ~policy:r.Replay.policy ?watchdog
       ?fault ()
   in
-  (res, Replay.to_string (r.Replay.finish ()))
+  (Testutil.Conc_outcome.outcome res, Replay.to_string (r.Replay.finish ()))
 
 let seq () =
   let e = Lazy.force buggy_env and s = Lazy.force scenario in
@@ -469,9 +528,10 @@ let test_shared_sink () =
   checkb "a sequential run after an injected crash matches" true
     (seq () = first_seq)
 
-(* A checked trial the watchdog aborts still hands the domain's race
-   table back, so the next detector reuses it instead of building a
-   table (about 11.6k words for two threads). *)
+(* A checked trial the watchdog aborts leaves the domain's race table
+   free (the detector starts only once the run returns), so the next
+   detector reuses it instead of building a table (about 11.6k words for
+   two threads). *)
 let test_race_table_after_abort () =
   let e = Lazy.force buggy_env and s = Lazy.force scenario in
   let check ?watchdog () =
@@ -489,6 +549,31 @@ let test_race_table_after_abort () =
   Alcotest.(check (float 0.))
     "a detector after an aborted check builds no table" reused
     (words detector)
+
+(* A result's log view belongs to its run: once a later run on the
+   domain reuses the log, reading the old view raises instead of
+   returning the later trial's accesses. *)
+let test_stale_view () =
+  let e = Lazy.force buggy_env and s = Lazy.force scenario in
+  let run () =
+    Exec.run_multi e
+      ~progs:[| s.Harness.Scenarios.writer; s.Harness.Scenarios.reader |]
+      ~policy:(Policies.naive (Random.State.make [| 5 |]) ~period:4)
+      ()
+  in
+  let first = run () in
+  checkb "a fresh view reads" true
+    ((Trace.read_view first.Exec.cc_log).Trace.len > 0);
+  checkb "run_multi leaves the lists empty" true
+    (Array.for_all (( = ) []) first.Exec.cc_accesses);
+  let second = run () in
+  let stale = Invalid_argument "Trace.read_view: a later run reused the log" in
+  Alcotest.check_raises "a view after the next run" stale (fun () ->
+      ignore (Trace.read_view first.Exec.cc_log));
+  Alcotest.check_raises "a reader of a stale result" stale (fun () ->
+      ignore (Sched.Explore.last_write first));
+  checkb "the later view reads" true
+    ((Trace.read_view second.Exec.cc_log).Trace.len > 0)
 
 (* ---------------- nothing retained past its owner ---------------- *)
 
@@ -547,6 +632,8 @@ let () =
             test_snowboard_decide_unwatched;
           Alcotest.test_case "frame log replay" `Quick test_apply_frames;
           Alcotest.test_case "policy switch" `Quick test_policy_switch;
+          Alcotest.test_case "shared accesses in run_multi" `Quick
+            test_conc_per_access;
           Alcotest.test_case "replay recorder" `Quick test_replay_record;
           Alcotest.test_case "race detector per access" `Quick
             test_race_on_access;
@@ -557,6 +644,7 @@ let () =
           Alcotest.test_case "trials after aborts match" `Quick test_shared_sink;
           Alcotest.test_case "race table after an aborted check" `Quick
             test_race_table_after_abort;
+          Alcotest.test_case "a stale log view" `Quick test_stale_view;
         ] );
       ( "retention",
         [

@@ -398,6 +398,8 @@ let test_threaded_quantum () =
 
 (* ---------------- block-batched concurrent execution ---------------- *)
 
+let outcome = Testutil.Conc_outcome.outcome
+
 (* Everything one concurrent trial emits. *)
 type emitted = {
   res : Exec.conc_result;
@@ -501,7 +503,7 @@ let check_batch_identical env ~(s : Harness.Scenarios.scenario) ~hint ~seed
         QCheck.Test.fail_reportf "issue %d, seed %d, trial %d: %s"
           s.Harness.Scenarios.issue seed i what
       in
-      if b.res <> p.res then fail "results differ";
+      if outcome b.res <> outcome p.res then fail "results differ";
       if not (traces_agree ~batched:b ~per_step:p) then
         fail
           (Printf.sprintf "traces differ: %s vs %s"
@@ -588,7 +590,8 @@ let test_conc_batch_trace_replays () =
               ~reader:s.Harness.Scenarios.reader ~policy:(Replay.replay trace)
               ()
           in
-          checkb "batch-recorded trace replays per-step" true (b.res = r_r))
+          checkb "batch-recorded trace replays per-step" true
+            (outcome b.res = outcome r_r))
   | _ -> Alcotest.fail "one trial expected"
 
 (* ---------------- guest profiler rows, pinned ----------------------- *)

@@ -152,8 +152,14 @@ let test_run_multi_three () =
   let ids = Array.to_list (Array.map (fun rv -> rv.(0)) res.Exec.cc_retvals) in
   checkb "three distinct msq ids" true
     (List.sort_uniq compare ids = List.sort compare ids);
+  let log = Vmm.Trace.read_view res.Exec.cc_log in
   checkb "all threads traced" true
-    (Array.for_all (fun l -> l <> []) res.Exec.cc_accesses)
+    (List.for_all
+       (fun tid ->
+         List.exists
+           (fun i -> log.Vmm.Trace.l_thread.(i) = tid)
+           (List.init log.Vmm.Trace.len Fun.id))
+       [ 0; 1; 2 ])
 
 let test_run_multi_bounds () =
   let e = Lazy.force env in

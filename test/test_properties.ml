@@ -218,13 +218,18 @@ let test_channel_exercised () =
       sp = Layout.stack_top t - 64;
     }
   in
+  (* the readers scan the log; a run would have filled it in execution
+     order, here the write before the read *)
   let res ~w ~r =
+    let log = Trace.make_log () in
+    List.iter (fun a -> Trace.push log a ~ctx:"f") (w @ r);
     {
       Exec.cc_console = [];
       cc_panicked = false;
       cc_deadlocked = false;
       cc_steps = 0;
       cc_switches = 0;
+      cc_log = Trace.view log;
       cc_accesses = [| w; r |];
       cc_retvals = [| [||]; [||] |];
     }

@@ -1,8 +1,10 @@
 (* The explore trial loop against fixed ground: golden digests of a small
    campaign, of its per-step (PCT) trials and of the other trial drivers
-   pinned across commits, and the race detector and the incidental-PMC
+   pinned across commits; the race detector and the incidental-PMC
    search each checked against the reference implementation it replaced
-   ([Race_legacy], [Incidental_legacy]). *)
+   ([Race_legacy], [Incidental_legacy]); and the readers of a run's
+   shared-access log against the list forms they replaced, over
+   [run_conc]'s list view. *)
 
 module Trace = Vmm.Trace
 module P = Harness.Pipeline
@@ -93,6 +95,8 @@ let pct_depth = 3
 (* [Explore]'s PCT change-point horizon. *)
 let pct_est_len = 1_000
 
+let outcome = Testutil.Conc_outcome.outcome
+
 let pct_digest () =
   let cfg = golden_cfg in
   let p = P.prepare cfg in
@@ -141,7 +145,7 @@ let pct_digest () =
             replayed.Sched.Exec.cc_steps;
           Alcotest.(check bool)
             (what ^ ": replay returns the recorded result") true
-            (recorded = replayed))
+            (outcome recorded = outcome replayed))
         res.Sched.Explore.trials)
     plan.Core.Select.tests;
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -705,6 +709,243 @@ let prop_pmc_equal_structural =
     (QCheck.make QCheck.Gen.(pair pmc pmc))
     (fun (a, b) -> Core.Pmc.equal a b = (a = b))
 
+(* ------------------------------------------------------------------ *)
+(* The log readers against the list forms they replaced.                *)
+
+module Exec = Sched.Exec
+module Explore = Sched.Explore
+module Vm = Vmm.Vm
+
+(* The parent's list-shaped readers, over [run_conc]'s per-thread lists. *)
+let observes pmc (a : Trace.access) =
+  Core.Pmc.matches_read pmc a
+  && a.Trace.value <> pmc.Core.Pmc.read.Core.Pmc.value
+
+let list_channel_exercised hint (res : Exec.conc_result) =
+  match hint with
+  | None -> false
+  | Some pmc ->
+      List.exists (Core.Pmc.matches_write pmc) res.Exec.cc_accesses.(0)
+      && List.exists (observes pmc) res.Exec.cc_accesses.(1)
+
+let list_classify_miss pmc (res : Exec.conc_result) =
+  if not (List.exists (Core.Pmc.matches_write pmc) res.Exec.cc_accesses.(0))
+  then Explore.miss_reason_no_write
+  else if
+    not (List.exists (Core.Pmc.matches_read pmc) res.Exec.cc_accesses.(1))
+  then Explore.miss_reason_no_read
+  else Explore.miss_reason_value
+
+let list_last_write (res : Exec.conc_result) =
+  List.fold_left
+    (fun acc (a : Trace.access) ->
+      if a.Trace.kind = Trace.Write then (a.Trace.pc, a.Trace.addr) else acc)
+    (-1, -1) res.Exec.cc_accesses.(0)
+
+let list_comm_pairs (res : Exec.conc_result) =
+  let pairs = Hashtbl.create 64 in
+  let scan wt rt =
+    List.iter
+      (fun (w : Trace.access) ->
+        if w.Trace.kind = Trace.Write then
+          List.iter
+            (fun (r : Trace.access) ->
+              if r.Trace.kind = Trace.Read && Trace.overlaps w r then
+                Hashtbl.replace pairs (w.Trace.pc, r.Trace.pc) ())
+            res.Exec.cc_accesses.(rt))
+      res.Exec.cc_accesses.(wt)
+  in
+  scan 0 1;
+  scan 1 0;
+  pairs
+
+(* A table's keys in its own iteration order: equal tables filled by the
+   same sequence of [replace] calls list them alike. *)
+let keys h = Hashtbl.fold (fun k () acc -> k :: acc) h []
+
+(* A trial: a scenario's programs or a generated pair, under one of four
+   policies from a seed.  Snowboard's (hinted with the pair's first
+   PMC, if any) and the naive one are event-only; PCT and Snowboard's
+   with [event_only] forced off run per step. *)
+type source = Scenario of int | Generated of int
+
+let gen_log_case =
+  QCheck.Gen.(
+    triple
+      (oneof
+         [
+           map
+             (fun i -> Scenario i)
+             (int_bound (List.length Harness.Scenarios.all - 1));
+           map (fun s -> Generated s) nat;
+         ])
+      (int_bound 3) nat)
+
+let print_log_case (src, kind, seed) =
+  Printf.sprintf "%s, policy %d, seed %d"
+    (match src with
+    | Scenario i ->
+        Printf.sprintf "scenario #%d"
+          (List.nth Harness.Scenarios.all i).Harness.Scenarios.issue
+    | Generated s -> Printf.sprintf "generated pair %d" s)
+    kind seed
+
+let log_case_progs = function
+  | Scenario i -> Harness.Scenarios.progs (List.nth Harness.Scenarios.all i)
+  | Generated s ->
+      let rng = Random.State.make [| s |] in
+      let writer = Fuzzer.Gen.generate rng in
+      [| writer; Fuzzer.Gen.generate rng |]
+
+(* A fresh policy of kind [kind] from [seed]: two calls make the same
+   decisions. *)
+let log_case_policy ~kind ~seed ~hint =
+  let rng = Random.State.make [| seed |] in
+  match kind with
+  | 0 -> Sched.Policies.snowboard rng (Sched.Policies.snowboard_state hint)
+  | 1 -> Sched.Policies.naive rng ~period:4
+  | 2 -> Sched.Policies.pct rng ~depth:3 ~est_len:pct_est_len
+  | _ ->
+      let p =
+        Sched.Policies.snowboard rng (Sched.Policies.snowboard_state hint)
+      in
+      { p with Exec.event_only = false }
+
+(* The sink every concurrent run executes into, as [decide] last saw it:
+   one per domain, so after a run it still holds the run's last block. *)
+let last_sink : Vm.sink option ref = ref None
+
+(* [p], also recording, at each consultation, the shared accesses of the
+   block just run as [Vm.sink_access] builds them.  A shared access ends
+   its block, so every block with one is consulted, except a panicking
+   trial's last. *)
+let sink_recording (p : Exec.policy) =
+  let seen = ref [] in
+  let decide tid (sk : Vm.sink) =
+    last_sink := Some sk;
+    for k = 0 to sk.Vm.sk_n_acc - 1 do
+      if sk.Vm.sk_acc_shared.(k) then
+        seen := Vm.sink_access sk ~thread:tid k :: !seen
+    done;
+    p.Exec.decide tid sk
+  in
+  ({ p with Exec.decide }, seen)
+
+let fail_log what = QCheck.Test.fail_reportf "%s" what
+
+(* The list view and the [on_access] stream equal, field for field, the
+   records [Vm.sink_access] builds from the blocks the run consulted on,
+   plus, after a panic, the last block's shared accesses. *)
+let check_list_view (res : Exec.conc_result) ~seen ~stream =
+  let expected = List.rev seen in
+  let stream_accs = List.map fst stream in
+  let n = List.length expected in
+  if List.filteri (fun i _ -> i < n) stream_accs <> expected then
+    fail_log "the list view differs from Vm.sink_access's records";
+  let tail = List.filteri (fun i _ -> i >= n) stream_accs in
+  (if tail <> [] then
+     match (!last_sink, res.Exec.cc_panicked) with
+     | Some sk, true ->
+         let shared =
+           List.filter
+             (fun k -> sk.Vm.sk_acc_shared.(k))
+             (List.init sk.Vm.sk_n_acc Fun.id)
+         in
+         if
+           List.length shared <> List.length tail
+           || not
+                (List.for_all2
+                   (fun k (a : Trace.access) ->
+                     Vm.sink_access sk ~thread:a.Trace.thread k = a)
+                   shared tail)
+         then fail_log "the panicking block's accesses differ"
+     | _ -> fail_log "accesses past the last consulted block");
+  for tid = 0 to 1 do
+    if
+      List.filter (fun (a : Trace.access) -> a.Trace.thread = tid) stream_accs
+      <> res.Exec.cc_accesses.(tid)
+    then fail_log "the per-thread lists differ from the on_access stream"
+  done;
+  let lg = Trace.read_view res.Exec.cc_log in
+  if
+    List.init lg.Trace.len (fun i -> (Trace.entry lg i, lg.Trace.l_ctx.(i)))
+    <> stream
+  then fail_log "the on_access stream differs from the log"
+
+let prop_log_readers =
+  QCheck.Test.make ~name:"log readers equal their list forms" ~count:30
+    (QCheck.make ~print:print_log_case gen_log_case)
+    (fun (src, kind, seed) ->
+      let env = Lazy.force buggy_env in
+      let progs = log_case_progs src in
+      let ident, hints = Harness.Scenarios.identify env progs in
+      let hint = match hints with p :: _ -> Some p | [] -> None in
+      let writer = progs.(0) and reader = progs.(1) in
+      (* the checked trial first: the detector reads its log *)
+      let checked =
+        Explore.check env ~progs ~policy:(log_case_policy ~kind ~seed ~hint) ()
+      in
+      let policy, seen = sink_recording (log_case_policy ~kind ~seed ~hint) in
+      let stream = ref [] in
+      let observer =
+        {
+          Exec.default_observer with
+          Exec.on_access = (fun a ~ctx -> stream := (a, ctx) :: !stream);
+        }
+      in
+      let res = Exec.run_conc env ~writer ~reader ~policy ~observer () in
+      let stream = List.rev !stream in
+      if res.Exec.cc_steps <> checked.Explore.run.Exec.cc_steps then
+        fail_log "the checked trial and its list-view rerun differ";
+      check_list_view res ~seen:!seen ~stream;
+      (* the detector, fed from the log, against the parent's on the
+         stream *)
+      let legacy = Race_legacy.create () in
+      List.iter (fun (a, ctx) -> Race_legacy.on_access legacy a ~ctx) stream;
+      if
+        List.map new_key checked.Explore.races
+        <> List.map legacy_key (Race_legacy.reports legacy)
+      then fail_log "race reports differ";
+      (* the incidental search, order and multiplicity included *)
+      let exclude p = Hashtbl.hash (seed, Core.Pmc.hash p) mod 4 = 0 in
+      let a0 = res.Exec.cc_accesses.(0) and a1 = res.Exec.cc_accesses.(1) in
+      let listed =
+        Incidental_legacy.find_incidental ident ~writes:a0 ~reads:a1 ~exclude
+        @ Incidental_legacy.find_incidental ident ~writes:a1 ~reads:a0 ~exclude
+      in
+      let logged =
+        Core.Identify.find_incidental_log ident res.Exec.cc_log ~writer:0
+          ~reader:1 ~exclude
+          (Core.Identify.find_incidental_log ident res.Exec.cc_log ~writer:1
+             ~reader:0 ~exclude [])
+      in
+      if not (List.equal Core.Pmc.equal listed logged) then
+        fail_log "incidental searches differ";
+      (* the hinted-trial readers, for the pair's hints and some more *)
+      let pmcs =
+        hints
+        @ Core.Identify.fold
+            (fun p _ acc -> if List.length acc < 8 then p :: acc else acc)
+            ident []
+      in
+      if Explore.channel_exercised None res then
+        fail_log "exercised without a hint";
+      List.iter
+        (fun pmc ->
+          if
+            Explore.channel_exercised (Some pmc) res
+            <> list_channel_exercised (Some pmc) res
+          then fail_log "channel_exercised differs";
+          if Explore.classify_miss pmc res <> list_classify_miss pmc res then
+            fail_log "classify_miss differs")
+        pmcs;
+      if Explore.last_write res <> list_last_write res then
+        fail_log "last_write differs";
+      if
+        keys (Harness.Feedback.comm_pairs res) <> keys (list_comm_pairs res)
+      then fail_log "comm_pairs differ";
+      true)
+
 let () =
   Alcotest.run "trial loop"
     [
@@ -734,4 +975,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_incidental_equals_legacy;
           QCheck_alcotest.to_alcotest prop_pmc_equal_structural;
         ] );
+      ("log readers", [ QCheck_alcotest.to_alcotest prop_log_readers ]);
     ]

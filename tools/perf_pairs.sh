@@ -12,12 +12,28 @@
 # directory (perf writes .perf_out/ into its working directory).
 #
 # At the end it prints every run's digest and metrics, then, for every
-# metric the runs report, each side's median and quartiles and the
-# number of pairs the change won, using the metric's direction from
-# CHANGE/BENCHMARK.json.  It exits 1 if any run fails (non-zero exit or
-# a CHECK FAILED line) or if the two sides print different
-# summary_digest lines: a change that keeps behaviour must print its
-# parent's digest.  Traced runs (--trace 1) print no digest.
+# metric the runs report, each side's median and quartiles, the number
+# of pairs the change won (ties count for neither side) and a verdict,
+# using the metric's direction and bound from CHANGE/BENCHMARK.json
+# (read, never written):
+#
+#   gain              at least ten pairs ran, the change won at least
+#                     9/10 of them and its median beats the parent's by
+#                     more than the parent's interquartile range;
+#   unresolved        otherwise, when the parent's own interquartile
+#                     range, as a fraction of its median, is wider than
+#                     the bound, unless every change run beats every
+#                     parent run;
+#   within bound      otherwise, when the change's median is worse than
+#                     the parent's by at most the bound (a fraction of
+#                     the parent's median);
+#   worse than bound  otherwise.
+#
+# A metric without a bound (the per-layer ones) reads "gain" or "-".
+# It exits 1 if any run fails (non-zero exit or a CHECK FAILED line) or
+# if the two sides print different summary_digest lines: a change that
+# keeps behaviour must print its parent's digest.  Verdicts do not
+# change the exit status.  Traced runs (--trace 1) print no digest.
 set -euo pipefail
 
 usage() {
@@ -74,11 +90,13 @@ python3 - "$work" "$pairs" "$change/BENCHMARK.json" <<'PY' || status=1
 import json, os, sys
 
 work, pairs, bench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-better = {}
+better, bound = {}, {}
 if os.path.exists(bench):
     b = json.load(open(bench))
     for m in b.get("end_to_end", []) + b.get("per_layer", []):
         better[m["name"]] = m["better"]
+        if "bound" in m:
+            bound[m["name"]] = m["bound"]
 
 def load(side, i):
     digest, metrics = None, {}
@@ -106,19 +124,37 @@ for i in range(pairs):
     for s in ("parent", "change"):
         d, m = runs[s][i]
         print("pair %d %-6s %s %s" % (i + 1, s, d, " ".join("%s=%.6g" % (n, m[n]) for n in names)))
-print("%-40s %-6s %36s %36s %6s" % ("metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "wins"))
+def verdict(d, bnd, p, c, pq, cq, won):
+    # [gain]: how far the change's median beats the parent's
+    gain = cq[1] - pq[1] if d == "higher" else pq[1] - cq[1]
+    if len(p) >= 10 and 10 * won >= 9 * len(p) and gain > pq[2] - pq[0]:
+        return "gain"
+    if bnd is None:
+        return "-"
+    scale = abs(pq[1])
+    spread = (pq[2] - pq[0]) / scale if scale else (0.0 if pq[2] == pq[0] else float("inf"))
+    if d == "higher":
+        all_better = min(c) > max(p)
+    else:
+        all_better = max(c) < min(p)
+    if spread > bnd and not all_better:
+        return "unresolved"
+    return "within bound" if -gain <= bnd * scale else "worse than bound"
+
+print("%-40s %-6s %36s %36s %6s  %s" % ("metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "wins", "verdict"))
 for n in names:
     p = [m[n] for _, m in runs["parent"]]
     c = [m[n] for _, m in runs["change"]]
     pq, cq = quartiles(p), quartiles(c)
     d = better.get(n)
     if d is None:
-        wins = "-"
+        wins, v = "-", "-"
     else:
         won = sum(1 for a, b in zip(p, c) if (b > a if d == "higher" else b < a))
         wins = "%d/%d" % (won, pairs)
+        v = verdict(d, bound.get(n), p, c, pq, cq, won)
     fmt = lambda q: "%.6g [%.6g, %.6g]" % (q[1], q[0], q[2])
-    print("%-40s %-6s %36s %36s %6s" % (n, d or "?", fmt(pq), fmt(cq), wins))
+    print("%-40s %-6s %36s %36s %6s  %s" % (n, d or "?", fmt(pq), fmt(cq), wins, v))
 
 # traced runs (--trace 1) print no digest; then both sides have none
 digests = {s: sorted({str(d) for d, _ in runs[s]}) for s in runs}
