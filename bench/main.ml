@@ -43,6 +43,29 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* The A/B timer behind every overhead and speedup verdict: one untimed
+   warm-up pass of each side, then [ab_passes] alternating passes (a, b,
+   a, b, ...).  A pass returns the seconds it timed, so the setup it
+   leaves out stays untimed.  Each side reports its best and its median
+   pass, so one preempted pass on a shared host cannot decide a
+   verdict. *)
+let ab_passes = 7
+
+type ab = { a_best : float; a_median : float; b_best : float; b_median : float }
+
+let ab_time a b =
+  ignore (a ());
+  ignore (b ());
+  let da = Array.make ab_passes 0. and db = Array.make ab_passes 0. in
+  for i = 0 to ab_passes - 1 do
+    da.(i) <- a ();
+    db.(i) <- b ()
+  done;
+  Array.sort Float.compare da;
+  Array.sort Float.compare db;
+  let mid = ab_passes / 2 in
+  { a_best = da.(0); a_median = da.(mid); b_best = db.(0); b_median = db.(mid) }
+
 (* Write a JSON artifact, then read it back: it must stay a valid JSON
    object. *)
 let write_json ?site path json =
@@ -652,15 +675,15 @@ let resilience () =
   let t = Harness.Pipeline.prepare cfg in
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
   let budget = 60 in
-  (* raw baseline: the exact plan and per-test seeds run_method uses,
-     without the supervisor wrapper *)
+  (* raw baseline: the exact plan, kinds and per-test seeds
+     [Pipeline.run_one_test] uses, without the supervisor wrapper *)
   let raw () =
     let plan = Harness.Pipeline.plan_method t method_ ~budget in
     List.iteri
       (fun i (ct : Core.Select.conc_test) ->
         let kind =
           if ct.Core.Select.hint <> None then Sched.Explore.Snowboard
-          else Sched.Explore.Naive 4
+          else Sched.Explore.Naive 8
         in
         ignore
           (Sched.Explore.run t.Harness.Pipeline.env
@@ -1100,23 +1123,14 @@ let exec_bench () =
   let dt_hot_ev_threaded =
     hot_time hot_vm_e hot_entry_e (hot_threaded hot_vm_e hot_tc_e)
   in
-  (* The speedup gate's two legs: one untimed warm-up pass each, then
-     [hot_passes] alternating passes (per-step, batched, per-step, ...),
-     each leg keeping its best, so one preempted moment on a shared host
-     cannot decide the verdict (as bench scaling does since E18). *)
-  let hot_passes = 7 in
-  let hot_pass f =
+  (* The speedup gate's two legs (per-step, batched), timed by
+     [ab_time]: the gate reads each leg's best pass. *)
+  let hot_pass f () =
     Vmm.Vm.start_call hot_vm_e 0 hot_entry_e [];
     snd (time (fun () -> f hot_target))
   in
-  ignore (hot_pass hot_conc_perstep);
-  ignore (hot_pass hot_conc_batched);
-  let dt_hot_conc_ps = ref infinity and dt_hot_conc_b = ref infinity in
-  for _ = 1 to hot_passes do
-    dt_hot_conc_ps := Float.min !dt_hot_conc_ps (hot_pass hot_conc_perstep);
-    dt_hot_conc_b := Float.min !dt_hot_conc_b (hot_pass hot_conc_batched)
-  done;
-  let dt_hot_conc_ps = !dt_hot_conc_ps and dt_hot_conc_b = !dt_hot_conc_b in
+  let hot = ab_time (hot_pass hot_conc_perstep) (hot_pass hot_conc_batched) in
+  let dt_hot_conc_ps = hot.a_best and dt_hot_conc_b = hot.b_best in
   let hot_rate dt = float_of_int hot_target /. max 1e-9 dt in
   let hot_conc_speedup = dt_hot_conc_ps /. max 1e-9 dt_hot_conc_b in
   Sched.Exec.note_throughput ~steps:hot_target ~seconds:dt_hot_threaded;
@@ -1128,11 +1142,11 @@ let exec_bench () =
     (hot_rate dt_hot_ev_threaded);
   pf "concurrent cadence on it (policy consultations at events only; best \
       of %d alternating passes):@."
-    hot_passes;
-  pf "  per-step + decide:    %.3fs  %10.0f instr/s@." dt_hot_conc_ps
-    (hot_rate dt_hot_conc_ps);
-  pf "  batched + decide:     %.3fs  %10.0f instr/s (%.2fx)@." dt_hot_conc_b
-    (hot_rate dt_hot_conc_b) hot_conc_speedup;
+    ab_passes;
+  pf "  per-step + decide:    %.3fs  %10.0f instr/s (median %.3fs)@."
+    dt_hot_conc_ps (hot_rate dt_hot_conc_ps) hot.a_median;
+  pf "  batched + decide:     %.3fs  %10.0f instr/s (%.2fx; median %.3fs)@."
+    dt_hot_conc_b (hot_rate dt_hot_conc_b) hot_conc_speedup hot.b_median;
   (* 3. concurrent trials under the snowboard policy, block-batched
      (the production path) vs per-instruction stepping ([event_only]
      forced off).  Same seed twice must reproduce every trial, and the
@@ -1274,6 +1288,8 @@ let exec_bench () =
           ("conc_batch_speedup", Float conc_batch_speedup);
           ("hot_conc_perstep_s", Float dt_hot_conc_ps);
           ("hot_conc_batch_s", Float dt_hot_conc_b);
+          ("hot_conc_perstep_median_s", Float hot.a_median);
+          ("hot_conc_batch_median_s", Float hot.b_median);
           ("hot_conc_perstep_instr_per_s", Float (hot_rate dt_hot_conc_ps));
           ("hot_conc_batch_instr_per_s", Float (hot_rate dt_hot_conc_b));
           ("hot_conc_batch_speedup", Float hot_conc_speedup);
@@ -1358,10 +1374,10 @@ let telemetry_bench () =
     snaps (List.length l1) stream_identical lines_parse om_ok;
   (* 2. overhead: profiling wall-clock with telemetry disabled vs
      streaming to a file at the production cadence (default interval),
-     alternating passes, min-of-[reps] per mode to de-noise.  Each timed
-     pass repeats the profile phase [inner] times so it runs long enough
-     to measure and so interval snapshots fire at their real frequency
-     per instruction. *)
+     timed by [ab_time] and judged on the best passes.  Each timed pass
+     repeats the profile phase [inner] times so it runs long enough to
+     measure and so interval snapshots fire at their real frequency per
+     instruction. *)
   let inner = 100 in
   let profile_many () =
     for _ = 1 to inner do
@@ -1381,18 +1397,12 @@ let telemetry_bench () =
     Sys.remove p;
     dt
   in
-  ignore (profile_off ());
-  (* warm-up *)
-  let reps = 3 in
-  let dt_off = ref infinity and dt_on = ref infinity in
-  for _ = 1 to reps do
-    dt_off := min !dt_off (profile_off ());
-    dt_on := min !dt_on (profile_on ())
-  done;
-  let overhead_pct = 100. *. ((!dt_on /. max 1e-9 !dt_off) -. 1.) in
+  let ab = ab_time profile_off profile_on in
+  let dt_off = ab.a_best and dt_on = ab.b_best in
+  let overhead_pct = 100. *. ((dt_on /. max 1e-9 dt_off) -. 1.) in
   let within = overhead_pct <= 5.0 in
-  pf "profiling: telemetry off %.3fs, streaming on %.3fs (overhead %+.2f%%; within <=5%% budget: %b)@."
-    !dt_off !dt_on overhead_pct within;
+  pf "profiling: telemetry off %.3fs, streaming on %.3fs (best of %d; medians %.3fs, %.3fs; overhead %+.2f%%; within <=5%% budget: %b)@."
+    dt_off dt_on ab_passes ab.a_median ab.b_median overhead_pct within;
   let open Obs.Export in
   let json =
     Obj
@@ -1412,8 +1422,10 @@ let telemetry_bench () =
       if det then []
       else
         [
-          ("profile_off_s", Float !dt_off);
-          ("profile_on_s", Float !dt_on);
+          ("profile_off_s", Float dt_off);
+          ("profile_on_s", Float dt_on);
+          ("profile_off_median_s", Float ab.a_median);
+          ("profile_on_median_s", Float ab.b_median);
           ("overhead_pct", Float overhead_pct);
           ("overhead_within_budget", Bool within);
         ])
@@ -1427,7 +1439,7 @@ let telemetry_bench () =
    instrumented campaign (prepare profile phase + one explored method)
    must produce byte-identical provenance and flamegraph artifacts on
    every pass, and the always-on per-instruction attribution must cost
-   no more than 5% of campaign wall-clock.  Alternating min-of-[reps]
+   no more than 5% of campaign wall-clock.  [ab_time]'s alternating
    passes de-noise the overhead number, as in E15. *)
 let provenance_bench () =
   section "E16: PMC provenance + guest profiler (BENCH_provenance.json)";
@@ -1511,24 +1523,20 @@ let provenance_bench () =
   pf "flamegraph byte-identical across passes: %b; lines well-formed: %b@."
     flame_identical flame_wellformed;
   (* 2. profiler overhead: the same campaign with attribution off vs on,
-     alternating, min-of-[reps] per mode.  min-of-N discards scheduler
-     noise; the short campaign still retires ~10^5 attributed
+     timed by [ab_time] and judged on the best passes, which discard
+     scheduler noise; the short campaign still retires ~10^5 attributed
      instructions per pass. *)
-  ignore (campaign ~profiler:false ()) (* warm-up *);
-  Obs.Profguest.set_enabled false;
-  let reps = 5 in
-  let dt_off = ref infinity and dt_on = ref infinity in
-  for _ = 1 to reps do
-    dt_off :=
-      min !dt_off (snd (time (fun () -> ignore (campaign ~profiler:false ()))));
-    dt_on :=
-      min !dt_on (snd (time (fun () -> ignore (campaign ~profiler:true ()))));
-    Obs.Profguest.set_enabled false
-  done;
-  let overhead_pct = 100. *. ((!dt_on /. max 1e-9 !dt_off) -. 1.) in
+  let pass ~profiler () =
+    let dt = snd (time (fun () -> ignore (campaign ~profiler ()))) in
+    Obs.Profguest.set_enabled false;
+    dt
+  in
+  let ab = ab_time (pass ~profiler:false) (pass ~profiler:true) in
+  let dt_off = ab.a_best and dt_on = ab.b_best in
+  let overhead_pct = 100. *. ((dt_on /. max 1e-9 dt_off) -. 1.) in
   let within = overhead_pct <= 5.0 in
-  pf "campaign: profiler off %.3fs, on %.3fs (overhead %+.2f%%; within <=5%% budget: %b)@."
-    !dt_off !dt_on overhead_pct within;
+  pf "campaign: profiler off %.3fs, on %.3fs (best of %d; medians %.3fs, %.3fs; overhead %+.2f%%; within <=5%% budget: %b)@."
+    dt_off dt_on ab_passes ab.a_median ab.b_median overhead_pct within;
   let open Obs.Export in
   let json =
     Obj
@@ -1552,8 +1560,10 @@ let provenance_bench () =
       if det then []
       else
         [
-          ("campaign_off_s", Float !dt_off);
-          ("campaign_on_s", Float !dt_on);
+          ("campaign_off_s", Float dt_off);
+          ("campaign_on_s", Float dt_on);
+          ("campaign_off_median_s", Float ab.a_median);
+          ("campaign_on_median_s", Float ab.b_median);
           ("overhead_pct", Float overhead_pct);
           ("overhead_within_budget", Bool within);
         ])
@@ -1645,7 +1655,7 @@ let durability_bench () =
   pf "fsck: repairs a torn journal to clean: %b@." fsck_repairs;
   (* 5. journaling overhead: the same method budget with and without a
      checkpoint sink (one framed fsynced append per completed test),
-     alternating passes, min-of-[reps] per mode to de-noise.  Trials per
+     timed by [ab_time] and judged on the best passes.  Trials per
      test use the paper's production setting (64 interleavings per
      concurrent test), which is the workload the one-fsync-per-test cost
      is actually amortised over. *)
@@ -1660,8 +1670,6 @@ let durability_bench () =
   let t = Harness.Pipeline.prepare cfg in
   let method_ = Core.Select.Strategy Core.Cluster.S_INS in
   let budget = 40 in
-  ignore (Harness.Pipeline.run_method t method_ ~budget:5);
-  (* warm-up *)
   let plain () = snd (time (fun () -> Harness.Pipeline.run_method t method_ ~budget)) in
   let journaled () =
     (* sink creation (base image, stale-tmp sweep) is one-off campaign
@@ -1682,17 +1690,13 @@ let durability_bench () =
     Sys.remove p;
     dt
   in
-  let reps = 5 in
-  let dt_plain = ref infinity and dt_journal = ref infinity in
-  for _ = 1 to reps do
-    dt_plain := min !dt_plain (plain ());
-    dt_journal := min !dt_journal (journaled ())
-  done;
-  let overhead_pct = 100. *. ((!dt_journal /. max 1e-9 !dt_plain) -. 1.) in
+  let ab = ab_time plain journaled in
+  let dt_plain = ab.a_best and dt_journal = ab.b_best in
+  let overhead_pct = 100. *. ((dt_journal /. max 1e-9 dt_plain) -. 1.) in
   let within = overhead_pct <= 5.0 in
-  pf "campaign (%d tests x %d trials): plain %.3fs, journaled %.3fs (overhead %+.2f%%; within <=5%% budget: %b)@."
-    budget cfg.Harness.Pipeline.trials_per_test !dt_plain !dt_journal
-    overhead_pct within;
+  pf "campaign (%d tests x %d trials): plain %.3fs, journaled %.3fs (best of %d; medians %.3fs, %.3fs; overhead %+.2f%%; within <=5%% budget: %b)@."
+    budget cfg.Harness.Pipeline.trials_per_test dt_plain dt_journal ab_passes
+    ab.a_median ab.b_median overhead_pct within;
   let open Obs.Export in
   let json =
     Obj
@@ -1713,8 +1717,10 @@ let durability_bench () =
       if det then []
       else
         [
-          ("plain_s", Float !dt_plain);
-          ("journaled_s", Float !dt_journal);
+          ("plain_s", Float dt_plain);
+          ("journaled_s", Float dt_journal);
+          ("plain_median_s", Float ab.a_median);
+          ("journaled_median_s", Float ab.b_median);
           ("overhead_pct", Float overhead_pct);
           ("overhead_within_budget", Bool within);
         ])
@@ -1728,18 +1734,15 @@ let durability_bench () =
    from one shared cursor, each on its own kept VM, for both parallel
    phases and end-to-end prepare.  Each parallel pass is first proven to
    produce results identical to the sequential run's: speedups are only
-   ever reported for a semantics-preserving schedule.  After one
-   untimed warm-up of each side, every leg times [passes] alternating
-   passes (sequential, parallel, sequential, ...) and reports the
-   speedup of the best pass on each side, plus the medians, so one
-   preempted pass on a shared host cannot decide the verdict.  In
+   ever reported for a semantics-preserving schedule.  [ab_time] times
+   each leg's two sides (sequential, parallel); the leg reports the
+   speedup of the best pass on each side, plus the medians.  In
    --deterministic mode only the equality verdicts are emitted, so the
    artifact is a pure function of the seed. *)
 let scaling_bench () =
   section "E18: shared work queue + kept VMs scaling (BENCH_scaling.json)";
   let jobs = max 1 !bench_jobs in
   let det = !bench_deterministic in
-  let passes = 7 in
   let cfg =
     {
       (campaign_cfg Kernel.Config.v5_12_rc3) with
@@ -1755,31 +1758,25 @@ let scaling_bench () =
       ~seed:cfg.Harness.Pipeline.seed ~iters:cfg.Harness.Pipeline.fuzz_iters
   in
   pf "corpus: %d tests; %d worker domains; %d alternating passes per leg@."
-    (Fuzzer.Corpus.size corpus) jobs passes;
-  (* Times one leg: returns whether every parallel pass's result equals
-     the first sequential one, the best-pass speedup and the JSON
-     fields.  The first parallel warm-up boots the workers' kept VMs, so
-     the timed passes see the steady state every later batch, method
-     and campaign sees. *)
+    (Fuzzer.Corpus.size corpus) jobs ab_passes;
+  (* Times one leg: returns whether every pass's result equals the
+     sequential warm-up's, the best-pass speedup and the JSON fields.
+     The parallel warm-up boots the workers' kept VMs, so the timed
+     passes see the steady state every later batch, method and campaign
+     sees. *)
   let leg name ~seq ~par =
-    let expected = seq () in
-    ignore (par ());
-    let runs =
-      List.init passes (fun _ ->
-          let s, ds = time seq in
-          let p, dp = time par in
-          (s = expected && p = expected, ds, dp))
+    let expected = ref None and identical = ref true in
+    let pass f () =
+      let r, dt = time f in
+      (match !expected with
+      | None -> expected := Some r
+      | Some e -> if r <> e then identical := false);
+      dt
     in
-    let identical = List.for_all (fun (ok, _, _) -> ok) runs in
-    let sorted pick =
-      let a = Array.of_list (List.map pick runs) in
-      Array.sort compare a;
-      a
-    in
-    let seq_t = sorted (fun (_, d, _) -> d)
-    and par_t = sorted (fun (_, _, d) -> d) in
-    let seq_best = seq_t.(0) and par_best = par_t.(0) in
-    let seq_med = seq_t.(passes / 2) and par_med = par_t.(passes / 2) in
+    let ab = ab_time (pass seq) (pass par) in
+    let identical = !identical in
+    let seq_best = ab.a_best and par_best = ab.b_best in
+    let seq_med = ab.a_median and par_med = ab.b_median in
     let speedup = seq_best /. max 1e-9 par_best in
     pf "%s: sequential best %.4fs median %.4fs, %d jobs best %.4fs median %.4fs (%.2fx best, %.2fx median); identical: %b@."
       name seq_best seq_med jobs par_best par_med speedup
@@ -1833,7 +1830,7 @@ let scaling_bench () =
          ("experiment", String "scaling");
          ("jobs", Int jobs);
          ("deterministic", Bool det);
-         ("passes", Int passes);
+         ("passes", Int ab_passes);
          ("corpus_tests", Int (Fuzzer.Corpus.size corpus));
          ("explore_tests", Int budget);
          ("trials_per_test", Int cfg.Harness.Pipeline.trials_per_test);

@@ -93,8 +93,6 @@ let obs_term =
    exposition on exit (point a node_exporter textfile collector, or any
    scraper of static files, at it). *)
 
-type telem = { telem_deterministic : bool }
-
 let telemetry_out_arg =
   Arg.(
     value
@@ -177,8 +175,7 @@ let telemetry_term =
       Obs.Telemetry.configure ?out ~progress ~deterministic ~interval ~period
         ~enabled:true ();
       at_exit Obs.Telemetry.close
-    end;
-    { telem_deterministic = deterministic }
+    end
   in
   Term.(
     const combine $ telemetry_out_arg $ progress_arg $ deterministic_arg
@@ -510,7 +507,7 @@ exception Interrupted
 let run_campaign kernel seed iters trials budget methods seeded jobs
     log verbose corpus_file fault_spec watchdog max_retries
     checkpoint resume stop_after crash_at summary_out flame_out provenance_out
-    (_ : telem) (_ : obs) =
+    () (_ : obs) =
   setup_logs ~debug:verbose ~info:log ();
   if jobs < 1 || jobs > max_jobs then
     fail_cli "--jobs must be in the range 1-%d (got %d)" max_jobs jobs;
@@ -759,7 +756,7 @@ let sched_arg =
     & info [ "sched" ] ~docv:"S"
         ~doc:"Scheduler: snowboard, ski, pct or naive.")
 
-let run_repro kernel seed issue sched () (_ : telem) (_ : obs) =
+let run_repro kernel seed issue sched () () (_ : obs) =
   match Harness.Scenarios.find issue with
   | None ->
       pf "no scenario for issue #%d@." issue;
@@ -807,7 +804,7 @@ let repro_cmd =
    print the developer-facing evidence: the replayable trace, the kernel
    console, and a post-mortem diagnosis of each data race (section 4.4.1
    and the section 6 reproduction discussion). *)
-let run_diagnose kernel seed issue () (_ : telem) (_ : obs) =
+let run_diagnose kernel seed issue () () (_ : obs) =
   record_kernel kernel;
   match Harness.Scenarios.find issue with
   | None ->
@@ -953,7 +950,10 @@ let resolve_explain_input ~issue replay_arg =
     let s = String.trim s in
     match Sched.Replay.of_string s with
     | None ->
-        fail_cli "cannot parse replay trace %S (expected \"FIRST:0101...\")" s
+        fail_cli
+          "cannot parse replay trace %S (expected \"FIRST:0101...\" per \
+           step or \"FIRST;0101...\" per block)"
+          s
     | Some trace -> (
         match issue with
         | None ->
@@ -1012,8 +1012,9 @@ let replay_arg_t =
     & info [ "replay" ] ~docv:"TRACE|FILE"
         ~doc:
           "What to re-execute: a campaign report JSON (--metrics-out), a \
-           file holding a replay trace, or the trace itself \
-           (\"FIRST:0101...\").")
+           file holding a replay trace, or the trace itself: \
+           \"FIRST:0101...\" (one decision per instruction, as PCT and \
+           older reports record) or \"FIRST;0101...\" (one per block).")
 
 let issue_opt_arg =
   Arg.(

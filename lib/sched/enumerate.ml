@@ -43,7 +43,7 @@ let vector_policy ~first ~(positions : int list) ~(count : int ref) : Exec.polic
   in
   (* counts *shared accesses*, not instructions, and reads nothing
      else: event-only, so batched blocks cannot skip a decision point *)
-  { Exec.first = first; decide; event_only = true; on_plain = ignore }
+  { Exec.first = first; decide; event_only = true }
 
 let run (env : Exec.env) ~(writer : Fuzzer.Prog.t) ~(reader : Fuzzer.Prog.t)
     ?(preemption_bound = 2) ?(max_executions = 20_000) ?(stop_on_bug = false)

@@ -28,9 +28,9 @@
    policy acts (Algorithm 2 reschedules only at shared accesses): a
    shared access, a pause, a return to user space, a halt, panic or
    fault, or a console line.  The consultations skipped in between
-   could only have answered "no switch", so every schedule, replay
-   trace and flight-recorder stream is byte-identical to consulting the
-   policy after every instruction.  [run_seq_step] drives the
+   could only have answered "no switch", so every schedule and
+   flight-recorder stream is byte-identical to consulting the policy
+   after every instruction.  [run_seq_step] drives the
    list-returning [Vm.step]: the observational-equivalence oracle and
    benchmark baseline.
 
@@ -446,16 +446,11 @@ type policy = {
   first : int;  (* thread scheduled first *)
   decide : int -> Vm.sink -> bool;  (* switch after this instruction? *)
   event_only : bool;
-      (* [decide] reads only the sink's shared accesses (never
-         [sk_steps], non-shared accesses, or the call, return, lock and
-         RCU fields) and, on a sink with no shared access, returns false
-         with no side effect and no draw.  Declaring this lets
-         [run_multi] run whole [Vm.run_tblock_conc] blocks between
-         decision points; [on_plain] is told how many consultations
-         were skipped so recorders stay byte-identical. *)
-  on_plain : int -> unit;
-      (* [on_plain k]: the executor retired [k] instructions for which
-         [decide] was provably "no switch" and was not called *)
+      (* consult [decide] only where a concurrent block ends, so
+         [run_multi] runs whole [Vm.run_tblock_conc] blocks between
+         decision points.  A deciding policy declares it only if, on a
+         sink with no shared access, it returns false with no side
+         effect and no draw; a replayer declares its trace's cadence. *)
 }
 
 type conc_result = {
@@ -516,16 +511,15 @@ let log_append (lg : Trace.log) (sink : Vm.sink) k ~tid ~ctx =
    to user space, a halt, panic or fault, or a console line), crossing
    plain instructions, stack-only accesses, lock and RCU hypercalls, and
    calls and returns to kernel code.  [decide] is consulted on that last
-   instruction only, and [policy.on_plain] is told how many consultations
-   were skipped: each would have seen no shared access and so, by the
-   [event_only] contract, returned "no switch" without a side effect (the
-   recorder appends that many '0's, keeping replay traces byte-identical
-   to per-step stepping).  Policies that step-count ([event_only =
-   false], e.g. PCT's change points, or a trace replayer) run one
-   instruction per [Vm.run_tblock_conc] call (quantum 1), on the same
-   path.  Either way nothing is allocated per step or per access: each
-   *shared* access goes into the domain's log ([log_append]), which the
-   result's [cc_log] views. *)
+   instruction only: each instruction it ran past saw no shared access,
+   so by the [event_only] contract a per-step consultation there would
+   have returned "no switch" without a side effect, and the schedule is
+   the per-step one.  Policies that step-count ([event_only = false],
+   e.g. PCT's change points, or the replayer of a per-step trace) run
+   one instruction per [Vm.run_tblock_conc] call (quantum 1), on the
+   same path.  Either way nothing is allocated per step or per access:
+   each *shared* access goes into the domain's log ([log_append]), which
+   the result's [cc_log] views. *)
 let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
     ?(observer = default_observer) ?watchdog ?(fault = Fault.No_fault)
     ?(prof = Obs.Profguest.null_collector) () =
@@ -738,29 +732,13 @@ let run_multi env ~(progs : Fuzzer.Prog.t array) ~(policy : policy)
              if th.next_call >= Array.length th.prog then th.done_ <- true
          | Vm.Rdead -> if th.started then th.done_ <- true
          | Vm.Rnone | Vm.Revent -> ());
-         if Vm.panicked env.vm then begin
-           (* The consultations the block ran past before its last plain
-              stretch were each "no switch".  The stretch itself and the
-              panicking instruction are never consulted: the per-event
-              loop this batching replaced ended the trial there, and
-              recorded traces keep that shape. *)
-           if batch && sink.Vm.sk_evt_steps > 0 then
-             policy.on_plain sink.Vm.sk_evt_steps;
-           raise Exit
-         end;
-         (* Instructions batched past: their skipped [decide] calls were
-            all provably "no switch" ([event_only]), and each per-step
-            iteration would have reset the pause streak.  They precede
-            the block's decision point, so notify before consulting
-            [decide] on it. *)
+         if Vm.panicked env.vm then raise Exit;
+         (* each instruction before the block's decision point is one a
+            per-step iteration would have found plain, resetting the
+            pause streak *)
          let decision = match reason with Vm.Rnone -> false | _ -> true in
-         let plain =
-           if batch then sink.Vm.sk_steps - (if decision then 1 else 0) else 0
-         in
-         if plain > 0 then begin
-           policy.on_plain plain;
-           pause_streak := 0
-         end;
+         if sink.Vm.sk_steps > (if decision then 1 else 0) then
+           pause_streak := 0;
          if (not batch) || decision then begin
          let want = policy.decide tid sink in
          if want then begin

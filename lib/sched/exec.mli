@@ -168,22 +168,18 @@ type policy = {
           just ran; [true] requests a switch to the next runnable
           thread.  A per-step policy sees one instruction per call. *)
   event_only : bool;
-      (** declares the event-only contract: [decide] reads only the
+      (** the cadence: [true] asks {!run_multi} to run whole
+          {!Vmm.Vm.run_tblock_conc} blocks and consult [decide] only on
+          a block's last instruction, where a concurrent block ends;
+          [false] asks for one consultation per instruction.  A deciding
+          policy may declare [true] only if [decide] reads only the
           sink's shared accesses ([sk_acc_shared]), never [sk_steps],
           non-shared accesses, or the call, return, lock and RCU fields;
-          and on a sink with no shared access it returns [false] with no
-          side effect and no random draw.  {!run_multi} then runs whole
-          {!Vmm.Vm.run_tblock_conc} blocks, consults [decide] only on a
-          block's last instruction (where any shared access sits), and
-          reports the skipped consultations through [on_plain].  Set
-          [false] for policies that step-count (PCT's change points) or
-          replay a per-instruction trace. *)
-  on_plain : int -> unit;
-      (** [on_plain k]: the executor retired [k] instructions for which
-          [decide] was provably "no switch" and was not called.
-          Recorders append [k] '0's so traces recorded under batching
-          replay byte-identically on the per-step loop (and vice versa);
-          everyone else passes [ignore]. *)
+          and on a sink with no shared access returns [false] with no
+          side effect and no random draw: then batching leaves its
+          schedule the per-step one.  Set [false] for policies that
+          step-count (PCT's change points).  {!Replay.replay} declares
+          the cadence its trace was recorded at. *)
 }
 
 type conc_result = {
@@ -231,15 +227,13 @@ val run_multi :
     return to user space, a halt, panic or fault, or a console line),
     crossing plain instructions, stack accesses, lock and RCU hypercalls
     and calls and returns; [policy.decide] is consulted on the block's
-    last instruction, and [policy.on_plain] reports the skipped
-    provably-"no switch" consultations.  Abort thresholds (budget,
-    watchdog, injected faults) are clamped into the block quantum so
-    they fire at the per-step loop's exact step counts.  Schedules,
-    replay traces, flight-recorder streams, observer streams and
-    profiler rows are byte-identical to per-step stepping (a panicking
-    trial's trace stops at the last decision on an event-producing
-    instruction, the panicking thread's final plain stretch unrecorded).
-    Other policies (PCT, {!Replay.replay}) are consulted after every
+    last instruction only.  Abort thresholds (budget, watchdog,
+    injected faults) are clamped into the block quantum so they fire at
+    the per-step loop's exact step counts.  Schedules, flight-recorder
+    streams, observer streams and profiler rows are byte-identical to
+    per-step stepping, and a recorded trace holds the per-step trace's
+    decisions at the instructions that end a block.  Other policies
+    (PCT, the replayer of a per-step trace) are consulted after every
     instruction: they run one instruction per {!Vmm.Vm.run_tblock_conc}
     call at quantum 1, on the same path.
     Either way the executor allocates nothing per step, switch or
@@ -251,7 +245,7 @@ val run_multi :
     and never calls [observer.on_access]; {!run_conc} derives both.
     (The policy and recorder are the caller's: Snowboard's and the
     naive policy's [decide] allocate nothing, and {!Replay.record}
-    appends a byte per decision to a growing buffer.)
+    appends a byte per consultation to a growing buffer.)
     The flight recorder's clock is installed only while
     {!Obs.Event.enabled}, so an unrecorded trial leaves no reference to
     [env] behind.

@@ -216,8 +216,8 @@ let explore (env : Exec.env) ~ident ~progs ~st ~hint ~kind ~trials ~seed
          else policy
        in
        (* every trial records its switch decisions: recording is a byte
-          per decision, and it makes any buggy trial reproducible from
-          the report alone (section 6) *)
+          per policy consultation, and it makes any buggy trial
+          reproducible from the report alone (section 6) *)
        let recorder = Replay.record policy in
        let verdict =
          match fault with

@@ -177,7 +177,6 @@ let snowboard rng (st : snowboard_state) : Exec.policy =
     (* reads only shared accesses: a sink without one draws nothing and
        never switches, so the executor may batch past it *)
     event_only = true;
-    on_plain = ignore;
   }
 
 let ski rng (hint : Core.Pmc.t option) : Exec.policy =
@@ -202,7 +201,6 @@ let ski rng (hint : Core.Pmc.t option) : Exec.policy =
     Exec.first = (if Random.State.bool rng then 1 else 0);
     decide;
     event_only = true;
-    on_plain = ignore;
   }
 
 (* PCT (Burckhardt et al.), the algorithm SKI generalises: with two
@@ -225,7 +223,6 @@ let pct rng ~depth ~est_len : Exec.policy =
     (* step-counting: every instruction advances [step], so batching
        would skip change points — keep per-instruction cadence *)
     event_only = false;
-    on_plain = ignore;
   }
 
 let naive rng ~period : Exec.policy =
@@ -241,5 +238,4 @@ let naive rng ~period : Exec.policy =
     Exec.first = (if Random.State.bool rng then 1 else 0);
     decide;
     event_only = true;
-    on_plain = ignore;
   }

@@ -8,21 +8,16 @@
    exactly - under a debugger, with extra observers, or against a
    patched kernel to confirm a fix. *)
 
-type trace = { t_first : int; t_decisions : string }
-(* [t_decisions] holds one '0' (no switch) or '1' (switch) per decision,
-   the body of [to_string]: a recorder finishes a trace with one copy of
-   its buffer. *)
+type trace = { t_first : int; t_decisions : string; t_event_only : bool }
+(* [t_decisions] holds one '0' (no switch) or '1' (switch) per [decide]
+   call, the body of [to_string]: a recorder finishes a trace with one
+   copy of its buffer.  [t_event_only] is the cadence the executor
+   consulted the recorded policy at: once per concurrent block (the
+   policy's [event_only]) or once per instruction. *)
 
 type recorder = { policy : Exec.policy; finish : unit -> trace }
 
-(* Wrap a policy, capturing its decisions.  Under a block-batching
-   executor ([inner.event_only]), the instructions a block runs past
-   skip the [decide] call; [on_plain] records the '0' each skipped
-   consultation would have produced (in bulk, from [zeros]), so a trace
-   recorded under batching is byte-identical to one recorded per-step —
-   replaying either on either loop reproduces the same schedule. *)
-let zeros = String.make 256 '0'
-
+(* Wrap a policy, capturing one byte per consultation. *)
 let record (inner : Exec.policy) =
   let buf = Buffer.create 256 in
   let decide tid evs =
@@ -30,34 +25,22 @@ let record (inner : Exec.policy) =
     Buffer.add_char buf (if d then '1' else '0');
     d
   in
-  let on_plain k =
-    let left = ref k in
-    while !left > 0 do
-      let m = if !left < String.length zeros then !left else String.length zeros in
-      Buffer.add_substring buf zeros 0 m;
-      left := !left - m
-    done;
-    inner.Exec.on_plain k
-  in
   {
-    policy =
-      {
-        Exec.first = inner.Exec.first;
-        decide;
-        event_only = inner.Exec.event_only;
-        on_plain;
-      };
+    policy = { inner with Exec.decide };
     finish =
       (fun () ->
-        { t_first = inner.Exec.first; t_decisions = Buffer.contents buf });
+        {
+          t_first = inner.Exec.first;
+          t_decisions = Buffer.contents buf;
+          t_event_only = inner.Exec.event_only;
+        });
   }
 
-(* Re-apply a captured trace.  Decisions beyond the trace length default
-   to "no switch" (they can only be reached if the execution diverged,
-   which the deterministic guest rules out for an unchanged kernel).
-   The trace is indexed per instruction — including the '0's recorded
-   for the instructions a batched block ran past — so replay declares [event_only =
-   false], and the executor consults it after every instruction. *)
+(* Re-apply a captured trace at the cadence it was recorded at, so the
+   executor consults the replayer exactly where it consulted the
+   recorded policy.  Decisions beyond the trace length default to "no
+   switch" (they can only be reached if the execution diverged, which
+   the deterministic guest rules out for an unchanged kernel). *)
 let replay (t : trace) : Exec.policy =
   let idx = ref 0 in
   let decide _tid _evs =
@@ -68,7 +51,7 @@ let replay (t : trace) : Exec.policy =
     end
     else false
   in
-  { Exec.first = t.t_first; decide; event_only = false; on_plain = ignore }
+  { Exec.first = t.t_first; decide; event_only = t.t_event_only }
 
 let length t = String.length t.t_decisions
 
@@ -77,15 +60,23 @@ let num_switches t =
   String.iter (fun c -> if c = '1' then incr n) t.t_decisions;
   !n
 
-(* Serialise for storage alongside a bug report. *)
-let to_string t = Printf.sprintf "%d:%s" t.t_first t.t_decisions
+(* Serialise for storage alongside a bug report: ["FIRST:BITS"] per
+   instruction, the only form older reports hold, and ["FIRST;BITS"]
+   per block, which an older reader rejects rather than misreplays. *)
+let to_string t =
+  Printf.sprintf "%d%c%s" t.t_first
+    (if t.t_event_only then ';' else ':')
+    t.t_decisions
 
 let of_string s =
-  match String.index_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let body = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt (String.sub s 0 i) with
-      | Some t_first when String.for_all (fun c -> c = '0' || c = '1') body ->
-          Some { t_first; t_decisions = body }
-      | _ -> None)
+  let parse i t_event_only =
+    let body = String.sub s (i + 1) (String.length s - i - 1) in
+    match int_of_string_opt (String.sub s 0 i) with
+    | Some t_first when String.for_all (fun c -> c = '0' || c = '1') body ->
+        Some { t_first; t_decisions = body; t_event_only }
+    | _ -> None
+  in
+  match (String.index_opt s ':', String.index_opt s ';') with
+  | Some i, None -> parse i false
+  | None, Some i -> parse i true
+  | _ -> None

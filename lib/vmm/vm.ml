@@ -719,9 +719,6 @@ type sink = {
   sk_fr_push : bool array;  (* a call (true) or a return to kernel code *)
   sk_fr_pc : int array;  (* the pc execution continued at *)
   sk_fr_steps : int array;  (* instructions retired up to and including it *)
-  mutable sk_evt_steps : int;
-      (* instructions retired up to and including the last
-         event-producing instruction the block ran past; 0 if none *)
   mutable sk_call : int;  (* entered the function at this pc, or -1 *)
   mutable sk_return : bool;  (* returned from the current function *)
   mutable sk_ret_to_user : bool;
@@ -775,7 +772,6 @@ let make_sink () =
     sk_fr_push = Array.make frame_capacity false;
     sk_fr_pc = Array.make frame_capacity 0;
     sk_fr_steps = Array.make frame_capacity 0;
-    sk_evt_steps = 0;
     sk_call = -1;
     sk_return = false;
     sk_ret_to_user = false;
@@ -799,7 +795,6 @@ let sink_clear s =
   s.sk_n_acc <- 0;
   s.sk_any_shared <- false;
   s.sk_n_frames <- 0;
-  s.sk_evt_steps <- 0;
   s.sk_call <- -1;
   s.sk_return <- false;
   s.sk_ret_to_user <- false;
@@ -977,7 +972,6 @@ let[@inline] tc_cross_frame sink ~push ~pc ~steps =
   us sink.sk_fr_pc n pc;
   us sink.sk_fr_steps n steps;
   sink.sk_n_frames <- n + 1;
-  sink.sk_evt_steps <- steps;
   n + 1 < frame_capacity
   && sink.sk_n_acc + max_sink_accesses <= sink_capacity
 
@@ -1239,8 +1233,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
-           else stop := true
+           if not (tc_keep_going conc sink) then stop := true
        (* store imm / store reg (imm pre-masked at decode) *)
        | 34 ->
            c.pc <- p;
@@ -1255,8 +1248,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
-           else stop := true
+           if not (tc_keep_going conc sink) then stop := true
        | 35 ->
            c.pc <- p;
            fault_rem := !rem;
@@ -1270,8 +1262,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
-           else stop := true
+           if not (tc_keep_going conc sink) then stop := true
        (* cas: expected/desired each imm or reg per variant *)
        | (36 | 37 | 38 | 39) as oc ->
            c.pc <- p;
@@ -1298,8 +1289,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
-           else stop := true
+           if not (tc_keep_going conc sink) then stop := true
        (* faa imm / faa reg *)
        | (40 | 41) as oc ->
            c.pc <- p;
@@ -1316,8 +1306,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
-           else stop := true
+           if not (tc_keep_going conc sink) then stop := true
        (* call *)
        | 42 ->
            c.pc <- p;
@@ -1411,8 +1400,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
-           else stop := true
+           if not (tc_keep_going conc sink) then stop := true
        (* pop *)
        | 46 ->
            c.pc <- p;
@@ -1427,8 +1415,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            result := Revent;
            pc := p + 1;
            rem := !rem - 1;
-           if tc_keep_going conc sink then sink.sk_evt_steps <- quantum - !rem
-           else stop := true
+           if not (tc_keep_going conc sink) then stop := true
        (* pause *)
        | 47 ->
            c.pc <- p + 1;
@@ -1485,8 +1472,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            t.events_sunk <- t.events_sunk + 1;
            result := Revent;
            pc := p + 1;
-           rem := !rem - 1;
-           sink.sk_evt_steps <- quantum - !rem
+           rem := !rem - 1
        | 52 ->
            c.pc <- p + 1;
            sink.sk_lock <- regs.(0);
@@ -1494,8 +1480,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            t.events_sunk <- t.events_sunk + 1;
            result := Revent;
            pc := p + 1;
-           rem := !rem - 1;
-           sink.sk_evt_steps <- quantum - !rem
+           rem := !rem - 1
        (* hrcu_lock / hrcu_unlock *)
        | 53 ->
            c.pc <- p + 1;
@@ -1503,16 +1488,14 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            t.events_sunk <- t.events_sunk + 1;
            result := Revent;
            pc := p + 1;
-           rem := !rem - 1;
-           sink.sk_evt_steps <- quantum - !rem
+           rem := !rem - 1
        | 54 ->
            c.pc <- p + 1;
            sink.sk_rcu <- `Unlock;
            t.events_sunk <- t.events_sunk + 1;
            result := Revent;
            pc := p + 1;
-           rem := !rem - 1;
-           sink.sk_evt_steps <- quantum - !rem
+           rem := !rem - 1
        (* superop load+br *)
        | 55 ->
            c.pc <- p;
@@ -1530,22 +1513,19 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              rem := !rem - 1;
              stop := true
            end
+           else if !rem > 1 then begin
+             let bpc = p + 1 in
+             let bcode = ug raw bpc in
+             let a = ug regs (ug f0 bpc) in
+             let b = if bcode >= 26 then ug regs (ug f1 bpc) else ug f1 bpc in
+             let dest = if tc_cond_eval bcode a b then ug f2 bpc else bpc + 1 in
+             if not conc then record_edge t bpc dest;
+             pc := dest;
+             rem := !rem - 2
+           end
            else begin
-             sink.sk_evt_steps <- quantum - !rem + 1;
-             if !rem > 1 then begin
-               let bpc = p + 1 in
-               let bcode = ug raw bpc in
-               let a = ug regs (ug f0 bpc) in
-               let b = if bcode >= 26 then ug regs (ug f1 bpc) else ug f1 bpc in
-               let dest = if tc_cond_eval bcode a b then ug f2 bpc else bpc + 1 in
-               if not conc then record_edge t bpc dest;
-               pc := dest;
-               rem := !rem - 2
-             end
-             else begin
-               pc := p + 1;
-               rem := !rem - 1
-             end
+             pc := p + 1;
+             rem := !rem - 1
            end
        (* superop bin+store *)
        | 56 ->
@@ -1572,9 +1552,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
              result := Revent;
              pc := spc + 1;
              rem := !rem - 2;
-             if tc_keep_going conc sink then
-               sink.sk_evt_steps <- quantum - !rem
-             else stop := true
+             if not (tc_keep_going conc sink) then stop := true
            end
            else begin
              pc := p + 1;

@@ -151,10 +151,6 @@ type sink = {
   sk_fr_pc : int array;  (** the pc execution continued at *)
   sk_fr_steps : int array;
       (** instructions retired up to and including the call or return *)
-  mutable sk_evt_steps : int;
-      (** instructions retired up to and including the last
-          event-producing instruction the block ran past without
-          stopping; 0 if none *)
   mutable sk_call : int;  (** entered the function at this pc, or -1 *)
   mutable sk_return : bool;  (** returned from the current function *)
   mutable sk_ret_to_user : bool;
@@ -253,7 +249,7 @@ val run_tblock_conc :
     runner reads coverage, and it resets it first.  At [quantum = 1] it
     retires exactly one instruction ([sk_steps = 1], at most one frame
     entry) and the sink materialises ({!sink_events}) to the list
-    {!step} returns: the per-step cadence PCT and replay playback
+    {!step} returns: the per-step cadence PCT and per-step replays
     need. *)
 
 exception Fault of int

@@ -110,7 +110,7 @@ let prop_record_free_equivalent =
 
 (* Lockstep: stepping one VM with [Vm.step] and its twin with
    [Vm.run_tblock_conc] at quantum 1 (the executor's per-step cadence for
-   PCT and replay playback), every call must retire exactly one
+   PCT and per-step replays), every call must retire exactly one
    instruction whose sunk events materialise to [Vm.step]'s list, with
    the VM's shared flags and frame log matching them, and the twins
    must end in the same state.  Each case opens a descriptor
@@ -403,20 +403,63 @@ let outcome = Testutil.Conc_outcome.outcome
 (* Everything one concurrent trial emits. *)
 type emitted = {
   res : Exec.conc_result;
-  trace : Replay.trace;  (* the recorded decisions *)
-  cut : int;
-      (* per step: the decisions up to and including the last one made
-         on an event-producing instruction *)
   events : Obs.Event.t list;  (* flight record, rebased on its first clock *)
   seen : int;
   observed : (Trace.access * string) list;  (* the observer's stream *)
   rows : (string * int * int) list;  (* drained guest-profiler rows *)
 }
 
-let has_event (sk : Vm.sink) =
-  sk.Vm.sk_n_acc > 0 || sk.Vm.sk_call >= 0 || sk.Vm.sk_return
-  || sk.Vm.sk_ret_to_user || sk.Vm.sk_pause || sk.Vm.sk_halt
-  || sk.Vm.sk_has_console || sk.Vm.sk_lock >= 0 || sk.Vm.sk_rcu <> `No
+(* One trial of scenario [s] under [policy], observed and profiled. *)
+let emit_trial env ~(s : Harness.Scenarios.scenario) policy =
+  let observed = ref [] in
+  let observer =
+    {
+      Exec.default_observer with
+      Exec.on_access = (fun a ~ctx -> observed := (a, ctx) :: !observed);
+    }
+  in
+  let prof = Obs.Profguest.collector () in
+  Obs.Event.reset ();
+  let res =
+    Exec.run_conc env ~writer:s.Harness.Scenarios.writer
+      ~reader:s.Harness.Scenarios.reader ~policy ~observer ~prof ()
+  in
+  (* [Vm.steps] accumulates across trials on the same VM, so absolute
+     virtual clocks carry a per-trial baseline *)
+  let events =
+    match Obs.Event.events () with
+    | [] -> []
+    | e0 :: _ as evs ->
+        List.map
+          (fun (e : Obs.Event.t) ->
+            { e with Obs.Event.vclock = e.Obs.Event.vclock - e0.Obs.Event.vclock })
+          evs
+  in
+  {
+    res;
+    events;
+    seen = Obs.Event.seen ();
+    observed = List.rev !observed;
+    rows = Obs.Profguest.drain prof;
+  }
+
+(* A recorded trial. *)
+type recorded = {
+  out : emitted;
+  trace : Replay.trace;
+  consulted : int;  (* the executor's [decide] calls *)
+  at_ends : string;
+      (* the decisions made on instructions that end a concurrent
+         block, in order *)
+}
+
+(* Does the sink's last instruction end a concurrent block?  A shared
+   access, a pause, a return to user space, a halt, a panic or fault, or
+   a console line: the instructions {!Vm.run_tblock_conc} stops after. *)
+let ends_block (sk : Vm.sink) =
+  sk.Vm.sk_any_shared || sk.Vm.sk_pause || sk.Vm.sk_ret_to_user
+  || sk.Vm.sk_halt || sk.Vm.sk_panic || sk.Vm.sk_has_fault
+  || sk.Vm.sk_has_console
 
 (* [trials] seeded snowboard trials of scenario [s] that share one policy
    state, as [Explore.run]'s do (so later trials run with learned
@@ -431,69 +474,32 @@ let conc_batch_trials env ~(s : Harness.Scenarios.scenario) ~hint ~seed
         { inner with Exec.event_only = inner.Exec.event_only && batch }
       in
       let rec_ = Replay.record inner in
-      let decisions = ref 0 and cut = ref 0 in
+      let consulted = ref 0 and at_ends = Buffer.create 128 in
       let policy =
         {
           rec_.Replay.policy with
           Exec.decide =
             (fun tid sk ->
-              incr decisions;
-              if has_event sk then cut := !decisions;
-              rec_.Replay.policy.Exec.decide tid sk);
+              incr consulted;
+              let d = rec_.Replay.policy.Exec.decide tid sk in
+              if ends_block sk then Buffer.add_char at_ends (if d then '1' else '0');
+              d);
         }
       in
-      let observed = ref [] in
-      let observer =
-        {
-          Exec.default_observer with
-          Exec.on_access = (fun a ~ctx -> observed := (a, ctx) :: !observed);
-        }
-      in
-      let prof = Obs.Profguest.collector () in
-      Obs.Event.reset ();
-      let res =
-        Exec.run_conc env ~writer:s.Harness.Scenarios.writer
-          ~reader:s.Harness.Scenarios.reader ~policy ~observer ~prof ()
-      in
-      (* [Vm.steps] accumulates across trials on the same VM, so absolute
-         virtual clocks carry a per-trial baseline *)
-      let events =
-        match Obs.Event.events () with
-        | [] -> []
-        | e0 :: _ as evs ->
-            List.map
-              (fun (e : Obs.Event.t) ->
-                {
-                  e with
-                  Obs.Event.vclock = e.Obs.Event.vclock - e0.Obs.Event.vclock;
-                })
-              evs
-      in
+      let out = emit_trial env ~s policy in
       {
-        res;
+        out;
         trace = rec_.Replay.finish ();
-        cut = !cut;
-        events;
-        seen = Obs.Event.seen ();
-        observed = List.rev !observed;
-        rows = Obs.Profguest.drain prof;
+        consulted = !consulted;
+        at_ends = Buffer.contents at_ends;
       })
 
-(* A panicking trial ends at the panic without consulting the policy on
-   the panicking thread's last plain stretch, which the per-step loop
-   does consult: the batched trace stops at the last decision made on an
-   event-producing instruction, the shape traces had when every such
-   instruction ended a block.  (Replay treats a missing decision as
-   "no switch".)  Otherwise the traces are equal. *)
-let traces_agree ~(batched : emitted) ~(per_step : emitted) =
-  let d = per_step.trace.Replay.t_decisions in
-  batched.trace.Replay.t_first = per_step.trace.Replay.t_first
-  && batched.trace.Replay.t_decisions
-     = if per_step.res.Exec.cc_panicked then String.sub d 0 per_step.cut else d
-
 (* The batched and per-step runs of [trials] trials must emit the same
-   results, traces, flight records, observer streams and profiler
-   rows.  Returns the number of panicking trials. *)
+   results, flight records, observer streams and profiler rows.  Each
+   trace holds one decision per consultation at its run's cadence; the
+   batched run is consulted only where a concurrent block ends, and its
+   trace equals the per-step trace's decisions there.  Returns the
+   number of panicking trials. *)
 let check_batch_identical env ~(s : Harness.Scenarios.scenario) ~hint ~seed
     ~trials =
   let run batch = conc_batch_trials env ~s ~hint ~seed ~trials ~batch in
@@ -503,17 +509,27 @@ let check_batch_identical env ~(s : Harness.Scenarios.scenario) ~hint ~seed
         QCheck.Test.fail_reportf "issue %d, seed %d, trial %d: %s"
           s.Harness.Scenarios.issue seed i what
       in
-      if outcome b.res <> outcome p.res then fail "results differ";
-      if not (traces_agree ~batched:b ~per_step:p) then
+      if outcome b.out.res <> outcome p.out.res then fail "results differ";
+      if Replay.length b.trace <> b.consulted
+         || Replay.length p.trace <> p.consulted
+      then fail "a trace length is not the trial's policy consultations";
+      if (not b.trace.Replay.t_event_only) || p.trace.Replay.t_event_only then
+        fail "a trace does not record its cadence";
+      if b.at_ends <> b.trace.Replay.t_decisions then
+        fail "the batched run consulted the policy inside a block";
+      if
+        b.trace.Replay.t_first <> p.trace.Replay.t_first
+        || b.trace.Replay.t_decisions <> p.at_ends
+      then
         fail
-          (Printf.sprintf "traces differ: %s vs %s"
-             (Replay.to_string b.trace) (Replay.to_string p.trace));
-      if b.events <> p.events || b.seen <> p.seen then
+          (Printf.sprintf "traces differ: %s vs %s at block ends"
+             (Replay.to_string b.trace) p.at_ends);
+      if b.out.events <> p.out.events || b.out.seen <> p.out.seen then
         fail "flight records differ";
-      if b.observed <> p.observed then fail "observer streams differ";
-      if b.rows <> p.rows then fail "profiler rows differ";
-      if b.rows = [] then fail "the profiler recorded nothing";
-      if p.res.Exec.cc_panicked then panics + 1 else panics)
+      if b.out.observed <> p.out.observed then fail "observer streams differ";
+      if b.out.rows <> p.out.rows then fail "profiler rows differ";
+      if b.out.rows = [] then fail "the profiler recorded nothing";
+      if p.out.res.Exec.cc_panicked then panics + 1 else panics)
     0
     (List.mapi (fun i bp -> (i, bp)) (List.combine (run true) (run false)))
 
@@ -574,25 +590,45 @@ let test_conc_batch_panics () =
   in
   checkb "some trials panicked" true (panics > 0)
 
-(* A trace recorded under batching replays on the per-step loop (and
-   vice versa): the '0's [on_plain] appends stand in exactly for the
-   skipped consultations. *)
+(* The executor's part of a flight record: the policy's own hint
+   events dropped, and with them the emission-order stamps. *)
+let executor_events evs =
+  List.filter_map
+    (fun (e : Obs.Event.t) ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Hint_hit _ | Obs.Event.Hint_window _ -> None
+      | k -> Some (e.Obs.Event.vclock, e.Obs.Event.tid, k))
+    evs
+
+(* A trace recorded under batching replays at its own cadence, in whole
+   blocks, to the recorded outcome and flight record; so does a
+   per-step one, an instruction at a time.  The hinted trial switches,
+   so a replay at the wrong cadence would apply its switches at other
+   instructions. *)
 let test_conc_batch_trace_replays () =
   let env = Lazy.force env in
-  let s = List.nth Harness.Scenarios.all 11 (* #12 l2tp *) in
-  match conc_batch_trials env ~s ~hint:None ~seed:5 ~trials:1 ~batch:true with
-  | [ b ] -> (
-      match Replay.of_string (Replay.to_string b.trace) with
-      | None -> Alcotest.fail "recorded trace does not parse"
-      | Some trace ->
-          let r_r =
-            Exec.run_conc env ~writer:s.Harness.Scenarios.writer
-              ~reader:s.Harness.Scenarios.reader ~policy:(Replay.replay trace)
-              ()
-          in
-          checkb "batch-recorded trace replays per-step" true
-            (outcome b.res = outcome r_r))
-  | _ -> Alcotest.fail "one trial expected"
+  let s, hints = List.nth (Lazy.force scenario_hints) 11 (* #12 l2tp *) in
+  with_recording (fun () ->
+      List.iter
+        (fun batch ->
+          match
+            conc_batch_trials env ~s ~hint:(Some (List.hd hints)) ~seed:5
+              ~trials:1 ~batch
+          with
+          | [ b ] -> (
+              match Replay.of_string (Replay.to_string b.trace) with
+              | None -> Alcotest.fail "recorded trace does not parse"
+              | Some trace ->
+                  let r = emit_trial env ~s (Replay.replay trace) in
+                  let what = if batch then "batched" else "per-step" in
+                  checkb (what ^ " trace switches") true
+                    (Replay.num_switches trace > 0);
+                  checkb (what ^ " trace replays to the outcome") true
+                    (outcome b.out.res = outcome r.res);
+                  checkb (what ^ " trace replays the flight record") true
+                    (executor_events b.out.events = executor_events r.events))
+          | _ -> Alcotest.fail "one trial expected")
+        [ true; false ])
 
 (* ---------------- guest profiler rows, pinned ----------------------- *)
 

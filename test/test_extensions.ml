@@ -36,7 +36,9 @@ let test_replay_roundtrip () =
   checkb "replay: same console" true (r1.Exec.cc_console = r2.Exec.cc_console)
 
 let test_replay_serialisation () =
-  let t = { Sched.Replay.t_first = 1; t_decisions = "101" } in
+  let t =
+    { Sched.Replay.t_first = 1; t_decisions = "101"; t_event_only = true }
+  in
   (match Sched.Replay.of_string (Sched.Replay.to_string t) with
   | Some t' ->
       checkb "roundtrip" true (t' = t);
@@ -137,7 +139,6 @@ let test_run_multi_three () =
       Exec.first = 0;
       decide = (fun _ _ -> true);
       event_only = false;
-      on_plain = ignore;
     }
   in
   let progs =
@@ -168,7 +169,6 @@ let test_run_multi_bounds () =
       Exec.first = 0;
       decide = (fun _ _ -> false);
       event_only = true;
-      on_plain = ignore;
     }
   in
   Alcotest.check_raises "too many threads"

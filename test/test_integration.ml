@@ -56,6 +56,60 @@ let test_reproduced_trials_replay () =
             (List.mem issue (Detectors.Oracle.issues c.Explore.findings)))
     Scenarios.all
 
+(* A report written before batched traces dropped their per-instruction
+   '0's: [diagnose 4 --kernel 5.3.10 --seed 1 --metrics-out] on the last
+   commit that wrote only per-step traces, trimmed to its "kernel" and
+   "bugs" fields.  Its trace is in the per-step form and still replays
+   to issue 4, through the same flight record as the 57-decision
+   batched trace that [diagnose] records now. *)
+let test_parent_report_replays () =
+  let module J = Obs.Export in
+  let field k = function J.Obj l -> List.assoc k l | _ -> raise Not_found in
+  let doc =
+    J.of_string
+      (In_channel.with_open_bin "fixtures/parent-diagnose4.json"
+         In_channel.input_all)
+  in
+  checkb "recorded kernel" true (field "kernel" doc = J.String "5.3.10");
+  let replay =
+    match field "bugs" doc with
+    | J.List [ b ] -> (
+        match field "replay" b with J.String r -> r | _ -> raise Not_found)
+    | _ -> Alcotest.fail "one stored bug expected"
+  in
+  Alcotest.(check int) "stored trace bytes" 384 (String.length replay);
+  let old =
+    match Sched.Replay.of_string replay with
+    | Some t -> t
+    | None -> Alcotest.fail "the stored trace does not parse"
+  in
+  checkb "parses as per-step" false old.Sched.Replay.t_event_only;
+  Alcotest.(check int) "stored switches" 13 (Sched.Replay.num_switches old);
+  let env = Sched.Exec.make_env Kernel.Config.v5_3_10 in
+  let s = Option.get (Scenarios.find 4) in
+  let replay trace =
+    let c, events = Explore.replay env ~progs:(Scenarios.progs s) trace in
+    let base = match events with e :: _ -> e.Obs.Event.vclock | [] -> 0 in
+    ( Detectors.Oracle.issues c.Explore.findings,
+      List.map
+        (fun (e : Obs.Event.t) ->
+          { e with Obs.Event.vclock = e.Obs.Event.vclock - base })
+        events )
+  in
+  let old_issues, old_events = replay old in
+  checkb "the stored trace replays to issue 4" true (List.mem 4 old_issues);
+  let a = Scenarios.reproduce env s ~kind:Explore.Snowboard ~trials:64 ~seed:1 () in
+  match a.Scenarios.exposed with
+  | None -> Alcotest.fail "issue #4 not reproduced at seed 1"
+  | Some t ->
+      let fresh = t.Explore.replay in
+      checkb "diagnose records a batched trace" true
+        fresh.Sched.Replay.t_event_only;
+      Alcotest.(check int) "its decisions" 57 (Sched.Replay.length fresh);
+      let new_issues, new_events = replay fresh in
+      checkb "same issues" true (old_issues = new_issues);
+      checkb "same flight record" true (old_events = new_events)
+
 let test_fixed_kernel_clean () =
   let env = Lazy.force fixed in
   List.iter
@@ -146,6 +200,8 @@ let tests =
   @ [
       Alcotest.test_case "reproduced trials replay" `Quick
         test_reproduced_trials_replay;
+      Alcotest.test_case "parent-written report replays" `Quick
+        test_parent_report_replays;
       Alcotest.test_case "fixed kernel clean" `Slow test_fixed_kernel_clean;
       Alcotest.test_case "pipeline end to end" `Slow test_pipeline_end_to_end;
       Alcotest.test_case "version gating" `Slow test_version_gating;

@@ -291,7 +291,6 @@ let test_configfs_crash_only_with_item_window () =
           Exec.first = 0;
           decide = (fun _ _ -> false);
           event_only = true;
-          on_plain = ignore;
         }
       ()
   in

@@ -261,31 +261,32 @@ let test_channel_exercised () =
 
 module Replay = Sched.Replay
 
+(* Both cadences: per step ("FIRST:BITS") and per block ("FIRST;BITS"). *)
 let gen_trace =
   QCheck.Gen.(
-    map2
-      (fun first decisions ->
+    map3
+      (fun first decisions event_only ->
         {
           Replay.t_first = first;
           t_decisions =
             String.concat ""
               (List.map (fun d -> if d then "1" else "0") decisions);
+          t_event_only = event_only;
         })
       (int_range 0 7)
-      (list_size (int_range 0 300) bool))
+      (list_size (int_range 0 300) bool)
+      bool)
 
 let prop_replay_roundtrip =
   QCheck.Test.make ~name:"replay trace round-trips" ~count:300
     (QCheck.make gen_trace) (fun t ->
-      match Replay.of_string (Replay.to_string t) with
-      | None -> false
-      | Some t' ->
-          t'.Replay.t_first = t.Replay.t_first
-          && t'.Replay.t_decisions = t.Replay.t_decisions)
+      Replay.of_string (Replay.to_string t) = Some t)
+
+let separator (t : Replay.trace) = if t.Replay.t_event_only then ';' else ':'
 
 (* Truncating a serialised trace must never raise: prefixes that still
-   contain the ':' separator decode as a shorter valid trace, prefixes
-   that lost it decode as [None]. *)
+   contain the separator decode as a shorter valid trace with the same
+   first thread and cadence, prefixes that lost it decode as [None]. *)
 let prop_replay_truncated =
   QCheck.Test.make ~name:"replay of_string total on truncation" ~count:100
     (QCheck.make gen_trace) (fun t ->
@@ -294,11 +295,12 @@ let prop_replay_truncated =
       for n = 0 to String.length s - 1 do
         let prefix = String.sub s 0 n in
         (match Replay.of_string prefix with
-        | None -> if String.contains prefix ':' then ok := false
+        | None -> if String.contains prefix (separator t) then ok := false
         | Some t' ->
             if
-              (not (String.contains prefix ':'))
+              (not (String.contains prefix (separator t)))
               || t'.Replay.t_first <> t.Replay.t_first
+              || t'.Replay.t_event_only <> t.Replay.t_event_only
               || Replay.length t' > Replay.length t
             then ok := false)
       done;
@@ -311,7 +313,7 @@ let prop_replay_corrupted =
       let s = Replay.to_string t in
       if Replay.length t = 0 then true
       else begin
-        let i = String.index s ':' + 1 + (pos mod Replay.length t) in
+        let i = String.index s (separator t) + 1 + (pos mod Replay.length t) in
         let b = Bytes.of_string s in
         Bytes.set b i 'x';
         Replay.of_string (Bytes.to_string b) = None
@@ -332,15 +334,26 @@ let test_replay_of_string_cases () =
   none "5:01 ";
   none "x:01";
   none ":::";
-  (match Replay.of_string "5:01" with
-  | Some t ->
-      checkb "first" true (t.Replay.t_first = 5);
-      checkb "decisions" true (t.Replay.t_decisions = "01");
-      checkb "switches" true (Replay.num_switches t = 1)
-  | None -> Alcotest.fail "5:01 must parse");
-  match Replay.of_string ":" with
-  | Some _ -> Alcotest.fail "empty first field must not parse"
-  | None -> ()
+  none "5;0:1";
+  none "5:0;1";
+  none ";;";
+  let parses s ~event_only =
+    match Replay.of_string s with
+    | Some t ->
+        checkb "first" true (t.Replay.t_first = 5);
+        checkb "decisions" true (t.Replay.t_decisions = "01");
+        checkb "cadence" true (t.Replay.t_event_only = event_only);
+        checkb "switches" true (Replay.num_switches t = 1)
+    | None -> Alcotest.fail (s ^ " must parse")
+  in
+  parses "5:01" ~event_only:false;
+  parses "5;01" ~event_only:true;
+  List.iter
+    (fun s ->
+      match Replay.of_string s with
+      | Some _ -> Alcotest.fail "empty first field must not parse"
+      | None -> ())
+    [ ":"; ";" ]
 
 (* ---------------- parallel execution equivalence ---------------- *)
 

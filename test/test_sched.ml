@@ -33,7 +33,6 @@ let always_switch : Exec.policy =
     Exec.first = 0;
     decide = (fun _ _ -> true);
     event_only = false;
-    on_plain = ignore;
   }
 
 let never_switch : Exec.policy =
@@ -41,7 +40,6 @@ let never_switch : Exec.policy =
     Exec.first = 0;
     decide = (fun _ _ -> false);
     event_only = true;
-    on_plain = ignore;
   }
 
 let test_conc_completes_both () =

@@ -15,10 +15,13 @@ module P = Harness.Pipeline
 (* MD5 of a small fixed campaign: the rendered summary, then every
    trial's replay string, issues and steps.  The constant was computed on
    the commit before the trial loop was rebuilt (lean incidental search,
-   flat race table); a change that alters any trial result, any replay or
-   any summary byte changes it.  The summary's campaign runs at
-   [jobs] 1 and 2; both must hash to the constant. *)
-let golden = "4c28bf6f480215a39d71ad88e300c43d"
+   flat race table), and re-pinned once when batched traces dropped their
+   per-instruction '0's: with every replay string mapped to its first
+   thread and switch count, the hashed text is the earlier one.  A change
+   that alters any trial result, any replay or any summary byte changes
+   it.  The summary's campaign runs at [jobs] 1 and 2; both must hash to
+   the constant. *)
+let golden = "16c9f023ce43ba84d0dd2c954259adb1"
 
 let golden_cfg =
   { P.default with P.seed = 3; fuzz_iters = 150; trials_per_test = 8; jobs = 1 }
@@ -81,7 +84,7 @@ let test_golden () =
 
 (* The campaign above runs only event-only policies, which the executor
    batches.  PCT counts steps, so the executor consults it after every
-   instruction, and replay playback runs the same way.  This MD5 pins
+   instruction, and its traces replay the same way.  This MD5 pins
    that cadence: S-INS-PAIR's tests at budget 8 from the golden prepared
    state, explored under PCT depth 3, hashing every trial's replay
    string, issues and steps.  The constant was computed on the commit
@@ -248,8 +251,11 @@ let test_random_order_shares_nothing () =
    a recorded scenario-13 trial replayed the way [snowboard explain]
    replays it (issues, then each race report's pcs and functions).  The
    constant was computed on commit 57ebb60, before these drivers shared
-   one checked-trial function. *)
-let golden_drivers = "9e57605c95692ae72f20252828dafef2"
+   one checked-trial function, and re-pinned once when batched traces
+   dropped their per-instruction '0's (the replayed trial's trace string
+   is hashed; mapped to its first thread and switch count, the text is
+   the earlier one). *)
+let golden_drivers = "f7954efa5cccac232c0f2b0011c1c5c6"
 
 let buggy_env = lazy (Sched.Exec.make_env Kernel.Config.all_buggy)
 
